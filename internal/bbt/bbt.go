@@ -1,15 +1,20 @@
 // Package bbt is the basic-block translator: the gem5/QEMU "translated
-// block" idea applied to the atomic fast path. While the fault-injection
-// window is closed and no per-instruction observer is attached — exactly
-// the predicate that already gates the atomic model's stepFast — hot
-// straight-line runs of guest text are fused into a pre-bound chain of Go
-// closures, one closure per decoded instruction with its register indices
-// and immediates resolved at translation time. Executing a block skips
-// the per-instruction fetch, predecode lookup, port interpretation,
-// execute-stage dispatch and commit epilogue entirely; only the memory
-// system and the architectural register file are touched, so the result
-// is bit-identical to the interpreter (enforced by the conformance
-// suite's translated-vs-interpreted referee).
+// block" idea applied to the atomic fast path. While no fault can act —
+// the fault-injection window is closed, or the engine is quiescent with
+// every fault exhausted and nothing in flight — and no per-instruction
+// observer is attached, exactly the predicate that gates the atomic
+// model's stepFast, hot straight-line runs of guest text are fused into
+// a pre-bound chain of Go closures, one closure per decoded instruction
+// with its register indices and immediates resolved at translation time.
+// Executing a block skips the per-instruction fetch, predecode lookup,
+// port interpretation, execute-stage dispatch and commit epilogue
+// entirely; only the memory system and the architectural register file
+// are touched, so the result is bit-identical to the interpreter
+// (enforced by the conformance suite's translated-vs-interpreted
+// referee). Inside an open window a block also advances the engine's
+// window counters by its committed count, and a block touching a
+// register with outstanding fault taint is declined, so that register's
+// first read or write reaches the engine through the interpreter.
 //
 // Blocks are cached keyed on (PC, text generation): any store that
 // overlaps the declared text region — self-modifying code, store-value
@@ -74,6 +79,11 @@ type block struct {
 	n   uint64 // instructions in the block; 0 = poisoned
 	end uint64 // fallthrough successor PC; 0 when a branch terminator sets it
 	ops []opFn
+
+	// Registers the block's instructions read or write (isa.RegPorts
+	// masks, integer and FP files): a block touching a register the fault
+	// engine watches must leave it to the interpreter.
+	useInt, useFP uint32
 }
 
 type hotEntry struct {
@@ -90,6 +100,9 @@ type Stats struct {
 	Insts         uint64 // instructions retired inside translated blocks
 	Invalidations uint64 // stale translations discarded (text generation moved)
 	Fallbacks     uint64 // interpreter fallbacks while translation was attached
+	// WatchFallbacks counts blocks declined because they touch a register
+	// with outstanding fault taint.
+	WatchFallbacks uint64
 }
 
 type exitKind uint8
@@ -142,8 +155,8 @@ func New(c *cpu.Core) *Translator {
 func (t *Translator) SetLimit(limit uint64) { t.limit = limit }
 
 // NoteFallback implements cpu.BlockRunner: the atomic model reports each
-// slow-path step taken while translation is attached — the FI window is
-// open or an observer needs per-instruction hooks — so the bailout
+// slow-path step taken while translation is attached — a fault can still
+// act or an observer needs per-instruction hooks — so the bailout
 // behavior is observable (a campaign with taint and flight attached must
 // show zero translated instructions and a growing fallback count).
 func (t *Translator) NoteFallback() { t.Stats.Fallbacks++ }
@@ -152,8 +165,11 @@ func (t *Translator) NoteFallback() { t.Stats.Fallbacks++ }
 // the core's current PC, chaining across taken branches, and returns
 // whether any guest instruction was executed. A false return means the
 // interpreter must execute the current instruction (and the visit was
-// counted toward hotness).
-func (t *Translator) Exec() bool {
+// counted toward hotness). Blocks touching a register in the watch masks
+// are declined: the interpreter reports that traffic to the fault engine.
+// The masks hold for the whole chain, since only the register hooks the
+// interpreter calls can clear a watch bit.
+func (t *Translator) Exec(watchInt, watchFP uint32) bool {
 	c := t.c
 	if c.Stopped {
 		return false
@@ -204,6 +220,10 @@ func (t *Translator) Exec() bool {
 			t.Stats.Fallbacks++
 			return executed
 		}
+		if b.useInt&watchInt|b.useFP&watchFP != 0 {
+			t.Stats.WatchFallbacks++
+			return executed
+		}
 		t.run(b)
 		executed = true
 		if c.Stopped || t.exit != exitNone {
@@ -240,10 +260,12 @@ func (t *Translator) noteHot(pc uint64) bool {
 
 // run executes one translated block and settles the per-instruction
 // bookkeeping the interpreter would have done — ticks, committed
-// instructions, sequence numbers, scheduler slice — in one batch, with
-// the early-exit cases (trap, text-generation bail) accounted exactly:
-// a trapping instruction consumes a tick and a sequence number but never
-// commits, matching stepFast.
+// instructions, sequence numbers, scheduler slice, the fault engine's
+// window counters and tick clock — in one batch, with the early-exit
+// cases (trap, text-generation bail) accounted exactly: a trapping
+// instruction consumes a tick and a sequence number and counts as
+// executed but never commits, matching stepFast. Blocks hold no PAL
+// instruction, so the window cannot open or close mid-block.
 func (t *Translator) run(b *block) {
 	t.gen = b.gen
 	t.exit = exitNone
@@ -255,29 +277,24 @@ func (t *Translator) run(b *block) {
 		}
 	}
 	c := t.c
-	if i == len(ops) {
-		if b.end != 0 {
-			t.arch.PC = b.end
+	executed, committed := b.n, b.n
+	switch {
+	case i < len(ops):
+		executed, committed = uint64(i)+1, uint64(i)
+		if t.exit == exitSMC {
+			committed++ // the generation-moving store itself committed
 		}
-		c.Ticks += b.n
-		c.Insts += b.n
-		c.BumpSeq(b.n)
-		if t.sched != nil {
-			t.sched.ConsumeSlice(b.n)
-		}
-		t.Stats.Hits++
-		t.Stats.Insts += b.n
-		return
+	case b.end != 0:
+		t.arch.PC = b.end
 	}
-	committed := uint64(i)
-	if t.exit == exitSMC {
-		committed++ // the generation-moving store itself committed
-	}
-	c.Ticks += uint64(i) + 1
+	c.Ticks += executed
 	c.Insts += committed
-	c.BumpSeq(uint64(i) + 1)
+	c.BumpSeq(executed)
 	if t.sched != nil && committed > 0 {
 		t.sched.ConsumeSlice(committed)
+	}
+	if c.FI != nil {
+		c.FI.Retire(executed, committed, c.Ticks)
 	}
 	t.Stats.Hits++
 	t.Stats.Insts += committed
@@ -313,4 +330,5 @@ func (t *Translator) RegisterMetrics(r *obs.Registry) {
 	r.RegisterFunc("cpu.bbt.insts_translated", func() float64 { return float64(t.Stats.Insts) })
 	r.RegisterFunc("cpu.bbt.invalidations", func() float64 { return float64(t.Stats.Invalidations) })
 	r.RegisterFunc("cpu.bbt.fallbacks", func() float64 { return float64(t.Stats.Fallbacks) })
+	r.RegisterFunc("cpu.bbt.watch_fallbacks", func() float64 { return float64(t.Stats.WatchFallbacks) })
 }

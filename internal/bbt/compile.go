@@ -15,7 +15,8 @@ import (
 // before a PAL, illegal or otherwise untranslatable instruction
 // (excluded; the interpreter owns FI activation, syscalls and traps on
 // decode). A PC whose first instruction is untranslatable is poisoned so
-// the dispatcher stops probing it.
+// the dispatcher stops probing it. The block records every register its
+// instructions' ports touch, for the dispatcher's watch-mask check.
 func (t *Translator) compile(pc, gen uint64) {
 	slot := &t.blocks[(pc>>2)&blockMask]
 	lo, hi := t.mem.TextRegion()
@@ -24,35 +25,38 @@ func (t *Translator) compile(pc, gen uint64) {
 		t.Stats.Poisoned++
 		return
 	}
-	var ops []opFn
+	b := block{tag: pc | tagValid, gen: gen}
 	cur := pc
-	for uint64(len(ops)) < maxBlockLen && cur < hi {
+	terminal := false
+	for !terminal && uint64(len(b.ops)) < maxBlockLen && cur < hi {
 		word, err := t.mem.Read32(cur)
 		if err != nil {
 			break
 		}
 		in := isa.Decode(isa.Word(word))
-		op, terminal := t.emit(in, cur)
-		if op == nil {
+		var op opFn
+		if op, terminal = t.emit(in, cur); op == nil {
 			break
 		}
-		ops = append(ops, op)
+		b.ops = append(b.ops, op)
+		useInt, useFP := in.Ports().Masks()
+		b.useInt |= useInt
+		b.useFP |= useFP
 		cur += 4
-		if terminal {
-			*slot = block{tag: pc | tagValid, gen: gen, n: uint64(len(ops)), ops: ops}
-			t.Stats.Compiled++
-			return
-		}
 	}
-	if len(ops) == 0 {
-		*slot = block{tag: pc | tagValid, gen: gen}
+	b.n = uint64(len(b.ops))
+	if b.n == 0 {
+		*slot = b
 		t.Stats.Poisoned++
 		return
 	}
-	// Fallthrough block: no branch terminator, so completing it resumes
-	// the interpreter at cur (a PAL instruction, the region edge, or the
-	// length cap).
-	*slot = block{tag: pc | tagValid, gen: gen, n: uint64(len(ops)), end: cur, ops: ops}
+	if !terminal {
+		// Fallthrough block: no branch terminator, so completing it
+		// resumes the interpreter at cur (a PAL instruction, the region
+		// edge, or the length cap).
+		b.end = cur
+	}
+	*slot = b
 	t.Stats.Compiled++
 }
 

@@ -231,11 +231,13 @@ func measureCampaign(w *workloads.Workload, n, workers int, ff, bbt bool, seed i
 }
 
 // MeasureForkCampaign runs n experiments through the fork server on the
-// same pool configuration as MeasureCampaign: the one-time trunk run
-// (EnableFork) is timed separately, and the reported throughput is the
-// steady-state fork-and-run rate.
+// same pool configuration as MeasureCampaign, with block translation on
+// (the simulator default): the one-time trunk run (EnableFork) is timed
+// separately, and the reported throughput is the steady-state
+// fork-and-run rate.
 func MeasureForkCampaign(w *workloads.Workload, n, workers int, seed int64) (CampaignResult, error) {
 	cfg := sim.DefaultConfig()
+	cfg.EnableBlockTranslation = true
 	pool, err := campaign.NewPool(w, workers, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		return CampaignResult{}, err

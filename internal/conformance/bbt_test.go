@@ -122,6 +122,40 @@ func TestBBTObserverForcesInterpreter(t *testing.T) {
 	}
 }
 
+// TestBBTQuiescenceReferee runs every fault class from program start on
+// the translated atomic model and on the DisableFastPath interpreter and
+// requires identical runs, fault outcomes (every FaultOutcome field,
+// FiredTick, Propagated and Overwritten included) and window counters —
+// the translated blocks and fast steps a quiescent engine admits inside
+// the window must be unobservable.
+func TestBBTQuiescenceReferee(t *testing.T) {
+	var quiesced, translated uint64
+	for _, w := range workloads.All(workloads.ScaleTest) {
+		golden := runWorkload(t, w, sim.Config{Model: sim.ModelAtomic, EnableFI: true,
+			EnableBlockTranslation: true})
+		third := golden.Engine.WindowCommits() / 3
+		for fi, faults := range quiesceFaults(third) {
+			label := fmt.Sprintf("%s/atomic-bbt/fault%d", w.Name, fi)
+			run := func(cold bool) (*sim.Simulator, sim.RunResult) {
+				s := loadSim(t, w, sim.Config{Model: sim.ModelAtomic, EnableFI: true, Faults: faults,
+					MaxInsts: 20_000_000, EnableBlockTranslation: !cold, DisableFastPath: cold})
+				return s, s.Run()
+			}
+			fs, rf := run(false)
+			cs, rc := run(true)
+			compareFaultRuns(t, label, fs, cs, rf, rc)
+			if fs.Engine.Quiesced > 0 {
+				quiesced++
+				translated += fs.BBT.Stats.Insts
+			}
+		}
+	}
+	if quiesced == 0 || translated == 0 {
+		t.Errorf("%d runs quiesced, %d instructions translated: the in-window fast path was never exercised",
+			quiesced, translated)
+	}
+}
+
 // TestBBTCampaignVerdictIdentity runs the same experiments through
 // checkpointed fast-forward campaign runners with and without block
 // translation and requires identical outcome classifications, fired

@@ -19,8 +19,8 @@ import (
 // fast machinery and one with Config.DisableFastPath, compared bit for
 // bit. Any divergence is an optimization bug by definition.
 
-// runWorkload runs w to completion on model and returns the simulator.
-func runWorkload(t *testing.T, w *workloads.Workload, cfg sim.Config) *sim.Simulator {
+// loadSim builds and loads a simulator for w.
+func loadSim(t *testing.T, w *workloads.Workload, cfg sim.Config) *sim.Simulator {
 	t.Helper()
 	p, err := w.Build()
 	if err != nil {
@@ -30,6 +30,13 @@ func runWorkload(t *testing.T, w *workloads.Workload, cfg sim.Config) *sim.Simul
 	if err := s.Load(p); err != nil {
 		t.Fatalf("%s: load: %v", w.Name, err)
 	}
+	return s
+}
+
+// runWorkload runs w to completion on model and returns the simulator.
+func runWorkload(t *testing.T, w *workloads.Workload, cfg sim.Config) *sim.Simulator {
+	t.Helper()
+	s := loadSim(t, w, cfg)
 	r := s.Run()
 	if r.Hung || r.Interrupted {
 		t.Fatalf("%s: did not finish: %+v", w.Name, r)
@@ -38,10 +45,11 @@ func runWorkload(t *testing.T, w *workloads.Workload, cfg sim.Config) *sim.Simul
 }
 
 // compareMachines asserts two finished simulators reached bit-identical
-// architectural end states.
+// architectural end states (FP registers compared as raw bits, so NaNs
+// left by a faulted run compare equal to themselves).
 func compareMachines(t *testing.T, label string, a, b *sim.Simulator) {
 	t.Helper()
-	if a.Core.Arch != b.Core.Arch {
+	if !a.Core.Arch.BitsEqual(&b.Core.Arch) {
 		t.Errorf("%s: architectural state diverged", label)
 	}
 	if a.Core.Insts != b.Core.Insts || a.Core.Ticks != b.Core.Ticks {

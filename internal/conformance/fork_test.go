@@ -169,6 +169,145 @@ func TestForkIdentity(t *testing.T) {
 	}
 }
 
+// quiesceFaults extends fixtureFaults with the other classes whose
+// resolution quiescence must get right — a corrupted FP register, a
+// store or load value waiting in memory and an execute-stage result —
+// all timed after window commit win.
+func quiesceFaults(win uint64) [][]core.Fault {
+	return append(fixtureFaults(win),
+		[]core.Fault{{Loc: core.LocFloatReg, Reg: 2, Behavior: core.BehFlip, Bit: 51,
+			Base: core.TimeInst, When: win + 70, Occ: 1}},
+		[]core.Fault{{Loc: core.LocMem, Behavior: core.BehFlip, Bit: 5,
+			Base: core.TimeInst, When: win + 25, Occ: 1}},
+		[]core.Fault{{Loc: core.LocExec, Behavior: core.BehFlip, Bit: 9,
+			Base: core.TimeInst, When: win + 60, Occ: 1}},
+	)
+}
+
+// compareFaultRuns asserts that a run on the default (fast-path,
+// translated) configuration matches its DisableFastPath referee: the
+// machine state compareMachines checks, plus the run's disposition and
+// totals, every FaultOutcome field, and the engine's window counters and
+// tick clock.
+func compareFaultRuns(t *testing.T, label string, fast, cold *sim.Simulator, rf, rc sim.RunResult) {
+	t.Helper()
+	compareMachines(t, label, fast, cold)
+	if rf.Failed() != rc.Failed() || rf.Hung != rc.Hung || rf.CrashCause != rc.CrashCause {
+		t.Errorf("%s: run disposition diverged: fast %+v, cold %+v", label, rf, rc)
+	}
+	if rf.Insts != rc.Insts || rf.Ticks != rc.Ticks {
+		t.Errorf("%s: result totals diverged: insts %d vs %d, ticks %d vs %d",
+			label, rf.Insts, rc.Insts, rf.Ticks, rc.Ticks)
+	}
+	if !reflect.DeepEqual(rf.Outcomes, rc.Outcomes) {
+		t.Errorf("%s: fault outcomes diverged:\nfast %+v\ncold %+v", label, rf.Outcomes, rc.Outcomes)
+	}
+	if fw, cw := fast.Engine.CaptureWindow(), cold.Engine.CaptureWindow(); !reflect.DeepEqual(fw, cw) {
+		t.Errorf("%s: window state diverged:\nfast %+v\ncold %+v", label, fw, cw)
+	}
+}
+
+// TestForkQuiescenceReferee pins the quiescent fast path on the fork
+// path to the DisableFastPath referee. A translated trunk and a cold one
+// advance through each workload's window in lockstep, as the fork server
+// does, and must freeze identical fork points: core snapshot and every
+// WindowState counter. Children forked from the translated trunk's
+// mid-window point on the default configuration, and from the cold
+// trunk's on the cold one, must then agree on every fault class, on the
+// atomic model and on the paper's pipelined-then-atomic methodology.
+func TestForkQuiescenceReferee(t *testing.T) {
+	quiesced := uint64(0)
+	for _, w := range workloads.All(workloads.ScaleTest) {
+		trunk := func(cold bool) *sim.Simulator {
+			return loadSim(t, w, sim.Config{Model: sim.ModelAtomic, EnableFI: true, MaxInsts: 200_000_000,
+				EnableBlockTranslation: !cold, DisableFastPath: cold})
+		}
+		fast, cold := trunk(false), trunk(true)
+		var mid [2]*checkpoint.ForkPoint
+		for snaps := 0; ; snaps++ {
+			step := uint64(512)
+			if fast.Engine.WindowOpen() {
+				step = 4096
+			}
+			rf, rc := fast.RunUntil(fast.Core.Insts+step), cold.RunUntil(cold.Core.Insts+step)
+			if rf.Paused != rc.Paused {
+				t.Fatalf("%s: trunks diverged at snapshot %d: %+v vs %+v", w.Name, snaps, rf, rc)
+			}
+			if !rf.Paused {
+				compareFaultRuns(t, w.Name+"/trunk", fast, cold, rf, rc)
+				break
+			}
+			ff, fc := fast.CaptureForkPoint(), cold.CaptureForkPoint()
+			if ff.Core != fc.Core || !reflect.DeepEqual(ff.Window, fc.Window) {
+				t.Fatalf("%s: trunk snapshot %d diverged:\nfast %+v %+v\ncold %+v %+v",
+					w.Name, snaps, ff.Core, ff.Window, fc.Core, fc.Window)
+			}
+			if ff.Window.Open() && mid[0] == nil {
+				mid = [2]*checkpoint.ForkPoint{ff, fc}
+			}
+		}
+		if mid[0] == nil {
+			t.Fatalf("%s: no trunk snapshot inside the window", w.Name)
+		}
+		for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelPipelined} {
+			for fi, faults := range quiesceFaults(mid[0].WindowCommits()) {
+				label := fmt.Sprintf("%s/%s/fault%d", w.Name, model, fi)
+				child := func(fp *checkpoint.ForkPoint, cold bool) (*sim.Simulator, sim.RunResult) {
+					cfg := sim.DefaultConfig()
+					cfg.Model, cfg.MaxInsts, cfg.DisableFastPath = model, 20_000_000, cold
+					s := loadSim(t, w, cfg)
+					s.ForkFrom(fp, faults)
+					return s, s.Run()
+				}
+				fs, rf := child(mid[0], false)
+				cs, rc := child(mid[1], true)
+				compareFaultRuns(t, label, fs, cs, rf, rc)
+				quiesced += fs.Engine.Quiesced
+			}
+		}
+	}
+	if quiesced == 0 {
+		t.Error("no child ever quiesced: the fast path inside the window was never exercised")
+	}
+}
+
+// TestForkCampaignQuiescenceReferee runs the same experiments through a
+// fork-server campaign on the default configuration and on its
+// DisableFastPath referee and requires identical results per experiment:
+// outcome class, fired flag, injection PC, crash cause, and the
+// instruction and tick totals (pruned and memoized runs included).
+func TestForkCampaignQuiescenceReferee(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign pair per workload is slow")
+	}
+	for _, w := range workloads.All(workloads.ScaleTest) {
+		runner := func(cold bool) *campaign.Runner {
+			cfg := sim.DefaultConfig()
+			cfg.DisableFastPath = cold
+			r, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
+			if err != nil {
+				t.Fatalf("%s: runner: %v", w.Name, err)
+			}
+			if err := r.EnableFork(campaign.DefaultForkOptions()); err != nil {
+				t.Fatalf("%s: EnableFork: %v", w.Name, err)
+			}
+			return r
+		}
+		fast, cold := runner(false), runner(true)
+		exps := campaign.GenerateUniform(8, campaign.GenConfig{WindowInsts: cold.WindowInsts, Seed: 42})
+		for _, e := range exps {
+			got, want := fast.Run(e), cold.Run(e)
+			if got.Outcome != want.Outcome || got.Fired != want.Fired || got.CrashCause != want.CrashCause ||
+				got.InjPC != want.InjPC || got.InjPCValid != want.InjPCValid ||
+				got.Insts != want.Insts || got.Ticks != want.Ticks {
+				t.Errorf("%s exp %d (%s): fast %v fired=%v %d/%d %q, cold %v fired=%v %d/%d %q",
+					w.Name, e.ID, e.Faults[0], got.Outcome, got.Fired, got.Insts, got.Ticks, got.CrashCause,
+					want.Outcome, want.Fired, want.Insts, want.Ticks, want.CrashCause)
+			}
+		}
+	}
+}
+
 // TestForkPointFuzz forks children of randomized generator programs at
 // randomized instruction counts and requires every one — and the trunk
 // that served them — to finish bit-identical to straight-line execution.

@@ -188,6 +188,47 @@ func TestContextSwitchTracking(t *testing.T) {
 	}
 }
 
+// TestFastPathQuiescence walks one register fault through the fast-path
+// contract: hooks required while it is armed, quiescent with the
+// register watched once it fires, the watch cleared by the first write,
+// and a closed window always fast with nothing watched. Retire advances
+// the open window's counters and the tick clock like the hooks would.
+func TestFastPathQuiescence(t *testing.T) {
+	e := engineWith(Fault{Loc: LocIntReg, Reg: 5, Behavior: BehFlip, Bit: 0, Base: TimeInst, When: 2, Occ: 1})
+	if ok, _, _ := e.FastPath(); ok {
+		t.Fatal("fast path admitted with an armed fault")
+	}
+	var a cpu.Arch
+	e.OnCommit(1, 0, &a)
+	if ok, _, _ := e.FastPath(); ok {
+		t.Fatal("fast path admitted before the fault fired")
+	}
+	e.OnCommit(2, 0, &a) // fires: r5 tainted
+	if ok, wi, wf := e.FastPath(); !ok || wi != 1<<5 || wf != 0 || e.Quiesced != 1 {
+		t.Fatalf("after firing: FastPath = %v, %#x, %#x, quiesced %d", ok, wi, wf, e.Quiesced)
+	}
+	e.Retire(4, 3, 99)
+	if ws := e.CaptureWindow(); ws.TicksNow != 99 || ws.Threads[0x1000].Commits != 5 ||
+		ws.Threads[0x1000].Execs != 4 || ws.Threads[0x1000].Fetches != 4 {
+		t.Errorf("Retire: window state %+v", ws)
+	}
+	e.OnRegWrite(false, 5)
+	if ok, wi, _ := e.FastPath(); !ok || wi != 0 {
+		t.Errorf("after the overwrite: FastPath = %v, %#x", ok, wi)
+	}
+	if oc := e.Outcomes()[0]; oc.Propagated || !oc.Overwritten {
+		t.Errorf("outcome %+v, want overwritten", oc)
+	}
+	e.Reset(e.Faults())
+	if ok, _, _ := e.FastPath(); !ok {
+		t.Error("closed window after Reset is not fast")
+	}
+	e.OnActivate(0x1000, 0)
+	if ok, _, _ := e.FastPath(); ok {
+		t.Error("Reset did not re-arm the fault")
+	}
+}
+
 func TestFetchFaultFiresAtExactInstruction(t *testing.T) {
 	e := engineWith(Fault{Loc: LocFetch, Behavior: BehFlip, Bit: 0, Base: TimeInst, When: 3, Occ: 1})
 	w := uint32(isa.MakeOperate(isa.OpIntArith, isa.FnADDQ, 1, 2, 3))

@@ -52,9 +52,10 @@ type ThreadEnabledFault struct {
 	PCB uint64
 
 	// Per-stage dynamic event counts since activation. Fetch/decode/
-	// exec/mem counts include speculative (later squashed) events in the
-	// pipelined model; Commits counts retired instructions.
-	Fetches, Decodes, Execs, Mems, Commits uint64
+	// exec counts include speculative (later squashed) events in the
+	// pipelined model; Commits counts retired instructions. Memory faults
+	// are timed by Execs.
+	Fetches, Decodes, Execs, Commits uint64
 
 	// TickStart anchors tick-based fault timing at activation time.
 	TickStart uint64
@@ -168,16 +169,28 @@ type Engine struct {
 
 	ticksNow uint64
 
+	// Quiescence cache behind FastPath. quiet holds once every armed
+	// fault is exhausted and nothing it struck is in flight or waiting in
+	// memory; no fault can act again until the next rearm, so it only
+	// ever turns on in OnCommit and off in rearm. watchInt/watchFP mirror
+	// the non-nil entries of taintInt/taintFP: registers whose first
+	// committed read or write still decides a fault's outcome.
+	quiet             bool
+	watchInt, watchFP uint32
+
 	// WindowHook, when set, is called after a fault-injection window
 	// opens (open=true) or closes (open=false). The simulator's
 	// fast-forward mode uses the open edge to switch from the cheap
 	// atomic prefix to the configured detailed model.
 	WindowHook func(open bool)
 
-	// Stats for the overhead study.
+	// Stats for the overhead study. Quiesced counts the slow-path commits
+	// after which the engine turned quiescent with a window open, handing
+	// the rest of the window to the fast path.
 	Activations uint64
 	HookCalls   uint64
 	Injections  uint64
+	Quiesced    uint64
 
 	// windowCommits accumulates the committed-instruction counts of
 	// deactivated ThreadEnabledFault windows; campaigns use it to sample
@@ -217,7 +230,26 @@ func (e *Engine) rearm() {
 	e.taintInt = [isa.NumRegs]*faultState{}
 	e.taintFP = [isa.NumRegs]*faultState{}
 	e.memTaint = make(map[uint64]*faultState)
+	e.quiet = false
+	e.watchInt, e.watchFP = 0, 0
+	e.refreshQuiet()
 	e.Taint.Reset()
+}
+
+// refreshQuiet sets the quiescence flag once it holds: every armed fault
+// exhausted, none with a struck instruction in flight or an uncommitted
+// corrupted load, and no corrupted store waiting for its first load.
+// Outstanding register taint does not count; the watch masks carry it.
+func (e *Engine) refreshQuiet() {
+	if len(e.bySeq) != 0 || len(e.memTaint) != 0 {
+		return
+	}
+	for _, fs := range e.states {
+		if fs.remaining != 0 || fs.pending > 0 || fs.loadHit {
+			return
+		}
+	}
+	e.quiet = true
 }
 
 // Reset implements the fi_read_init_all restore semantics: "upon
@@ -235,6 +267,29 @@ func (e *Engine) Faults() []Fault { return append([]Fault(nil), e.faults...) }
 // Enabled implements cpu.Injector: the per-tick fast path is a nil check
 // on the cached thread pointer (Fig. 2 of the paper).
 func (e *Engine) Enabled() bool { return e.current != nil }
+
+// FastPath implements cpu.Injector: hooks may be skipped while the
+// window is closed or the engine is quiescent, and the watch masks name
+// the tainted registers whose traffic must still be reported.
+func (e *Engine) FastPath() (ok bool, watchInt, watchFP uint32) {
+	if e.current == nil {
+		return true, 0, 0
+	}
+	return e.quiet, e.watchInt, e.watchFP
+}
+
+// Retire implements cpu.Injector: the stage counters the hooks would have
+// advanced for instructions run on the fast path, and the tick clock
+// OnTick would have delivered.
+func (e *Engine) Retire(execs, commits, tick uint64) {
+	e.ticksNow = tick
+	if t := e.current; t != nil {
+		t.Fetches += execs
+		t.Decodes += execs
+		t.Execs += execs
+		t.Commits += commits
+	}
+}
 
 // OnActivate implements the fi_activate_inst toggle: first call for a PCB
 // enables fault injection for that thread; the next call disables it and
@@ -315,6 +370,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	}
 	r.RegisterFunc("fi.activations", func() float64 { return float64(e.Activations) })
 	r.RegisterFunc("fi.hook_calls", func() float64 { return float64(e.HookCalls) })
+	r.RegisterFunc("fi.quiesced", func() float64 { return float64(e.Quiesced) })
 	r.RegisterFunc("fi.injections", func() float64 { return float64(e.Injections) })
 	r.RegisterFunc("fi.threads_active", func() float64 { return float64(len(e.threads)) })
 	r.RegisterFunc("fi.faults_armed", func() float64 { return float64(len(e.states)) })
@@ -423,7 +479,6 @@ func (e *Engine) OnMem(seq, pc uint64, load bool, addr uint64, val uint64, bus b
 		return val
 	}
 	e.HookCalls++
-	t.Mems++
 	// Resolve earlier store-value corruptions: the first load of a
 	// corrupted address is the fault's first consumption, a clean store
 	// over it masks the fault before any use.
@@ -532,6 +587,7 @@ func (e *Engine) OnCommit(seq, pc uint64, a *cpu.Arch) bool {
 			a.WriteReg(r, fs.Corrupt(a.ReadReg(r), 64))
 			if r != isa.ZeroReg {
 				e.taintInt[r] = fs
+				e.watchInt |= 1 << r
 			}
 			fs.Detail = "int register " + r.String()
 			e.Taint.MarkRegInjection(false, r, pc, fs.Fault.String())
@@ -541,6 +597,7 @@ func (e *Engine) OnCommit(seq, pc uint64, a *cpu.Arch) bool {
 			a.WriteFReg(r, math.Float64frombits(fs.Corrupt(bits, 64)))
 			if r != isa.ZeroReg {
 				e.taintFP[r] = fs
+				e.watchFP |= 1 << r
 			}
 			fs.Detail = "float register f" + itoa(fs.Reg&31)
 			e.Taint.MarkRegInjection(true, r, pc, fs.Fault.String())
@@ -563,6 +620,11 @@ func (e *Engine) OnCommit(seq, pc uint64, a *cpu.Arch) bool {
 		}
 		e.Injections++
 		e.traceFault("fault.injected", fs, map[string]any{"stage": "commit", "pc": pc})
+	}
+	if !e.quiet {
+		if e.refreshQuiet(); e.quiet {
+			e.Quiesced++
+		}
 	}
 	return pcChanged
 }
@@ -589,15 +651,23 @@ func (e *Engine) OnRegRead(fp bool, r isa.Reg) {
 	if r >= isa.NumRegs {
 		return
 	}
-	taint := &e.taintInt
-	if fp {
-		taint = &e.taintFP
-	}
-	if fs := taint[r]; fs != nil {
+	if fs := e.untaint(fp, r); fs != nil {
 		fs.Propagated = true
-		taint[r] = nil
 		e.traceFault("fault.first-read", fs, map[string]any{"reg": r.String()})
 	}
+}
+
+// untaint clears register r's taint entry and watch bit, returning the
+// fault that tainted it (nil when r was clean).
+func (e *Engine) untaint(fp bool, r isa.Reg) *faultState {
+	taint, watch := &e.taintInt, &e.watchInt
+	if fp {
+		taint, watch = &e.taintFP, &e.watchFP
+	}
+	fs := taint[r]
+	taint[r] = nil
+	*watch &^= 1 << r
+	return fs
 }
 
 // OnRegWrite implements cpu.Injector: overwriting a tainted register
@@ -607,16 +677,9 @@ func (e *Engine) OnRegWrite(fp bool, r isa.Reg) {
 	if r >= isa.NumRegs {
 		return
 	}
-	taint := &e.taintInt
-	if fp {
-		taint = &e.taintFP
-	}
-	if fs := taint[r]; fs != nil {
-		if !fs.Propagated {
-			fs.Overwritten = true
-			e.traceFault("fault.masked", fs, map[string]any{"reason": "overwritten", "reg": r.String()})
-		}
-		taint[r] = nil
+	if fs := e.untaint(fp, r); fs != nil && !fs.Propagated {
+		fs.Overwritten = true
+		e.traceFault("fault.masked", fs, map[string]any{"reason": "overwritten", "reg": r.String()})
 	}
 }
 

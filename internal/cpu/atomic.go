@@ -34,24 +34,31 @@ func (m *AtomicModel) Drain() {}
 
 // Step executes one instruction to completion. When every per-step
 // observer is inactive — no trace, no profiler, no taint sink, no
-// flight recorder, and the fault-injection window closed — it runs the
-// specialized fast step,
-// which elides all hook dispatch behind this single check. The two paths
-// produce bit-identical architectural state (enforced by the conformance
+// flight recorder — and the fault engine reports that no fault can act
+// (window closed, or engine quiescent: every fault exhausted and
+// nothing in flight), it runs the specialized fast step, which elides
+// all stage-hook dispatch. Registers with outstanding taint stay
+// watched on the fast path, so their first committed read or write
+// still reaches the engine. The two paths produce bit-identical
+// architectural state and fault outcomes (enforced by the conformance
 // suite); DisableFastPath pins the slow path for reference runs.
 func (m *AtomicModel) Step() bool {
 	c := m.C
-	if c.TraceFn == nil && c.Prof == nil && c.Taint == nil && c.Flight == nil &&
-		!c.DisableFastPath && (c.FI == nil || !c.FI.Enabled()) {
-		// Translated blocks run only under the same predicate that admits
-		// stepFast, and never when cache timing matters (the timing model
-		// charges per-access latencies a fused block cannot reproduce).
-		if c.BBT != nil && !m.Timing {
-			if c.BBT.Exec() {
+	if c.TraceFn == nil && c.Prof == nil && c.Taint == nil && c.Flight == nil && !c.DisableFastPath {
+		ok, watchInt, watchFP := true, uint32(0), uint32(0)
+		if c.FI != nil {
+			ok, watchInt, watchFP = c.FI.FastPath()
+		}
+		if ok {
+			// Translated blocks run only under the same predicate that
+			// admits stepFast, and never when cache timing matters (the
+			// timing model charges per-access latencies a fused block
+			// cannot reproduce).
+			if c.BBT != nil && !m.Timing && c.BBT.Exec(watchInt, watchFP) {
 				return !c.Stopped
 			}
+			return m.stepFast(watchInt, watchFP)
 		}
-		return m.stepFast()
 	}
 	if c.BBT != nil {
 		c.BBT.NoteFallback()
@@ -59,14 +66,15 @@ func (m *AtomicModel) Step() bool {
 	return m.stepSlow()
 }
 
-// stepFast is Step with the disabled observers structurally removed: no
-// FI stage hooks, no per-tick engine callback, no trace/profile/taint/
-// flight dispatch, and the commit epilogue inlined down to the PAL and
-// scheduler work that can still occur. The engine tick clock is synced
-// immediately before PAL dispatch so fi_activate_inst anchors its
-// tick-relative fault window at exactly the value the slow path would
-// have delivered.
-func (m *AtomicModel) stepFast() bool {
+// stepFast is Step with the stage hooks structurally removed: no FI
+// stage hooks, no trace/profile/taint/flight dispatch, and the commit
+// epilogue inlined down to the PAL and scheduler work that can still
+// occur. One Injector.Retire call per instruction keeps an open window's
+// stage counters and the engine tick clock exactly where the slow path's
+// hooks would have left them (trunk fork points capture both, and
+// fi_activate_inst anchors tick-relative faults on the clock). Register
+// traffic is reported only for instructions touching a watched register.
+func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 	c := m.C
 	if c.Stopped {
 		return false
@@ -89,11 +97,13 @@ func (m *AtomicModel) stepFast() bool {
 		}
 	} else {
 		if pc%4 != 0 {
+			m.retireUncommitted(0, tickAtFetch)
 			c.stop(&Trap{Kind: TrapFetchFault, PC: pc})
 			return false
 		}
 		word, err := c.Mem.Read32(pc)
 		if err != nil {
+			m.retireUncommitted(0, tickAtFetch)
 			c.stop(&Trap{Kind: TrapFetchFault, PC: pc})
 			return false
 		}
@@ -110,6 +120,7 @@ func (m *AtomicModel) stepFast() bool {
 	m.out = Execute(in, a, b, fa, fb, pc)
 	out := &m.out
 	if out.TrapKind != TrapNone {
+		m.retireUncommitted(1, tickAtFetch)
 		c.stop(&Trap{Kind: out.TrapKind, PC: pc, Word: in.Raw})
 		return false
 	}
@@ -119,6 +130,7 @@ func (m *AtomicModel) stepFast() bool {
 	if in.Kind.IsMem() {
 		val, lat, trap := c.accessMem(seq, pc, in, out, false)
 		if trap != nil {
+			m.retireUncommitted(1, tickAtFetch)
 			trap.PC = pc
 			c.stop(trap)
 			return false
@@ -140,10 +152,20 @@ func (m *AtomicModel) stepFast() bool {
 	// Commit epilogue, minus the hooks known inactive. PAL instructions
 	// are rare; everything below the Insts++ is off the common path.
 	c.Insts++
-	if in.Format == isa.FormatPAL && in.Kind != isa.KindNop {
+	if in.Format != isa.FormatPAL || in.Kind == isa.KindNop {
 		if c.FI != nil {
-			c.FI.OnTick(tickAtFetch)
+			c.FI.Retire(1, 1, tickAtFetch)
+			if watchInt|watchFP != 0 {
+				if wi, wf := ports.Masks(); wi&watchInt|wf&watchFP != 0 {
+					c.regTraffic(ports)
+				}
+			}
 		}
+	} else {
+		// The PAL instruction's own fetch, decode and execute belong to
+		// the window it was fetched in; its commit to the window (and
+		// thread) left after dispatch, as in commitEpilogue.
+		m.retireUncommitted(1, tickAtFetch)
 		switch in.Kind {
 		case isa.KindFIActivate:
 			if c.FI != nil {
@@ -172,12 +194,12 @@ func (m *AtomicModel) stepFast() bool {
 				c.FI.OnContextSwitch(c.Arch.PCBB)
 			}
 		}
-	}
-	// fi_activate_inst may have just opened the window: the activating
-	// instruction itself gets the commit hook, exactly as in the slow
-	// path's epilogue ordering.
-	if c.FI != nil && c.FI.Enabled() {
-		c.FI.OnCommit(seq, pc, &c.Arch)
+		// fi_activate_inst may have just opened the window: the
+		// activating instruction itself gets the commit hook, exactly as
+		// in the slow path's epilogue ordering.
+		if c.FI != nil && c.FI.Enabled() {
+			c.FI.OnCommit(seq, pc, &c.Arch)
+		}
 	}
 	if c.Sched != nil {
 		pcbbBefore := c.Arch.PCBB
@@ -188,6 +210,16 @@ func (m *AtomicModel) stepFast() bool {
 		}
 	}
 	return !c.Stopped
+}
+
+// retireUncommitted accounts a fast-path instruction that has not
+// committed: one that trapped at fetch (execs 0: the slow path stops
+// before its fetch hook, but its OnTick already ran), one that trapped
+// later, or a PAL instruction before its dispatch (execs 1).
+func (m *AtomicModel) retireUncommitted(execs, tickAtFetch uint64) {
+	if m.C.FI != nil {
+		m.C.FI.Retire(execs, 0, tickAtFetch)
+	}
 }
 
 // stepSlow executes one instruction with every hook point live.

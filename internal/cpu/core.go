@@ -21,9 +21,25 @@ import (
 // (per-PC outcome attribution in the profiler/campaign reports).
 type Injector interface {
 	// Enabled reports whether the currently running thread has activated
-	// fault injection; when false the models skip every other hook — the
-	// paper's per-tick fast path.
+	// fault injection, i.e. whether its window is open. The pipelined
+	// model and the atomic slow path run every stage hook while it holds;
+	// the atomic fast path asks FastPath instead, which also admits an
+	// open window once no fault can act.
 	Enabled() bool
+
+	// FastPath reports whether the next instruction may run without any
+	// stage hook: the window is closed, or the engine is quiescent —
+	// every armed fault is exhausted and nothing it struck is in flight.
+	// watchInt and watchFP are bit masks of registers with outstanding
+	// taint; a fast-path commit whose ports touch one must still call
+	// OnRegRead/OnRegWrite exactly as the slow path's commit epilogue
+	// does. Both masks are zero while the window is closed.
+	FastPath() (ok bool, watchInt, watchFP uint32)
+	// Retire accounts instructions run on the fast path: execs of them
+	// were fetched, decoded and executed, commits of them committed, and
+	// tick is the fetch tick of the last (the value OnTick would have
+	// delivered). Only an open window's counters move.
+	Retire(execs, commits, tick uint64)
 
 	// OnFetch may corrupt the fetched instruction word.
 	OnFetch(seq, pc uint64, word uint32) uint32
@@ -117,11 +133,13 @@ type BatchScheduler interface {
 // BlockRunner executes translated basic blocks for the atomic model
 // (internal/bbt implements it). Exec runs zero or more whole blocks
 // starting at the architectural PC and reports whether any guest
-// instruction was executed; NoteFallback counts a slow-path step taken
-// while a runner is attached, making window-open/observer bailouts
-// observable.
+// instruction was executed; it declines every block whose registers
+// intersect the watch masks from Injector.FastPath, because their
+// traffic must reach the register hooks. NoteFallback counts a
+// slow-path step taken while a runner is attached, making live-fault
+// and observer bailouts observable.
 type BlockRunner interface {
-	Exec() bool
+	Exec(watchInt, watchFP uint32) bool
 	NoteFallback()
 }
 
@@ -268,9 +286,10 @@ func (c *Core) decode(w uint32) (isa.Inst, isa.RegPorts) {
 // store overlapping the text region (guest stores, store-value faults
 // landing in text, checkpoint restores) bumps the generation and thereby
 // invalidates all entries at once. Entries are filled and consulted only
-// while fault injection is inactive — fetch faults are transient
-// corruptions of a single fetch and must be neither served from nor
-// captured into a PC-keyed cache.
+// while no fetch fault can strike (window closed, or engine quiescent on
+// the fast path) — fetch faults are transient corruptions of a single
+// fetch and must be neither served from nor captured into a PC-keyed
+// cache.
 const (
 	predecodeBits     = 12 // 4096 direct-mapped entries
 	predecodeMask     = 1<<predecodeBits - 1
@@ -290,7 +309,7 @@ type predecodeCache struct {
 }
 
 // predecodeLookup returns the cached predecode for pc, or nil. Callers
-// must only consult it when FI hooks are inactive for the fetch.
+// must only consult it when no fetch or decode fault can strike.
 func (c *Core) predecodeLookup(pc uint64) *predecodeEntry {
 	if c.pred == nil || c.DisableFastPath {
 		return nil
@@ -468,6 +487,20 @@ func (c *Core) writeback(in isa.Inst, p isa.RegPorts, o ExecOut, loadVal uint64)
 	c.Arch.WriteReg(p.Dst, v)
 }
 
+// regTraffic reports a committed instruction's register reads and write
+// to the fault engine, in port order, for register-fault propagation.
+func (c *Core) regTraffic(ports isa.RegPorts) {
+	if ports.SrcAUsed {
+		c.FI.OnRegRead(ports.SrcAFP, ports.SrcA)
+	}
+	if ports.SrcBUsed {
+		c.FI.OnRegRead(ports.SrcBFP, ports.SrcB)
+	}
+	if ports.DstUsed {
+		c.FI.OnRegWrite(ports.DstFP, ports.Dst)
+	}
+}
+
 // commitRedirect is the result of commitEpilogue: whether the front end
 // must be redirected (kernel switch, PAL serialization, FI PC fault) and
 // to where.
@@ -497,15 +530,7 @@ func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, o
 	}
 
 	if fi {
-		if ports.SrcAUsed {
-			c.FI.OnRegRead(ports.SrcAFP, ports.SrcA)
-		}
-		if ports.SrcBUsed {
-			c.FI.OnRegRead(ports.SrcBFP, ports.SrcB)
-		}
-		if ports.DstUsed {
-			c.FI.OnRegWrite(ports.DstFP, ports.Dst)
-		}
+		c.regTraffic(ports)
 	}
 
 	// PAL instructions: FI control, checkpointing, kernel services.

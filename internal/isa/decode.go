@@ -248,6 +248,24 @@ type RegPorts struct {
 	DstUsed    bool
 }
 
+// Masks returns the registers the ports read or write as bit masks over
+// the integer and floating-point files (bit r set: register r).
+func (p RegPorts) Masks() (intRegs, fpRegs uint32) {
+	add := func(used, fp bool, r Reg) {
+		switch {
+		case !used:
+		case fp:
+			fpRegs |= 1 << (r & 31)
+		default:
+			intRegs |= 1 << (r & 31)
+		}
+	}
+	add(p.SrcAUsed, p.SrcAFP, p.SrcA)
+	add(p.SrcBUsed, p.SrcBFP, p.SrcB)
+	add(p.DstUsed, p.DstFP, p.Dst)
+	return intRegs, fpRegs
+}
+
 // Ports computes the register read/write ports of the instruction.
 func (in Inst) Ports() RegPorts {
 	var p RegPorts

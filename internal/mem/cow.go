@@ -93,17 +93,43 @@ func (m *Memory) CowSnapshot() *CowSnapshot {
 
 // ForkFrom points the memory at a snapshot's frozen pages with an empty
 // private overlay — the O(dirty pages) half of forking a simulator. Both
-// micro-TLBs are invalidated and the text generation bumped: the previous
-// contents are gone wholesale, so no cached translation or predecoded
-// instruction may survive.
+// micro-TLBs are invalidated. The text generation is bumped unless the
+// text the memory holds now is provably the snapshot's: same text region,
+// no private text page, and every frozen text page pointer-identical.
+// Frozen pages are immutable, so then every cached translation and
+// predecoded instruction is still exact and survives the fork.
 func (m *Memory) ForkFrom(s *CowSnapshot) {
+	sameText := m.textSharedWith(s)
 	m.base = s.pages
 	m.baseID = s.id
 	m.pages = make(map[uint64][]byte)
 	m.regions = append([]region(nil), s.regions...)
 	m.textLo, m.textHi = s.textLo, s.textHi
 	m.fetch, m.data = tlb{}, tlb{}
-	m.textGen++
+	if !sameText {
+		m.textGen++
+	}
+}
+
+// textSharedWith reports whether the memory's text section is the
+// snapshot's by construction: the same declared region, every text page
+// read from the frozen base (none private), and each base page the very
+// page the snapshot holds, or absent from both.
+func (m *Memory) textSharedWith(s *CowSnapshot) bool {
+	if m.textLo != s.textLo || m.textHi != s.textHi || m.textLo >= m.textHi {
+		return false
+	}
+	for pb := m.textLo &^ uint64(PageSize-1); pb < m.textHi; pb += PageSize {
+		if _, private := m.pages[pb]; private {
+			return false
+		}
+		mp, mok := m.base[pb]
+		sp, sok := s.pages[pb]
+		if mok != sok || mok && &mp[0] != &sp[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // CowFromSnapshot wraps a deep Snapshot as a fork point, so code paths

@@ -151,6 +151,62 @@ func TestCowTextGenAcrossForks(t *testing.T) {
 	}
 }
 
+// TestCowTextGenKeptAcrossSharedForks: re-forking onto a snapshot whose
+// frozen text pages are the very pages the memory already reads keeps the
+// text generation, so predecoded and translated code survives; a private
+// text page in the memory, or different text pages in the snapshot,
+// still bump it.
+func TestCowTextGenKeptAcrossSharedForks(t *testing.T) {
+	trunk := newTestMem(t)
+	trunk.SetTextRegion(0x1000, 0x1000+PageSize)
+	snap1 := trunk.CowSnapshot()
+	if err := trunk.Write64(0x1000+2*PageSize, 0x77); err != nil { // data page only
+		t.Fatal(err)
+	}
+	snap2 := trunk.CowSnapshot()
+
+	child := New()
+	child.ForkFrom(snap1)
+	gen := child.TextGen()
+	if err := child.Write64(0x1000+PageSize, 0x99); err != nil { // data page only
+		t.Fatal(err)
+	}
+	child.ForkFrom(snap2)
+	if child.TextGen() != gen {
+		t.Fatal("fork onto a snapshot sharing every text page bumped TextGen")
+	}
+
+	if err := child.StoreByte(0x1004, 0x90); err != nil {
+		t.Fatal(err)
+	}
+	gen = child.TextGen()
+	child.ForkFrom(snap2)
+	if child.TextGen() == gen {
+		t.Fatal("fork discarding a privately patched text page kept TextGen")
+	}
+	if v, err := child.LoadByte(0x1004); err != nil || v != 0 {
+		t.Fatalf("patched text survived the fork: %#x, %v", v, err)
+	}
+
+	if err := trunk.StoreByte(0x1008, 0x90); err != nil {
+		t.Fatal(err)
+	}
+	snap3 := trunk.CowSnapshot()
+	gen = child.TextGen()
+	child.ForkFrom(snap3)
+	if child.TextGen() == gen {
+		t.Fatal("fork onto a snapshot with different text pages kept TextGen")
+	}
+
+	other := newTestMem(t)
+	other.SetTextRegion(0x1000, 0x1000+PageSize)
+	gen = child.TextGen()
+	child.ForkFrom(other.CowSnapshot())
+	if child.TextGen() == gen {
+		t.Fatal("fork onto equal but distinct text pages kept TextGen")
+	}
+}
+
 // TestCowSnapshotChainSharing: successive snapshots must share clean
 // pages and account only the pages dirtied since the previous freeze.
 func TestCowSnapshotChainSharing(t *testing.T) {

@@ -199,7 +199,8 @@ func (c *Campaign) prepare() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := sim.Config{Model: c.Spec.model(), EnableFI: true, MaxInsts: c.Spec.MaxInsts}
+	cfg := sim.Config{Model: c.Spec.model(), EnableFI: true, MaxInsts: c.Spec.MaxInsts,
+		EnableBlockTranslation: true}
 	first, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		return 0, err

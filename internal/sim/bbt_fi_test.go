@@ -166,28 +166,52 @@ func TestBBTFetchFaultOverWarmBlocks(t *testing.T) {
 }
 
 // TestBBTWindowOpenFallback runs a translation-enabled experiment whose
-// FI window opens mid-run (no observers): every in-window step must take
-// the interpreter and be counted as a fallback, while the regions
-// outside the window still translate.
+// FI window opens mid-run (no observers). In-window steps take the
+// interpreter, counted as fallbacks, only while the fault is live: from
+// the window's first commit to the one the fault fires at. Once the
+// engine is quiescent, translated blocks run inside the window.
 func TestBBTWindowOpenFallback(t *testing.T) {
+	const when = 10
 	f := core.Fault{
 		Loc: core.LocIntReg, Behavior: core.BehFlip, Bit: 3, Reg: 2,
-		Base: core.TimeInst, When: 10, Occ: 1,
+		Base: core.TimeInst, When: when, Occ: 1,
 	}
+	golden := compileMC(t, fetchFaultProgram, Config{Model: ModelAtomic, EnableFI: true})
+	if r := golden.Run(); !r.Exited {
+		t.Fatalf("golden run: %+v", r)
+	}
+	open, window := golden.WindowOpenInsts, golden.Engine.WindowCommits()
+
 	s := compileMC(t, fetchFaultProgram, Config{
 		Model: ModelAtomic, EnableFI: true, Faults: []core.Fault{f},
 		MaxInsts: 10_000_000, EnableBlockTranslation: true,
 	})
-	r := s.Run()
-	if r.Hung {
+	if r := s.RunUntil(open); !r.Paused || s.WindowOpenInsts != open {
+		t.Fatalf("did not pause at the window open (inst %d): %+v", open, r)
+	}
+	before := s.BBT.Stats
+	if before.Insts == 0 {
+		t.Errorf("nothing ran translated before the window: %+v", before)
+	}
+	// Run to the instruction before the closing fi_activate.
+	if r := s.RunUntil(open + window - 1); !r.Paused {
+		t.Fatalf("did not pause inside the window: %+v", r)
+	}
+	in := s.BBT.Stats
+	// The activating fi_activate commits on the fast path; commits 2..when
+	// run hooked, and the last of them fires the fault.
+	if got := in.Fallbacks - before.Fallbacks; got != when-1 {
+		t.Errorf("%d in-window fallbacks, want the %d steps the fault was live", got, when-1)
+	}
+	if in.Insts == before.Insts {
+		t.Errorf("nothing ran translated inside the window after the fault fired: %+v", in)
+	}
+	if !s.Engine.Outcomes()[0].Fired || s.Engine.Quiesced != 1 {
+		t.Errorf("fault fired=%v, engine quiesced %d times; want fired and once",
+			s.Engine.Outcomes()[0].Fired, s.Engine.Quiesced)
+	}
+	if r := s.Run(); r.Hung {
 		t.Fatalf("hung: %+v", r)
-	}
-	st := s.BBT.Stats
-	if st.Insts == 0 {
-		t.Errorf("nothing ran translated outside the window: %+v", st)
-	}
-	if st.Fallbacks == 0 {
-		t.Errorf("in-window interpreter steps were not counted as fallbacks: %+v", st)
 	}
 }
 

@@ -130,9 +130,13 @@ type Config struct {
 	// EnableBlockTranslation attaches the basic-block translator
 	// (internal/bbt) to the core: hot straight-line guest code is fused
 	// into pre-bound closure chains whenever the atomic fast path is
-	// active — the fast-forward prefix, pure-atomic runs, and the
-	// post-resolve atomic tail. Ignored when DisableFastPath is set (the
-	// conformance referee must interpret every instruction).
+	// active — outside the fault-injection window, and inside it once the
+	// engine is quiescent (every fault exhausted, nothing in flight), e.g.
+	// the fast-forward prefix, fault-free runs and the post-resolve atomic
+	// tail. Blocks touching a register with outstanding fault taint fall
+	// back to the interpreter. Ignored when DisableFastPath is set (the
+	// conformance referee must interpret every instruction). On in
+	// DefaultConfig.
 	EnableBlockTranslation bool
 
 	// DisableFastPath forces the CPU models onto their fully-hooked slow
@@ -144,13 +148,15 @@ type Config struct {
 
 // DefaultConfig returns the configuration used throughout the paper's
 // validation study: a single pipelined core with split L1s, a unified L2
-// and fault injection enabled.
+// and fault injection enabled, with block translation for whatever runs
+// on the atomic model.
 func DefaultConfig() Config {
 	return Config{
 		CPUName:                 "system.cpu0",
 		Model:                   ModelPipelined,
 		EnableFI:                true,
 		SwitchToAtomicOnResolve: true,
+		EnableBlockTranslation:  true,
 	}
 }
 
