@@ -135,10 +135,11 @@ func run() error {
 		}
 		return nil
 	}
+	// MaxInsts stays zero: each runner derives its watchdog from its
+	// workload's golden run.
 	cfg := sim.Config{
 		Model:                   sim.ModelKind(*model),
 		EnableFI:                true,
-		MaxInsts:                2_000_000_000,
 		SwitchToAtomicOnResolve: sim.ModelKind(*model) == sim.ModelPipelined,
 		FastForward:             *fastFwd,
 		EnableBlockTranslation:  *bbtOn,

@@ -101,7 +101,11 @@ type Result struct {
 	Fired      bool   `json:"fired"`
 	CrashCause string `json:"crashCause,omitempty"`
 	Insts      uint64 `json:"insts"`
-	Ticks      uint64 `json:"ticks"`
+	// Ticks is the absolute tick count at the end of the run. It
+	// includes the atomic golden pass's ticks up to fi_read_init_all (the
+	// checkpoint the experiment starts from), as it includes the atomic
+	// ticks of a FastForward prefix or of the fork-server trunk.
+	Ticks uint64 `json:"ticks"`
 
 	// InjPC is the guest PC of the instruction the first fired fault
 	// actually struck (valid only when InjPCValid). Joining it with the
@@ -224,62 +228,28 @@ func defaultCampaignConfig() sim.Config {
 	return cfg
 }
 
+// maxGoldenInsts is the watchdog of a golden pass, and the ceiling of
+// the derived experiment watchdog.
+const maxGoldenInsts = 2_000_000_000
+
 // NewRunner builds a runner: compiles the workload, takes the golden
 // run (capturing the fi_read_init_all checkpoint), and records the
-// fault-injection window size.
+// fault-injection window size. Everything the golden run produces is
+// architectural, so it runs on the atomic model (translated when the
+// config enables block translation) whatever cfg.Model is; experiments
+// run on cfg.Model, which Restore, ForkFrom and the DisableCheckpoint
+// rebuild reinstate. A zero MaxInsts derives the experiment watchdog
+// from the golden run's length.
 func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	cfg := defaultCampaignConfig()
 	if opts.Cfg != nil {
 		cfg = *opts.Cfg
 	}
-	cfg.EnableFI = true
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = 2_000_000_000
-	}
-
-	p, err := w.Build()
+	runner, ckpt, err := goldenRunner(w, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(cfg)
-	if err := s.Load(p); err != nil {
-		return nil, err
-	}
-	var ckpt *checkpoint.State
-	s.OnCheckpoint = func(sm *sim.Simulator) {
-		if ckpt == nil {
-			ckpt = sm.Checkpoint()
-		}
-	}
-	r := s.Run()
-	if r.Failed() {
-		return nil, fmt.Errorf("campaign: golden run of %s failed: %+v", w.Name, r)
-	}
-	golden, err := workloads.Extract(w, s)
-	if err != nil {
-		return nil, err
-	}
-	// Tighten the hang watchdog to a multiple of the golden run length:
-	// fault runs that loop forever otherwise burn the full generic limit
-	// per experiment. Jacobi-style workloads legitimately run much longer
-	// than golden when reconverging, so the margin is generous.
-	if opts.Cfg == nil || opts.Cfg.MaxInsts == 0 {
-		limit := r.Insts*50 + 10_000_000
-		if limit < cfg.MaxInsts {
-			cfg.MaxInsts = limit
-		}
-	}
-	runner := &Runner{
-		Workload:    w,
-		Cfg:         cfg,
-		Golden:      golden,
-		WindowInsts: s.Engine.WindowCommits(),
-		sim:         s,
-		// The simulator still holds the golden run's final state; the
-		// taint differ can snapshot it until the first experiment runs.
-		canCaptureGolden: true,
-	}
-	s.Cfg.MaxInsts = cfg.MaxInsts
+	runner.WindowInsts = runner.sim.Engine.WindowCommits()
 	if !opts.DisableCheckpoint {
 		if ckpt == nil {
 			return nil, fmt.Errorf("campaign: %s never executed fi_read_init_all", w.Name)
@@ -289,30 +259,78 @@ func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	return runner, nil
 }
 
-// NewRestoredRunner builds a runner from externally supplied golden
-// outputs and a checkpoint — the NoW worker path, where the checkpoint
-// arrives over the network instead of being captured locally.
-func NewRestoredRunner(w *workloads.Workload, cfg sim.Config, golden *workloads.Result, windowInsts uint64, ckpt *checkpoint.State) (*Runner, error) {
-	cfg.EnableFI = true
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = 2_000_000_000
-	}
-	p, err := w.Build()
+// NewRestoredRunner builds a runner from a checkpoint taken elsewhere —
+// the NoW worker path, where the checkpoint arrives over the network or a
+// shared filesystem instead of being captured locally. windowInsts is the
+// fault-injection window size measured by the checkpoint's owner. The
+// golden outputs come from the same atomic golden pass as NewRunner's,
+// continued from the checkpoint, and the taint differ can capture its
+// final state (AttachTaint) until the first experiment runs.
+func NewRestoredRunner(w *workloads.Workload, cfg sim.Config, windowInsts uint64, ckpt *checkpoint.State) (*Runner, error) {
+	runner, _, err := goldenRunner(w, cfg, ckpt)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(cfg)
-	if err := s.Load(p); err != nil {
-		return nil, err
+	runner.WindowInsts = windowInsts
+	runner.Ckpt = ckpt
+	return runner, nil
+}
+
+// goldenRunner builds the runner's simulator for cfg and takes the
+// fault-free golden pass on it, on the atomic model: from boot,
+// returning the fi_read_init_all checkpoint it captured, or from the
+// restored checkpoint from. A zero cfg.MaxInsts becomes a multiple of
+// the golden run's length: fault runs that loop forever would otherwise
+// burn the full generic limit per experiment. Jacobi-style workloads
+// legitimately run much longer than golden when reconverging, so the
+// margin is generous.
+func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State) (*Runner, *checkpoint.State, error) {
+	cfg.EnableFI = true
+	p, err := w.Build()
+	if err != nil {
+		return nil, nil, err
 	}
+	gcfg := cfg
+	if gcfg.MaxInsts == 0 {
+		gcfg.MaxInsts = maxGoldenInsts
+	}
+	s := sim.New(gcfg)
+	if err := s.Load(p); err != nil {
+		return nil, nil, err
+	}
+	var ckpt *checkpoint.State
+	if from != nil {
+		s.Restore(from, nil)
+	} else {
+		s.OnCheckpoint = func(sm *sim.Simulator) {
+			if ckpt == nil {
+				ckpt = sm.Checkpoint()
+			}
+		}
+	}
+	s.SwitchModel(sim.ModelAtomic)
+	r := s.Run()
+	if r.Failed() {
+		return nil, nil, fmt.Errorf("campaign: golden run of %s failed: %+v", w.Name, r)
+	}
+	golden, err := workloads.Extract(w, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	golden.ExitStatus = r.ExitStatus
+	if cfg.MaxInsts == 0 {
+		cfg.MaxInsts = min(r.Insts*50+10_000_000, maxGoldenInsts)
+	}
+	s.Cfg.MaxInsts = cfg.MaxInsts
 	return &Runner{
-		Workload:    w,
-		Cfg:         cfg,
-		Golden:      golden,
-		WindowInsts: windowInsts,
-		Ckpt:        ckpt,
-		sim:         s,
-	}, nil
+		Workload: w,
+		Cfg:      cfg,
+		Golden:   golden,
+		sim:      s,
+		// The simulator still holds the golden run's final state; the
+		// taint differ can snapshot it until the first experiment runs.
+		canCaptureGolden: true,
+	}, ckpt, nil
 }
 
 // Clone builds a worker runner that shares this runner's expensive
@@ -355,7 +373,7 @@ func (r *Runner) Clone() (*Runner, error) {
 	}
 	if r.taintTr != nil {
 		c.AttachTaint()
-		c.ShareTaintGolden(r.taintGolden)
+		c.taintGolden = r.taintGolden
 	}
 	if r.flight != nil {
 		c.AttachFlight(r.flight.Depth())
@@ -394,10 +412,10 @@ func (r *Runner) Profiler() *prof.Profiler { return r.prof }
 // AttachTaint attaches a fault-propagation taint tracker to the runner's
 // simulator; every subsequent experiment produces a PropReport whose
 // summary lands on Result.Prop. When called before the first experiment
-// on a NewRunner-built runner it also snapshots the golden run's final
-// architectural state, enabling the masked-logically / reached-state
-// differ; on restored runners (NoW workers) the differ is skipped.
-// Idempotent — repeated calls return the same tracker. Like the
+// on a NewRunner- or NewRestoredRunner-built runner it also snapshots the
+// atomic golden pass's final architectural state, enabling the
+// masked-logically / reached-state differ; clones share the original's
+// snapshot. Idempotent — repeated calls return the same tracker. Like the
 // profiler, the tracker is carried through the runner's Config so it
 // survives the per-experiment rebuild of baseline (DisableCheckpoint)
 // runners.
@@ -415,13 +433,9 @@ func (r *Runner) AttachTaint() *taint.Tracker {
 // Taint returns the attached tracker (nil when taint tracking is off).
 func (r *Runner) Taint() *taint.Tracker { return r.taintTr }
 
-// TaintGolden returns the golden final state used by the differ (nil on
-// restored runners or before AttachTaint).
+// TaintGolden returns the golden final state used by the differ (nil
+// before AttachTaint, or when it was first called after an experiment).
 func (r *Runner) TaintGolden() *taint.GoldenState { return r.taintGolden }
-
-// ShareTaintGolden installs an externally captured golden final state —
-// the pool path, where one runner's capture serves every worker.
-func (r *Runner) ShareTaintGolden(g *taint.GoldenState) { r.taintGolden = g }
 
 // AttachFlight attaches a flight recorder keeping the last depth
 // committed instructions (depth <= 0 selects flight.DefaultDepth);

@@ -101,16 +101,16 @@ func (p *Pool) AttachProfilers() []*prof.Profiler {
 
 // AttachTaint attaches one fault-propagation taint tracker to every
 // runner in the pool. The first runner's simulator still holds the
-// golden run's final state, so its capture supplies the golden differ
-// for every worker (the clones were freshly Loaded and never ran).
-// Idempotent.
+// final state of its atomic golden pass, so its capture supplies the
+// golden differ for every worker (the clones were freshly Loaded and
+// never ran). Idempotent.
 func (p *Pool) AttachTaint() {
 	first := p.runners[0]
 	first.AttachTaint()
 	for _, r := range p.runners[1:] {
 		r.AttachTaint()
 		if r.taintGolden == nil {
-			r.ShareTaintGolden(first.taintGolden)
+			r.taintGolden = first.taintGolden
 		}
 	}
 }

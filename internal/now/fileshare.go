@@ -48,28 +48,28 @@ type shareMeta struct {
 
 // ShareConfig parameterizes PrepareShare.
 type ShareConfig struct {
-	Workload    string
-	Scale       workloads.Scale
-	Model       sim.ModelKind
+	Workload string
+	Scale    workloads.Scale
+	Model    sim.ModelKind
+	// MaxInsts is the experiment watchdog; zero derives it from the
+	// golden run. meta.json records the resulting limit.
 	MaxInsts    uint64
 	Experiments []campaign.Experiment
 }
 
-// PrepareShare runs the golden simulation, captures the checkpoint and
-// populates the share directory with one fault description file per
-// experiment (steps 1–2 of the paper's procedure).
+// PrepareShare takes the runner's atomic golden pass, which captures the
+// fi_read_init_all checkpoint, measures the fault window and derives the
+// watchdog, and populates the share directory with one fault description
+// file per experiment (steps 1–2 of the paper's procedure).
 func PrepareShare(dir string, cfg ShareConfig) error {
 	if cfg.Model == "" {
 		cfg.Model = sim.ModelAtomic
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = 2_000_000_000
 	}
 	w, err := workloads.ByName(cfg.Workload, cfg.Scale)
 	if err != nil {
 		return err
 	}
-	runnerCfg := sim.Config{Model: cfg.Model, EnableFI: true, MaxInsts: cfg.MaxInsts}
+	runnerCfg := simConfig(string(cfg.Model), cfg.MaxInsts)
 	runner, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &runnerCfg})
 	if err != nil {
 		return err
@@ -86,7 +86,7 @@ func PrepareShare(dir string, cfg ShareConfig) error {
 		Workload:    cfg.Workload,
 		Scale:       int(cfg.Scale),
 		Model:       string(cfg.Model),
-		MaxInsts:    cfg.MaxInsts,
+		MaxInsts:    runner.Cfg.MaxInsts,
 		WindowInsts: runner.WindowInsts,
 		Experiments: len(cfg.Experiments),
 	}
@@ -149,26 +149,7 @@ func FileWorker(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := sim.Config{Model: sim.ModelKind(meta.Model), EnableFI: true, MaxInsts: meta.MaxInsts}
-
-	// Rebuild the golden reference from the local checkpoint copy.
-	p, err := w.Build()
-	if err != nil {
-		return 0, err
-	}
-	s := sim.New(cfg)
-	if err := s.Load(p); err != nil {
-		return 0, err
-	}
-	s.Restore(st, nil)
-	if r := s.Run(); r.Failed() {
-		return 0, fmt.Errorf("now: fault-free continuation failed: %+v", r)
-	}
-	golden, err := workloads.Extract(w, s)
-	if err != nil {
-		return 0, err
-	}
-	runner, err := campaign.NewRestoredRunner(w, cfg, golden, meta.WindowInsts, st)
+	runner, err := campaign.NewRestoredRunner(w, simConfig(meta.Model, meta.MaxInsts), meta.WindowInsts, st)
 	if err != nil {
 		return 0, err
 	}

@@ -9,16 +9,18 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// prepareShare builds a PI campaign share with n experiments.
-func prepareShare(t *testing.T, n int) (string, []campaign.Experiment) {
+// prepareShare builds a PI campaign share with n experiments on the
+// given model.
+func prepareShare(t *testing.T, model sim.ModelKind, n int) (string, []campaign.Experiment) {
 	t.Helper()
 	dir := t.TempDir()
 	// Probe for the window size first (PrepareShare needs experiments up
 	// front, and experiments need the window).
-	if err := PrepareShare(dir, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest}); err != nil {
+	if err := PrepareShare(dir, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest, Model: model}); err != nil {
 		t.Fatal(err)
 	}
 	window, err := ShareWindowInsts(dir)
@@ -27,14 +29,14 @@ func prepareShare(t *testing.T, n int) (string, []campaign.Experiment) {
 	}
 	exps := campaign.GenerateUniform(n, campaign.GenConfig{WindowInsts: window, Seed: 31})
 	dir2 := t.TempDir()
-	if err := PrepareShare(dir2, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest, Experiments: exps}); err != nil {
+	if err := PrepareShare(dir2, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest, Model: model, Experiments: exps}); err != nil {
 		t.Fatal(err)
 	}
 	return dir2, exps
 }
 
 func TestShareLayout(t *testing.T) {
-	dir, exps := prepareShare(t, 5)
+	dir, exps := prepareShare(t, sim.ModelAtomic, 5)
 	for _, f := range []string{"meta.json", "checkpoint.gob"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("missing %s: %v", f, err)
@@ -55,7 +57,7 @@ func TestShareLayout(t *testing.T) {
 }
 
 func TestFileWorkerProcessesAll(t *testing.T) {
-	dir, exps := prepareShare(t, 6)
+	dir, exps := prepareShare(t, sim.ModelAtomic, 6)
 	n, err := FileWorker(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +77,7 @@ func TestFileWorkerProcessesAll(t *testing.T) {
 }
 
 func TestConcurrentFileWorkersSplitTheQueue(t *testing.T) {
-	dir, exps := prepareShare(t, 10)
+	dir, exps := prepareShare(t, sim.ModelAtomic, 10)
 	var wg sync.WaitGroup
 	counts := make([]int, 3)
 	for i := 0; i < 3; i++ {
@@ -100,31 +102,28 @@ func TestConcurrentFileWorkersSplitTheQueue(t *testing.T) {
 	}
 }
 
-// TestFileShareMatchesTCPResults: the two distribution mechanisms (and a
-// local runner) must classify identically.
+// TestFileShareMatchesLocal: a file-share worker, which rebuilds the
+// golden outputs and the watchdog from the shared checkpoint and
+// meta.json, must reproduce a local runner's results on the atomic and
+// the detailed model.
 func TestFileShareMatchesLocal(t *testing.T) {
-	dir, exps := prepareShare(t, 6)
-	if _, err := FileWorker(dir); err != nil {
-		t.Fatal(err)
-	}
-	shared, err := CollectResults(dir, len(exps), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := campaign.NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), campaign.RunnerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, exp := range exps {
-		want := local.Run(exp)
-		if shared[i].Outcome != want.Outcome {
-			t.Errorf("experiment %d: share %v vs local %v", i, shared[i].Outcome, want.Outcome)
-		}
+	for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelPipelined} {
+		t.Run(string(model), func(t *testing.T) {
+			dir, exps := prepareShare(t, model, 6)
+			if _, err := FileWorker(dir); err != nil {
+				t.Fatal(err)
+			}
+			shared, err := CollectResults(dir, len(exps), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchLocal(t, model, exps, shared)
+		})
 	}
 }
 
 func TestRequeueStaleClaims(t *testing.T) {
-	dir, exps := prepareShare(t, 4)
+	dir, exps := prepareShare(t, sim.ModelAtomic, 4)
 	// Simulate a dead workstation: claim two experiments by hand and
 	// never produce results.
 	for _, name := range []string{"000000.fault", "000001.fault"} {
@@ -147,7 +146,7 @@ func TestRequeueStaleClaims(t *testing.T) {
 }
 
 func TestCollectTimeout(t *testing.T) {
-	dir, _ := prepareShare(t, 3)
+	dir, _ := prepareShare(t, sim.ModelAtomic, 3)
 	if _, err := CollectResults(dir, 3, 50*time.Millisecond); err == nil {
 		t.Error("expected timeout with no workers running")
 	}

@@ -23,7 +23,9 @@ type MasterConfig struct {
 
 	Experiments []campaign.Experiment
 
-	// Model / MaxInsts configure worker simulators.
+	// Model / MaxInsts configure worker simulators. A zero MaxInsts lets
+	// the master's runner derive the watchdog from the golden run; the
+	// welcome ships the resulting limit.
 	Model    sim.ModelKind
 	MaxInsts uint64
 
@@ -64,11 +66,12 @@ type WorkerStat struct {
 // Master owns the experiment queue and the checkpoint, and serves
 // workers over TCP.
 type Master struct {
-	cfg    MasterConfig
-	ln     net.Listener
-	ckpt   []byte
-	window uint64
-	start  time.Time
+	cfg      MasterConfig
+	ln       net.Listener
+	ckpt     []byte
+	window   uint64
+	maxInsts uint64 // the runner's watchdog, shipped in every welcome
+	start    time.Time
 
 	mu       sync.Mutex
 	pending  []campaign.Experiment
@@ -96,21 +99,19 @@ type masterExp struct {
 	sentNS int64
 }
 
-// NewMaster prepares the campaign: runs the golden simulation up to
-// fi_read_init_all, captures the checkpoint, and starts listening on
-// addr (e.g. "127.0.0.1:0").
+// NewMaster prepares the campaign: takes the runner's atomic golden pass,
+// which captures the fi_read_init_all checkpoint, measures the fault
+// window and derives the watchdog, and starts listening on addr (e.g.
+// "127.0.0.1:0").
 func NewMaster(addr string, cfg MasterConfig) (*Master, error) {
 	if cfg.Model == "" {
 		cfg.Model = sim.ModelAtomic
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = 2_000_000_000
 	}
 	w, err := workloads.ByName(cfg.Workload, cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	runnerCfg := sim.Config{Model: cfg.Model, EnableFI: true, MaxInsts: cfg.MaxInsts}
+	runnerCfg := simConfig(string(cfg.Model), cfg.MaxInsts)
 	runner, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &runnerCfg})
 	if err != nil {
 		return nil, err
@@ -128,6 +129,7 @@ func NewMaster(addr string, cfg MasterConfig) (*Master, error) {
 		ln:       ln,
 		ckpt:     ckptBytes,
 		window:   runner.WindowInsts,
+		maxInsts: runner.Cfg.MaxInsts,
 		start:    time.Now(),
 		pending:  append([]campaign.Experiment(nil), cfg.Experiments...),
 		flight:   make(map[string][]campaign.Experiment),
@@ -303,7 +305,7 @@ func (m *Master) serve(name string, c *conn) {
 		Checkpoint:  m.ckpt,
 		WindowInsts: m.window,
 		Model:       string(m.cfg.Model),
-		MaxInsts:    m.cfg.MaxInsts,
+		MaxInsts:    m.maxInsts,
 		SpanTrace:   m.cfg.Spans != nil,
 		Flight:      m.cfg.Flight,
 	}

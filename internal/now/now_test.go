@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// startCampaign boots a master for a PI campaign with n experiments.
-func startCampaign(t *testing.T, n int) (*Master, []campaign.Experiment) {
+// startCampaign boots a master for a PI campaign with n experiments on
+// the given model.
+func startCampaign(t *testing.T, model sim.ModelKind, n int) (*Master, []campaign.Experiment) {
 	t.Helper()
 	// Window size must come from the master (it runs the golden sim).
 	m, err := NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Quiet: true,
+		Workload: "pi", Scale: workloads.ScaleTest, Model: model, Quiet: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +24,7 @@ func startCampaign(t *testing.T, n int) (*Master, []campaign.Experiment) {
 	m.Close()
 	// Restart with the experiment list (NewMaster needs them up front).
 	m2, err := NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Experiments: exps, Quiet: true,
+		Workload: "pi", Scale: workloads.ScaleTest, Model: model, Experiments: exps, Quiet: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +33,7 @@ func startCampaign(t *testing.T, n int) (*Master, []campaign.Experiment) {
 }
 
 func TestSingleWorkerCampaign(t *testing.T) {
-	m, exps := startCampaign(t, 12)
+	m, exps := startCampaign(t, sim.ModelAtomic, 12)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -58,7 +60,7 @@ func TestSingleWorkerCampaign(t *testing.T) {
 }
 
 func TestMultiWorkerMultiSlotCampaign(t *testing.T) {
-	m, exps := startCampaign(t, 20)
+	m, exps := startCampaign(t, sim.ModelAtomic, 20)
 	var wg sync.WaitGroup
 	counts := make([]int, 2)
 	for i := 0; i < 2; i++ {
@@ -86,35 +88,59 @@ func TestMultiWorkerMultiSlotCampaign(t *testing.T) {
 	}
 }
 
-// TestNoWMatchesLocalResults: the distributed campaign must classify
-// every experiment exactly as a local runner does — determinism across
-// the wire (checkpoint shipping, JSON round trip, worker-side golden).
-func TestNoWMatchesLocalResults(t *testing.T) {
-	m, exps := startCampaign(t, 10)
-	go func() {
-		w := NewWorker(WorkerConfig{Addr: m.Addr(), Slots: 2})
-		if _, err := w.Run(); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-	remote := m.Wait()
-
-	local, err := campaign.NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), campaign.RunnerOptions{})
+// matchLocal runs exps on a local runner built from the configuration
+// every NoW party uses and requires each remote result to carry the same
+// outcome, fired flag, instruction count and tick count.
+func matchLocal(t *testing.T, model sim.ModelKind, exps []campaign.Experiment, remote []campaign.Result) {
+	t.Helper()
+	if len(remote) != len(exps) {
+		t.Fatalf("remote results = %d of %d", len(remote), len(exps))
+	}
+	cfg := simConfig(string(model), 0)
+	local, err := campaign.NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, exp := range exps {
-		want := local.Run(exp)
-		if remote[i].Outcome != want.Outcome {
-			t.Errorf("experiment %d: remote %v vs local %v", i, remote[i].Outcome, want.Outcome)
+		got, want := remote[i], local.Run(exp)
+		if got.Outcome != want.Outcome || got.Fired != want.Fired ||
+			got.Insts != want.Insts || got.Ticks != want.Ticks {
+			t.Errorf("experiment %d (%s): remote %v fired=%v insts=%d ticks=%d, local %v fired=%v insts=%d ticks=%d",
+				i, exp.Faults[0], got.Outcome, got.Fired, got.Insts, got.Ticks,
+				want.Outcome, want.Fired, want.Insts, want.Ticks)
 		}
+	}
+}
+
+// TestNoWMatchesLocalResults: the distributed campaign must reproduce
+// every experiment exactly as a local runner does — determinism across
+// the wire (checkpoint shipping, JSON round trip, the worker's own golden
+// continuation and watchdog) — on the atomic model and on the detailed
+// model the worker's experiments switch to after its atomic golden pass.
+func TestNoWMatchesLocalResults(t *testing.T) {
+	for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelPipelined} {
+		t.Run(string(model), func(t *testing.T) {
+			m, exps := startCampaign(t, model, 10)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := NewWorker(WorkerConfig{Addr: m.Addr(), Slots: 2})
+				if _, err := w.Run(); err != nil {
+					t.Errorf("worker: %v", err)
+				}
+			}()
+			remote := m.Wait()
+			wg.Wait()
+			matchLocal(t, model, exps, remote)
+		})
 	}
 }
 
 // TestWorkerDeathRequeues kills one connection mid-campaign and checks
 // the campaign still completes.
 func TestWorkerDeathRequeues(t *testing.T) {
-	m, exps := startCampaign(t, 8)
+	m, exps := startCampaign(t, sim.ModelAtomic, 8)
 
 	// A misbehaving client: fetches one experiment and disconnects
 	// without reporting a result.
@@ -154,7 +180,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	m, _ := startCampaign(t, 1)
+	m, _ := startCampaign(t, sim.ModelAtomic, 1)
 	defer m.Close()
 	c, err := dialRaw(m.Addr())
 	if err != nil {

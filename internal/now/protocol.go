@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Message is the single wire envelope; Type selects which fields are
@@ -71,6 +72,17 @@ type Message struct {
 
 	// error (either direction)
 	Error string `json:"error,omitempty"`
+}
+
+// simConfig is the simulator configuration every NoW party builds its
+// runner from — the master and PrepareShare for the golden pass, workers
+// for the experiments — so remote verdicts match a local runner's. Block
+// translation speeds up the atomic golden passes and post-resolve tails;
+// a zero maxInsts lets the runner derive the watchdog from the golden
+// run.
+func simConfig(model string, maxInsts uint64) sim.Config {
+	return sim.Config{Model: sim.ModelKind(model), EnableFI: true, MaxInsts: maxInsts,
+		EnableBlockTranslation: true}
 }
 
 // Message types.

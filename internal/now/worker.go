@@ -10,8 +10,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/taint"
 	"repro/internal/workloads"
 )
 
@@ -51,8 +49,9 @@ type WorkerConfig struct {
 
 	// Taint enables per-experiment fault-propagation tracking; the
 	// compact verdict summary rides back to the master on each Result.
-	// The golden differ is fed by the worker's own fault-free
-	// continuation run (the same one that rebuilds the golden output).
+	// The golden differ is fed by the runner's own atomic fault-free
+	// continuation from the checkpoint (the same one that rebuilds the
+	// golden output).
 	Taint bool
 
 	// Fork switches each slot's runner into fork-server mode: one local
@@ -273,9 +272,10 @@ func (w *Worker) runExperiment(runner *campaign.Runner, exp campaign.Experiment,
 }
 
 // buildRunner reconstructs the campaign runner from a welcome message:
-// the program is rebuilt deterministically from (workload, scale), and
-// the simulator state comes from the shipped checkpoint — the "local
-// copy of the checkpoint" of the paper's step 3.
+// the program is rebuilt deterministically from (workload, scale), the
+// simulator state comes from the shipped checkpoint — the "local copy of
+// the checkpoint" of the paper's step 3 — and the runner derives the
+// golden outputs from it with its own atomic fault-free continuation.
 func buildRunner(welcome Message, wcfg WorkerConfig) (*campaign.Runner, error) {
 	wl, err := workloads.ByName(welcome.Workload, workloads.Scale(welcome.Scale))
 	if err != nil {
@@ -285,39 +285,13 @@ func buildRunner(welcome Message, wcfg WorkerConfig) (*campaign.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{
-		Model:    sim.ModelKind(welcome.Model),
-		EnableFI: true,
-		MaxInsts: welcome.MaxInsts,
-	}
-	// Build the golden reference locally by finishing a fault-free run
-	// from the checkpoint.
-	p, err := wl.Build()
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New(cfg)
-	if err := s.Load(p); err != nil {
-		return nil, err
-	}
-	s.Restore(st, nil)
-	r := s.Run()
-	if r.Failed() {
-		return nil, fmt.Errorf("now: fault-free continuation failed: %+v", r)
-	}
-	golden, err := workloads.Extract(wl, s)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := campaign.NewRestoredRunner(wl, cfg, golden, welcome.WindowInsts, st)
+	runner, err := campaign.NewRestoredRunner(wl, simConfig(welcome.Model, welcome.MaxInsts),
+		welcome.WindowInsts, st)
 	if err != nil {
 		return nil, err
 	}
 	if wcfg.Taint {
-		// The fault-free continuation above left s at the golden final
-		// state — exactly what the taint differ needs.
 		runner.AttachTaint()
-		runner.ShareTaintGolden(taint.CaptureGolden(&s.Core.Arch, s.Mem))
 	}
 	if wcfg.Fork {
 		fo := campaign.DefaultForkOptions()

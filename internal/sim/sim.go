@@ -723,7 +723,10 @@ func (s *Simulator) result(atCheckpoint, hung bool) RunResult {
 
 // SwitchModel drains the current model and continues with another —
 // gem5's CPU-model switching, used by the campaign methodology to finish
-// runs in fast atomic mode after fault manifestation.
+// runs in fast atomic mode after fault manifestation, and to take golden
+// runs on the atomic model. An explicit switch cancels a pending
+// fast-forward prefix: the chosen model runs until the next
+// Restore/ForkFrom.
 func (s *Simulator) SwitchModel(kind ModelKind) {
 	from := s.Model.ModelName()
 	s.Model.Drain()
@@ -732,6 +735,10 @@ func (s *Simulator) SwitchModel(kind ModelKind) {
 	}
 	s.Model = s.newModel(kind)
 	s.switched = true
+	if s.ffActive {
+		s.ffActive, s.ffPending = false, false
+		s.refreshTranslationLimit() // the FastForwardAt ceiling no longer applies
+	}
 	s.Cfg.Metrics.Counter("sim.model_switches").Inc()
 	s.Cfg.Tracer.Instant(obs.CatSim, "model.switch", s.Core.Ticks,
 		map[string]any{"from": from, "to": string(kind)})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // testProgram computes a checksum over an array between fi_activate_inst
@@ -400,6 +401,31 @@ func TestSwitchToAtomicAfterResolve(t *testing.T) {
 	}
 	if !r.Outcomes[0].Fired {
 		t.Error("fault did not fire")
+	}
+}
+
+// TestSwitchModelCancelsFastForward: an explicit switch to atomic — the
+// campaign golden pass — must stay atomic through the window open that
+// would otherwise end the fast-forward prefix, and a Restore re-arms the
+// prefix for the experiments.
+func TestSwitchModelCancelsFastForward(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newSim(t, Config{Model: ModelPipelined, EnableFI: true, FastForward: true, Metrics: reg})
+	var ckpt *checkpoint.State
+	s.OnCheckpoint = func(sm *Simulator) { ckpt = sm.Checkpoint() }
+	s.SwitchModel(ModelAtomic)
+	if r := s.Run(); !r.Exited || r.Model != "atomic" || s.WindowOpenInsts == 0 {
+		t.Fatalf("golden pass left the atomic model or missed the window: %+v", r)
+	}
+	if n := reg.Counter("sim.fastforward.switches").Value(); n != 0 {
+		t.Errorf("cancelled fast-forward prefix still switched %d time(s)", n)
+	}
+	s.Restore(ckpt, nil)
+	if r := s.Run(); !r.Exited || r.Model != "pipelined" {
+		t.Fatalf("restored run did not end on the configured model: %+v", r)
+	}
+	if n := reg.Counter("sim.fastforward.switches").Value(); n != 1 {
+		t.Errorf("restored run made %d fast-forward switches, want 1", n)
 	}
 }
 
