@@ -1,10 +1,15 @@
 package serv
 
-// One hosted campaign: its spec, its durable ledger mirror (planned
-// experiments, results), its runner pool, its sampler, and its stream
-// subscribers. The Service's scheduler moves experiments from pending to
-// in-flight to results; every transition that matters for resumption is
-// journaled by the Service before the in-memory state advances.
+// One hosted campaign: its spec, its durable ledger (planned experiments,
+// results), its runner pool, its sampler, and its stream subscribers.
+// The Service's scheduler moves experiments from pending to in-flight to
+// results; every transition that matters for resumption is journaled by
+// the Service before the in-memory state advances.
+//
+// What a campaign retains depends on its phase. A live one holds its
+// runner pool (simulators, decode caches, translator, fork snapshots)
+// and its ledger. A finished one holds only its ledger, the merged
+// profile and the freshest taint report: finishLocked releases the pool.
 
 import (
 	"fmt"
@@ -129,16 +134,18 @@ type Campaign struct {
 	ID   string
 	Spec CampaignSpec
 
-	mu       sync.Mutex
-	phase    string
-	failErr  string
-	window   uint64
+	mu      sync.Mutex
+	phase   string
+	failErr string
+	// led is the campaign's ledger — spec, window, plan and results. It is
+	// the Service's journal-mirror record itself (journalState.Camps[ID]),
+	// so every planned experiment and result is held once. It changes only
+	// inside Service.appendApply, with both c.mu and the Service's lock
+	// held; either lock is enough to read it.
+	led      *persisted
 	sampler  *sampler
-	planned  []campaign.Experiment
 	pending  []campaign.Experiment
 	inflight map[int]campaign.Experiment
-	results  map[int]campaign.Result
-	batches  int
 	expBatch map[int]int // experiment ID -> batch it was planned in
 	started  time.Time
 
@@ -151,12 +158,17 @@ type Campaign struct {
 	// recording for this campaign's pool even when the spec did not ask.
 	flight bool
 
-	// Runner pool: built by prepare, borrowed by the scheduler. free is
-	// buffered to the pool size so returns never block. ckptBytes is the
-	// serialized fi_read_init_all checkpoint, shipped to NoW workers.
-	runners   []*campaign.Runner
-	free      chan *campaign.Runner
-	ckptBytes []byte
+	// Runner pool: built by prepare, borrowed by the scheduler, released
+	// by finishLocked. free is buffered to the pool size so returns never
+	// block.
+	runners []*campaign.Runner
+	free    chan *campaign.Runner
+
+	// profile and taintRep are what /profile and /taint serve once the
+	// pool is gone: the runners' merged profile and freshest report,
+	// captured at finish.
+	profile  *prof.Profile
+	taintRep *taint.PropReport
 
 	// wrrCur is the smooth-WRR accumulator; touched only by the single
 	// dispatcher goroutine, so it needs no lock.
@@ -174,14 +186,13 @@ type streamEvent struct {
 	Status *CampaignStatus  `json:"status,omitempty"`
 }
 
-func newCampaign(id string, spec CampaignSpec) *Campaign {
+func newCampaign(id string, led *persisted) *Campaign {
 	return &Campaign{
 		ID:       id,
-		Spec:     spec,
+		Spec:     led.Spec,
 		phase:    PhasePreparing,
+		led:      led,
 		inflight: make(map[int]campaign.Experiment),
-		results:  make(map[int]campaign.Result),
-		expBatch: make(map[int]int),
 		subs:     make(map[chan streamEvent]struct{}),
 		started:  time.Now(),
 	}
@@ -236,17 +247,9 @@ func (c *Campaign) prepare() (uint64, error) {
 	for _, r := range runners {
 		free <- r
 	}
-	var ckptBytes []byte
-	if first.Ckpt != nil {
-		if ckptBytes, err = first.Ckpt.Bytes(); err != nil {
-			return 0, err
-		}
-	}
 	c.mu.Lock()
 	c.runners = runners
 	c.free = free
-	c.ckptBytes = ckptBytes
-	c.window = first.WindowInsts
 	c.mu.Unlock()
 	return first.WindowInsts, nil
 }
@@ -292,7 +295,7 @@ func (c *Campaign) takeLocked() (campaign.Experiment, bool) {
 	for len(c.pending) > 0 {
 		exp := c.pending[0]
 		c.pending = c.pending[1:]
-		if _, dup := c.results[exp.ID]; dup {
+		if _, dup := c.led.Results[exp.ID]; dup {
 			continue // already classified (journal resume overlap)
 		}
 		c.inflight[exp.ID] = exp
@@ -307,7 +310,7 @@ func (c *Campaign) requeue(exps []campaign.Experiment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range exps {
-		if _, done := c.results[e.ID]; done {
+		if _, done := c.led.Results[e.ID]; done {
 			continue
 		}
 		delete(c.inflight, e.ID)
@@ -315,12 +318,20 @@ func (c *Campaign) requeue(exps []campaign.Experiment) {
 	}
 }
 
-// Profile merges the campaign's per-runner profiles (nil when profiling
-// is off or the pool is not built yet).
+// Profile merges the campaign's per-runner profiles (empty when
+// profiling is off or the pool is not built yet). A finished campaign
+// answers with the profile captured when its pool was released.
 func (c *Campaign) Profile() *prof.Profile {
 	c.mu.Lock()
-	runners := c.runners
+	runners, final := c.runners, c.profile
 	c.mu.Unlock()
+	if final != nil {
+		return final
+	}
+	return mergedProfile(runners)
+}
+
+func mergedProfile(runners []*campaign.Runner) *prof.Profile {
 	var parts []*prof.Profile
 	for _, r := range runners {
 		if p := r.Profiler(); p != nil {
@@ -332,10 +343,18 @@ func (c *Campaign) Profile() *prof.Profile {
 
 // TaintReport returns the campaign's freshest propagation report across
 // its runners — the per-campaign selection the /taint endpoint keys on.
+// A finished campaign answers with the report captured at finish.
 func (c *Campaign) TaintReport() *taint.PropReport {
 	c.mu.Lock()
-	runners := c.runners
+	runners, final := c.runners, c.taintRep
 	c.mu.Unlock()
+	if final != nil {
+		return final
+	}
+	return freshestTaint(runners)
+}
+
+func freshestTaint(runners []*campaign.Runner) *taint.PropReport {
 	var best *taint.PropReport
 	var bestStamp uint64
 	for _, r := range runners {
@@ -351,12 +370,7 @@ func (c *Campaign) TaintReport() *taint.PropReport {
 // result, so late watchers see the full history in order.
 func (c *Campaign) subscribe() (chan streamEvent, func()) {
 	c.mu.Lock()
-	backlog := make([]campaign.Result, 0, len(c.results))
-	for i := 0; i < len(c.planned); i++ {
-		if r, ok := c.results[c.planned[i].ID]; ok {
-			backlog = append(backlog, r)
-		}
-	}
+	backlog := c.resultsLocked()
 	done := c.phase == PhaseDone || c.phase == PhaseFailed
 	ch := make(chan streamEvent, 256+2*len(backlog))
 	for i := range backlog {
@@ -399,8 +413,18 @@ func (c *Campaign) broadcastLocked(ev streamEvent) {
 	}
 }
 
-// finishLocked closes every subscriber after a terminal event.
+// finishLocked runs whenever the campaign is done or failed, and is
+// idempotent. It releases the runner pool — simulators, caches, fork
+// snapshots and the checkpoint go with it — after capturing what
+// /profile and /taint serve from then on, drops the scheduler's
+// bookkeeping, and closes every subscriber after a terminal event.
 func (c *Campaign) finishLocked() {
+	if c.runners != nil {
+		c.profile = mergedProfile(c.runners)
+		c.taintRep = freshestTaint(c.runners)
+		c.runners, c.free = nil, nil
+	}
+	c.pending, c.expBatch = nil, nil
 	st := c.statusLocked()
 	for ch := range c.subs {
 		select {
@@ -463,16 +487,16 @@ func (c *Campaign) statusLocked() CampaignStatus {
 		Phase:       c.phase,
 		Error:       c.failErr,
 		Budget:      c.Spec.N,
-		Planned:     len(c.planned),
-		Done:        len(c.results),
+		Planned:     len(c.led.Planned),
+		Done:        len(c.led.Results),
 		InFlight:    len(c.inflight),
 		Pending:     len(c.pending),
-		Batches:     c.batches,
-		WindowInsts: c.window,
+		Batches:     c.led.Batches,
+		WindowInsts: c.led.Window,
 		Outcomes:    make(map[string]int),
 		ElapsedSec:  time.Since(c.started).Seconds(),
 	}
-	for _, r := range c.results {
+	for _, r := range c.led.Results {
 		st.Outcomes[r.Outcome.String()]++
 	}
 	if c.sampler != nil {
@@ -492,12 +516,15 @@ func (c *Campaign) samplingMode() string {
 func (c *Campaign) Results() []campaign.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]campaign.Result, 0, len(c.results))
-	for _, e := range c.planned {
-		if r, ok := c.results[e.ID]; ok {
-			out = append(out, r)
-		}
-	}
+	return c.resultsLocked()
+}
+
+func (c *Campaign) resultsLocked() []campaign.Result {
+	out := make([]campaign.Result, 0, len(c.led.Results))
+	_ = c.led.eachResult(func(r *campaign.Result) error {
+		out = append(out, *r)
+		return nil
+	})
 	return out
 }
 
@@ -525,13 +552,13 @@ func (c *Campaign) VulnReport() Report {
 		ID:         c.ID,
 		Workload:   c.Spec.Workload,
 		Sampling:   c.samplingMode(),
-		Total:      len(c.results),
+		Total:      len(c.led.Results),
 		Outcomes:   make(map[string]int),
 		Fractions:  make(map[string]float64),
 		Confidence: c.Spec.confidence(),
 	}
 	tally := make(campaign.Tally)
-	for _, r := range c.results {
+	for _, r := range c.led.Results {
 		tally.Add(r)
 	}
 	for _, o := range campaign.Outcomes() {

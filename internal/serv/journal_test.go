@@ -168,4 +168,49 @@ func TestJournalTornFinalLine(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail: a server restarted over a torn final
+// line must not glue its first new record onto the fragment, or the next
+// replay would stop at the merged line and lose everything after it.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(2)
+	if _, err := j.append(record{T: recSpec, Campaign: "c0001", Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"t":"spec","c":"c0002","spec":{"work`); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+
+	j2, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j2.append(record{T: recSpec, Campaign: "c0003", Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.close(); err != nil {
+		t.Fatal(err)
+	}
+	j3, st, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.close()
+	if len(st.Order) != 2 || st.Camps["c0001"] == nil || st.Camps["c0003"] == nil {
+		t.Fatalf("replay after a torn tail kept %v, want [c0001 c0003]", st.Order)
+	}
+}
+
 func ptr[T any](v T) *T { return &v }

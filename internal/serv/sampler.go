@@ -94,12 +94,12 @@ func newSampler(spec *CampaignSpec, window uint64) *sampler {
 	return s
 }
 
-// restore replays already planned batches and already accumulated
-// results into the sampler (the resume path).
-func (s *sampler) restore(planned []campaign.Experiment, results map[int]campaign.Result, batches int) {
-	s.planned = len(planned)
-	s.batches = batches
-	for _, r := range results {
+// restore replays a ledger's planned batches and accumulated results
+// into the sampler (a fresh ledger has neither).
+func (s *sampler) restore(led *persisted) {
+	s.planned = len(led.Planned)
+	s.batches = led.Batches
+	for _, r := range led.Results {
 		s.record(r)
 	}
 }

@@ -349,9 +349,9 @@ func TestServiceHTTP(t *testing.T) {
 
 	// Bad specs are rejected before anything is journaled.
 	for _, bad := range []CampaignSpec{
-		{N: 5},                                    // no workload
-		{Workload: "pi"},                          // no budget
-		{Workload: "pi", N: 5, Scale: "galaxy"},   // bad scale
+		{N: 5},                                  // no workload
+		{Workload: "pi"},                        // no budget
+		{Workload: "pi", N: 5, Scale: "galaxy"}, // bad scale
 		{Workload: "pi", N: 5, Sampling: "maybe"}, // bad mode
 	} {
 		b, _ := json.Marshal(bad)
@@ -368,7 +368,8 @@ func TestServiceHTTP(t *testing.T) {
 
 // TestServiceNoWWorkers: the service feeds its queue to protocol workers
 // via the ExpSource bridge, and a worker death mid-campaign loses
-// nothing — its taken experiments requeue and count exactly once.
+// nothing — its taken experiments requeue and count exactly once. The
+// welcome ships the watchdog the campaign's own runners use.
 func TestServiceNoWWorkers(t *testing.T) {
 	s, err := New(Config{Dir: t.TempDir(), Slots: 1})
 	if err != nil {
@@ -382,23 +383,33 @@ func TestServiceNoWWorkers(t *testing.T) {
 	defer ln.Close()
 	s.ServeWorkers(ln)
 
+	// Hold the only local slot: the campaign's work waits for a worker.
+	s.slots <- struct{}{}
 	spec := CampaignSpec{Workload: "pi", N: 16, Seed: 13}
 	id, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the campaign to be serving before pointing a worker at it.
-	deadline := time.Now().Add(waitBound)
-	for {
-		c, _ := s.Campaign(id)
-		if c.Status().Phase == PhaseRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never started running")
-		}
-		time.Sleep(2 * time.Millisecond)
+	waitPhase(t, s, id, PhaseRunning)
+	c, _ := s.Campaign(id)
+
+	// The spec leaves MaxInsts 0, so the runners derived their watchdog
+	// from the golden run; a worker must get that, not the spec's 0.
+	wel, sess, ok := s.Open("probe")
+	if !ok {
+		t.Fatal("running campaign offered no work to a worker")
 	}
+	c.mu.Lock()
+	watchdog := c.runners[0].Cfg.MaxInsts
+	c.mu.Unlock()
+	if wel.MaxInsts == 0 || wel.MaxInsts != watchdog {
+		t.Fatalf("welcome MaxInsts %d, runners use %d", wel.MaxInsts, watchdog)
+	}
+	if len(wel.Checkpoint) == 0 {
+		t.Fatal("welcome carries no checkpoint")
+	}
+	sess.Close()
+
 	w := now.NewWorker(now.WorkerConfig{Addr: ln.Addr().String(), Slots: 2})
 	done := make(chan int, 1)
 	go func() {
@@ -410,7 +421,7 @@ func TestServiceNoWWorkers(t *testing.T) {
 		t.Fatal("campaign did not finish")
 	}
 	workerN := <-done
-	c, _ := s.Campaign(id)
+	<-s.slots
 	got := c.Results()
 	if len(got) != spec.N {
 		t.Fatalf("campaign has %d results, want %d", len(got), spec.N)

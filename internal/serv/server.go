@@ -65,10 +65,12 @@ type Service struct {
 	cfg Config
 	j   *journal
 
-	mu     sync.Mutex
-	st     *journalState // durable mirror; advanced with every append
+	mu sync.Mutex
+	// st is the durable mirror, advanced with every append. Its Order is
+	// the campaigns' submission order, and each of its records is the
+	// ledger of the Campaign with that ID.
+	st     *journalState
 	camps  map[string]*Campaign
-	order  []string
 	closed bool
 
 	slots chan struct{} // global local-execution budget (semaphore)
@@ -120,27 +122,21 @@ func New(cfg Config) (*Service, error) {
 
 	// Resume: rebuild every journaled campaign. Finished ones are cheap
 	// (state only — no golden run); unfinished ones relaunch through the
-	// same prepare path a fresh submission takes, with the persisted
-	// planned/results ledger restored so nothing reruns or double-counts.
+	// same prepare path a fresh submission takes, on their journaled
+	// ledger, so nothing reruns or double-counts.
 	for _, id := range st.Order {
-		p := st.Camps[id]
-		c := newCampaign(id, p.Spec)
-		c.spans = cfg.Spans
-		c.flight = cfg.Flight
-		s.camps[id] = c
-		s.order = append(s.order, id)
-		if p.Done {
-			s.restoreFinished(c, p)
+		c := s.adopt(id)
+		if c.led.Done {
+			s.restoreFinished(c)
 			continue
 		}
 		if s.resumedC != nil {
 			s.resumedC.Inc()
 		}
-		snap := snapshotPersisted(p)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.launch(c, snap)
+			s.launch(c)
 		}()
 	}
 
@@ -181,31 +177,23 @@ func (s *Service) registerMetrics() {
 	})
 }
 
-// snapshotPersisted deep-copies the mutable parts of a persisted record
-// so a resuming campaign does not alias the live mirror.
-func snapshotPersisted(p *persisted) *persisted {
-	cp := &persisted{Spec: p.Spec, Window: p.Window, Batches: p.Batches, Done: p.Done}
-	cp.Planned = append([]campaign.Experiment(nil), p.Planned...)
-	cp.Results = make(map[int]campaign.Result, len(p.Results))
-	for id, r := range p.Results {
-		cp.Results[id] = r
-	}
-	return cp
+// adopt hosts the journaled campaign id, whose ledger is already in the
+// mirror. Caller holds s.mu, or is New before the service is shared.
+func (s *Service) adopt(id string) *Campaign {
+	c := newCampaign(id, s.st.Camps[id])
+	c.spans = s.cfg.Spans
+	c.flight = s.cfg.Flight
+	s.camps[id] = c
+	return c
 }
 
 // restoreFinished rebuilds a done campaign's read-only state (status,
 // results, report) without the golden run or a runner pool.
-func (s *Service) restoreFinished(c *Campaign, p *persisted) {
+func (s *Service) restoreFinished(c *Campaign) {
 	c.mu.Lock()
-	c.window = p.Window
-	c.planned = append([]campaign.Experiment(nil), p.Planned...)
-	for id, r := range p.Results {
-		c.results[id] = r
-	}
-	c.batches = p.Batches
-	if p.Window > 0 {
-		c.sampler = newSampler(&c.Spec, p.Window)
-		c.sampler.restore(c.planned, c.results, p.Batches)
+	if c.led.Window > 0 {
+		c.sampler = newSampler(&c.Spec, c.led.Window)
+		c.sampler.restore(c.led)
 	}
 	c.phase = PhaseDone
 	c.finishLocked()
@@ -214,7 +202,9 @@ func (s *Service) restoreFinished(c *Campaign, p *persisted) {
 
 // appendApply journals one record and folds it into the durable mirror,
 // compacting when the journal has grown past the threshold. Safe to call
-// while holding a Campaign's lock (s.mu is taken after c.mu by design).
+// while holding a Campaign's lock (s.mu is taken after c.mu by design);
+// for a record about a hosted campaign the caller must hold its lock,
+// because the mirror record it changes is that campaign's ledger.
 func (s *Service) appendApply(r record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,17 +236,19 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 		s.mu.Unlock()
 		return "", fmt.Errorf("serv: service closed")
 	}
-	id := fmt.Sprintf("c%04d", len(s.order)+1)
-	if _, err := s.j.append(record{T: recSpec, Campaign: id, Spec: &spec}); err != nil {
+	// IDs count submissions; the loop only matters for a journal whose IDs
+	// do not (hand-edited or damaged).
+	var id string
+	for n := len(s.st.Order) + 1; id == "" || s.st.Camps[id] != nil; n++ {
+		id = fmt.Sprintf("c%04d", n)
+	}
+	rec := record{T: recSpec, Campaign: id, Spec: &spec}
+	if _, err := s.j.append(rec); err != nil {
 		s.mu.Unlock()
 		return "", err
 	}
-	s.st.apply(record{T: recSpec, Campaign: id, Spec: &spec})
-	c := newCampaign(id, spec)
-	c.spans = s.cfg.Spans
-	c.flight = s.cfg.Flight
-	s.camps[id] = c
-	s.order = append(s.order, id)
+	s.st.apply(rec)
+	c := s.adopt(id)
 	s.mu.Unlock()
 	if s.submittedC != nil {
 		s.submittedC.Inc()
@@ -264,21 +256,22 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.launch(c, nil)
+		s.launch(c)
 	}()
 	return id, nil
 }
 
-// launch takes a campaign from submitted (or journal-resumed: prev holds
-// the persisted ledger) to running: golden run, sampler, first batch.
-func (s *Service) launch(c *Campaign, prev *persisted) {
+// launch takes a campaign from submitted (or journal-resumed, with part
+// of its ledger already journaled) to running: golden run, sampler,
+// first batch.
+func (s *Service) launch(c *Campaign) {
 	window, err := c.prepare()
 	if err != nil {
 		c.fail(err)
 		return
 	}
 	c.mu.Lock()
-	if prev == nil || prev.Window == 0 {
+	if c.led.Window == 0 {
 		if err := s.appendApply(record{T: recWindow, Campaign: c.ID, Window: window}); err != nil {
 			c.mu.Unlock()
 			c.fail(err)
@@ -286,17 +279,10 @@ func (s *Service) launch(c *Campaign, prev *persisted) {
 		}
 	}
 	c.sampler = newSampler(&c.Spec, window)
-	if prev != nil {
-		c.sampler.restore(prev.Planned, prev.Results, prev.Batches)
-		c.planned = prev.Planned
-		c.batches = prev.Batches
-		for id, r := range prev.Results {
-			c.results[id] = r
-		}
-		for _, e := range c.planned {
-			if _, done := c.results[e.ID]; !done {
-				c.pending = append(c.pending, e)
-			}
+	c.sampler.restore(c.led)
+	for _, e := range c.led.Planned {
+		if _, done := c.led.Results[e.ID]; !done {
+			c.pending = append(c.pending, e)
 		}
 	}
 	if len(c.pending) == 0 {
@@ -323,7 +309,7 @@ func (s *Service) launch(c *Campaign, prev *persisted) {
 // journals it before exposing it to the scheduler. Caller holds c.mu.
 // A nil-batch return with no error means the budget is spent.
 func (s *Service) planBatchLocked(c *Campaign) error {
-	exps := c.sampler.nextBatch(len(c.planned) + 1)
+	exps := c.sampler.nextBatch(len(c.led.Planned) + 1)
 	if exps == nil {
 		return nil
 	}
@@ -331,9 +317,10 @@ func (s *Service) planBatchLocked(c *Campaign) error {
 	if err := s.appendApply(rec); err != nil {
 		return err
 	}
-	c.planned = append(c.planned, exps...)
 	c.pending = append(c.pending, exps...)
-	c.batches = c.sampler.batches
+	if c.expBatch == nil {
+		c.expBatch = make(map[int]int)
+	}
 	for _, e := range exps {
 		c.expBatch[e.ID] = rec.Batch
 	}
@@ -465,10 +452,11 @@ func (s *Service) abandonExpSpan(campID string, expID int, remember bool) {
 func (s *Service) complete(c *Campaign, res campaign.Result, spans []obs.SpanRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.results[res.ID]; dup {
+	if _, dup := c.led.Results[res.ID]; dup {
 		s.abandonExpSpan(c.ID, res.ID, false)
 		return
 	}
+	// Journaling the result also folds it into the campaign's ledger.
 	if err := s.appendApply(record{T: recResult, Campaign: c.ID, Result: &res}); err != nil {
 		// Journal write failed (closed mid-shutdown, disk error): drop the
 		// result rather than count something the ledger never saw.
@@ -477,7 +465,6 @@ func (s *Service) complete(c *Campaign, res campaign.Result, spans []obs.SpanRec
 		return
 	}
 	s.finishExpSpan(c, res, spans)
-	c.results[res.ID] = res
 	delete(c.inflight, res.ID)
 	c.sampler.record(res)
 	if s.resultsC != nil {
@@ -536,10 +523,7 @@ func (s *Service) dispatchOne() bool {
 		<-s.slots
 		return false
 	}
-	cands := make([]*Campaign, 0, len(s.order))
-	for _, id := range s.order {
-		cands = append(cands, s.camps[id])
-	}
+	cands := s.campaignsLocked()
 	s.mu.Unlock()
 
 	// Smooth WRR (nginx variant): every runnable candidate gains its
@@ -609,14 +593,20 @@ func (s *Service) Campaign(id string) (*Campaign, bool) {
 	return c, ok
 }
 
+// campaignsLocked lists the hosted campaigns in submission order.
+// Caller holds s.mu.
+func (s *Service) campaignsLocked() []*Campaign {
+	out := make([]*Campaign, len(s.st.Order))
+	for i, id := range s.st.Order {
+		out[i] = s.camps[id]
+	}
+	return out
+}
+
 // Campaigns lists every hosted campaign's status in submission order.
 func (s *Service) Campaigns() []CampaignStatus {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	camps := make([]*Campaign, len(ids))
-	for i, id := range ids {
-		camps[i] = s.camps[id]
-	}
+	camps := s.campaignsLocked()
 	s.mu.Unlock()
 	out := make([]CampaignStatus, len(camps))
 	for i, c := range camps {
@@ -693,38 +683,41 @@ func (s *Service) Close() {
 // order). ok=false when nothing needs remote help.
 func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	camps := make([]*Campaign, len(ids))
-	for i, id := range ids {
-		camps[i] = s.camps[id]
-	}
+	camps := s.campaignsLocked()
 	s.mu.Unlock()
 
 	var pick *Campaign
+	var runner *campaign.Runner
 	best := 0
 	for _, c := range camps {
 		c.mu.Lock()
-		n := 0
-		if c.phase == PhaseRunning {
-			n = len(c.pending)
+		if c.phase == PhaseRunning && len(c.pending) > best && len(c.runners) > 0 {
+			pick, runner, best = c, c.runners[0], len(c.pending)
 		}
 		c.mu.Unlock()
-		if n > best {
-			pick, best = c, n
-		}
 	}
 	if pick == nil {
 		return now.Welcome{}, nil, false
+	}
+	// The checkpoint is serialized per session, not kept per campaign:
+	// workers join rarely, and a campaign without workers never pays for
+	// the bytes.
+	var ckpt []byte
+	if runner.Ckpt != nil {
+		var err error
+		if ckpt, err = runner.Ckpt.Bytes(); err != nil {
+			return now.Welcome{}, nil, false
+		}
 	}
 	scale, _ := pick.Spec.scale()
 	wel := now.Welcome{
 		Campaign:    pick.ID,
 		Workload:    pick.Spec.Workload,
 		Scale:       int(scale),
-		Checkpoint:  pick.ckptBytes,
-		WindowInsts: pick.window,
+		Checkpoint:  ckpt,
+		WindowInsts: runner.WindowInsts,
 		Model:       string(pick.Spec.model()),
-		MaxInsts:    pick.Spec.MaxInsts,
+		MaxInsts:    runner.Cfg.MaxInsts, // the watchdog the local runners use
 		SpanTrace:   s.cfg.Spans != nil,
 		Flight:      s.cfg.Flight || pick.Spec.Flight,
 	}
@@ -818,13 +811,13 @@ func (s *Service) Postmortem(id string) (*flight.Postmortem, bool) {
 		c.mu.Lock()
 		if expID >= 0 {
 			if c.ID == campID {
-				if res, ok := c.results[expID]; ok && res.Postmortem != nil {
+				if res, ok := c.led.Results[expID]; ok && res.Postmortem != nil {
 					c.mu.Unlock()
 					return res.Postmortem, true
 				}
 			}
 		} else {
-			for _, res := range c.results {
+			for _, res := range c.led.Results {
 				if res.Postmortem != nil && res.TraceID == id {
 					c.mu.Unlock()
 					return res.Postmortem, true
