@@ -1,7 +1,8 @@
 // Command gemfi-now distributes a fault injection campaign over a
 // network of workstations (Section III.E of the paper).
 //
-// Master (runs the golden simulation, holds the checkpoint and queue):
+// Master (runs the golden simulation, holds the checkpoint and queue —
+// the campaign service with no local slots, hosting one campaign):
 //
 //	gemfi-now master -addr :7070 -workload pi -scale small -n 500
 //
@@ -13,6 +14,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -21,7 +24,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/now"
 	"repro/internal/obs"
-	"repro/internal/obs/httpserv"
+	"repro/internal/serv"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -35,7 +38,7 @@ func main() {
 
 func run() error {
 	if len(os.Args) < 2 {
-		return fmt.Errorf("usage: gemfi-now master|worker [flags]")
+		return fmt.Errorf("usage: gemfi-now master|worker|prepare|filework|collect [flags]")
 	}
 	switch os.Args[1] {
 	case "master":
@@ -146,6 +149,14 @@ func runCollect(args []string) error {
 	return nil
 }
 
+// forever is the wait bound of a campaign that runs until it is done.
+const forever = time.Duration(math.MaxInt64)
+
+// runMaster is the campaign service with no local slots hosting one
+// uniform campaign: it runs the golden pass, then serves the checkpoint
+// and the experiment queue to workers and journals their results on a
+// temporary journal. For a durable, multi-campaign master run gemfi-serve
+// -now and submit with gemfi-campaign -server.
 func runMaster(args []string) error {
 	fs := flag.NewFlagSet("master", flag.ExitOnError)
 	var (
@@ -155,8 +166,8 @@ func runMaster(args []string) error {
 		n         = fs.Int("n", 100, "number of experiments")
 		seed      = fs.Int64("seed", 1, "campaign seed")
 		model     = fs.String("model", "atomic", "CPU model")
-		metrics   = fs.Bool("metrics", false, "print master telemetry (now.master.*) at exit")
-		httpAddr  = fs.String("http", "", "serve live observability endpoints (/metrics /status /debug/pprof) on this address")
+		metrics   = fs.Bool("metrics", false, "print master telemetry (serv.*) at exit")
+		httpAddr  = fs.String("http", "", "serve the campaign API and observability endpoints (/campaigns /metrics /status /traces) on this address")
 		drain     = fs.Duration("drain", 30*time.Second, "in-flight drain bound on SIGINT/SIGTERM")
 
 		flightOn   = fs.Bool("flight", false, "ask workers (via the welcome message) to flight-record: crashed/SDC results arrive with post-mortem dumps attached")
@@ -167,55 +178,48 @@ func runMaster(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scale, err := parseScale(*scaleName)
-	if err != nil {
-		return err
-	}
-	var reg *obs.Registry
-	if *metrics || *httpAddr != "" {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	var spanRec *obs.SpanRecorder
 	if *spansOn || *spansJSONL != "" || *httpAddr != "" {
 		spanRec = obs.NewSpanRecorder()
 		spanRec.SetSampling(*spanSample)
-		if reg != nil {
-			spanRec.AttachMetrics(reg)
-		}
 	}
-
-	// Bootstrap: a throwaway master run discovers the injection window
-	// size; then the real master serves the generated experiments.
-	probe, err := now.NewMaster("127.0.0.1:0", now.MasterConfig{
-		Workload: *workload, Scale: scale, Quiet: true, Model: sim.ModelKind(*model),
-	})
+	dir, err := os.MkdirTemp("", "gemfi-now-master")
 	if err != nil {
 		return err
 	}
-	window := probe.WindowInsts()
-	probe.Close()
-
-	exps := campaign.GenerateUniform(*n, campaign.GenConfig{WindowInsts: window, Seed: *seed})
-	m, err := now.NewMaster(*addr, now.MasterConfig{
-		Workload: *workload, Scale: scale, Experiments: exps, Model: sim.ModelKind(*model),
-		Metrics: reg, Spans: spanRec, Flight: *flightOn,
-	})
+	defer os.RemoveAll(dir)
+	s, err := serv.New(serv.Config{Dir: dir, Slots: -1, Metrics: reg, Spans: spanRec, Flight: *flightOn})
 	if err != nil {
 		return err
 	}
+	defer s.Shutdown(*drain)
+	id, err := s.Submit(serv.CampaignSpec{Workload: *workload, Scale: *scaleName, Model: *model, N: *n, Seed: *seed})
+	if err != nil {
+		return err
+	}
+	// Workers are welcomed with the checkpoint, so the port opens once the
+	// golden run has produced it.
+	s.WaitPrepared(id, forever)
+	c, _ := s.Campaign(id)
+	if st := c.Status(); st.Phase == serv.PhaseFailed {
+		return fmt.Errorf("campaign preparation: %s", st.Error)
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	s.ServeWorkers(ln)
 	if *httpAddr != "" {
-		srv, err := httpserv.New(*httpAddr, httpserv.Config{
-			Metrics: reg,
-			Status:  func() any { return m.Status() },
-			Spans:   spanRec,
-		})
+		srv, hln, err := s.Serve(*httpAddr)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability server on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "observability server on http://%s\n", hln.Addr())
 	}
-	fmt.Printf("master: serving %d experiments of %s on %s\n", len(exps), *workload, m.Addr())
+	fmt.Printf("master: serving %d experiments of %s on %s\n", *n, *workload, ln.Addr())
 
 	// Graceful shutdown: a signal drains in-flight experiments within the
 	// -drain bound and reports whatever completed, instead of dropping
@@ -223,18 +227,23 @@ func runMaster(args []string) error {
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
-	waitCh := make(chan []campaign.Result, 1)
-	go func() { waitCh <- m.Wait() }()
-	var results []campaign.Result
+	doneCh := make(chan struct{})
+	go func() {
+		s.Wait(id, forever)
+		close(doneCh)
+	}()
 	select {
-	case results = <-waitCh:
+	case <-doneCh:
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "master: %v — draining in-flight experiments (bound %s)\n", sig, *drain)
-		results = m.Shutdown(*drain)
 	}
-	tally := campaign.TallyOf(results)
+	_ = ln.Close()
+	if err := s.Shutdown(*drain); err != nil {
+		return err
+	}
+	tally := campaign.TallyOf(c.Results())
 	fmt.Printf("campaign complete: %d experiments (%d requeued after disconnects)\n",
-		tally.Total(), m.Requeued())
+		tally.Total(), reg.Counter("serv.now.requeued").Value())
 	for _, o := range campaign.Outcomes() {
 		fmt.Printf("  %-18s %5d (%5.1f%%)\n", o, tally[o], 100*tally.Fraction(o))
 	}
@@ -252,7 +261,7 @@ func runMaster(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "spans written to %s (%d spans dropped by sampling/ring)\n", *spansJSONL, spanRec.Dropped())
 	}
-	if reg != nil {
+	if *metrics {
 		return reg.WriteText(os.Stdout)
 	}
 	return nil
@@ -290,7 +299,7 @@ func runWorker(args []string) error {
 		Metrics:   reg,
 		Taint:     *taintOn,
 		Fork:      *forkOn, ForkSnapshots: *forkSnaps,
-		Flight:    *flightOn, FlightDepth: *flightDep,
+		Flight: *flightOn, FlightDepth: *flightDep,
 	})
 	n, err := w.Run()
 	fmt.Printf("worker: completed %d experiments\n", n)

@@ -37,7 +37,7 @@ func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8080", "HTTP listen address (campaign API + observability)")
 		dir     = flag.String("dir", "gemfi-serve.d", "journal directory (campaigns survive restarts here)")
-		slots   = flag.Int("slots", 4, "concurrent local experiment executions across all campaigns")
+		slots   = flag.Int("slots", 4, "concurrent local experiment executions across all campaigns (negative: none, NoW workers run every experiment)")
 		nowAddr = flag.String("now", "", "also serve NoW workers (gemfi-now worker -addr) on this address")
 		drain   = flag.Duration("drain", 30*time.Second, "in-flight drain bound on SIGINT/SIGTERM")
 		metrics = flag.Bool("metrics", false, "print the service metrics registry at exit")

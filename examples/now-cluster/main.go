@@ -1,13 +1,17 @@
 // now-cluster demonstrates GemFI's network-of-workstations campaign
-// execution (Section III.E of the paper) entirely in one process: a TCP
-// master holding the checkpoint and experiment queue, and three "worker
-// workstations" with two slots each, connected over loopback.
+// execution (Section III.E of the paper) entirely in one process: the
+// campaign service as the TCP master holding the checkpoint and
+// experiment queue (with no local slots of its own), and three
+// "worker workstations" with two slots each, connected over loopback.
 package main
 
 import (
 	"fmt"
 	"log"
+	"net"
+	"os"
 	"sync"
+	"time"
 
 	gemfi "repro"
 	"repro/internal/campaign"
@@ -15,25 +19,31 @@ import (
 )
 
 func main() {
-	// Probe master discovers the fault-injection window for experiment
-	// generation (it runs the golden simulation once).
-	probe, err := gemfi.NewNoWMaster("127.0.0.1:0", now.MasterConfig{
-		Workload: "jacobi", Scale: gemfi.ScaleTest, Quiet: true,
-	})
+	dir, err := os.MkdirTemp("", "now-cluster")
 	if err != nil {
 		log.Fatal(err)
 	}
-	window := probe.WindowInsts()
-	probe.Close()
+	defer os.RemoveAll(dir)
+	master, err := gemfi.NewCampaignService(gemfi.ServiceConfig{Dir: dir, Slots: -1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer master.Shutdown(time.Second)
 
-	exps := gemfi.GenerateUniform(60, campaign.GenConfig{WindowInsts: window, Seed: 99})
-	master, err := gemfi.NewNoWMaster("127.0.0.1:0", now.MasterConfig{
-		Workload: "jacobi", Scale: gemfi.ScaleTest, Experiments: exps, Quiet: true,
-	})
+	// The master runs the golden simulation once, capturing the checkpoint
+	// the workers are welcomed with, then plans 60 uniform experiments.
+	id, err := master.Submit(gemfi.CampaignSpec{Workload: "jacobi", N: 60, Seed: 99})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("master listening on %s with %d experiments\n", master.Addr(), len(exps))
+	master.WaitPrepared(id, time.Minute)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer ln.Close()
+	master.ServeWorkers(ln)
+	fmt.Printf("master listening on %s with 60 experiments\n", ln.Addr())
 
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -41,7 +51,7 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			w := gemfi.NewNoWWorker(now.WorkerConfig{
-				Addr:  master.Addr(),
+				Addr:  ln.Addr().String(),
 				Slots: 2,
 				Name:  fmt.Sprintf("workstation%d", i),
 			})
@@ -52,11 +62,13 @@ func main() {
 			fmt.Printf("workstation%d completed %d experiments\n", i, n)
 		}(i)
 	}
-
-	results := master.Wait()
 	wg.Wait()
+	if !master.Wait(id, time.Minute) {
+		log.Fatal("campaign did not finish")
+	}
 
-	tally := campaign.TallyOf(results)
+	c, _ := master.Campaign(id)
+	tally := campaign.TallyOf(c.Results())
 	fmt.Printf("\ncampaign outcome distribution (%d experiments):\n", tally.Total())
 	for _, o := range campaign.Outcomes() {
 		fmt.Printf("  %-18s %4d (%5.1f%%)\n", o, tally[o], 100*tally.Fraction(o))

@@ -35,6 +35,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/httpserv"
 	"repro/internal/prof"
+	"repro/internal/serv"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/taint"
@@ -216,9 +217,9 @@ func ValidateTraceJSONL(r io.Reader) (int, error) { return obs.ValidateJSONL(r) 
 func ValidateProm(r io.Reader) (int, error) { return obs.ValidateProm(r) }
 
 // SpanRecorder records hierarchical spans (campaign → experiment →
-// phases) across the master, serv and NoW workers; attach one via
-// Pool.Spans, serv.Config.Spans or now.MasterConfig.Spans. A nil
-// recorder disables tracing at near-zero cost.
+// phases) across the campaign service and NoW workers; attach one via
+// Pool.Spans or ServiceConfig.Spans. A nil recorder disables tracing at
+// near-zero cost.
 type SpanRecorder = obs.SpanRecorder
 
 // Span is one timed operation within a trace; SpanContext carries the
@@ -343,19 +344,26 @@ func WorkloadByName(name string, scale WorkloadScale) (*Workload, error) {
 	return workloads.ByName(name, scale)
 }
 
-// ---- network of workstations ----
+// ---- campaign service and network of workstations ----
 
-// NoWMaster serves a campaign to TCP workers.
-type NoWMaster = now.Master
+// CampaignService is the durable campaign scheduler and the NoW master:
+// it journals every result, runs experiments on local slots and serves
+// them to workers through ServeWorkers.
+type CampaignService = serv.Service
+
+// ServiceConfig parameterizes a CampaignService; a negative Slots leaves
+// every experiment to NoW workers.
+type ServiceConfig = serv.Config
+
+// CampaignSpec describes one campaign submitted to a CampaignService.
+type CampaignSpec = serv.CampaignSpec
+
+// NewCampaignService opens (or resumes) the journal in cfg.Dir and starts
+// the scheduler.
+func NewCampaignService(cfg ServiceConfig) (*CampaignService, error) { return serv.New(cfg) }
 
 // NoWWorker pulls and executes experiments from a master.
 type NoWWorker = now.Worker
-
-// NewNoWMaster prepares a distributed campaign (golden run + checkpoint)
-// and listens on addr.
-func NewNoWMaster(addr string, cfg now.MasterConfig) (*NoWMaster, error) {
-	return now.NewMaster(addr, cfg)
-}
 
 // NewNoWWorker builds a workstation worker.
 func NewNoWWorker(cfg now.WorkerConfig) *NoWWorker { return now.NewWorker(cfg) }

@@ -1,8 +1,10 @@
 package gemfi
 
 import (
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/now"
@@ -96,28 +98,36 @@ func TestPublicAPISampleSize(t *testing.T) {
 	}
 }
 
+// TestPublicAPINoW runs a campaign on NoW workers through the façade: the
+// campaign service is the master and runs nothing locally.
 func TestPublicAPINoW(t *testing.T) {
-	probe, err := NewNoWMaster("127.0.0.1:0", now.MasterConfig{Workload: "pi", Scale: ScaleTest, Quiet: true})
+	s, err := NewCampaignService(ServiceConfig{Dir: t.TempDir(), Slots: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := probe.WindowInsts()
-	probe.Close()
-	exps := GenerateUniform(4, campaign.GenConfig{WindowInsts: window, Seed: 8})
-	m, err := NewNoWMaster("127.0.0.1:0", now.MasterConfig{
-		Workload: "pi", Scale: ScaleTest, Experiments: exps, Quiet: true,
-	})
+	defer s.Shutdown(time.Second)
+	id, err := s.Submit(CampaignSpec{Workload: "pi", N: 4, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		worker := NewNoWWorker(now.WorkerConfig{Addr: m.Addr(), Slots: 2})
-		if _, err := worker.Run(); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-	if results := m.Wait(); len(results) != len(exps) {
-		t.Fatalf("results = %d", len(results))
+	if !s.WaitPrepared(id, time.Minute) {
+		t.Fatal("golden run did not finish")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	s.ServeWorkers(ln)
+	worker := NewNoWWorker(now.WorkerConfig{Addr: ln.Addr().String(), Slots: 2})
+	if n, err := worker.Run(); err != nil || n != 4 {
+		t.Fatalf("worker ran %d of 4 experiments: %v", n, err)
+	}
+	if !s.Wait(id, time.Minute) {
+		t.Fatal("campaign did not finish")
+	}
+	if c, _ := s.Campaign(id); len(c.Results()) != 4 {
+		t.Fatalf("results = %d", len(c.Results()))
 	}
 }
 

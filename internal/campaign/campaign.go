@@ -586,11 +586,12 @@ func (r *Runner) beginExpTrace(exp Experiment, parent obs.SpanContext, start tim
 
 // cutPhase closes the phase that began at the previous cut (or at the
 // experiment start), emitting it as a child span and accumulating its
-// duration. No-op outside a traced RunCtx.
-func (r *Runner) cutPhase(name string) {
+// duration, and returns the cut's time. No-op outside a traced RunCtx,
+// where it returns the zero time.
+func (r *Runner) cutPhase(name string) time.Time {
 	tr := r.curTrace
 	if tr == nil {
-		return
+		return time.Time{}
 	}
 	now := time.Now()
 	if now.After(tr.last) {
@@ -606,6 +607,7 @@ func (r *Runner) cutPhase(name string) {
 		}
 	}
 	tr.last = now
+	return now
 }
 
 // foldSimPhases closes the simulator's phase recording and folds its
@@ -679,13 +681,18 @@ func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
 	start := time.Now()
 	tr := r.beginExpTrace(exp, ctx, start)
 	res := r.runExp(exp)
-	r.cutPhase("classify")
 	r.commitMemo(&res)
+	end := r.cutPhase("classify")
 	r.recordProp(&res)
 	if r.taintTr != nil {
-		r.cutPhase("taint")
+		end = r.cutPhase("taint")
 	}
-	res.WallNs = time.Since(start).Nanoseconds()
+	// A traced experiment ends at its last phase cut, so the phases tile
+	// WallNs exactly; recording that cut's span is bookkeeping after it.
+	if end.IsZero() {
+		end = time.Now()
+	}
+	res.WallNs = end.Sub(start).Nanoseconds()
 	r.finishExpTrace(tr, &res)
 	r.dumpPostmortem(&res, tr)
 	return res
@@ -714,8 +721,7 @@ func (r *Runner) runExp(exp Experiment) (res Result) {
 		// Fast-forward: restore the checkpoint and re-arm the engine
 		// with this experiment's faults (Fig. 3 of the paper).
 		r.sim.Restore(r.Ckpt, exp.Faults)
-		r.sim.BeginPhaseRecording()
-		r.cutPhase("restore")
+		r.sim.BeginPhaseRecording(r.cutPhase("restore"))
 		runRes = r.sim.Run()
 	} else {
 		// Baseline: full re-simulation from program start.
@@ -736,8 +742,7 @@ func (r *Runner) runExp(exp Experiment) (res Result) {
 		if tr := r.curTrace; tr != nil {
 			s.SetSpans(r.spans, tr.span)
 		}
-		s.BeginPhaseRecording()
-		r.cutPhase("restore")
+		s.BeginPhaseRecording(r.cutPhase("restore"))
 		runRes = s.Run()
 	}
 	r.foldSimPhases()

@@ -429,8 +429,7 @@ func (r *Runner) runForked(exp Experiment) (sim.RunResult, Outcome) {
 	snap := fs.pool.best(minWhen, rootOnly)
 	r.sim.ForkFrom(snap.fp, exp.Faults)
 	fs.forks.Add(1)
-	r.sim.BeginPhaseRecording()
-	r.cutPhase("fork")
+	r.sim.BeginPhaseRecording(r.cutPhase("fork"))
 
 	// Pruning and memoization need the experiment's only observable
 	// products to be the outcome class and the engine flags: per-PC

@@ -69,7 +69,7 @@ func PrepareShare(dir string, cfg ShareConfig) error {
 	if err != nil {
 		return err
 	}
-	runnerCfg := simConfig(string(cfg.Model), cfg.MaxInsts)
+	runnerCfg := SimConfig(string(cfg.Model), cfg.MaxInsts)
 	runner, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &runnerCfg})
 	if err != nil {
 		return err
@@ -149,7 +149,7 @@ func FileWorker(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	runner, err := campaign.NewRestoredRunner(w, simConfig(meta.Model, meta.MaxInsts), meta.WindowInsts, st)
+	runner, err := campaign.NewRestoredRunner(w, SimConfig(meta.Model, meta.MaxInsts), meta.WindowInsts, st)
 	if err != nil {
 		return 0, err
 	}

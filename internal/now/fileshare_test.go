@@ -117,7 +117,7 @@ func TestFileShareMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchLocal(t, model, exps, shared)
+			MatchLocal(t, model, exps, shared)
 		})
 	}
 }

@@ -19,84 +19,6 @@ func counterValue(t *testing.T, r *obs.Registry, name string) float64 {
 	return 0
 }
 
-// TestMasterDisconnectRequeuedExactlyOnce is the worker-disconnect
-// contract: a client that dies holding an assignment gets that
-// experiment requeued exactly once, the campaign still yields one result
-// per experiment, and nothing is double-counted.
-func TestMasterDisconnectRequeuedExactlyOnce(t *testing.T) {
-	reg := obs.NewRegistry()
-	m, err := NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Quiet: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := campaign.GenerateUniform(8, campaign.GenConfig{WindowInsts: m.WindowInsts(), Seed: 7})
-	m.Close()
-	m, err = NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Experiments: exps,
-		Quiet: true, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The flaky client: completes the handshake, fetches exactly one
-	// experiment, and disconnects without reporting a result.
-	c, err := dialRaw(m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.send(Message{Type: MsgHello, WorkerName: "flaky"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.recv(); err != nil { // welcome
-		t.Fatal(err)
-	}
-	if err := c.send(Message{Type: MsgFetch}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.recv(); err != nil { // experiment assigned
-		t.Fatal(err)
-	}
-	c.close()
-
-	go func() {
-		w := NewWorker(WorkerConfig{Addr: m.Addr(), Slots: 1, Metrics: reg})
-		if _, err := w.Run(); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-	results := m.Wait()
-
-	if len(results) != len(exps) {
-		t.Fatalf("campaign incomplete: %d of %d results", len(results), len(exps))
-	}
-	seen := map[int]bool{}
-	for _, r := range results {
-		if seen[r.ID] {
-			t.Errorf("experiment %d counted twice", r.ID)
-		}
-		seen[r.ID] = true
-	}
-	for i := range exps {
-		if !seen[i] {
-			t.Errorf("experiment %d has no result", i)
-		}
-	}
-	if got := m.Requeued(); got != 1 {
-		t.Errorf("Requeued() = %d, want exactly 1", got)
-	}
-	if got := counterValue(t, reg, "now.master.requeued"); got != 1 {
-		t.Errorf("now.master.requeued = %g, want 1", got)
-	}
-	// Every experiment completed, so the healthy worker must account for
-	// all of them (8 fetched, including the requeued one).
-	if got := counterValue(t, reg, "now.worker.completed"); got != float64(len(exps)) {
-		t.Errorf("now.worker.completed = %g, want %d", got, len(exps))
-	}
-}
-
 // TestWorkerExperimentTimeoutRetries pins the per-experiment timeout
 // path: a timeout far below the experiment's runtime interrupts every
 // attempt, the worker retries ExpRetries times, and the final result is
@@ -158,42 +80,5 @@ func TestWorkerDialRetryBackoff(t *testing.T) {
 	}
 	if got := counterValue(t, reg, "now.worker.dial_retries"); got != 2 {
 		t.Errorf("now.worker.dial_retries = %g, want 2", got)
-	}
-}
-
-// TestWorkerHeartbeats: a heartbeating worker is visible in the master's
-// telemetry.
-func TestWorkerHeartbeats(t *testing.T) {
-	reg := obs.NewRegistry()
-	m, err := NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Quiet: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := campaign.GenerateUniform(12, campaign.GenConfig{WindowInsts: m.WindowInsts(), Seed: 5})
-	m.Close()
-	m, err = NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Experiments: exps,
-		Quiet: true, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		w := NewWorker(WorkerConfig{
-			Addr: m.Addr(), Slots: 1, Name: "hb",
-			Heartbeat: time.Millisecond, Metrics: reg,
-		})
-		if _, err := w.Run(); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-	results := m.Wait()
-	if len(results) != len(exps) {
-		t.Fatalf("campaign incomplete: %d of %d", len(results), len(exps))
-	}
-	if got := counterValue(t, reg, "now.master.heartbeats"); got < 1 {
-		t.Errorf("now.master.heartbeats = %g, want >= 1", got)
 	}
 }

@@ -1,7 +1,8 @@
 // Package now implements GemFI's campaign distribution over a Network of
 // Workstations (Section III.E of the paper). The paper uses shell scripts
-// and an NFS share; this implementation replaces the share with a TCP
-// master that plays the same role:
+// and an NFS share; fileshare.go keeps that mechanism literally, and the
+// rest of the package replaces the share with a TCP protocol that plays
+// the same role:
 //
 //  1. the master holds the fault configurations of all experiments;
 //  2. a simulation is executed up to the fi_read_init_all point and the
@@ -11,8 +12,11 @@
 //     locally from the checkpointed state, and send the result back;
 //  5. until no experiments are left.
 //
-// Workers that die mid-experiment have their assignments re-queued, which
-// is what makes campaigns safe on non-dedicated machines.
+// The master is the campaign service (internal/serv), which holds the
+// queue and journals every result; this package holds the wire protocol
+// (ServeSource), the worker and the file share. Workers that die
+// mid-experiment have their assignments re-queued, which is what makes
+// campaigns safe on non-dedicated machines.
 package now
 
 import (
@@ -35,11 +39,8 @@ type Message struct {
 	// hello (worker -> master); WorkerName also rides on heartbeats
 	WorkerName string `json:"workerName,omitempty"`
 
-	// heartbeat (worker -> master): experiments this slot has completed
-	Completed int `json:"completed,omitempty"`
-
 	// welcome (master -> worker)
-	Campaign    string `json:"campaign,omitempty"` // session's campaign (service masters)
+	Campaign    string `json:"campaign,omitempty"` // the session's campaign
 	Workload    string `json:"workload,omitempty"`
 	Scale       int    `json:"scale,omitempty"`
 	Checkpoint  []byte `json:"checkpoint,omitempty"` // gob bytes (base64 via JSON)
@@ -74,13 +75,13 @@ type Message struct {
 	Error string `json:"error,omitempty"`
 }
 
-// simConfig is the simulator configuration every NoW party builds its
-// runner from — the master and PrepareShare for the golden pass, workers
-// for the experiments — so remote verdicts match a local runner's. Block
-// translation speeds up the atomic golden passes and post-resolve tails;
-// a zero maxInsts lets the runner derive the watchdog from the golden
-// run.
-func simConfig(model string, maxInsts uint64) sim.Config {
+// SimConfig is the simulator configuration every NoW party builds its
+// runner from — the campaign service for its golden pass and local
+// experiments, workers and file-share workers for theirs — so remote
+// verdicts match a local runner's. Block translation speeds up the
+// atomic golden passes and post-resolve tails; a zero maxInsts lets the
+// runner derive the watchdog from the golden run.
+func SimConfig(model string, maxInsts uint64) sim.Config {
 	return sim.Config{Model: sim.ModelKind(model), EnableFI: true, MaxInsts: maxInsts,
 		EnableBlockTranslation: true}
 }
@@ -146,13 +147,3 @@ func (c *conn) recv() (Message, error) {
 }
 
 func (c *conn) close() { _ = c.raw.Close() }
-
-// dialRaw opens a framed connection to addr (exposed for tests and
-// tools that speak the protocol directly).
-func dialRaw(addr string) (*conn, error) {
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return newConn(raw), nil
-}

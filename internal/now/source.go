@@ -1,12 +1,10 @@
 package now
 
-// ServeSource bridges the NoW worker protocol to an external scheduler:
-// instead of a Master owning one campaign's queue, an ExpSource (the
-// campaign service) assigns each arriving worker to a campaign and feeds
-// it experiments. The wire protocol is unchanged — workers built for a
-// Master work against a source-backed listener — so one worker fleet can
-// serve a single-campaign master or a multi-tenant service
-// interchangeably.
+// ServeSource is the master side of the NoW worker protocol. The
+// scheduling lives behind ExpSource — the campaign service, the only
+// master — which assigns each arriving worker to a campaign, feeds it
+// experiments and keeps the exactly-once ledger; this file only speaks
+// the wire protocol.
 
 import (
 	"fmt"
@@ -19,9 +17,9 @@ import (
 
 // Welcome carries the campaign parameters a worker needs to build its
 // local runner: the workload identity, the serialized checkpoint, the
-// window size, and the simulator model. Campaign tags the session for
-// the source's accounting (workers echo it back implicitly by staying on
-// the session).
+// window size, the simulator model and the watchdog. Campaign tags the
+// session for the source's accounting (workers echo it back implicitly
+// by staying on the session).
 type Welcome struct {
 	Campaign    string
 	Workload    string
@@ -40,16 +38,18 @@ type Welcome struct {
 	Flight bool
 }
 
-// Session is one worker's assignment to a campaign. Take and Complete
-// are called from that worker's serving goroutine; Close fires exactly
-// once when the connection ends (normally or by death) and must requeue
-// whatever was taken but never completed — the exactly-once ledger lives
-// in the source. Take's context is the source-side experiment span the
-// worker's spans parent under (zero when the source does not trace);
-// Complete receives whatever span records the worker shipped back.
+// Session is one worker's assignment to a campaign. Take, Complete and
+// Heartbeat are called from that worker's serving goroutine; Close fires
+// exactly once when the connection ends (normally or by death) and must
+// requeue whatever was taken but never completed — the exactly-once
+// ledger lives in the source. Take's context is the source-side
+// experiment span the worker's spans parent under (zero when the source
+// does not trace); Complete receives whatever span records the worker
+// shipped back; Heartbeat notes a liveness message.
 type Session interface {
 	Take() (campaign.Experiment, obs.SpanContext, bool)
 	Complete(campaign.Result, []obs.SpanRecord)
+	Heartbeat()
 	Close()
 }
 
@@ -99,8 +99,8 @@ func serveSourceConn(name string, c *conn, src ExpSource) {
 	}
 	wel, sess, ok := src.Open(worker)
 	if !ok {
-		// Nothing to run: greet with an empty welcome so the worker's
-		// handshake completes, then close its fetch loop immediately.
+		// Nothing to run: answer the hello with done, which the worker
+		// takes as a finished campaign.
 		_ = c.send(Message{Type: MsgDone})
 		return
 	}
@@ -143,8 +143,7 @@ func serveSourceConn(name string, c *conn, src ExpSource) {
 				sess.Complete(*msg.Result, msg.Spans)
 			}
 		case MsgHeartbeat:
-			// Liveness is the source's concern only through session
-			// lifetime; heartbeats just keep the connection warm.
+			sess.Heartbeat()
 		default:
 			_ = c.send(Message{Type: MsgError, Error: "unexpected " + msg.Type})
 			return

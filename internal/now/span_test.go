@@ -1,51 +1,29 @@
-package now
+package now_test
 
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
-	"repro/internal/campaign"
+	"repro/internal/now"
 	"repro/internal/obs"
-	"repro/internal/workloads"
+	"repro/internal/serv"
+	"repro/internal/sim"
 )
-
-// startSpanCampaign boots a traced master for a PI campaign.
-func startSpanCampaign(t *testing.T, n int) (*Master, []campaign.Experiment, *obs.SpanRecorder) {
-	t.Helper()
-	probe, err := NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Quiet: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := campaign.GenerateUniform(n, campaign.GenConfig{WindowInsts: probe.WindowInsts(), Seed: 21})
-	probe.Close()
-	rec := obs.NewSpanRecorder()
-	m, err := NewMaster("127.0.0.1:0", MasterConfig{
-		Workload: "pi", Scale: workloads.ScaleTest, Experiments: exps, Quiet: true,
-		Spans: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, exps, rec
-}
 
 // TestNoWSpanPropagation: worker-side spans must stitch under the
 // master's experiment span into one valid tree per experiment, with the
 // clock-skew annotation on the root.
 func TestNoWSpanPropagation(t *testing.T) {
-	m, exps, rec := startSpanCampaign(t, 6)
-	go func() {
-		w := NewWorker(WorkerConfig{Addr: m.Addr(), Slots: 1, Name: "w0"})
-		if _, err := w.Run(); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-	results := m.Wait()
-	if len(results) != len(exps) {
-		t.Fatalf("results = %d of %d", len(results), len(exps))
+	rec := obs.NewSpanRecorder()
+	s, id, addr := startCampaign(t, serv.Config{Spans: rec}, sim.ModelAtomic, 6)
+	var wg sync.WaitGroup
+	runWorker(t, &wg, now.WorkerConfig{Addr: addr, Slots: 1, Name: "w0"}, nil)
+	results := waitResults(t, s, id)
+	wg.Wait()
+	if len(results) != 6 {
+		t.Fatalf("results = %d of 6", len(results))
 	}
 	for _, r := range results {
 		if !strings.HasPrefix(r.Worker, "w0") {
@@ -57,8 +35,8 @@ func TestNoWSpanPropagation(t *testing.T) {
 	}
 
 	traces := rec.Traces()
-	if len(traces) != len(exps) {
-		t.Fatalf("traces = %d, want %d", len(traces), len(exps))
+	if len(traces) != len(results) {
+		t.Fatalf("traces = %d, want %d", len(traces), len(results))
 	}
 	seenExp := map[int]int{}
 	for _, tr := range traces {
@@ -100,8 +78,8 @@ func TestNoWSpanPropagation(t *testing.T) {
 			t.Errorf("experiment %d has %d span trees, want exactly 1", id, n)
 		}
 	}
-	if len(seenExp) != len(exps) {
-		t.Errorf("distinct experiment trees = %d, want %d", len(seenExp), len(exps))
+	if len(seenExp) != len(results) {
+		t.Errorf("distinct experiment trees = %d, want %d", len(seenExp), len(results))
 	}
 }
 
@@ -110,43 +88,24 @@ func TestNoWSpanPropagation(t *testing.T) {
 // half-built trace is abandoned, and the retried run gets a fresh root
 // carrying retry_of.
 func TestNoWSpanRetryAfterWorkerDeath(t *testing.T) {
-	m, exps, rec := startSpanCampaign(t, 6)
+	rec, reg := obs.NewSpanRecorder(), obs.NewRegistry()
+	s, id, addr := startCampaign(t, serv.Config{Spans: rec, Metrics: reg}, sim.ModelAtomic, 6)
 
 	// A flaky client fetches one experiment (with its trace context)
 	// and disconnects without reporting a result.
-	c, err := dialRaw(m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.send(Message{Type: MsgHello, WorkerName: "flaky"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.recv(); err != nil { // welcome
-		t.Fatal(err)
-	}
-	if err := c.send(Message{Type: MsgFetch}); err != nil {
-		t.Fatal(err)
-	}
-	assigned, err := c.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if assigned.Experiment == nil || assigned.Trace == nil {
-		t.Fatalf("assignment missing experiment or trace context: %+v", assigned)
+	assigned := takeAndDie(t, addr, reg)
+	if assigned.Trace == nil {
+		t.Fatalf("assignment missing trace context: %+v", assigned)
 	}
 	lostExp := assigned.Experiment.ID
 	lostTrace := assigned.Trace.TraceID
-	c.close() // dies holding the assignment
 
-	go func() {
-		w := NewWorker(WorkerConfig{Addr: m.Addr(), Slots: 1, Name: "w0"})
-		if _, err := w.Run(); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-	results := m.Wait()
-	if len(results) != len(exps) {
-		t.Fatalf("campaign incomplete after worker death: %d of %d", len(results), len(exps))
+	var wg sync.WaitGroup
+	runWorker(t, &wg, now.WorkerConfig{Addr: addr, Slots: 1, Name: "w0"}, nil)
+	results := waitResults(t, s, id)
+	wg.Wait()
+	if len(results) != 6 {
+		t.Fatalf("campaign incomplete after worker death: %d of 6", len(results))
 	}
 
 	if rec.TraceByID(lostTrace) != nil {
@@ -156,8 +115,8 @@ func TestNoWSpanRetryAfterWorkerDeath(t *testing.T) {
 		t.Error("abandoned spans not counted as dropped")
 	}
 	traces := rec.Traces()
-	if len(traces) != len(exps) {
-		t.Fatalf("traces = %d, want exactly %d (one tree per experiment)", len(traces), len(exps))
+	if len(traces) != len(results) {
+		t.Fatalf("traces = %d, want exactly %d (one tree per experiment)", len(traces), len(results))
 	}
 	var retried *obs.SpanRecord
 	perExp := map[int]int{}

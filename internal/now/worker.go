@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -162,6 +161,9 @@ func (w *Worker) runSlot(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if welcome.Type == MsgDone {
+		return 0, nil // the master has nothing for this slot to run
+	}
 	if welcome.Type != MsgWelcome {
 		return 0, fmt.Errorf("now: expected welcome, got %q", welcome.Type)
 	}
@@ -180,7 +182,6 @@ func (w *Worker) runSlot(name string) (int, error) {
 		runner.AttachSpans(spans, name)
 	}
 
-	var completed atomic.Int64
 	if w.cfg.Heartbeat > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -192,9 +193,7 @@ func (w *Worker) runSlot(name string) (int, error) {
 				case <-stop:
 					return
 				case <-t.C:
-					msg := Message{Type: MsgHeartbeat, WorkerName: name,
-						Completed: int(completed.Load())}
-					if c.send(msg) != nil {
+					if c.send(Message{Type: MsgHeartbeat, WorkerName: name}) != nil {
 						return
 					}
 				}
@@ -202,18 +201,19 @@ func (w *Worker) runSlot(name string) (int, error) {
 		}()
 	}
 
+	completed := 0
 	completedCounter := w.cfg.Metrics.Counter("now.worker.completed")
 	for {
 		if err := c.send(Message{Type: MsgFetch}); err != nil {
-			return int(completed.Load()), err
+			return completed, err
 		}
 		msg, err := c.recv()
 		if err != nil {
-			return int(completed.Load()), err
+			return completed, err
 		}
 		switch msg.Type {
 		case MsgDone:
-			return int(completed.Load()), nil
+			return completed, nil
 		case MsgExperiment:
 			var ctx obs.SpanContext
 			var wsp *obs.Span
@@ -233,14 +233,14 @@ func (w *Worker) runSlot(name string) (int, error) {
 				out.Spans = spans.TakeTrace(msg.Trace.TraceID)
 			}
 			if err := c.send(out); err != nil {
-				return int(completed.Load()), err
+				return completed, err
 			}
-			completed.Add(1)
+			completed++
 			completedCounter.Inc()
 		case MsgError:
-			return int(completed.Load()), fmt.Errorf("now: master error: %s", msg.Error)
+			return completed, fmt.Errorf("now: master error: %s", msg.Error)
 		default:
-			return int(completed.Load()), fmt.Errorf("now: unexpected message %q", msg.Type)
+			return completed, fmt.Errorf("now: unexpected message %q", msg.Type)
 		}
 	}
 }
@@ -285,7 +285,7 @@ func buildRunner(welcome Message, wcfg WorkerConfig) (*campaign.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := campaign.NewRestoredRunner(wl, simConfig(welcome.Model, welcome.MaxInsts),
+	runner, err := campaign.NewRestoredRunner(wl, SimConfig(welcome.Model, welcome.MaxInsts),
 		welcome.WindowInsts, st)
 	if err != nil {
 		return nil, err

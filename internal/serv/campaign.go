@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/now"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -210,8 +211,7 @@ func (c *Campaign) prepare() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := sim.Config{Model: c.Spec.model(), EnableFI: true, MaxInsts: c.Spec.MaxInsts,
-		EnableBlockTranslation: true}
+	cfg := now.SimConfig(string(c.Spec.model()), c.Spec.MaxInsts)
 	first, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		return 0, err

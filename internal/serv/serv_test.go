@@ -366,12 +366,13 @@ func TestServiceHTTP(t *testing.T) {
 	}
 }
 
-// TestServiceNoWWorkers: the service feeds its queue to protocol workers
-// via the ExpSource bridge, and a worker death mid-campaign loses
-// nothing — its taken experiments requeue and count exactly once. The
-// welcome ships the watchdog the campaign's own runners use.
+// TestServiceNoWWorkers: a service with no local slots feeds its whole
+// queue to protocol workers via the ExpSource bridge, and a worker
+// death mid-campaign loses nothing — its taken experiments requeue and
+// count exactly once. The welcome ships the watchdog the campaign's own
+// runners use.
 func TestServiceNoWWorkers(t *testing.T) {
-	s, err := New(Config{Dir: t.TempDir(), Slots: 1})
+	s, err := New(Config{Dir: t.TempDir(), Slots: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +384,6 @@ func TestServiceNoWWorkers(t *testing.T) {
 	defer ln.Close()
 	s.ServeWorkers(ln)
 
-	// Hold the only local slot: the campaign's work waits for a worker.
-	s.slots <- struct{}{}
 	spec := CampaignSpec{Workload: "pi", N: 16, Seed: 13}
 	id, err := s.Submit(spec)
 	if err != nil {
@@ -409,19 +408,26 @@ func TestServiceNoWWorkers(t *testing.T) {
 		t.Fatal("welcome carries no checkpoint")
 	}
 	sess.Close()
+	if st := c.Status(); st.Pending != spec.N {
+		t.Fatalf("%d of %d experiments pending before any worker joined", st.Pending, spec.N)
+	}
 
 	w := now.NewWorker(now.WorkerConfig{Addr: ln.Addr().String(), Slots: 2})
 	done := make(chan int, 1)
 	go func() {
-		n, _ := w.Run() // a late fetch may race campaign completion; the ledger below is the check
+		n, err := w.Run()
+		if err != nil {
+			t.Errorf("worker: %v", err)
+		}
 		done <- n
 	}()
 
 	if !s.Wait(id, waitBound) {
 		t.Fatal("campaign did not finish")
 	}
-	workerN := <-done
-	<-s.slots
+	if workerN := <-done; workerN != spec.N {
+		t.Fatalf("worker completed %d of %d experiments", workerN, spec.N)
+	}
 	got := c.Results()
 	if len(got) != spec.N {
 		t.Fatalf("campaign has %d results, want %d", len(got), spec.N)
@@ -433,7 +439,72 @@ func TestServiceNoWWorkers(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
-	t.Logf("worker completed %d of %d experiments", workerN, spec.N)
+}
+
+// TestShutdownDrainJournalsInFlight: Shutdown stops handing out work but
+// waits for an experiment a worker already holds, and journals its
+// result, instead of dropping what another machine already paid for.
+func TestShutdownDrainJournalsInFlight(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir, Slots: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Submit(CampaignSpec{Workload: "pi", N: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPhase(t, s, id, PhaseRunning)
+	_, sess, ok := s.Open("w")
+	if !ok {
+		t.Fatal("running campaign offered no work to a worker")
+	}
+	exp, _, ok := sess.Take()
+	if !ok {
+		t.Fatal("worker got no experiment")
+	}
+	c, _ := s.Campaign(id)
+	c.mu.Lock()
+	r := c.runners[0]
+	c.mu.Unlock()
+	res := r.Run(exp)
+
+	const bound = time.Minute
+	start := time.Now()
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(bound) }()
+	for {
+		s.mu.Lock()
+		draining := s.draining
+		s.mu.Unlock()
+		if draining {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, ok := sess.Take(); ok {
+		t.Fatal("a draining service handed out another experiment")
+	}
+	sess.Complete(res, nil)
+	sess.Close()
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited >= bound {
+		t.Fatalf("Shutdown waited out its bound (%s)", waited)
+	}
+
+	_, st, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := st.Camps[id].Results[exp.ID]
+	if !ok {
+		t.Fatalf("drained result of experiment %d was not journaled", exp.ID)
+	}
+	if got.Outcome != res.Outcome {
+		t.Fatalf("journaled outcome %v, worker reported %v", got.Outcome, res.Outcome)
+	}
 }
 
 // TestServiceFairSharing: two campaigns submitted together both finish,

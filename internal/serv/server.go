@@ -3,8 +3,10 @@ package serv
 // Service is the campaign server: a durable, multi-tenant scheduler that
 // accepts campaign specs over HTTP, persists every state transition to
 // the journal, executes experiments on per-campaign local runner pools
-// under a global slot budget (and, optionally, on NoW workers via the
-// now.ExpSource bridge), and streams progress to any number of watchers.
+// under a global slot budget and on NoW workers via the now.ExpSource
+// bridge, and streams progress to any number of watchers. It is the only
+// NoW master: gemfi-now master is this service with no local slots and
+// one submitted campaign.
 //
 // Fair sharing is smooth weighted round-robin over campaigns that have
 // both pending work and an idle runner: each dispatch round every
@@ -18,9 +20,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -38,7 +42,9 @@ type Config struct {
 	// Dir is the journal directory (required).
 	Dir string
 	// Slots bounds concurrent local experiment executions across all
-	// campaigns (default 4).
+	// campaigns (default 4). A negative value runs nothing locally: NoW
+	// workers execute every experiment, as the paper's master machine
+	// only held the checkpoint and the queue.
 	Slots int
 	// Metrics receives service telemetry (nil disables).
 	Metrics *obs.Registry
@@ -69,9 +75,13 @@ type Service struct {
 	// st is the durable mirror, advanced with every append. Its Order is
 	// the campaigns' submission order, and each of its records is the
 	// ledger of the Campaign with that ID.
-	st     *journalState
-	camps  map[string]*Campaign
-	closed bool
+	st    *journalState
+	camps map[string]*Campaign
+	// draining is set when Shutdown (or Close) begins: nothing new is
+	// submitted, dispatched or handed to a worker. closed is set once the
+	// journal is closed; until then in-flight results are still journaled.
+	draining bool
+	closed   bool
 
 	slots chan struct{} // global local-execution budget (semaphore)
 	kickC chan struct{}
@@ -89,6 +99,12 @@ type Service struct {
 	resultsC   *obs.Counter
 	batchesC   *obs.Counter
 	resumedC   *obs.Counter
+
+	// NoW worker telemetry: open sessions, experiments requeued by a
+	// worker's death, and liveness messages received.
+	nowWorkers    atomic.Int64
+	nowRequeuedC  *obs.Counter
+	nowHeartbeatC *obs.Counter
 }
 
 // New opens (or creates) the journal in cfg.Dir, replays it, resumes
@@ -97,7 +113,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serv: Config.Dir is required")
 	}
-	if cfg.Slots <= 0 {
+	if cfg.Slots == 0 {
 		cfg.Slots = 4
 	}
 	j, st, err := openJournal(cfg.Dir)
@@ -109,7 +125,7 @@ func New(cfg Config) (*Service, error) {
 		j:        j,
 		st:       st,
 		camps:    make(map[string]*Campaign),
-		slots:    make(chan struct{}, cfg.Slots),
+		slots:    make(chan struct{}, max(cfg.Slots, 0)),
 		kickC:    make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
 		expSpans: make(map[expKey]*servExp),
@@ -151,11 +167,16 @@ func (s *Service) registerMetrics() {
 	s.resultsC = r.Counter("serv.results_total")
 	s.batchesC = r.Counter("serv.batches_planned")
 	s.resumedC = r.Counter("serv.campaigns_resumed")
+	s.nowRequeuedC = r.Counter("serv.now.requeued")
+	s.nowHeartbeatC = r.Counter("serv.now.heartbeats")
 	if r == nil {
 		return
 	}
 	r.RegisterFunc("serv.slots_busy", func() float64 {
 		return float64(len(s.slots))
+	})
+	r.RegisterFunc("serv.now.workers", func() float64 {
+		return float64(s.nowWorkers.Load())
 	})
 	r.RegisterFunc("serv.campaigns_active", func() float64 {
 		// Copy the campaign set under s.mu, then read each status under
@@ -232,7 +253,7 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.draining {
 		s.mu.Unlock()
 		return "", fmt.Errorf("serv: service closed")
 	}
@@ -518,7 +539,7 @@ func (s *Service) dispatchOne() bool {
 	}
 
 	s.mu.Lock()
-	if s.closed {
+	if s.draining {
 		s.mu.Unlock()
 		<-s.slots
 		return false
@@ -618,14 +639,24 @@ func (s *Service) Campaigns() []CampaignStatus {
 // Wait blocks until the campaign finishes (done or failed) or the
 // timeout elapses; reports whether it finished.
 func (s *Service) Wait(id string, timeout time.Duration) bool {
+	return s.waitPhase(id, timeout, PhaseDone, PhaseFailed)
+}
+
+// WaitPrepared blocks until the campaign has left the preparing phase —
+// its golden run has produced the checkpoint NoW workers are welcomed
+// with — or the timeout elapses; reports whether it has.
+func (s *Service) WaitPrepared(id string, timeout time.Duration) bool {
+	return s.waitPhase(id, timeout, PhaseRunning, PhaseDone, PhaseFailed)
+}
+
+func (s *Service) waitPhase(id string, timeout time.Duration, phases ...string) bool {
 	c, ok := s.Campaign(id)
 	if !ok {
 		return false
 	}
 	deadline := time.Now().Add(timeout)
 	for {
-		st := c.Status()
-		if st.Phase == PhaseDone || st.Phase == PhaseFailed {
+		if slices.Contains(phases, c.Status().Phase) {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -635,26 +666,21 @@ func (s *Service) Wait(id string, timeout time.Duration) bool {
 	}
 }
 
-// Shutdown drains gracefully: no new dispatches, in-flight experiments
-// run to completion within the bound, then the journal is fsynced and
-// closed. Safe to call once.
+// Shutdown drains gracefully: nothing new is dispatched or handed to a
+// worker, experiments in flight locally or on NoW workers get up to the
+// bound to report (their results are journaled), then the journal is
+// fsynced and closed. Safe to call once.
 func (s *Service) Shutdown(deadline time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.startDrain() {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.stopC)
-
 	end := time.Now().Add(deadline)
-	for time.Now().Before(end) {
-		if len(s.slots) == 0 {
-			break
-		}
+	for s.inflight() > 0 && time.Now().Before(end) {
 		time.Sleep(10 * time.Millisecond)
 	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	if err := s.j.sync(); err != nil {
 		return err
 	}
@@ -665,15 +691,41 @@ func (s *Service) Shutdown(deadline time.Duration) error {
 // hook (per-record flushes are the only durability). In-flight
 // experiment goroutines fail their journal appends and drop out.
 func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.startDrain() {
 		return
 	}
+	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	close(s.stopC)
 	_ = s.j.close()
+}
+
+// startDrain stops submissions, dispatch and hand-outs to workers;
+// false when Shutdown or Close already did.
+func (s *Service) startDrain() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.draining = true
+	close(s.stopC)
+	return true
+}
+
+// inflight counts the experiments handed to a local runner or a NoW
+// worker whose results have not come back.
+func (s *Service) inflight() int {
+	s.mu.Lock()
+	camps := s.campaignsLocked()
+	s.mu.Unlock()
+	n := 0
+	for _, c := range camps {
+		c.mu.Lock()
+		n += len(c.inflight)
+		c.mu.Unlock()
+	}
+	return n
 }
 
 // ---- NoW bridge: the service as an experiment source ----
@@ -683,6 +735,10 @@ func (s *Service) Close() {
 // order). ok=false when nothing needs remote help.
 func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return now.Welcome{}, nil, false
+	}
 	camps := s.campaignsLocked()
 	s.mu.Unlock()
 
@@ -721,6 +777,7 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 		SpanTrace:   s.cfg.Spans != nil,
 		Flight:      s.cfg.Flight || pick.Spec.Flight,
 	}
+	s.nowWorkers.Add(1)
 	return wel, &servSession{s: s, c: pick, worker: workerName,
 		taken: make(map[int]campaign.Experiment)}, true
 }
@@ -745,6 +802,12 @@ type servSession struct {
 }
 
 func (ss *servSession) Take() (campaign.Experiment, obs.SpanContext, bool) {
+	ss.s.mu.Lock()
+	draining := ss.s.draining
+	ss.s.mu.Unlock()
+	if draining {
+		return campaign.Experiment{}, obs.SpanContext{}, false
+	}
 	ss.c.mu.Lock()
 	exp, ok := ss.c.takeLocked()
 	ss.c.mu.Unlock()
@@ -765,11 +828,14 @@ func (ss *servSession) Complete(res campaign.Result, spans []obs.SpanRecord) {
 	ss.s.kick()
 }
 
+func (ss *servSession) Heartbeat() { ss.s.nowHeartbeatC.Inc() }
+
 // Close requeues whatever the dead worker took but never finished; the
 // results ledger guarantees anything it did finish counts exactly once.
 // The orphaned traces are abandoned and remembered so the retries'
 // fresh spans can name what they replace.
 func (ss *servSession) Close() {
+	ss.s.nowWorkers.Add(-1)
 	ss.mu.Lock()
 	exps := make([]campaign.Experiment, 0, len(ss.taken))
 	for _, e := range ss.taken {
@@ -782,6 +848,7 @@ func (ss *servSession) Close() {
 			ss.s.abandonExpSpan(ss.c.ID, e.ID, true)
 		}
 		ss.c.requeue(exps)
+		ss.s.nowRequeuedC.Add(uint64(len(exps)))
 		ss.s.kick()
 	}
 }

@@ -518,17 +518,19 @@ func (s *Simulator) SetSpans(rec *obs.SpanRecorder, exp *obs.Span) {
 }
 
 // BeginPhaseRecording starts phase-slice accounting for the experiment
-// about to run. Call it after Restore/ForkFrom (so the fast-forward and
-// window state reflect this experiment) and before the first Run or
-// RunUntil; phases accumulate across any number of run calls (the fork
-// server's prune loop runs in chunks) until EndPhaseRecording. A no-op
-// without SetSpans.
-func (s *Simulator) BeginPhaseRecording() {
+// about to run; its first phase begins at start, the wall-clock time the
+// caller's own preceding phase ended, so the two timelines meet without
+// a gap or an overlap. Call it after Restore/ForkFrom (so the
+// fast-forward and window state reflect this experiment) and before the
+// first Run or RunUntil; phases accumulate across any number of run
+// calls (the fork server's prune loop runs in chunks) until
+// EndPhaseRecording. A no-op without SetSpans.
+func (s *Simulator) BeginPhaseRecording(start time.Time) {
 	if s.spans == nil || s.expSpan == nil {
 		return
 	}
 	s.ffEndMark, s.winOpenMark, s.winCloseMark = phaseCut{}, phaseCut{}, phaseCut{}
-	s.phaseBegin = phaseCut{time.Now().UnixNano(), s.Core.Ticks}
+	s.phaseBegin = phaseCut{start.UnixNano(), s.Core.Ticks}
 	s.phaseFFArmed = s.ffActive
 	if s.Engine != nil && s.Engine.WindowOpen() {
 		// Mid-window fork: the open edge is behind us on the trunk, so
