@@ -360,8 +360,10 @@ func run() error {
 		if *forkOn {
 			st := pool.ForkStats()
 			fmt.Printf("fork server: %d forks from %d snapshots (%d evicted, ~%d KiB live), "+
+				"%d walks over %d armed insts, "+
 				"pruned %d masked + %d twin-converged of %d twin checks\n",
 				st.Forks, st.SnapshotsTaken, st.SnapshotsEvicted, st.ApproxBytes/1024,
+				st.Walks, st.ArmedInsts,
 				st.PrunedMasked, st.PrunedTwin, st.TwinChecks)
 		}
 		if *taintOn {

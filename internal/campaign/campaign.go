@@ -570,6 +570,7 @@ func (r *Runner) beginExpTrace(exp Experiment, parent obs.SpanContext, start tim
 	} else {
 		span = r.spans.StartRoot("experiment")
 	}
+	span.SetStart(start)
 	span.SetTrack(r.spanTrack)
 	span.SetAttr("exp_id", exp.ID)
 	if r.Workload != nil {
@@ -588,12 +589,16 @@ func (r *Runner) beginExpTrace(exp Experiment, parent obs.SpanContext, start tim
 // experiment start), emitting it as a child span and accumulating its
 // duration, and returns the cut's time. No-op outside a traced RunCtx,
 // where it returns the zero time.
-func (r *Runner) cutPhase(name string) time.Time {
+func (r *Runner) cutPhase(name string) time.Time { return r.cutPhaseAt(name, time.Now()) }
+
+// cutPhaseAt is cutPhase at a time already taken: a walk member's trace
+// opens only once its walk segment has run, and its fork and walk phases
+// are cut at the times recorded on the way.
+func (r *Runner) cutPhaseAt(name string, now time.Time) time.Time {
 	tr := r.curTrace
 	if tr == nil {
 		return time.Time{}
 	}
-	now := time.Now()
 	if now.After(tr.last) {
 		r.spans.AddChild(tr.span.Context(), obs.SpanRecord{
 			Name: name, Track: r.spanTrack,
@@ -671,16 +676,59 @@ func (r *Runner) Run(exp Experiment) Result {
 // RunCtx is Run with a distributed-trace parent: when the runner has a
 // span recorder attached, the experiment's spans parent under ctx (the
 // NoW master's or serv's experiment span) instead of starting a fresh
-// trace. An invalid ctx starts a local root — Run's behavior.
+// trace. An invalid ctx starts a local root — Run's behavior. On a fork
+// runner the experiment is a trigger walk of one.
 func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
 	r.canCaptureGolden = false
+	if r.fork != nil {
+		var res Result
+		r.runWalk(walk{snap: r.snapFor(exp), exps: []Experiment{exp}}, ctx, func(x Result) { res = x })
+		return res
+	}
 	// Covers the baseline (DisableCheckpoint) path, which rebuilds the
-	// simulator without a Restore/ForkFrom reset; elsewhere a second
-	// reset is a no-op on an already-empty ring.
+	// simulator without a Restore reset; elsewhere a second reset is a
+	// no-op on an already-empty ring.
 	r.flight.Reset()
 	start := time.Now()
 	tr := r.beginExpTrace(exp, ctx, start)
-	res := r.runExp(exp)
+	runRes, err := r.replay(exp)
+	return r.conclude(exp, runRes, 0, err, start, tr)
+}
+
+// replay runs one experiment without the fork server: restore the
+// checkpoint and re-arm the engine with the experiment's faults (Fig. 3
+// of the paper), or, without a checkpoint, re-simulate from program
+// start.
+func (r *Runner) replay(exp Experiment) (sim.RunResult, error) {
+	if r.Ckpt != nil {
+		r.sim.Restore(r.Ckpt, exp.Faults)
+		r.sim.BeginPhaseRecording(r.cutPhase("restore"))
+		return r.sim.Run(), nil
+	}
+	s := sim.New(r.Cfg)
+	p, err := r.Workload.Build()
+	if err != nil {
+		return sim.RunResult{}, err
+	}
+	if err := s.Load(p); err != nil {
+		return sim.RunResult{}, err
+	}
+	s.Engine.Reset(exp.Faults)
+	r.sim = s
+	if tr := r.curTrace; tr != nil {
+		s.SetSpans(r.spans, tr.span)
+	}
+	s.BeginPhaseRecording(r.cutPhase("restore"))
+	return s.Run(), nil
+}
+
+// conclude turns a finished run into the experiment's result and closes
+// its bookkeeping: output classification, the memo entry, the taint
+// report, the wall time and the span tree. pruned, when nonzero, is an
+// outcome the fork server already decided; err is a set-up failure.
+func (r *Runner) conclude(exp Experiment, runRes sim.RunResult, pruned Outcome, err error, start time.Time, tr *expTrace) Result {
+	r.foldSimPhases()
+	res := r.classify(exp, runRes, pruned, err)
 	r.commitMemo(&res)
 	end := r.cutPhase("classify")
 	r.recordProp(&res)
@@ -698,10 +746,9 @@ func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
 	return res
 }
 
-// runExp executes the simulation half of one experiment: restore or
-// fork, run, and output classification. commitMemo/recordProp and the
-// span bookkeeping happen in RunCtx around it.
-func (r *Runner) runExp(exp Experiment) (res Result) {
+// classify builds the result of one finished run: fault bookkeeping,
+// then the outcome class from the run's disposition and the output.
+func (r *Runner) classify(exp Experiment, runRes sim.RunResult, pruned Outcome, err error) (res Result) {
 	res = Result{ID: exp.ID}
 	if len(exp.Faults) > 0 {
 		res.Fault = exp.Faults[0]
@@ -709,43 +756,11 @@ func (r *Runner) runExp(exp Experiment) (res Result) {
 			res.NormTime = float64(exp.Faults[0].When) / float64(r.WindowInsts)
 		}
 	}
-
-	var runRes sim.RunResult
-	var pruned Outcome
-	if r.fork != nil {
-		// Fork server: fork from the closest trunk snapshot preceding the
-		// injection point; masked experiments may classify early.
-		// runForked cuts the "fork" phase itself, after ForkFrom.
-		runRes, pruned = r.runForked(exp)
-	} else if r.Ckpt != nil {
-		// Fast-forward: restore the checkpoint and re-arm the engine
-		// with this experiment's faults (Fig. 3 of the paper).
-		r.sim.Restore(r.Ckpt, exp.Faults)
-		r.sim.BeginPhaseRecording(r.cutPhase("restore"))
-		runRes = r.sim.Run()
-	} else {
-		// Baseline: full re-simulation from program start.
-		s := sim.New(r.Cfg)
-		p, err := r.Workload.Build()
-		if err != nil {
-			res.Outcome = OutcomeCrashed
-			res.CrashCause = err.Error()
-			return res
-		}
-		if err := s.Load(p); err != nil {
-			res.Outcome = OutcomeCrashed
-			res.CrashCause = err.Error()
-			return res
-		}
-		s.Engine.Reset(exp.Faults)
-		r.sim = s
-		if tr := r.curTrace; tr != nil {
-			s.SetSpans(r.spans, tr.span)
-		}
-		s.BeginPhaseRecording(r.cutPhase("restore"))
-		runRes = s.Run()
+	if err != nil {
+		res.Outcome = OutcomeCrashed
+		res.CrashCause = err.Error()
+		return res
 	}
-	r.foldSimPhases()
 	res.Insts = runRes.Insts
 	res.Ticks = runRes.Ticks
 	for _, oc := range runRes.Outcomes {
@@ -759,9 +774,9 @@ func (r *Runner) runExp(exp Experiment) (res Result) {
 	}
 
 	if pruned != 0 {
-		// Pruned or memoized early: runForked already put the exact final
-		// totals into runRes, so only the classification (and, for a
-		// memoized crash, its cause) remains.
+		// Pruned or memoized early: the fork server already put the exact
+		// final totals into runRes, so only the classification (and, for
+		// a memoized crash, its cause) remains.
 		res.Outcome = pruned
 		if r.memoCrash != "" {
 			res.CrashCause = r.memoCrash

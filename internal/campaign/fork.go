@@ -18,8 +18,16 @@ package campaign
 //     the golden suffix from there, so its outcome is already decided.
 //
 // Both rules fire only after Engine.Resolved() and only while the fault
-// flags are frozen, so the classification matches a full replay bit for
-// bit (the fork conformance suite enforces this on the serial models).
+// flags are frozen, so they never change a verdict.
+//
+// What is exact: a fork, walked (walk.go) or not, is bit-identical to a
+// cold start at its snapshot on all three models — a fresh simulator
+// restoring the snapshot and running the same faults. On the serial
+// models (atomic, timing) that is also a full replay. A pipelined fork
+// is not a replay: the trunk runs atomic, so its snapshots carry stage
+// counters without the wrong-path fetches, decodes and executes a
+// pipelined replay would have counted, and a stage fault can strike
+// another dynamic instruction (ROADMAP item 1).
 
 import (
 	"fmt"
@@ -29,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -241,6 +248,8 @@ type forkServer struct {
 	memo  *resultMemo   // cross-experiment verdict cache (nil when off)
 
 	forks        atomic.Uint64
+	walks        atomic.Uint64
+	armedInsts   atomic.Uint64
 	prunedMasked atomic.Uint64
 	prunedTwin   atomic.Uint64
 	twinChecks   atomic.Uint64
@@ -259,6 +268,15 @@ type ForkStats struct {
 	TrunkInsts       uint64 `json:"trunkInsts"`
 	MemoHits         uint64 `json:"memoHits"`
 	MemoEntries      int    `json:"memoEntries"`
+
+	// Walks counts trigger walks run; a lone experiment is a walk of one.
+	// ArmedInsts sums the instructions committed between a fork or
+	// walk-point restore and the step before the first armed fault could
+	// act: the pre-trigger stretch, which walks share. Experiments that
+	// cannot share a walk (tick-timed or fault-free ones, instrumented
+	// runners) skip the look-ahead and add nothing.
+	Walks      uint64 `json:"walks"`
+	ArmedInsts uint64 `json:"armedInsts"`
 }
 
 func (fs *forkServer) statsSnapshot() ForkStats {
@@ -269,6 +287,8 @@ func (fs *forkServer) statsSnapshot() ForkStats {
 		SnapshotsLive:    live,
 		ApproxBytes:      bytes,
 		Forks:            fs.forks.Load(),
+		Walks:            fs.walks.Load(),
+		ArmedInsts:       fs.armedInsts.Load(),
 		PrunedMasked:     fs.prunedMasked.Load(),
 		PrunedTwin:       fs.prunedTwin.Load(),
 		TwinChecks:       fs.twinChecks.Load(),
@@ -377,6 +397,8 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 			return float64(b)
 		})
 		m.RegisterFunc("campaign.fork.forks", func() float64 { return float64(fs.forks.Load()) })
+		m.RegisterFunc("campaign.fork.walks", func() float64 { return float64(fs.walks.Load()) })
+		m.RegisterFunc("campaign.fork.armed_insts", func() float64 { return float64(fs.armedInsts.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_masked", func() float64 { return float64(fs.prunedMasked.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_twin", func() float64 { return float64(fs.prunedTwin.Load()) })
 		if fs.memo != nil {
@@ -406,30 +428,15 @@ func (r *Runner) shareFork(fs *forkServer) { r.fork = fs }
 // childChunk is the forked child's run granularity between prune checks.
 const childChunk = 4096
 
-// runForked executes one experiment through the fork server. It returns
-// the child's run result and, when the experiment could be classified
-// early, the exact outcome (0 = run to completion, classify normally).
-func (r *Runner) runForked(exp Experiment) (sim.RunResult, Outcome) {
+// finishForked runs a forked experiment from the simulator's current
+// state — a cold fork, or the end of its trigger walk — to a verdict. It
+// returns the child's run result and, when the experiment could be
+// classified early, the exact outcome (0 = run to completion, classify
+// normally). base is the instruction count of the trunk snapshot the
+// experiment forked from: prune checks land every childChunk
+// instructions counted from there, wherever the walk handed over.
+func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outcome) {
 	fs := r.fork
-
-	// Pick the fork point: the snapshot closest below the earliest
-	// injection. Tick-timed faults fall back to the pre-window root — the
-	// trunk's tick clock is model-dependent, so only the committed-
-	// instruction prefix may be shared for them.
-	minWhen := ^uint64(0)
-	rootOnly := false
-	for _, f := range exp.Faults {
-		if f.Base == core.TimeTick || f.CPU != "" && f.CPU != r.Cfg.CPUName {
-			rootOnly = true
-		}
-		if f.When < minWhen {
-			minWhen = f.When
-		}
-	}
-	snap := fs.pool.best(minWhen, rootOnly)
-	r.sim.ForkFrom(snap.fp, exp.Faults)
-	fs.forks.Add(1)
-	r.sim.BeginPhaseRecording(r.cutPhase("fork"))
 
 	// Pruning and memoization need the experiment's only observable
 	// products to be the outcome class and the engine flags: per-PC
@@ -442,8 +449,13 @@ func (r *Runner) runForked(exp Experiment) (sim.RunResult, Outcome) {
 		return r.sim.Run(), 0
 	}
 
+	first := base + ((r.sim.Core.Insts-base)/childChunk+1)*childChunk
 	for {
-		res := r.sim.RunUntil(r.sim.Core.Insts + childChunk)
+		bound := r.sim.Core.Insts + childChunk
+		if first > 0 {
+			bound, first = first, 0
+		}
+		res := r.sim.RunUntil(bound)
 		if !res.Paused {
 			return res, 0 // exit, crash, hang or interrupt: classify normally
 		}
@@ -546,7 +558,7 @@ func (r *Runner) convergedAt(fp *checkpoint.ForkPoint) bool {
 // EnableFork switches the whole pool to fork-server execution: the first
 // runner builds the trunk and snapshot pool, every worker shares them
 // (fork points are immutable, so sharing is lock-free), and RunAll
-// dispatches experiments sorted by injection time.
+// dispatches trigger walks in snapshot order.
 func (p *Pool) EnableFork(opts ForkOptions) error {
 	first := p.runners[0]
 	if err := first.EnableFork(opts); err != nil {
@@ -566,9 +578,9 @@ func (p *Pool) ForkStats() ForkStats { return p.runners[0].ForkStats() }
 // server.
 func (p *Pool) forkEnabled() bool { return p.runners[0].fork != nil }
 
-// sortForFork orders experiment dispatch by earliest injection time so
-// consecutive experiments fork from the same or neighboring snapshots
-// (warm page maps, stable LRU). Returns a new slice; IDs are untouched.
+// sortForFork orders experiments by earliest injection time, so walks
+// come out in snapshot order with their members in trigger order.
+// Returns a new slice; IDs are untouched.
 func sortForFork(exps []Experiment) []Experiment {
 	out := append([]Experiment(nil), exps...)
 	sort.SliceStable(out, func(i, j int) bool {

@@ -232,9 +232,10 @@ func (p *PhaseHists) Observe(res Result) {
 func (p *PhaseHists) observe(res Result) { p.Observe(res) }
 
 // RunAll executes all experiments across the pool and returns results
-// ordered by experiment ID.
+// ordered by experiment ID. A fork-enabled pool dispatches whole trigger
+// walks, in snapshot order; otherwise every experiment is its own job.
 func (p *Pool) RunAll(exps []Experiment) []Result {
-	jobs := make(chan Experiment)
+	jobs := make(chan walk)
 	results := make([]Result, len(exps))
 	start := time.Now()
 	p.total.Store(int64(len(exps)))
@@ -256,6 +257,11 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 	}
 	phaseHists := newPhaseHists(p.Metrics)
 
+	for i := range exps {
+		if exps[i].ID != i {
+			exps[i].ID = i
+		}
+	}
 	var done atomic.Int64
 	var progressMu sync.Mutex
 	var wg sync.WaitGroup
@@ -263,51 +269,57 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 		wg.Add(1)
 		go func(wi int, r *Runner) {
 			defer wg.Done()
-			for exp := range jobs {
+			for job := range jobs {
+				// Each experiment's event span and duration run from the
+				// previous result (or the job's start) to its own: a walk
+				// member's share of the walk is part of it.
 				endSpan := p.Tracer.Span(obs.CatCampaign, "experiment", wi+1)
 				t0 := time.Now()
 				p.inFlight.Add(1)
-				res := r.Run(exp)
+				record := func(res Result) {
+					results[res.ID] = res
+					durHist.ObserveEx(float64(time.Since(t0).Microseconds()), res.TraceID)
+					phaseHists.observe(res)
+					completed.Inc()
+					outcomeCounters[res.Outcome].Inc()
+					if res.Outcome >= 1 && res.Outcome < numOutcomes {
+						p.outcomes[int(res.Outcome)-1].Add(1)
+					}
+					p.done.Add(1)
+					endSpan(map[string]any{
+						"id": res.ID, "outcome": res.Outcome.String(), "fired": res.Fired,
+					})
+					n := done.Add(1)
+					if p.OnResult != nil || p.OnProgress != nil {
+						progressMu.Lock()
+						if p.OnResult != nil {
+							p.OnResult(res)
+						}
+						if p.OnProgress != nil {
+							p.OnProgress(int(n), len(exps), time.Since(start))
+						}
+						progressMu.Unlock()
+					}
+					endSpan = p.Tracer.Span(obs.CatCampaign, "experiment", wi+1)
+					t0 = time.Now()
+				}
+				if job.snap != nil {
+					r.runWalk(job, obs.SpanContext{}, record)
+				} else {
+					record(r.Run(job.exps[0]))
+				}
 				p.inFlight.Add(-1)
-				results[exp.ID] = res
-				durHist.ObserveEx(float64(time.Since(t0).Microseconds()), res.TraceID)
-				phaseHists.observe(res)
-				completed.Inc()
-				outcomeCounters[res.Outcome].Inc()
-				if res.Outcome >= 1 && res.Outcome < numOutcomes {
-					p.outcomes[int(res.Outcome)-1].Add(1)
-				}
-				p.done.Add(1)
-				endSpan(map[string]any{
-					"id": exp.ID, "outcome": res.Outcome.String(), "fired": res.Fired,
-				})
-				n := done.Add(1)
-				if p.OnResult != nil || p.OnProgress != nil {
-					progressMu.Lock()
-					if p.OnResult != nil {
-						p.OnResult(res)
-					}
-					if p.OnProgress != nil {
-						p.OnProgress(int(n), len(exps), time.Since(start))
-					}
-					progressMu.Unlock()
-				}
 			}
 		}(wi, r)
 	}
-	for i := range exps {
-		if exps[i].ID != i {
-			exps[i].ID = i
-		}
-	}
-	dispatch := exps
 	if p.forkEnabled() {
-		// Injection-time order keeps consecutive forks on the same or
-		// neighboring snapshots (warm page maps, stable LRU).
-		dispatch = sortForFork(exps)
-	}
-	for i := range dispatch {
-		jobs <- dispatch[i]
+		for _, w := range p.runners[0].planWalks(exps) {
+			jobs <- w
+		}
+	} else {
+		for i := range exps {
+			jobs <- walk{exps: exps[i : i+1]}
+		}
 	}
 	close(jobs)
 	wg.Wait()

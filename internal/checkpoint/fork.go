@@ -20,6 +20,27 @@ type ForkPoint struct {
 	Mem    *mem.CowSnapshot
 	Kernel kernel.Snapshot
 	Window core.WindowState
+
+	// Warm, when set, makes this a warm walk point: the microarchitectural
+	// state of the detailed run that captured it, so a fork resumes that
+	// run mid-flight instead of starting a cold pipeline. It is only valid
+	// in a simulator with the capturing one's configuration. Trunk
+	// snapshots are cold (nil).
+	Warm *Warm
+}
+
+// Warm is the microarchitectural half of a walk point: the model that was
+// stepping and its state, the caches, and the simulator's fast-forward
+// and model-switch flags. The engine window lives in ForkPoint.Window.
+type Warm struct {
+	Model  string         // ModelName of the stepping model
+	Pipe   *cpu.PipeState // pipelined model only
+	Caches *mem.HierarchyState
+	Ports  mem.Ports // micro-TLBs: see mem.Ports for why they matter
+
+	FastForward     bool // the atomic fast-forward prefix was running
+	Switched        bool // the post-resolve switch to atomic happened
+	WindowOpenInsts uint64
 }
 
 // WindowCommits returns the committed-instruction progress of the open

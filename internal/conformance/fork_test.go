@@ -358,3 +358,72 @@ func TestForkCampaignVerdictIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkVerdictIdentity pins trigger walks to lone forks: Pool.RunAll
+// walks every snapshot's experiments to their triggers together, while a
+// second fork runner runs each experiment alone (a walk of one). Outcome,
+// fired flag, instruction and tick totals, crash cause and injection PC
+// must match on every model (and with fast-forward), for every workload.
+// A coarse snapshot grid puts several experiments on each walk, so
+// members resume from warm walk points; -short keeps two workloads.
+func TestWalkVerdictIdentity(t *testing.T) {
+	ws := workloads.All(workloads.ScaleTest)
+	if testing.Short() {
+		ws = []*workloads.Workload{workloads.MonteCarloPI(workloads.ScaleTest), workloads.DCT(workloads.ScaleTest)}
+	}
+	opts := campaign.DefaultForkOptions()
+	opts.Snapshots = 4
+	walked := 0
+	for _, w := range ws {
+		for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined, "pipelined+ff"} {
+			label := fmt.Sprintf("%s/%s", w.Name, model)
+			cfg := sim.DefaultConfig()
+			cfg.Model = model
+			if model == "pipelined+ff" {
+				// Walks from the pre-window root start on the atomic
+				// fast-forward prefix.
+				cfg.Model, cfg.FastForward = sim.ModelPipelined, true
+			}
+			pool, err := campaign.NewPool(w, 2, campaign.RunnerOptions{Cfg: &cfg})
+			if err != nil {
+				t.Fatalf("%s: pool: %v", label, err)
+			}
+			lone, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
+			if err != nil {
+				t.Fatalf("%s: runner: %v", label, err)
+			}
+			if err := pool.EnableFork(opts); err != nil {
+				t.Fatalf("%s: EnableFork: %v", label, err)
+			}
+			if err := lone.EnableFork(opts); err != nil {
+				t.Fatalf("%s: EnableFork: %v", label, err)
+			}
+			exps := campaign.GenerateUniform(20, campaign.GenConfig{WindowInsts: lone.WindowInsts, Seed: 23})
+			got := pool.RunAll(exps)
+			for _, e := range exps {
+				want := lone.Run(e)
+				g := got[e.ID]
+				if g.Outcome != want.Outcome || g.Fired != want.Fired || g.Insts != want.Insts ||
+					g.Ticks != want.Ticks || g.CrashCause != want.CrashCause ||
+					g.InjPC != want.InjPC || g.InjPCValid != want.InjPCValid {
+					t.Errorf("%s exp %d (%s): walked %v fired=%v insts=%d ticks=%d pc=%#x %q, alone %v fired=%v insts=%d ticks=%d pc=%#x %q",
+						label, e.ID, e.Faults[0],
+						g.Outcome, g.Fired, g.Insts, g.Ticks, g.InjPC, g.CrashCause,
+						want.Outcome, want.Fired, want.Insts, want.Ticks, want.InjPC, want.CrashCause)
+				}
+			}
+			st := pool.ForkStats()
+			if st.Walks >= uint64(len(exps)) {
+				t.Errorf("%s: %d walks for %d experiments: nothing shared a walk", label, st.Walks, len(exps))
+			}
+			if alone := lone.ForkStats(); st.ArmedInsts >= alone.ArmedInsts {
+				t.Errorf("%s: walked armed stretch %d insts, alone %d: walks shared nothing",
+					label, st.ArmedInsts, alone.ArmedInsts)
+			}
+			walked += len(exps) - int(st.Walks)
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no experiment resumed from a walk point")
+	}
+}

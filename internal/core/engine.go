@@ -65,6 +65,7 @@ type ThreadEnabledFault struct {
 type faultState struct {
 	Fault
 	idx       int   // position in the armed fault list (stable event key)
+	src       int   // position in the parsed fault list (Faults)
 	remaining int64 // occurrences left (<0: permanent)
 
 	Fired       bool // corrupted at least one value
@@ -90,27 +91,41 @@ func (fs *faultState) active() bool {
 	return fs.remaining != 0
 }
 
+// due is the one trigger comparison: a fault timed at when can act once
+// its clock (the stage counter, or ticks since activation) reads now >=
+// when. matches and the walk's look-ahead (StepsUntilDue) both use it, so
+// they cannot drift apart.
+func due(now, when uint64) bool { return now >= when }
+
+// counter returns the thread's event count that times faults of the
+// given stage, as the hooks pass it to matches: memory faults are timed
+// by executed instructions, I/O faults (commit queue) by committed ones.
+func (t *ThreadEnabledFault) counter(s Stage) uint64 {
+	switch s {
+	case StageFetch:
+		return t.Fetches
+	case StageDecode:
+		return t.Decodes
+	case StageExec, StageMem:
+		return t.Execs
+	default:
+		return t.Commits
+	}
+}
+
 // matches reports whether the fault fires for the given thread at the
-// given stage-counter value and tick.
+// given stage-counter value and tick. Each firing consumes one
+// occurrence (consume), so a fault with occurrences left keeps matching
+// from When on.
 func (fs *faultState) matches(t *ThreadEnabledFault, count, ticksNow uint64) bool {
 	if !fs.active() || fs.ThreadID != t.ID {
 		return false
 	}
-	var now uint64
+	now := count
 	if fs.Base == TimeTick {
 		now = ticksNow - t.TickStart
-	} else {
-		now = count
 	}
-	if now < fs.When {
-		return false
-	}
-	if fs.remaining == PermanentOcc {
-		return true
-	}
-	// Window of Occ occurrences starting at When: each firing consumes
-	// one occurrence (transient: 1; intermittent: N).
-	return true
+	return due(now, fs.When)
 }
 
 // consume burns one occurrence and records first-fire info.
@@ -214,11 +229,11 @@ func (e *Engine) rearm() {
 	for i := range e.queues {
 		e.queues[i] = e.queues[i][:0]
 	}
-	for _, f := range e.faults {
+	for i, f := range e.faults {
 		if f.CPU != "" && e.CPUName != "" && f.CPU != e.CPUName {
 			continue
 		}
-		fs := &faultState{Fault: f, idx: len(e.states), remaining: f.Occ}
+		fs := &faultState{Fault: f, idx: len(e.states), src: i, remaining: f.Occ}
 		e.states = append(e.states, fs)
 		s := stageOf(f.Loc)
 		e.queues[s] = append(e.queues[s], fs)

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Fork support: capturing the engine's fault-injection window bookkeeping
 // so a campaign fork taken mid-window behaves exactly like a full replay
 // that ran up to the same point. checkpoint.State deliberately omits
@@ -63,6 +65,52 @@ func (e *Engine) ResetWithWindow(faults []Fault, ws WindowState) {
 	}
 	e.ticksNow = ws.TicksNow
 	e.windowCommits = ws.WindowCommits
+}
+
+// StepsUntilDue is the trigger walk's look-ahead. It returns how many
+// model steps can run before some armed fault could act, and the
+// position in Faults() of a fault that bounds it. Zero steps means a
+// fault could act on the very next step; (math.MaxUint64, -1) means none
+// ever can (nothing armed is still active).
+//
+// The bound rests on every stage counter advancing by at most one per
+// step on all three models (one fetch, decode, execute and commit per
+// step; fast-path steps run only while the window is closed or the
+// engine is quiescent, and a walk keeps faults armed). A window opening
+// during a step starts a fresh thread's counters at zero, so a fault can
+// act no earlier than its When-th step whichever thread it names, and
+// the thread counters already open tighten that. Tick-timed faults are
+// always reported due: the timing model charges a whole memory latency in
+// one step, so ticks have no per-step bound.
+func (e *Engine) StepsUntilDue() (steps uint64, src int) {
+	steps, src = math.MaxUint64, -1
+	for _, fs := range e.states {
+		if !fs.active() {
+			continue
+		}
+		n := uint64(0)
+		if fs.Base != TimeTick {
+			n = stepsUntil(0, fs.When) // a window opening this step
+			for _, t := range e.threads {
+				if t.ID == fs.ThreadID {
+					n = min(n, stepsUntil(t.counter(stageOf(fs.Loc)), fs.When))
+				}
+			}
+		}
+		if n < steps {
+			steps, src = n, fs.src
+		}
+	}
+	return steps, src
+}
+
+// stepsUntil returns how many steps a counter now at count, advancing by
+// at most one per step, can take while due(count+k, when) stays false.
+func stepsUntil(count, when uint64) uint64 {
+	if due(count+1, when) {
+		return 0
+	}
+	return when - count - 1
 }
 
 // MaskedClean reports whether the experiment's fate is already sealed as

@@ -33,6 +33,8 @@ type PipelinedModel struct {
 	squashRefill bool // last bubble came from a squash, not a miss
 
 	Squashes uint64 // squashed instructions (speculation statistics)
+
+	slots [5]pipeSlot // storage behind the latch pointers
 }
 
 var _ Model = (*PipelinedModel)(nil)
@@ -65,11 +67,73 @@ type pipeSlot struct {
 // NewPipelined builds the pipelined model for core c, starting fetch at
 // the core's architectural PC.
 func NewPipelined(c *Core) *PipelinedModel {
-	slots := make([]pipeSlot, 5)
-	return &PipelinedModel{
-		C: c, Pred: NewPredictor(), fetchPC: c.Arch.PC,
-		ifs: &slots[0], ids: &slots[1], exs: &slots[2], mms: &slots[3], wbs: &slots[4],
+	m := &PipelinedModel{C: c, Pred: new(Predictor)}
+	m.Reset()
+	return m
+}
+
+// Reset returns the model to the state NewPipelined builds, in place:
+// empty latches, a cold predictor, fetch at the core's architectural PC
+// and zeroed statistics.
+func (m *PipelinedModel) Reset() {
+	m.slots = [5]pipeSlot{}
+	m.ifs, m.ids, m.exs, m.mms, m.wbs = &m.slots[0], &m.slots[1], &m.slots[2], &m.slots[3], &m.slots[4]
+	m.fetchPC = m.C.Arch.PC
+	m.serialize, m.serializeSeq = false, 0
+	m.draining, m.squashRefill = false, false
+	m.Squashes = 0
+	*m.Pred = coldPredictor
+}
+
+// PipeState is a value copy of a pipelined model's microarchitectural
+// state between two cycles: the five latches, fetch and serialization
+// state, the squash count and the tournament predictor. It shares nothing
+// with the model it came from, so it may be restored any number of times.
+type PipeState struct {
+	latches      [5]pipeSlot // IF, ID, EX, MEM, WB
+	fetchPC      uint64
+	serialize    bool
+	serializeSeq uint64
+	squashRefill bool
+	squashes     uint64
+	pred         *Predictor // its own pointer-free allocation, which the GC skips
+}
+
+// Capture copies the model's state. Call it between steps, never while
+// draining.
+func (m *PipelinedModel) Capture() *PipeState {
+	st := &PipeState{
+		fetchPC: m.fetchPC, serialize: m.serialize, serializeSeq: m.serializeSeq,
+		squashRefill: m.squashRefill, squashes: m.Squashes, pred: new(Predictor),
 	}
+	*st.pred = *m.Pred
+	for i, s := range [...]*pipeSlot{m.ifs, m.ids, m.exs, m.mms, m.wbs} {
+		st.latches[i] = s.clone()
+	}
+	return st
+}
+
+// Restore reinstates a captured state in place. The core must hold the
+// architectural state of the same instant.
+func (m *PipelinedModel) Restore(st *PipeState) {
+	for i := range m.slots {
+		m.slots[i] = st.latches[i].clone()
+	}
+	m.ifs, m.ids, m.exs, m.mms, m.wbs = &m.slots[0], &m.slots[1], &m.slots[2], &m.slots[3], &m.slots[4]
+	m.fetchPC, m.serialize, m.serializeSeq = st.fetchPC, st.serialize, st.serializeSeq
+	m.draining, m.squashRefill = false, st.squashRefill
+	m.Squashes = st.squashes
+	*m.Pred = *st.pred
+}
+
+// clone copies a latch with a private trap: commit stamps the trap's PC.
+func (s *pipeSlot) clone() pipeSlot {
+	c := *s
+	if c.trap != nil {
+		t := *c.trap
+		c.trap = &t
+	}
+	return c
 }
 
 // ModelName implements Model.

@@ -43,9 +43,10 @@ type Predictor struct {
 	Mispredicts uint64
 }
 
-// NewPredictor returns a predictor with weakly-not-taken counters.
-func NewPredictor() *Predictor {
-	p := &Predictor{}
+// coldPredictor is the power-on state: weakly-not-taken counters and a
+// slight chooser preference for the global side. Resets copy it.
+var coldPredictor = func() Predictor {
+	var p Predictor
 	for i := range p.localCtr {
 		p.localCtr[i] = 1
 	}
@@ -53,8 +54,15 @@ func NewPredictor() *Predictor {
 		p.globalCtr[i] = 1
 	}
 	for i := range p.chooser {
-		p.chooser[i] = 2 // slight initial preference for the global side
+		p.chooser[i] = 2
 	}
+	return p
+}()
+
+// NewPredictor returns a predictor with weakly-not-taken counters.
+func NewPredictor() *Predictor {
+	p := new(Predictor)
+	*p = coldPredictor
 	return p
 }
 
@@ -158,11 +166,11 @@ func (p *Predictor) Update(b BranchInfo) {
 	}
 }
 
-// Reset clears all prediction state (used on checkpoint restore and model
-// switches).
+// Reset clears all prediction state in place (used on checkpoint restore
+// and model switches); Disabled survives.
 func (p *Predictor) Reset() {
 	disabled := p.Disabled
-	*p = *NewPredictor()
+	*p = coldPredictor
 	p.Disabled = disabled
 }
 

@@ -58,6 +58,12 @@ type cacheLine struct {
 }
 
 // Cache is a set-associative write-back, write-allocate cache.
+//
+// Only a miss changes a set that holds no valid line, so the sets filled
+// since the last invalidation are listed in touched (recorded on the miss
+// path, never on a hit) and every other set is all zero. Invalidating,
+// capturing and restoring the cache then cost the sets in use, not the
+// geometry: the 2 MiB L2 has 4,096 sets and 32,768 lines.
 type Cache struct {
 	cfg      CacheConfig
 	sets     [][]cacheLine
@@ -66,6 +72,9 @@ type Cache struct {
 	next     Level
 	clock    uint64
 	stats    CacheStats
+
+	touched []int32 // sets filled since the last invalidation
+	inUse   []bool  // by set: listed in touched
 
 	// MRU fast path: the last line that hit. Sequential fetch streams and
 	// stack traffic hit the same line many times in a row; checking it
@@ -96,7 +105,8 @@ func NewCache(cfg CacheConfig, next Level) *Cache {
 	for i := range sets {
 		sets[i] = make([]cacheLine, cfg.Assoc)
 	}
-	return &Cache{cfg: cfg, sets: sets, numSets: numSets, lineBits: lineBits, next: next}
+	return &Cache{cfg: cfg, sets: sets, numSets: numSets, lineBits: lineBits, next: next,
+		inUse: make([]bool, numSets)}
 }
 
 // Config returns the cache's configuration.
@@ -141,6 +151,10 @@ func (c *Cache) AccessM(addr uint64, write bool) (latency uint64, miss bool) {
 	}
 	// Miss: fetch from the next level, allocate, evict LRU.
 	c.stats.Misses++
+	if !c.inUse[set] {
+		c.inUse[set] = true
+		c.touched = append(c.touched, int32(set))
+	}
 	latency = c.cfg.HitLatency + c.next.Access(addr, false)
 	victim := 0
 	for i := 1; i < len(lines); i++ {
@@ -166,13 +180,67 @@ func (c *Cache) AccessM(addr uint64, write bool) (latency uint64, miss bool) {
 
 // InvalidateAll implements Level.
 func (c *Cache) InvalidateAll() {
+	c.invalidate()
+	c.next.InvalidateAll()
+}
+
+// invalidate drops this cache's lines (not the next level's), zeroing
+// only the sets in use.
+func (c *Cache) invalidate() {
 	c.last, c.lastLine = nil, 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = cacheLine{}
+	for _, i := range c.touched {
+		clear(c.sets[i])
+		c.inUse[i] = false
+	}
+	c.touched = c.touched[:0]
+}
+
+// CacheState is a copy of a cache's lines, LRU clock, MRU line and
+// statistics, holding only the sets used since the last invalidation.
+type CacheState struct {
+	sets     []int32
+	lines    []cacheLine // Assoc lines per entry of sets
+	clock    uint64
+	stats    CacheStats
+	lastLine uint64
+	haveLast bool
+}
+
+// Capture copies the cache's state in O(sets in use).
+func (c *Cache) Capture() CacheState {
+	st := CacheState{
+		sets:  append([]int32(nil), c.touched...),
+		lines: make([]cacheLine, 0, len(c.touched)*c.cfg.Assoc),
+		clock: c.clock, stats: c.stats,
+	}
+	for _, i := range c.touched {
+		st.lines = append(st.lines, c.sets[i]...)
+	}
+	if c.last != nil && c.last.valid {
+		st.lastLine, st.haveLast = c.lastLine, true
+	}
+	return st
+}
+
+// Restore reinstates a captured state of a cache with the same geometry,
+// in O(sets in use before and after).
+func (c *Cache) Restore(st CacheState) {
+	c.invalidate()
+	a := c.cfg.Assoc
+	for k, i := range st.sets {
+		copy(c.sets[i], st.lines[k*a:(k+1)*a])
+		c.inUse[i] = true
+		c.touched = append(c.touched, i)
+	}
+	c.clock, c.stats = st.clock, st.stats
+	if st.haveLast {
+		lines := c.sets[int(st.lastLine)&(c.numSets-1)]
+		for j := range lines {
+			if lines[j].valid && lines[j].tag == st.lastLine {
+				c.last, c.lastLine = &lines[j], st.lastLine
+			}
 		}
 	}
-	c.next.InvalidateAll()
 }
 
 // Hierarchy is the standard split-L1 / unified-L2 configuration the paper
@@ -235,4 +303,28 @@ func (h *Hierarchy) DataAccess(addr uint64, write bool) (uint64, bool) {
 func (h *Hierarchy) InvalidateAll() {
 	h.L1I.InvalidateAll()
 	h.L1D.InvalidateAll()
+}
+
+// HierarchyState is a copy of every level's state, DRAM's access count
+// included.
+type HierarchyState struct {
+	L1I, L1D, L2 CacheState
+	DRAMAccesses uint64
+}
+
+// Capture copies the hierarchy's state in O(sets in use).
+func (h *Hierarchy) Capture() *HierarchyState {
+	return &HierarchyState{
+		L1I: h.L1I.Capture(), L1D: h.L1D.Capture(), L2: h.L2.Capture(),
+		DRAMAccesses: h.DRAM.Accesses,
+	}
+}
+
+// Restore reinstates a captured state of a hierarchy with the same
+// configuration.
+func (h *Hierarchy) Restore(st *HierarchyState) {
+	h.L1I.Restore(st.L1I)
+	h.L1D.Restore(st.L1D)
+	h.L2.Restore(st.L2)
+	h.DRAM.Accesses = st.DRAMAccesses
 }

@@ -111,6 +111,54 @@ func (m *Memory) ForkFrom(s *CowSnapshot) {
 	}
 }
 
+// Ports records which page and region each micro-TLB caches (not the
+// page contents), so a trigger walk's walk point can reinstate them. The
+// ports are not pure caches: tlb.hit checks the region's upper bound as
+// t.hi-addr >= size, which wraps for an address past t.hi, so an access
+// beyond the end of a region but inside a cached page succeeds where the
+// slow path faults. Whether such an access faults therefore depends on
+// what the ports held, and every fork verdict to date includes that; a
+// walk point must carry it to stay bit-identical to a lone fork.
+type Ports struct {
+	fetch, data port
+}
+
+type port struct {
+	cached           bool
+	pageBase, lo, hi uint64
+	wr               bool
+}
+
+// Ports returns the micro-TLB state.
+func (m *Memory) Ports() Ports {
+	get := func(t *tlb) port {
+		return port{cached: t.page != nil, pageBase: t.pageBase, lo: t.lo, hi: t.hi, wr: t.wr}
+	}
+	return Ports{fetch: get(&m.fetch), data: get(&m.data)}
+}
+
+// SetPorts reinstates captured micro-TLB entries over the current page
+// map. A writable data entry gets the page's private copy — made now, out
+// of the frozen base, as the first store through it would have — and
+// every other entry the page as a read sees it.
+func (m *Memory) SetPorts(ps Ports) {
+	m.data = m.refill(ps.data, true)
+	m.fetch = m.refill(ps.fetch, false)
+}
+
+func (m *Memory) refill(p port, data bool) tlb {
+	if !p.cached {
+		return tlb{}
+	}
+	t := tlb{pageBase: p.pageBase, lo: p.lo, hi: p.hi}
+	if data && p.wr {
+		t.page, t.wr = m.writablePage(p.pageBase), true
+	} else {
+		t.page, t.wr = m.readPage(p.pageBase)
+	}
+	return t
+}
+
 // textSharedWith reports whether the memory's text section is the
 // snapshot's by construction: the same declared region, every text page
 // read from the frozen base (none private), and each base page the very

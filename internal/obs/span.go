@@ -136,6 +136,18 @@ func (s *Span) SetAttr(key string, v any) {
 	s.mu.Unlock()
 }
 
+// SetStart moves the span's start to t: for a span opened after the
+// work it covers began, such as a trigger-walk member, known only once
+// its walk segment has run.
+func (s *Span) SetStart(t time.Time) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.data.StartNS = t.UnixNano()
+	s.mu.Unlock()
+}
+
 // SetTrack names the render lane (worker or slot) the span belongs to.
 func (s *Span) SetTrack(track string) {
 	if s == nil {

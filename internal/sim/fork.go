@@ -6,8 +6,11 @@ package sim
 // preceding one in O(dirty pages) instead of replaying the warm-up.
 
 import (
+	"math"
+
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/obs"
 )
 
@@ -38,18 +41,31 @@ func (s *Simulator) CaptureForkPoint() *checkpoint.ForkPoint {
 
 // ForkFrom repoints the simulator at a fork point and arms it with a
 // fresh fault list — the fork-server replacement for Restore. Memory
-// adopts the frozen pages with an empty private overlay; caches, micro-
-// TLBs and predecoded instructions are invalidated rather than cloned
-// (cheap and exactly equivalent: they hold no architectural state). When
-// the fork point lies inside a fault-injection window the detailed model
-// starts immediately — the fast-forward prefix already happened on the
-// trunk — otherwise fast-forward is re-armed exactly as after Restore.
+// adopts the frozen pages with an empty private overlay.
+//
+// A cold fork point (a trunk snapshot) starts the configured model cold:
+// caches, micro-TLBs and the pipeline are reset in place rather than
+// cloned (they hold no architectural state). When it lies inside a
+// fault-injection window the detailed model starts immediately — the
+// fast-forward prefix already happened on the trunk — otherwise
+// fast-forward is re-armed exactly as after Restore.
+//
+// A warm walk point (CaptureWalkPoint) resumes the run that captured it:
+// pipeline latches, predictor, cache contents and simulator flags come
+// back as they were, so the child continues that run mid-flight. Warm
+// points restore only into a simulator with the capturing one's
+// configuration.
 func (s *Simulator) ForkFrom(fp *checkpoint.ForkPoint, faults []core.Fault) {
 	s.Mem.ForkFrom(fp.Mem)
 	s.Core.RestoreSnapshot(fp.Core)
 	s.Kernel.Restore(fp.Kernel)
+	w := fp.Warm
 	if s.Hier != nil {
-		s.Hier.InvalidateAll()
+		if w != nil && w.Caches != nil {
+			s.Hier.Restore(w.Caches)
+		} else {
+			s.Hier.InvalidateAll()
+		}
 	}
 	if s.Engine != nil {
 		s.Engine.ResetWithWindow(faults, fp.Window) // also resets the taint tracker
@@ -60,24 +76,92 @@ func (s *Simulator) ForkFrom(fp *checkpoint.ForkPoint, faults []core.Fault) {
 		pr.ResetStack() // the forked guest is mid-call-chain
 	}
 	s.Cfg.Flight.Reset() // nil-safe; the ring belongs to one experiment
-	s.Model = s.newModel(s.Cfg.Model)
-	s.switched = false
 	s.stopRequested = false
 	s.interrupted.Store(false)
-	if fp.Window.Open() {
+	switch {
+	case w != nil:
+		s.Mem.SetPorts(w.Ports)
+		s.Model = s.newModel(ModelKind(w.Model))
+		if w.Pipe != nil {
+			s.pipe.Restore(w.Pipe)
+		}
+		s.ffActive, s.ffPending = w.FastForward, false // a pending switch never outlives its step
+		s.switched = w.Switched
+		s.WindowOpenInsts = w.WindowOpenInsts
+	case fp.Window.Open():
 		// Mid-window fork: the window-open edge that would end a
 		// fast-forward prefix is already behind us, so run the configured
 		// model from the first post-fork instruction.
+		s.Model = s.newModel(s.Cfg.Model)
+		s.switched = false
 		s.ffActive, s.ffPending = false, false
 		s.WindowOpenInsts = fp.Core.Insts - fp.WindowCommits()
-	} else {
+	default:
+		s.Model = s.newModel(s.Cfg.Model)
+		s.switched = false
 		s.WindowOpenInsts = 0
 		s.armFastForward()
 	}
 	s.Cfg.Metrics.Counter("sim.fork.children").Inc()
 	s.Cfg.Tracer.Instant(obs.CatFork, "fork.child", s.Core.Ticks, map[string]any{
-		"insts": fp.Core.Insts, "faults": len(faults), "mid_window": fp.Window.Open(),
+		"insts": fp.Core.Insts, "faults": len(faults), "mid_window": fp.Window.Open(), "warm": w != nil,
 	})
+}
+
+// CaptureWalkPoint is CaptureForkPoint plus the microarchitectural state
+// of the running model: a warm walk point, from which ForkFrom resumes
+// this very run (latches, predictor, caches and all) under another fault
+// list. Capture costs the cache sets used since the last cold fork, the
+// pipeline latches and one predictor copy. Call it between steps.
+func (s *Simulator) CaptureWalkPoint() *checkpoint.ForkPoint {
+	ports := s.Mem.Ports()
+	fp := s.CaptureForkPoint()
+	s.Mem.SetPorts(ports) // freezing memory flushed them; this run goes on
+	w := &checkpoint.Warm{
+		Ports:           ports,
+		Model:           s.Model.ModelName(),
+		FastForward:     s.ffActive,
+		Switched:        s.switched,
+		WindowOpenInsts: s.WindowOpenInsts,
+	}
+	if pm, ok := s.Model.(*cpu.PipelinedModel); ok {
+		w.Pipe = pm.Capture()
+	}
+	if s.Hier != nil {
+		w.Caches = s.Hier.Capture()
+	}
+	fp.Warm = w
+	return fp
+}
+
+// WalkToDue steps the configured model until some armed fault could act
+// on the next step (core.Engine.StepsUntilDue) and returns that paused
+// result with the fault's position in the engine's fault list. A run that
+// ends first — exit, crash, watchdog, interrupt — returns its result and
+// -1. The pause is invisible: Run or RunUntil afterwards continues
+// exactly as a run that never paused.
+func (s *Simulator) WalkToDue() (RunResult, int) {
+	if s.Model == nil {
+		return RunResult{Crashed: true, CrashCause: "no program loaded"}, -1
+	}
+	endSpan := s.Cfg.Tracer.Span(obs.CatSim, "run.walk", 0)
+	done := func(why loopEnd, src int) (RunResult, int) {
+		r := s.finish(why)
+		endSpan(runSpanArgs(r))
+		return r, src
+	}
+	for {
+		n, src := uint64(math.MaxUint64), -1
+		if s.Engine != nil {
+			n, src = s.Engine.StepsUntilDue()
+		}
+		if n == 0 {
+			return done(loopPaused, src)
+		}
+		if why := s.loop(0, n); why != loopPaused {
+			return done(why, -1)
+		}
+	}
 }
 
 // RunUntil is Run with an instruction bound: the simulation pauses once
@@ -91,52 +175,10 @@ func (s *Simulator) RunUntil(insts uint64) RunResult {
 		return RunResult{Crashed: true, CrashCause: "no program loaded"}
 	}
 	if s.Core.Insts >= insts {
-		r := s.result(false, false)
-		r.Paused = true
-		return r
+		return s.finish(loopPaused)
 	}
-	s.armTranslationLimit(insts)
 	endSpan := s.Cfg.Tracer.Span(obs.CatSim, "run.until", 0)
-	var steps uint64
-	for !s.Core.Stopped && !s.stopRequested {
-		if steps&255 == 0 && s.interrupted.Load() {
-			s.interrupted.Store(false)
-			s.Cfg.Tracer.Instant(obs.CatSim, "run.interrupted", s.Core.Ticks, nil)
-			r := s.result(false, false)
-			r.Interrupted = true
-			endSpan(map[string]any{"outcome": "interrupted"})
-			return r
-		}
-		steps++
-		if !s.Model.Step() {
-			break
-		}
-		if s.ffActive && (s.ffPending ||
-			(s.Cfg.FastForwardAt > 0 && s.Core.Insts >= s.Cfg.FastForwardAt)) {
-			s.endFastForward()
-		}
-		if s.Core.Insts >= insts {
-			r := s.result(false, false)
-			r.Paused = true
-			endSpan(map[string]any{"outcome": "paused", "insts": r.Insts})
-			return r
-		}
-		if s.Cfg.MaxInsts > 0 && s.Core.Insts >= s.Cfg.MaxInsts {
-			s.Cfg.Tracer.Instant(obs.CatSim, "watchdog.hang", s.Core.Ticks,
-				map[string]any{"insts": s.Core.Insts})
-			endSpan(map[string]any{"outcome": "hang"})
-			return s.result(false, true)
-		}
-		if s.Cfg.SwitchToAtomicOnResolve && !s.switched && s.Engine != nil &&
-			s.Cfg.Model == ModelPipelined && s.Engine.AnyFired() && s.Engine.Resolved() {
-			s.SwitchModel(ModelAtomic)
-		}
-	}
-	stoppedAtCkpt := s.stopRequested && !s.Core.Stopped
-	s.stopRequested = false
-	r := s.result(stoppedAtCkpt, false)
-	endSpan(map[string]any{
-		"outcome": runOutcomeName(r), "insts": r.Insts, "ticks": r.Ticks, "model": r.Model,
-	})
+	r := s.finish(s.loop(insts, 0))
+	endSpan(runSpanArgs(r))
 	return r
 }

@@ -173,6 +173,8 @@ type Simulator struct {
 
 	Program *asm.Program
 
+	pipe *cpu.PipelinedModel // the one pipelined model, reused by newModel
+
 	// OnCheckpoint is called when the guest executes fi_read_init_all().
 	// The default records that the request happened; campaign drivers
 	// replace it to capture a checkpoint.
@@ -455,6 +457,9 @@ func (s *Simulator) AttachProfiler(pr *prof.Profiler) *prof.Profiler {
 	return pr
 }
 
+// newModel returns a cold model of the given kind at the core's current
+// state. The pipelined model is built once and reset in place afterwards:
+// its latches and predictor are the bulk of a fork's reset.
 func (s *Simulator) newModel(kind ModelKind) cpu.Model {
 	switch kind {
 	case ModelAtomic:
@@ -462,9 +467,13 @@ func (s *Simulator) newModel(kind ModelKind) cpu.Model {
 	case ModelTiming:
 		return cpu.NewTiming(s.Core)
 	default:
-		m := cpu.NewPipelined(s.Core)
-		m.RegisterMetrics(s.Cfg.Metrics)
-		return m
+		if s.pipe == nil {
+			s.pipe = cpu.NewPipelined(s.Core)
+			s.pipe.RegisterMetrics(s.Cfg.Metrics)
+		} else {
+			s.pipe.Reset()
+		}
+		return s.pipe
 	}
 }
 
@@ -635,21 +644,42 @@ func (s *Simulator) Run() RunResult {
 	if s.Model == nil {
 		return RunResult{Crashed: true, CrashCause: "no program loaded"}
 	}
-	s.armTranslationLimit(0)
 	endSpan := s.Cfg.Tracer.Span(obs.CatSim, "run", 0)
-	var steps uint64
+	r := s.finish(s.loop(0, 0))
+	endSpan(runSpanArgs(r))
+	return r
+}
+
+// loopEnd says why loop returned.
+type loopEnd int
+
+const (
+	loopStopped     loopEnd = iota // core stopped, or a checkpoint stop was requested
+	loopPaused                     // an instruction or step bound was reached
+	loopHung                       // the watchdog fired
+	loopInterrupted                // Interrupt was called
+)
+
+// loop is the one simulation loop behind Run, RunUntil and WalkToDue. It
+// steps the model until the core stops, a checkpoint stop is requested,
+// the watchdog fires or an interrupt lands. A nonzero until pauses once
+// the core has committed that many instructions, checked before the
+// step's watchdog and model-switch checks (RunUntil's contract). A
+// nonzero steps pauses after that many steps, checked after every other
+// check of the step, so a run resumed from such a pause continues exactly
+// as one that never paused.
+func (s *Simulator) loop(until, steps uint64) loopEnd {
+	s.armTranslationLimit(until)
+	var n uint64
 	for !s.Core.Stopped && !s.stopRequested {
 		// The interrupt flag is polled once per 256 steps so the atomic
 		// load stays off the per-instruction critical path.
-		if steps&255 == 0 && s.interrupted.Load() {
+		if n&255 == 0 && s.interrupted.Load() {
 			s.interrupted.Store(false)
 			s.Cfg.Tracer.Instant(obs.CatSim, "run.interrupted", s.Core.Ticks, nil)
-			r := s.result(false, false)
-			r.Interrupted = true
-			endSpan(map[string]any{"outcome": "interrupted"})
-			return r
+			return loopInterrupted
 		}
-		steps++
+		n++
 		if !s.Model.Step() {
 			break
 		}
@@ -657,24 +687,57 @@ func (s *Simulator) Run() RunResult {
 			(s.Cfg.FastForwardAt > 0 && s.Core.Insts >= s.Cfg.FastForwardAt)) {
 			s.endFastForward()
 		}
+		if until > 0 && s.Core.Insts >= until {
+			return loopPaused
+		}
 		if s.Cfg.MaxInsts > 0 && s.Core.Insts >= s.Cfg.MaxInsts {
 			s.Cfg.Tracer.Instant(obs.CatSim, "watchdog.hang", s.Core.Ticks,
 				map[string]any{"insts": s.Core.Insts})
-			endSpan(map[string]any{"outcome": "hang"})
-			return s.result(false, true)
+			return loopHung
 		}
 		if s.Cfg.SwitchToAtomicOnResolve && !s.switched && s.Engine != nil &&
 			s.Cfg.Model == ModelPipelined && s.Engine.AnyFired() && s.Engine.Resolved() {
 			s.SwitchModel(ModelAtomic)
 		}
+		if n == steps {
+			return loopPaused
+		}
+	}
+	return loopStopped
+}
+
+// finish assembles the result of a loop that ended with why.
+func (s *Simulator) finish(why loopEnd) RunResult {
+	switch why {
+	case loopPaused:
+		r := s.result(false, false)
+		r.Paused = true
+		return r
+	case loopHung:
+		return s.result(false, true)
+	case loopInterrupted:
+		r := s.result(false, false)
+		r.Interrupted = true
+		return r
 	}
 	stoppedAtCkpt := s.stopRequested && !s.Core.Stopped
 	s.stopRequested = false
-	r := s.result(stoppedAtCkpt, false)
-	endSpan(map[string]any{
+	return s.result(stoppedAtCkpt, false)
+}
+
+// runSpanArgs describes a result on its run span.
+func runSpanArgs(r RunResult) map[string]any {
+	switch {
+	case r.Interrupted:
+		return map[string]any{"outcome": "interrupted"}
+	case r.Hung:
+		return map[string]any{"outcome": "hang"}
+	case r.Paused:
+		return map[string]any{"outcome": "paused", "insts": r.Insts}
+	}
+	return map[string]any{
 		"outcome": runOutcomeName(r), "insts": r.Insts, "ticks": r.Ticks, "model": r.Model,
-	})
-	return r
+	}
 }
 
 // runOutcomeName labels a result for trace events.

@@ -24,6 +24,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/asm"
 	"repro/internal/minic"
@@ -181,28 +182,33 @@ func (r *lcg) next() uint64 {
 
 func (r *lcg) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// intArray renders a mini-C int array initializer.
+// intArray renders a mini-C int array initializer. Paper-scale inputs
+// hold hundreds of thousands of elements, so the text is appended to one
+// buffer: repeated string concatenation made rendering quadratic.
 func intArray(vals []int64) string {
-	s := "{"
+	b := make([]byte, 0, 2+len(vals)*8)
+	b = append(b, '{')
 	for i, v := range vals {
 		if i > 0 {
-			s += ", "
+			b = append(b, ", "...)
 		}
-		s += fmt.Sprintf("%d", v)
+		b = strconv.AppendInt(b, v, 10)
 	}
-	return s + "}"
+	return string(append(b, '}'))
 }
 
-// floatArray renders a mini-C float array initializer.
+// floatArray renders a mini-C float array initializer, appending to one
+// buffer like intArray.
 func floatArray(vals []float64) string {
-	s := "{"
+	b := make([]byte, 0, 2+len(vals)*12)
+	b = append(b, '{')
 	for i, v := range vals {
 		if i > 0 {
-			s += ", "
+			b = append(b, ", "...)
 		}
-		s += formatFloat(v)
+		b = append(b, formatFloat(v)...)
 	}
-	return s + "}"
+	return string(append(b, '}'))
 }
 
 // formatFloat renders a float64 so it round-trips through the mini-C
