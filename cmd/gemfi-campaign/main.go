@@ -242,6 +242,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		cfg.EnableProfiler = *profile || *httpAddr != ""
+		cfg.EnableTaint = *taintOn || *httpAddr != ""
+		cfg.EnableFlight, cfg.FlightDepth = *flightOn, *flightDepth
 		pool, err := campaign.NewPool(w, *parallel, opts)
 		if err != nil {
 			return err
@@ -270,18 +273,11 @@ func run() error {
 				})
 			}
 		}
-		if *profile || *httpAddr != "" {
-			pool.AttachProfilers()
-		}
-		if *taintOn || *httpAddr != "" {
-			pool.AttachTaint()
-		}
 		// Post-mortem index for /postmortem/{id}: filled as results land
 		// (OnResult fires from worker goroutines, hence the lock).
 		var pmMu sync.Mutex
 		pmByTrace := make(map[string]*flight.Postmortem)
 		if *flightOn {
-			pool.AttachFlight(*flightDepth)
 			pool.OnResult = func(res campaign.Result) {
 				if res.Postmortem == nil {
 					return

@@ -19,6 +19,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -71,9 +72,9 @@ func run() error {
 		validateSpans = flag.String("validate-spans", "", "validate a span JSONL file (gemfi-campaign -spans-jsonl) against the span schema and exit")
 
 		bbtOn    = flag.Bool("bbt", true, "translate hot basic blocks into fused closure chains on the atomic fast path")
-	bbtStats = flag.Bool("bbt-stats", false, "print the block translator's counters (blocks compiled, hits, invalidations, fallbacks) at exit")
+		bbtStats = flag.Bool("bbt-stats", false, "print the block translator's counters (blocks compiled, hits, invalidations, fallbacks) at exit")
 
-	flightOn    = flag.Bool("flight", false, "record the last -flight-depth committed instructions and print the post-mortem timeline if the run crashes")
+		flightOn    = flag.Bool("flight", false, "record the last -flight-depth committed instructions and print the post-mortem timeline if the run crashes")
 		flightDepth = flag.Int("flight-depth", 0, "flight recorder ring size (0 = default)")
 		validatePM  = flag.String("validate-postmortem", "", "validate a post-mortem JSON file (/postmortem/{id}) against the schema and exit")
 	)
@@ -237,13 +238,13 @@ func run() error {
 		// Format falls back to bare hex for PCs outside every symbol.
 		syms := prog.Symbols()
 		var traced uint64
-		s.Core.TraceFn = func(pc uint64, in isa.Inst) {
+		s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(func(pc uint64, in isa.Inst) {
 			if traced < *traceN {
 				fmt.Printf("%12d  0x%06x  %-24s  %s\n",
 					s.Core.Insts+1, pc, syms.Format(pc), in.Disassemble(pc))
 				traced++
 			}
-		}
+		}))
 	}
 	var golden *taint.GoldenState // set by the clean replay below
 	if *httpAddr != "" {
@@ -345,7 +346,6 @@ func run() error {
 		gcfg.Metrics = nil
 		gcfg.EnableProfiler = false
 		gcfg.EnableTaint = false
-		gcfg.Taint = nil
 		gs := sim.New(gcfg)
 		if err := gs.Load(prog); err != nil {
 			return err

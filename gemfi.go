@@ -242,18 +242,14 @@ func ValidateSpansJSONL(r io.Reader) (int, error) { return obs.ValidateSpansJSON
 
 // Profiler is the exact per-PC guest profiler: retired instructions,
 // cycles, cache misses, branch mispredicts and pipeline stall causes,
-// symbolized against the program's function symbols. Attach one via
-// SimConfig.Profiler (or set SimConfig.EnableProfiler and retrieve it
-// with Simulator.Profiler). Nil disables profiling at zero hot-loop
-// cost.
+// symbolized against the program's function symbols. Set
+// SimConfig.EnableProfiler and retrieve it with Simulator.Profiler. Off,
+// it costs the hot loop one untaken branch per commit.
 type Profiler = prof.Profiler
 
 // Profile is an immutable profiler snapshot; render it with WriteTop,
 // WriteJSON or WriteFolded (flamegraph collapsed format).
 type Profile = prof.Profile
-
-// NewProfilerFor builds a profiler sized and symbolized for a program.
-func NewProfilerFor(p *Program) *Profiler { return prof.ForProgram(p) }
 
 // MergeProfiles merges worker profiles into one campaign-wide profile.
 func MergeProfiles(ps ...*Profile) *Profile { return prof.MergeProfiles(ps...) }
@@ -286,9 +282,9 @@ func AttributeOutcomesByPC(results []ExperimentResult, syms SymbolTable) (rows [
 // ---- fault-propagation taint tracing ----
 
 // TaintTracker follows injected corruption bit-by-bit through registers,
-// memory, control flow and I/O on every CPU model; attach one via
-// SimConfig.Taint (or set SimConfig.EnableTaint). Nil disables tracking
-// at near-zero hot-loop cost.
+// memory, control flow and I/O on every CPU model. Set
+// SimConfig.EnableTaint and retrieve it with Simulator.Taint. Off, it
+// costs the hot loop one untaken branch per commit.
 type TaintTracker = taint.Tracker
 
 // PropReport explains where one experiment's corruption went: the
@@ -312,9 +308,6 @@ const (
 	VerdictReachedCrash      = taint.VerdictReachedCrash
 	VerdictReachedState      = taint.VerdictReachedState
 )
-
-// NewTaintTracker builds a fault-propagation tracker.
-func NewTaintTracker() *TaintTracker { return taint.New() }
 
 // ValidateTaintReport checks a propagation-report JSON document against
 // the schema and returns the parsed report.

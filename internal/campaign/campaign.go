@@ -114,7 +114,7 @@ type Result struct {
 	InjPCValid bool   `json:"injPCValid,omitempty"`
 
 	// Prop is the propagation-taint summary explaining the outcome
-	// (present only when the runner has a taint tracker attached). The
+	// (present only when the runner's Cfg enables taint). The
 	// full PropReport with the DAG is available per experiment via
 	// Runner.LastTaintReport.
 	Prop *taint.Summary `json:"prop,omitempty"`
@@ -133,8 +133,8 @@ type Result struct {
 	// post-window, classify, taint) when span tracing is attached.
 	PhaseNS map[string]int64 `json:"phaseNs,omitempty"`
 	// Postmortem is the flight-recorder dump of the experiment's final
-	// instructions, present only when a recorder is attached
-	// (AttachFlight) and the verdict is interesting — crashed,
+	// instructions, present only when the runner's Cfg enables the
+	// flight recorder and the verdict is interesting — crashed,
 	// reached-output SDC, or taint reached-state. Masked experiments
 	// never carry one.
 	Postmortem *flight.Postmortem `json:"postmortem,omitempty"`
@@ -156,8 +156,12 @@ type Runner struct {
 	// fi_read_init_all checkpoint instead of re-running boot + init.
 	Ckpt *checkpoint.State
 
-	sim  *sim.Simulator
-	prof *prof.Profiler
+	sim *sim.Simulator
+	// observers are the runner's own commit-stream observers, built from
+	// Cfg's switches once the golden pass is done. Experiments accumulate
+	// into them (the profile) or reset them (taint, flight), and the
+	// DisableCheckpoint rebuild re-installs them on each new simulator.
+	observers sim.Observers
 
 	// fork, when non-nil, routes experiments through the fork server
 	// (EnableFork): each run forks from the closest trunk snapshot
@@ -170,22 +174,13 @@ type Runner struct {
 	pendingMemo *memoPending
 	memoCrash   string
 
-	// Taint propagation tracking (AttachTaint). taintGolden is the final
-	// architectural state of the golden run, captured lazily on attach;
-	// canCaptureGolden marks the window where r.sim still holds it
-	// (between NewRunner and the first experiment).
-	taintTr          *taint.Tracker
-	taintGolden      *taint.GoldenState
-	canCaptureGolden bool
+	// taintGolden is the final architectural state of the golden run,
+	// the taint differ's reference (nil unless Cfg enables taint).
+	taintGolden *taint.GoldenState
 
 	propMu    sync.Mutex
 	lastProp  *taint.PropReport
 	propStamp uint64
-
-	// Flight recording (AttachFlight): the per-runner ring of final
-	// committed instructions, dumped onto Result.Postmortem for
-	// interesting verdicts.
-	flight *flight.Recorder
 
 	// Span tracing (AttachSpans). curTrace is the live state of the
 	// experiment currently inside RunCtx; runners are not concurrent,
@@ -236,10 +231,12 @@ const maxGoldenInsts = 2_000_000_000
 // run (capturing the fi_read_init_all checkpoint), and records the
 // fault-injection window size. Everything the golden run produces is
 // architectural, so it runs on the atomic model (translated when the
-// config enables block translation) whatever cfg.Model is; experiments
-// run on cfg.Model, which Restore, ForkFrom and the DisableCheckpoint
-// rebuild reinstate. A zero MaxInsts derives the experiment watchdog
-// from the golden run's length.
+// config enables block translation) and unobserved whatever cfg asks
+// for; experiments run on cfg.Model, which Restore, ForkFrom and the
+// DisableCheckpoint rebuild reinstate, with the observers cfg's
+// EnableProfiler, EnableTaint and EnableFlight switch on. A zero
+// MaxInsts derives the experiment watchdog from the golden run's
+// length.
 func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	cfg := defaultCampaignConfig()
 	if opts.Cfg != nil {
@@ -264,8 +261,8 @@ func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 // shared filesystem instead of being captured locally. windowInsts is the
 // fault-injection window size measured by the checkpoint's owner. The
 // golden outputs come from the same atomic golden pass as NewRunner's,
-// continued from the checkpoint, and the taint differ can capture its
-// final state (AttachTaint) until the first experiment runs.
+// continued from the checkpoint, which also supplies the taint differ's
+// final state.
 func NewRestoredRunner(w *workloads.Workload, cfg sim.Config, windowInsts uint64, ckpt *checkpoint.State) (*Runner, error) {
 	runner, _, err := goldenRunner(w, cfg, ckpt)
 	if err != nil {
@@ -294,6 +291,7 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State)
 	if gcfg.MaxInsts == 0 {
 		gcfg.MaxInsts = maxGoldenInsts
 	}
+	gcfg.EnableProfiler, gcfg.EnableTaint, gcfg.EnableFlight = false, false, false
 	s := sim.New(gcfg)
 	if err := s.Load(p); err != nil {
 		return nil, nil, err
@@ -322,63 +320,48 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State)
 		cfg.MaxInsts = min(r.Insts*50+10_000_000, maxGoldenInsts)
 	}
 	s.Cfg.MaxInsts = cfg.MaxInsts
-	return &Runner{
-		Workload: w,
-		Cfg:      cfg,
-		Golden:   golden,
-		sim:      s,
-		// The simulator still holds the golden run's final state; the
-		// taint differ can snapshot it until the first experiment runs.
-		canCaptureGolden: true,
-	}, ckpt, nil
+	runner := &Runner{Workload: w, Cfg: cfg, Golden: golden, sim: s}
+	if cfg.EnableTaint {
+		// The simulator still holds the golden run's final state.
+		runner.taintGolden = taint.CaptureGolden(&s.Core.Arch, s.Mem)
+	}
+	s.Cfg.EnableProfiler, s.Cfg.EnableTaint, s.Cfg.EnableFlight = cfg.EnableProfiler, cfg.EnableTaint, cfg.EnableFlight
+	s.Observe(sim.Observers{})
+	runner.observers = s.Observers()
+	return runner, ckpt, nil
 }
 
 // Clone builds a worker runner that shares this runner's expensive
 // immutable state — golden outputs, checkpoint, fault-injection window,
-// and fork server — but owns a private simulator, so the clone can run
-// experiments concurrently with the original. Per-runner instrumentation
-// is replicated, not shared: a clone of a taint- or profiler-attached
-// runner gets its own tracker/profiler (accumulating privately, pool
-// style) with the golden differ state shared. This is the pool's clone
-// logic, exported for schedulers that build per-campaign worker sets.
+// fork server and taint differ reference — but owns a private simulator
+// with its own observers (accumulating privately, pool style), so the
+// clone can run experiments concurrently with the original. This is the
+// pool's clone logic, exported for schedulers that build per-campaign
+// worker sets.
 func (r *Runner) Clone() (*Runner, error) {
-	cfg := r.Cfg
-	// The parent's Cfg carries its private instrumentation; the clone
-	// must not inherit those pointers.
-	cfg.Profiler = nil
-	cfg.Taint = nil
-	cfg.Flight = nil
-	c := &Runner{
-		Workload:    r.Workload,
-		Cfg:         cfg,
-		Golden:      r.Golden,
-		WindowInsts: r.WindowInsts,
-		Ckpt:        r.Ckpt,
-		fork:        r.fork,
-	}
 	prog, err := r.Workload.Build()
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(cfg)
+	s := sim.New(r.Cfg)
 	if err := s.Load(prog); err != nil {
 		return nil, err
 	}
-	c.sim = s
 	// The span recorder is shared (it is concurrency-safe); the pool or
 	// scheduler overrides the clone's track with its own lane name.
-	c.spans, c.spanTrack = r.spans, r.spanTrack
-	if r.prof != nil {
-		c.AttachProfiler()
-	}
-	if r.taintTr != nil {
-		c.AttachTaint()
-		c.taintGolden = r.taintGolden
-	}
-	if r.flight != nil {
-		c.AttachFlight(r.flight.Depth())
-	}
-	return c, nil
+	return &Runner{
+		Workload:    r.Workload,
+		Cfg:         r.Cfg,
+		Golden:      r.Golden,
+		WindowInsts: r.WindowInsts,
+		Ckpt:        r.Ckpt,
+		fork:        r.fork,
+		sim:         s,
+		observers:   s.Observers(),
+		taintGolden: r.taintGolden,
+		spans:       r.spans,
+		spanTrack:   r.spanTrack,
+	}, nil
 }
 
 // Interrupt asks the in-progress experiment's simulation to stop at its
@@ -393,70 +376,19 @@ func (r *Runner) Interrupt() {
 	}
 }
 
-// AttachProfiler attaches a guest profiler to the runner's simulator;
-// all subsequent experiments accumulate into it. Idempotent — repeated
-// calls return the same profiler. On baseline (DisableCheckpoint)
-// runners the profiler also survives the per-experiment simulator
-// rebuild, because it is carried through the runner's Config.
-func (r *Runner) AttachProfiler() *prof.Profiler {
-	if r.prof == nil && r.sim != nil {
-		r.prof = r.sim.AttachProfiler(nil)
-		r.Cfg.Profiler = r.prof
-	}
-	return r.prof
-}
+// Profiler returns the runner's profiler (nil when profiling is off).
+func (r *Runner) Profiler() *prof.Profiler { return r.observers.Profiler }
 
-// Profiler returns the attached profiler (nil when profiling is off).
-func (r *Runner) Profiler() *prof.Profiler { return r.prof }
-
-// AttachTaint attaches a fault-propagation taint tracker to the runner's
-// simulator; every subsequent experiment produces a PropReport whose
-// summary lands on Result.Prop. When called before the first experiment
-// on a NewRunner- or NewRestoredRunner-built runner it also snapshots the
-// atomic golden pass's final architectural state, enabling the
-// masked-logically / reached-state differ; clones share the original's
-// snapshot. Idempotent — repeated calls return the same tracker. Like the
-// profiler, the tracker is carried through the runner's Config so it
-// survives the per-experiment rebuild of baseline (DisableCheckpoint)
-// runners.
-func (r *Runner) AttachTaint() *taint.Tracker {
-	if r.taintTr == nil && r.sim != nil {
-		if r.canCaptureGolden && r.taintGolden == nil {
-			r.taintGolden = taint.CaptureGolden(&r.sim.Core.Arch, r.sim.Mem)
-		}
-		r.taintTr = r.sim.AttachTaint(nil)
-		r.Cfg.Taint = r.taintTr
-	}
-	return r.taintTr
-}
-
-// Taint returns the attached tracker (nil when taint tracking is off).
-func (r *Runner) Taint() *taint.Tracker { return r.taintTr }
+// Taint returns the runner's tracker (nil when taint tracking is off).
+func (r *Runner) Taint() *taint.Tracker { return r.observers.Taint }
 
 // TaintGolden returns the golden final state used by the differ (nil
-// before AttachTaint, or when it was first called after an experiment).
+// when taint tracking is off).
 func (r *Runner) TaintGolden() *taint.GoldenState { return r.taintGolden }
 
-// AttachFlight attaches a flight recorder keeping the last depth
-// committed instructions (depth <= 0 selects flight.DefaultDepth);
-// every subsequent experiment with an interesting verdict — crashed,
-// reached-output SDC, or taint reached-state — lands its post-mortem
-// dump on Result.Postmortem. Idempotent — repeated calls return the
-// same recorder. Like the tracker, the recorder is carried through the
-// runner's Config so it survives the per-experiment rebuild of baseline
-// (DisableCheckpoint) runners.
-func (r *Runner) AttachFlight(depth int) *flight.Recorder {
-	if r.flight == nil && r.sim != nil {
-		r.Cfg.FlightDepth = depth
-		r.flight = r.sim.AttachFlight(flight.NewRecorder(depth))
-		r.Cfg.Flight = r.flight
-	}
-	return r.flight
-}
-
-// Flight returns the attached flight recorder (nil when recording is
+// Flight returns the runner's flight recorder (nil when recording is
 // off).
-func (r *Runner) Flight() *flight.Recorder { return r.flight }
+func (r *Runner) Flight() *flight.Recorder { return r.observers.Flight }
 
 // dumpPostmortem builds the flight-recorder dump for one finished
 // experiment, mirroring (and extending) the span ForceKeep policy:
@@ -467,7 +399,8 @@ func (r *Runner) Flight() *flight.Recorder { return r.flight }
 // indexes from the last propagation report, and the phase boundaries
 // cut during the run.
 func (r *Runner) dumpPostmortem(res *Result, tr *expTrace) {
-	if r.flight == nil {
+	fr := r.observers.Flight
+	if fr == nil {
 		return
 	}
 	interesting := res.Outcome == OutcomeCrashed || res.Outcome == OutcomeSDC ||
@@ -475,7 +408,7 @@ func (r *Runner) dumpPostmortem(res *Result, tr *expTrace) {
 	if !interesting {
 		return
 	}
-	recs := r.flight.Records()
+	recs := fr.Records()
 	if len(recs) == 0 {
 		return
 	}
@@ -487,11 +420,11 @@ func (r *Runner) dumpPostmortem(res *Result, tr *expTrace) {
 		InjPC:      res.InjPC,
 		InjPCValid: res.InjPCValid,
 		CrashCause: res.CrashCause,
-		Depth:      r.flight.Depth(),
-		Committed:  r.flight.Committed(),
-		Squashed:   r.flight.Squashed(),
+		Depth:      fr.Depth(),
+		Committed:  fr.Committed(),
+		Squashed:   fr.Squashed(),
 		Records:    recs,
-		Keyframes:  r.flight.Keyframes(),
+		Keyframes:  fr.Keyframes(),
 	}
 	if tr != nil {
 		pm.Phases = tr.cuts
@@ -529,7 +462,7 @@ func (r *Runner) LastTaintReport() (*taint.PropReport, uint64) {
 // recordProp renders and stores the propagation report after one
 // experiment; res.Prop gets the compact summary.
 func (r *Runner) recordProp(res *Result) {
-	if r.taintTr == nil || r.sim == nil {
+	if r.observers.Taint == nil || r.sim == nil {
 		return
 	}
 	rep := r.sim.TaintReport(res.Outcome == OutcomeCrashed, r.taintGolden)
@@ -605,7 +538,7 @@ func (r *Runner) cutPhaseAt(name string, now time.Time) time.Time {
 			StartNS: tr.last.UnixNano(), EndNS: now.UnixNano(),
 		})
 		tr.phases[name] += now.Sub(tr.last).Nanoseconds()
-		if r.flight != nil {
+		if r.observers.Flight != nil {
 			tr.cuts = append(tr.cuts, flight.Phase{
 				Name: name, StartNS: tr.last.UnixNano(), EndNS: now.UnixNano(),
 			})
@@ -626,7 +559,7 @@ func (r *Runner) foldSimPhases() {
 	for _, ph := range r.sim.EndPhaseRecording() {
 		tr.phases[ph.Name] += ph.EndNS - ph.StartNS
 		tr.last = time.Unix(0, ph.EndNS)
-		if r.flight != nil {
+		if r.observers.Flight != nil {
 			tr.cuts = append(tr.cuts, flight.Phase{
 				Name: ph.Name, StartNS: ph.StartNS, EndNS: ph.EndNS,
 				StartTick: ph.StartTick, EndTick: ph.EndTick,
@@ -679,7 +612,6 @@ func (r *Runner) Run(exp Experiment) Result {
 // trace. An invalid ctx starts a local root — Run's behavior. On a fork
 // runner the experiment is a trigger walk of one.
 func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
-	r.canCaptureGolden = false
 	if r.fork != nil {
 		var res Result
 		r.runWalk(walk{snap: r.snapFor(exp), exps: []Experiment{exp}}, ctx, func(x Result) { res = x })
@@ -688,7 +620,7 @@ func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
 	// Covers the baseline (DisableCheckpoint) path, which rebuilds the
 	// simulator without a Restore reset; elsewhere a second reset is a
 	// no-op on an already-empty ring.
-	r.flight.Reset()
+	r.observers.Flight.Reset()
 	start := time.Now()
 	tr := r.beginExpTrace(exp, ctx, start)
 	runRes, err := r.replay(exp)
@@ -706,6 +638,7 @@ func (r *Runner) replay(exp Experiment) (sim.RunResult, error) {
 		return r.sim.Run(), nil
 	}
 	s := sim.New(r.Cfg)
+	s.Observe(r.observers) // the profile keeps accumulating across rebuilds
 	p, err := r.Workload.Build()
 	if err != nil {
 		return sim.RunResult{}, err
@@ -732,7 +665,7 @@ func (r *Runner) conclude(exp Experiment, runRes sim.RunResult, pruned Outcome, 
 	r.commitMemo(&res)
 	end := r.cutPhase("classify")
 	r.recordProp(&res)
-	if r.taintTr != nil {
+	if r.observers.Taint != nil {
 		end = r.cutPhase("taint")
 	}
 	// A traced experiment ends at its last phase cut, so the phases tile

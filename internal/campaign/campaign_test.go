@@ -11,7 +11,16 @@ import (
 // piRunner is shared across tests (golden run + checkpoint are costly).
 func piRunner(t *testing.T) *Runner {
 	t.Helper()
-	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), RunnerOptions{})
+	return observedPiRunner(t, func(*sim.Config) {})
+}
+
+// observedPiRunner is piRunner with the observers that observe switches
+// on in the campaign default configuration.
+func observedPiRunner(t *testing.T, observe func(*sim.Config)) *Runner {
+	t.Helper()
+	cfg := defaultCampaignConfig()
+	observe(&cfg)
+	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,5 +264,38 @@ func TestFig6ReportStructure(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Error("empty rendering")
+	}
+}
+
+// TestBaselineRunnerKeepsObservers: a DisableCheckpoint runner rebuilds
+// its simulator for every experiment and re-installs its own observers
+// on it, so the profile keeps accumulating across experiments and every
+// result still carries its taint summary.
+func TestBaselineRunnerKeepsObservers(t *testing.T) {
+	cfg := defaultCampaignConfig()
+	cfg.EnableProfiler, cfg.EnableTaint = true, true
+	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest),
+		RunnerOptions{Cfg: &cfg, DisableCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := r.Profiler()
+	if pr == nil || r.TaintGolden() == nil {
+		t.Fatal("EnableProfiler/EnableTaint gave the runner no profiler or no golden state")
+	}
+	var seen uint64
+	for _, e := range GenerateUniform(2, GenConfig{WindowInsts: r.WindowInsts, Seed: 5}) {
+		res := r.Run(e)
+		if res.Prop == nil {
+			t.Errorf("exp %d: no propagation summary", e.ID)
+		}
+		if r.sim.Profiler() != pr || r.sim.Taint() != r.Taint() {
+			t.Fatalf("exp %d: the rebuilt simulator does not carry the runner's observers", e.ID)
+		}
+		total := pr.Snapshot().TotalInsts
+		if total <= seen {
+			t.Errorf("exp %d: profile at %d instructions, %d before it", e.ID, total, seen)
+		}
+		seen = total
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -19,10 +20,16 @@ func crashFault(r *Runner) core.Fault {
 	}
 }
 
+// flightPiRunner is a pi runner recording the last 64 commits.
+func flightPiRunner(t *testing.T) *Runner {
+	t.Helper()
+	return observedPiRunner(t, func(c *sim.Config) { c.EnableFlight, c.FlightDepth = true, 64 })
+}
+
 func TestFlightCrashedDump(t *testing.T) {
-	r := piRunner(t)
-	if fr := r.AttachFlight(64); fr == nil || fr != r.AttachFlight(64) {
-		t.Fatal("AttachFlight is not idempotent")
+	r := flightPiRunner(t)
+	if fr := r.Flight(); fr == nil || fr.Depth() != 64 {
+		t.Fatal("EnableFlight with FlightDepth 64 did not give the runner a 64-record recorder")
 	}
 	res := r.Run(Experiment{ID: 3, Faults: []core.Fault{crashFault(r)}})
 	if res.Outcome != OutcomeCrashed {
@@ -64,8 +71,7 @@ func TestFlightCrashedDump(t *testing.T) {
 }
 
 func TestFlightMaskedNoDump(t *testing.T) {
-	r := piRunner(t)
-	r.AttachFlight(64)
+	r := flightPiRunner(t)
 	res := r.Run(Experiment{ID: 0})
 	if res.Outcome != OutcomeNonPropagated {
 		t.Fatalf("outcome = %v, want non-propagated", res.Outcome)
@@ -76,8 +82,7 @@ func TestFlightMaskedNoDump(t *testing.T) {
 }
 
 func TestFlightRingResetsBetweenExperiments(t *testing.T) {
-	r := piRunner(t)
-	r.AttachFlight(64)
+	r := flightPiRunner(t)
 	a := r.Run(Experiment{ID: 0, Faults: []core.Fault{crashFault(r)}})
 	if a.Postmortem == nil {
 		t.Fatal("first crashed run produced no dump")
@@ -96,8 +101,7 @@ func TestFlightRingResetsBetweenExperiments(t *testing.T) {
 }
 
 func TestFlightPhasesSplicedFromSpans(t *testing.T) {
-	r := piRunner(t)
-	r.AttachFlight(64)
+	r := flightPiRunner(t)
 	r.AttachSpans(obs.NewSpanRecorder(), "test")
 	res := r.Run(Experiment{ID: 0, Faults: []core.Fault{crashFault(r)}})
 	pm := res.Postmortem
@@ -128,11 +132,12 @@ func TestFlightPhasesSplicedFromSpans(t *testing.T) {
 }
 
 func TestPoolFlightDumpsAndOnResult(t *testing.T) {
-	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 2, RunnerOptions{})
+	cfg := defaultCampaignConfig()
+	cfg.EnableFlight, cfg.FlightDepth = true, 32
+	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 2, RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.AttachFlight(32)
 	f := crashFault(pool.Runner())
 	exps := []Experiment{
 		{ID: 0, Faults: []core.Fault{f}},
@@ -166,5 +171,45 @@ func TestPoolFlightDumpsAndOnResult(t *testing.T) {
 	}
 	if seen != dumps {
 		t.Errorf("OnResult saw %d dumps, results carry %d", seen, dumps)
+	}
+}
+
+// TestFlightForkRunnerNeverMemoizes: a post-mortem covers the whole run,
+// so a flight-recording fork runner must neither prune nor memoize. The
+// fault (a PC flip early in deblock's window) resolves long before the
+// crash it causes; a memo hit on its rerun would close the experiment
+// at the memo point, with no crash having happened, so the dump would
+// end there without the trap record.
+func TestFlightForkRunnerNeverMemoizes(t *testing.T) {
+	cfg := defaultCampaignConfig()
+	cfg.EnableFlight, cfg.FlightDepth = true, 64
+	r, err := NewRunner(workloads.Deblock(workloads.ScaleTest), RunnerOptions{Cfg: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultForkOptions()
+	opts.TwinCheck = false // keep the memo point reachable
+	if err := r.EnableFork(opts); err != nil {
+		t.Fatal(err)
+	}
+	exp := Experiment{Faults: []core.Fault{{Loc: core.LocPC, Behavior: core.BehFlip, Bit: 10,
+		Base: core.TimeInst, When: 713, Occ: 1}}}
+	var committed uint64
+	for run := 0; run < 2; run++ {
+		res := r.Run(exp)
+		pm := res.Postmortem
+		if res.Outcome != OutcomeCrashed || pm == nil {
+			t.Fatalf("run %d: outcome %v, dump %v; want a crash with a dump", run, res.Outcome, pm != nil)
+		}
+		if !pm.Records[len(pm.Records)-1].Trap {
+			t.Errorf("run %d: final record is not the trap", run)
+		}
+		if run > 0 && pm.Committed != committed {
+			t.Errorf("run %d: dump covers %d commits, the first run %d", run, pm.Committed, committed)
+		}
+		committed = pm.Committed
+	}
+	if st := r.ForkStats(); st.MemoEntries != 0 || st.MemoHits != 0 {
+		t.Errorf("flight runner used the memo: %d entries, %d hits", st.MemoEntries, st.MemoHits)
 	}
 }

@@ -273,7 +273,7 @@ type ForkStats struct {
 	// ArmedInsts sums the instructions committed between a fork or
 	// walk-point restore and the step before the first armed fault could
 	// act: the pre-trigger stretch, which walks share. Experiments that
-	// cannot share a walk (tick-timed or fault-free ones, instrumented
+	// cannot share a walk (tick-timed or fault-free ones, observed
 	// runners) skip the look-ahead and add nothing.
 	Walks      uint64 `json:"walks"`
 	ArmedInsts uint64 `json:"armedInsts"`
@@ -304,19 +304,14 @@ func (fs *forkServer) statsSnapshot() ForkStats {
 // trunkConfig derives the trunk/twin simulator configuration from a
 // runner's: always the atomic model (the trunk is a golden prefix, no
 // faults can strike it), no fast-forward (it IS the fast-forward), no
-// per-experiment instrumentation.
+// observers.
 func trunkConfig(cfg sim.Config) sim.Config {
 	cfg.Model = sim.ModelAtomic
 	cfg.FastForward = false
 	cfg.FastForwardAt = 0
 	cfg.Faults = nil
 	cfg.StopAtCheckpoint = false
-	cfg.Profiler = nil
-	cfg.EnableProfiler = false
-	cfg.Taint = nil
-	cfg.EnableTaint = false
-	cfg.Flight = nil
-	cfg.EnableFlight = false
+	cfg.EnableProfiler, cfg.EnableTaint, cfg.EnableFlight = false, false, false
 	return cfg
 }
 
@@ -439,12 +434,11 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 	fs := r.fork
 
 	// Pruning and memoization need the experiment's only observable
-	// products to be the outcome class and the engine flags: per-PC
-	// profiles and taint reports cover the whole run, so instrumented
+	// products to be the outcome class and the engine flags: profiles,
+	// taint reports and post-mortems cover the whole run, so observed
 	// runners always finish.
-	instrumented := r.taintTr != nil || r.prof != nil
-	pruneOK := fs.opts.Prune && !instrumented
-	memoOK := fs.memo != nil && !instrumented
+	pruneOK := fs.opts.Prune && !r.observed()
+	memoOK := fs.memo != nil && !r.observed()
 	if !pruneOK && !memoOK {
 		return r.sim.Run(), 0
 	}

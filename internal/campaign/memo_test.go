@@ -1,6 +1,10 @@
 package campaign
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // TestMemoForkMatchesReplay is the memoization identity test: running a
 // batch that contains duplicated experiments through a memoizing fork
@@ -67,21 +71,26 @@ func TestMemoForkMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestMemoSkipsInstrumentedRunners: per-PC profiles and taint reports
-// cover the whole run, so an instrumented runner must never memoize or
-// serve memoized verdicts.
+// TestMemoSkipsInstrumentedRunners: per-PC profiles, taint reports and
+// post-mortems cover the whole run, so an observed runner must never
+// memoize or serve memoized verdicts.
 func TestMemoSkipsInstrumentedRunners(t *testing.T) {
-	fork := piRunner(t)
-	if err := fork.EnableFork(DefaultForkOptions()); err != nil {
-		t.Fatal(err)
-	}
-	fork.AttachProfiler()
-	base := GenerateUniform(6, GenConfig{WindowInsts: fork.WindowInsts, Seed: 7})
-	for _, e := range base {
-		fork.Run(e)
-		fork.Run(e) // duplicate: would hit the memo if it were active
-	}
-	if st := fork.ForkStats(); st.MemoEntries != 0 || st.MemoHits != 0 {
-		t.Fatalf("instrumented runner used the memo: %d entries, %d hits", st.MemoEntries, st.MemoHits)
+	for name, observe := range map[string]func(*sim.Config){
+		"profiler": func(c *sim.Config) { c.EnableProfiler = true },
+		"taint":    func(c *sim.Config) { c.EnableTaint = true },
+		"flight":   func(c *sim.Config) { c.EnableFlight = true },
+	} {
+		fork := observedPiRunner(t, observe)
+		if err := fork.EnableFork(DefaultForkOptions()); err != nil {
+			t.Fatal(err)
+		}
+		base := GenerateUniform(6, GenConfig{WindowInsts: fork.WindowInsts, Seed: 7})
+		for _, e := range base {
+			fork.Run(e)
+			fork.Run(e) // duplicate: would hit the memo if it were active
+		}
+		if st := fork.ForkStats(); st.MemoEntries != 0 || st.MemoHits != 0 {
+			t.Fatalf("%s runner used the memo: %d entries, %d hits", name, st.MemoEntries, st.MemoHits)
+		}
 	}
 }

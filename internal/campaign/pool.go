@@ -86,52 +86,17 @@ func (p *Pool) Size() int { return len(p.runners) }
 // Runner returns the first runner (for window/golden metadata).
 func (p *Pool) Runner() *Runner { return p.runners[0] }
 
-// AttachProfilers attaches one guest profiler to every runner in the
-// pool (each worker accumulates privately, so the hot loop stays
-// contention-free) and returns them. Idempotent.
-func (p *Pool) AttachProfilers() []*prof.Profiler {
-	prs := make([]*prof.Profiler, 0, len(p.runners))
-	for _, r := range p.runners {
-		if pr := r.AttachProfiler(); pr != nil {
-			prs = append(prs, pr)
-		}
-	}
-	return prs
-}
+// TaintReport returns the pool-wide most recent propagation report.
+// Safe to call while RunAll is in flight.
+func (p *Pool) TaintReport() *taint.PropReport { return FreshestTaintReport(p.runners) }
 
-// AttachTaint attaches one fault-propagation taint tracker to every
-// runner in the pool. The first runner's simulator still holds the
-// final state of its atomic golden pass, so its capture supplies the
-// golden differ for every worker (the clones were freshly Loaded and
-// never ran). Idempotent.
-func (p *Pool) AttachTaint() {
-	first := p.runners[0]
-	first.AttachTaint()
-	for _, r := range p.runners[1:] {
-		r.AttachTaint()
-		if r.taintGolden == nil {
-			r.taintGolden = first.taintGolden
-		}
-	}
-}
-
-// AttachFlight attaches a private flight recorder of depth records to
-// every runner in the pool — rings are per-simulator, never shared, so
-// the hot loop stays contention-free. Idempotent.
-func (p *Pool) AttachFlight(depth int) {
-	for _, r := range p.runners {
-		r.AttachFlight(depth)
-	}
-}
-
-// TaintReport returns the pool-wide most recent propagation report —
-// the freshest LastTaintReport across all workers. Nil when taint
-// tracking is off or no experiment has finished. Safe to call while
-// RunAll is in flight.
-func (p *Pool) TaintReport() *taint.PropReport {
+// FreshestTaintReport returns the freshest LastTaintReport across
+// runners: nil when taint tracking is off or no experiment has
+// finished. Safe to call while the runners run.
+func FreshestTaintReport(runners []*Runner) *taint.PropReport {
 	var best *taint.PropReport
 	var bestStamp uint64
-	for _, r := range p.runners {
+	for _, r := range runners {
 		rep, stamp := r.LastTaintReport()
 		if rep != nil && stamp >= bestStamp {
 			best, bestStamp = rep, stamp
@@ -140,14 +105,18 @@ func (p *Pool) TaintReport() *taint.PropReport {
 	return best
 }
 
-// Profile snapshots and merges every worker's profiler into one
-// campaign-wide profile. Returns nil when no profiler is attached.
-// Safe to call while RunAll is in flight (snapshots are atomic).
-func (p *Pool) Profile() *prof.Profile {
+// Profile merges every worker's profiler into one campaign-wide
+// profile. Safe to call while RunAll is in flight.
+func (p *Pool) Profile() *prof.Profile { return MergedProfile(p.runners) }
+
+// MergedProfile snapshots and merges the runners' profilers: nil when
+// profiling is off. Safe to call while the runners run (snapshots are
+// atomic).
+func MergedProfile(runners []*Runner) *prof.Profile {
 	var parts []*prof.Profile
-	for _, r := range p.runners {
-		if r.prof != nil {
-			parts = append(parts, r.prof.Snapshot())
+	for _, r := range runners {
+		if pr := r.Profiler(); pr != nil {
+			parts = append(parts, pr.Snapshot())
 		}
 	}
 	return prof.MergeProfiles(parts...)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/taint"
 	"repro/internal/workloads"
 )
@@ -12,12 +13,9 @@ import (
 // result paired with its full propagation report.
 func runTaintCampaign(t *testing.T, n int, seed int64) ([]Result, []*taint.PropReport) {
 	t.Helper()
-	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), RunnerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.AttachTaint() == nil {
-		t.Fatal("AttachTaint returned nil")
+	r := observedPiRunner(t, func(c *sim.Config) { c.EnableTaint = true })
+	if r.Taint() == nil {
+		t.Fatal("EnableTaint gave the runner no tracker")
 	}
 	if r.TaintGolden() == nil {
 		t.Fatal("runner did not capture the golden final state")
@@ -101,15 +99,16 @@ func TestTaintExplainsOutcomes(t *testing.T) {
 	}
 }
 
-// TestTaintSummaryOnPoolResults checks the pool path: AttachTaint fans
-// the tracker out to every worker, Prop summaries land on all completed
+// TestTaintSummaryOnPoolResults checks the pool path: EnableTaint gives
+// every worker its own tracker, Prop summaries land on all completed
 // results, and TaintReport returns the freshest report.
 func TestTaintSummaryOnPoolResults(t *testing.T) {
-	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 4, RunnerOptions{})
+	cfg := defaultCampaignConfig()
+	cfg.EnableTaint = true
+	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 4, RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.AttachTaint()
 	exps := GenerateUniform(16, GenConfig{WindowInsts: pool.Runner().WindowInsts, Seed: 7})
 	results := pool.RunAll(exps)
 	for _, res := range results {

@@ -55,7 +55,7 @@ func (r *Runner) snapFor(exp Experiment) *forkSnap {
 // see the shared stretch. Anything else runs as a walk of one that skips
 // straight to its own run.
 func (r *Runner) walkable(exp Experiment) bool {
-	if len(exp.Faults) == 0 || r.instrumented() {
+	if len(exp.Faults) == 0 || r.observed() {
 		return false
 	}
 	for _, f := range exp.Faults {
@@ -66,10 +66,10 @@ func (r *Runner) walkable(exp Experiment) bool {
 	return true
 }
 
-// instrumented reports whether per-experiment observers are attached.
-func (r *Runner) instrumented() bool {
-	return r.taintTr != nil || r.prof != nil || r.flight != nil
-}
+// observed reports whether the runner has commit-stream observers.
+// Their products cover each experiment's whole run, so an observed
+// runner never walks, prunes or memoizes.
+func (r *Runner) observed() bool { return r.observers != sim.Observers{} }
 
 // planWalks groups experiments into walks. In injection-time order, each
 // walkable experiment joins the walk of the snapshot it forks from; the

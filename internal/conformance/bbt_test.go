@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -91,7 +92,7 @@ func TestBBTObserverForcesInterpreter(t *testing.T) {
 			if err := s.Load(p); err != nil {
 				t.Fatalf("%s: load: %v", label, err)
 			}
-			s.Core.TraceFn = th.fn
+			s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(th.fn))
 			if r := s.Run(); r.Hung || r.Interrupted {
 				t.Fatalf("%s: did not finish: %+v", label, r)
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -125,7 +126,7 @@ func TestFastPathTraceAndProfileIdentity(t *testing.T) {
 				if err := s.Load(p); err != nil {
 					t.Fatalf("%s: load: %v", label, err)
 				}
-				s.Core.TraceFn = th.fn
+				s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(th.fn))
 				if r := s.Run(); r.Hung || r.Interrupted {
 					t.Fatalf("%s: did not finish: %+v", label, r)
 				}
@@ -168,7 +169,7 @@ func TestFastForwardGoldenIdentity(t *testing.T) {
 			if err := s.Load(p); err != nil {
 				t.Fatalf("%s: load: %v", w.Name, err)
 			}
-			s.Core.TraceFn = th.fn
+			s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(th.fn))
 			if r := s.Run(); r.Hung || r.Interrupted {
 				t.Fatalf("%s ff=%v: did not finish: %+v", w.Name, ff, r)
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -96,7 +97,7 @@ func runForkChild(t *testing.T, w *workloads.Workload, model sim.ModelKind,
 	if err := s.Load(p); err != nil {
 		t.Fatalf("%s: load: %v", w.Name, err)
 	}
-	s.Core.TraceFn = th.fn
+	s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(th.fn))
 	s.ForkFrom(fp, faults)
 	return s, th, s.Run()
 }

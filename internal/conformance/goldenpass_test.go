@@ -43,6 +43,7 @@ func TestGoldenPassReferee(t *testing.T) {
 
 			reg := obs.NewRegistry()
 			cfg.Metrics = reg
+			cfg.EnableTaint = true // observers must not slow the golden pass
 			r, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
 			if err != nil {
 				t.Fatalf("%s: runner: %v", label, err)
@@ -50,7 +51,6 @@ func TestGoldenPassReferee(t *testing.T) {
 			if n := metricValue(reg, "cpu.bbt.insts_translated"); n == 0 {
 				t.Errorf("%s: the golden pass executed no translated block", label)
 			}
-			r.AttachTaint()
 
 			ref := loadSim(t, w, refCfg)
 			var ckpt *checkpoint.State
@@ -92,7 +92,7 @@ func TestGoldenPassReferee(t *testing.T) {
 
 			tg, want := r.TaintGolden(), taint.CaptureGolden(&ref.Core.Arch, ref.Mem)
 			if tg == nil {
-				t.Fatalf("%s: AttachTaint captured no golden state", label)
+				t.Fatalf("%s: EnableTaint captured no golden state", label)
 			}
 			if !tg.Arch.BitsEqual(&want.Arch) {
 				t.Errorf("%s: taint golden architectural state diverged", label)

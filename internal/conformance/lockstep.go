@@ -147,7 +147,7 @@ func RunLockstep(prog *asm.Program, cfg Config) (*Divergence, error) {
 			return nil, fmt.Errorf("conformance: load on %s: %w", kind, err)
 		}
 		r := &modelRun{kind: kind, sim: s, model: s.Model, trace: newTraceRing(cfg.TraceWindow)}
-		s.Core.TraceFn = r.trace.record
+		s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(r.trace.record))
 		if cfg.Perturb != nil && cfg.Perturb.Model == kind {
 			r.model = &perturbModel{Model: s.Model, core: s.Core, spec: *cfg.Perturb}
 		}

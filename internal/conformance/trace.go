@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -98,14 +99,14 @@ func Capture(name, scale string, model sim.ModelKind, interval uint64) (*Trace, 
 	t := &Trace{Workload: name, Scale: scale, Model: model, Interval: interval}
 	h := uint64(fnvOffset)
 	var commits uint64
-	s.Core.TraceFn = func(pc uint64, in isa.Inst) {
+	s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(func(pc uint64, in isa.Inst) {
 		h = fnvU64(h, pc)
 		h = fnvU64(h, uint64(uint32(in.Raw)))
 		commits++
 		if commits%interval == 0 {
 			t.Windows = append(t.Windows, h)
 		}
-	}
+	}))
 	r := s.Run()
 	if r.Crashed || r.Hung {
 		return nil, fmt.Errorf("conformance: golden run of %s failed: crashed=%v hung=%v cause=%s",

@@ -32,19 +32,18 @@ func (m *AtomicModel) ModelName() string {
 // Drain implements Model; the atomic model holds no speculative state.
 func (m *AtomicModel) Drain() {}
 
-// Step executes one instruction to completion. When every per-step
-// observer is inactive — no trace, no profiler, no taint sink, no
-// flight recorder — and the fault engine reports that no fault can act
-// (window closed, or engine quiescent: every fault exhausted and
-// nothing in flight), it runs the specialized fast step, which elides
-// all stage-hook dispatch. Registers with outstanding taint stay
-// watched on the fast path, so their first committed read or write
-// still reaches the engine. The two paths produce bit-identical
+// Step executes one instruction to completion. When no observer is
+// attached and the fault engine reports that no fault can act (window
+// closed, or engine quiescent: every fault exhausted and nothing in
+// flight), it runs the specialized fast step, which elides all
+// stage-hook dispatch. Registers with outstanding taint stay watched on
+// the fast path, so their first committed read or write still reaches
+// the engine. The two paths produce bit-identical
 // architectural state and fault outcomes (enforced by the conformance
 // suite); DisableFastPath pins the slow path for reference runs.
 func (m *AtomicModel) Step() bool {
 	c := m.C
-	if c.TraceFn == nil && c.Prof == nil && c.Taint == nil && c.Flight == nil && !c.DisableFastPath {
+	if len(c.Observers) == 0 && !c.DisableFastPath {
 		ok, watchInt, watchFP := true, uint32(0), uint32(0)
 		if c.FI != nil {
 			ok, watchInt, watchFP = c.FI.FastPath()
@@ -67,9 +66,8 @@ func (m *AtomicModel) Step() bool {
 }
 
 // stepFast is Step with the stage hooks structurally removed: no FI
-// stage hooks, no trace/profile/taint/flight dispatch, and the commit
-// epilogue inlined down to the PAL and scheduler work that can still
-// occur. One Injector.Retire call per instruction keeps an open window's
+// stage hooks, no observer dispatch, and the commit epilogue inlined
+// down to the PAL and scheduler work that can still occur. One Injector.Retire call per instruction keeps an open window's
 // stage counters and the engine tick clock exactly where the slow path's
 // hooks would have left them (trunk fork points capture both, and
 // fi_activate_inst anchors tick-relative faults on the clock). Register
@@ -248,8 +246,8 @@ func (m *AtomicModel) stepSlow() bool {
 		if m.Timing && c.Hier != nil {
 			lat, miss := c.Hier.FetchAccess(pc)
 			c.Ticks += lat - 1
-			if miss && c.Prof != nil {
-				c.Prof.OnIMiss(pc)
+			if miss {
+				c.observeEvent(EventIMiss, pc)
 			}
 		}
 	} else {
@@ -265,8 +263,8 @@ func (m *AtomicModel) stepSlow() bool {
 		if m.Timing && c.Hier != nil {
 			lat, miss := c.Hier.FetchAccess(pc)
 			c.Ticks += lat - 1
-			if miss && c.Prof != nil {
-				c.Prof.OnIMiss(pc)
+			if miss {
+				c.observeEvent(EventIMiss, pc)
 			}
 		}
 		if fi {
@@ -317,12 +315,6 @@ func (m *AtomicModel) stepSlow() bool {
 		c.Arch.PC = pc + 4
 	}
 
-	if c.TraceFn != nil {
-		c.TraceFn(pc, in)
-	}
-	if c.Prof != nil {
-		c.profileCommit(pc, in, out)
-	}
 	red := c.commitEpilogue(seq, pc, in, ports, out, loadVal, fi)
 	if red.stopped {
 		return false

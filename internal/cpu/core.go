@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/prof"
 )
 
 // Injector is the set of per-stage hook points the fault injection engine
@@ -71,43 +70,69 @@ type Injector interface {
 	OnTick(ticks uint64)
 }
 
-// TaintSink observes the architectural instruction stream for dataflow
-// tracking: one call per committed instruction (with the decoded form,
-// register ports, execute-stage output and load value at hand) and one per
-// squashed speculative instruction. Unlike Injector hooks it is not gated
-// on the fault-injection window, because propagated corruption must be
-// followed past the window's close (program output happens after
-// fi_activate_inst toggles FI off). A nil sink costs one untaken branch
-// per commit — the same disabled-path guarantee as TraceFn and Prof.
-type TaintSink interface {
-	// OnCommitInst is called after writeback, with the architectural PC
-	// already advanced, and before PAL dispatch (so syscall argument
-	// registers still hold their values).
-	OnCommitInst(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *ExecOut, loadVal uint64, a *Arch)
-	// OnSquash reports that a speculative instruction was squashed; any
-	// provisional propagation state keyed on seq must be discarded.
-	OnSquash(seq uint64)
+// Commit is one committed instruction as an Observer sees it: the
+// decoded form, the (possibly fault-corrupted) register ports, the
+// execute-stage output and the load value, with the tick clock and the
+// architectural state at hand. It is delivered after writeback, with
+// the architectural PC already advanced, and before PAL dispatch (so
+// syscall argument registers still hold their values). The pointer is
+// only valid for the duration of the call.
+type Commit struct {
+	Seq, PC uint64
+	In      isa.Inst
+	Ports   isa.RegPorts
+	Out     *ExecOut
+	LoadVal uint64
+	Ticks   uint64
+	Arch    *Arch
 }
 
-// FlightSink records the committed instruction stream into a bounded
-// flight-recorder ring for post-mortem reconstruction: one call per
-// committed instruction with the decoded form, register ports,
-// execute-stage output, load value and tick clock at hand, and one per
-// squashed speculative instruction. Like TaintSink it is not gated on
-// the fault-injection window — the final K instructions before a crash
-// may lie well past fi_activate_inst. A nil sink costs one untaken
-// branch per commit, the same disabled-path guarantee as TraceFn, Prof
-// and Taint.
-type FlightSink interface {
-	// OnCommitInst is called at the same site as TaintSink.OnCommitInst:
-	// after writeback, with the architectural PC already advanced, and
-	// before PAL dispatch.
-	OnCommitInst(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *ExecOut, loadVal uint64, tick uint64, a *Arch)
-	// OnSquash reports that a speculative instruction was squashed; a
-	// squashed instruction never committed and must not appear in the
-	// post-mortem timeline.
+// Event is a microarchitectural event an Observer may count.
+type Event uint8
+
+// Events. The stall events each stand for one cycle in which the
+// pipelined model committed nothing, charged to the oldest in-flight PC.
+const (
+	EventIMiss       Event = iota // L1I miss fetching pc
+	EventDMiss                    // L1D miss by the load/store at pc
+	EventMispredict               // branch mispredict resolved at pc
+	EventStallFetch               // front end waiting on L1I / redirect
+	EventStallMem                 // memory stage busy on a data access
+	EventStallSquash              // refilling after a mispredict squash
+	EventStallDrain               // serialization / pipeline drain
+)
+
+// Observer watches the committed instruction stream of a Core: the
+// profiler, the taint tracker, the flight recorder and execution traces
+// all attach through it (gem5's probe-point listener, one seam for every
+// listener). Unlike Injector hooks, observers are not gated on the
+// fault-injection window: propagated corruption and the final
+// instructions before a crash lie past the window's close. With no
+// observer attached the models pay one untaken branch per hook site,
+// and the atomic model keeps its fast path.
+type Observer interface {
+	// OnCommit is called once per committed instruction, in commit order.
+	OnCommit(c *Commit)
+	// OnSquash reports that a speculative instruction was squashed; it
+	// never committed, and any provisional state keyed on seq must be
+	// discarded.
 	OnSquash(seq uint64)
+	// OnEvent reports a microarchitectural event at pc.
+	OnEvent(ev Event, pc uint64)
 }
+
+// TraceFunc adapts a per-commit callback (the execution trace used for
+// postmortem fault correlation and conformance hashing) to an Observer.
+type TraceFunc func(pc uint64, in isa.Inst)
+
+// OnCommit implements Observer.
+func (f TraceFunc) OnCommit(c *Commit) { f(c.PC, c.In) }
+
+// OnSquash implements Observer.
+func (TraceFunc) OnSquash(uint64) {}
+
+// OnEvent implements Observer.
+func (TraceFunc) OnEvent(Event, uint64) {}
 
 // Scheduler is consulted after every committed instruction; the kernel
 // implements it to preempt the running thread. A context switch mutates
@@ -190,25 +215,10 @@ type Core struct {
 	// (the paper's checkpoint-here pseudo-instruction). May be nil.
 	OnCheckpoint func()
 
-	// TraceFn, when set, is called for every committed instruction with
-	// its PC and decoded form — the execution trace used for postmortem
-	// fault correlation. Costs one call per instruction; leave nil for
-	// measurement runs.
-	TraceFn func(pc uint64, in isa.Inst)
-
-	// Prof, when set, receives per-PC profiling events (commits, cache
-	// misses, mispredicts, stalls, call/return edges). Every hook site
-	// is behind a nil check, so a nil profiler costs one untaken branch
-	// per event class — the same disabled-path guarantee as TraceFn.
-	Prof *prof.Profiler
-
-	// Taint, when set, receives the committed instruction stream (and
-	// pipeline squashes) for fault-propagation taint tracking.
-	Taint TaintSink
-
-	// Flight, when set, receives the committed instruction stream (and
-	// pipeline squashes) for flight-recorder post-mortems.
-	Flight FlightSink
+	// Observers receive the committed instruction stream, pipeline
+	// squashes and microarchitectural events. Empty: no observation, and
+	// the atomic model may take its fast path.
+	Observers []Observer
 
 	// BBT, when set, executes translated basic blocks on the atomic
 	// model's fast path (gem5/QEMU-style block translation). It is only
@@ -232,6 +242,7 @@ type Core struct {
 	seq    uint64 // dynamic instruction sequence numbering
 	dcache *isa.DecodeCache
 	pred   *predecodeCache
+	commit Commit // what observers receive; a core field, so nothing escapes per commit
 }
 
 // CoreSnapshot is the checkpointable part of a core: the architectural
@@ -410,8 +421,8 @@ func (c *Core) accessMem(seq, pc uint64, in isa.Inst, o *ExecOut, fi bool) (load
 		var miss bool
 		latency, miss = c.Hier.DataAccess(o.EA, in.Kind.IsStore())
 		bus = miss
-		if miss && c.Prof != nil {
-			c.Prof.OnDMiss(pc)
+		if miss {
+			c.observeEvent(EventDMiss, pc)
 		}
 	}
 	if in.Kind.IsStore() {
@@ -450,20 +461,10 @@ func (c *Core) accessMem(seq, pc uint64, in isa.Inst, o *ExecOut, fi bool) (load
 	return val, latency, nil
 }
 
-// profileCommit feeds the profiler at a model's commit point: per-PC
-// instruction/cycle accounting, the shadow-call-stack sample, and the
-// call/return edges that maintain it. Callers must have checked
-// c.Prof != nil.
-func (c *Core) profileCommit(pc uint64, in isa.Inst, o *ExecOut) {
-	c.Prof.OnCommit(pc, c.Ticks)
-	c.Prof.OnStackSample(pc)
-	switch {
-	case in.Kind == isa.KindBSR && o.Taken:
-		c.Prof.OnCall(o.Target)
-	case in.Kind == isa.KindJMP && in.Hint == isa.HintJSR:
-		c.Prof.OnCall(o.Target)
-	case in.Kind == isa.KindJMP && in.Hint == isa.HintRET:
-		c.Prof.OnReturn()
+// observeEvent delivers a microarchitectural event to every observer.
+func (c *Core) observeEvent(ev Event, pc uint64) {
+	for _, o := range c.Observers {
+		o.OnEvent(ev, pc)
 	}
 }
 
@@ -511,23 +512,26 @@ type commitRedirect struct {
 }
 
 // commitEpilogue runs the per-committed-instruction bookkeeping shared by
-// all models: FI commit hook and register-traffic notifications, PAL
-// dispatch, scheduler preemption and context switch detection. The
-// architectural PC must already hold the sequentially-next instruction
+// all models: observers, FI commit hook and register-traffic
+// notifications, PAL dispatch, scheduler preemption and context switch
+// detection. The architectural PC must already hold the sequentially-next instruction
 // address (or branch target) before the call.
 func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *ExecOut, loadVal uint64, fi bool) commitRedirect {
+	// Observers see every commit, before PAL dispatch mutates syscall
+	// argument registers and regardless of the FI window (a corrupted
+	// value keeps flowing after fi_activate_inst closes it).
+	if len(c.Observers) != 0 {
+		// Field by field: a composite literal would zero and copy a
+		// temporary on every commit.
+		cm := &c.commit
+		cm.Seq, cm.PC, cm.In, cm.Ports = seq, pc, in, ports
+		cm.Out, cm.LoadVal, cm.Ticks, cm.Arch = out, loadVal, c.Ticks, &c.Arch
+		for _, o := range c.Observers {
+			o.OnCommit(cm)
+		}
+	}
 	c.Insts++
 	var red commitRedirect
-
-	// Taint propagation sees every commit, before PAL dispatch mutates
-	// syscall argument registers and regardless of the FI window (a
-	// corrupted value keeps flowing after fi_activate_inst closes it).
-	if c.Taint != nil {
-		c.Taint.OnCommitInst(seq, pc, in, ports, out, loadVal, &c.Arch)
-	}
-	if c.Flight != nil {
-		c.Flight.OnCommitInst(seq, pc, in, ports, out, loadVal, c.Ticks, &c.Arch)
-	}
 
 	if fi {
 		c.regTraffic(ports)

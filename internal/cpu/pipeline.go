@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/isa"
-	"repro/internal/prof"
 )
 
 // f64FromBits is a local alias kept for readability in forwarding paths.
@@ -179,9 +178,8 @@ func (m *PipelinedModel) Step() bool {
 	if c.Stopped {
 		return false
 	}
-	if !retired && c.Prof != nil {
-		pc, cause := m.stallPoint()
-		c.Prof.OnStall(pc, cause, 1)
+	if !retired && len(c.Observers) != 0 {
+		c.observeEvent(m.stallPoint())
 	}
 	m.memStage()
 	m.execStage()
@@ -209,12 +207,6 @@ func (m *PipelinedModel) commitStage() bool {
 	}
 	c.writeback(s.in, s.ports, s.out, s.loadVal)
 	c.Arch.PC = s.actualNext
-	if c.TraceFn != nil {
-		c.TraceFn(s.pc, s.in)
-	}
-	if c.Prof != nil {
-		c.profileCommit(s.pc, s.in, &s.out)
-	}
 	m.squashRefill = false
 	red := c.commitEpilogue(s.seq, s.pc, s.in, s.ports, &s.out, s.loadVal, s.fi)
 	s.valid = false
@@ -232,23 +224,23 @@ func (m *PipelinedModel) commitStage() bool {
 // stallPoint classifies a no-commit cycle and picks the PC to charge:
 // the oldest in-flight instruction, falling back to the fetch target
 // when the pipeline is empty (refill after a squash or a long I-miss).
-func (m *PipelinedModel) stallPoint() (uint64, prof.StallCause) {
+func (m *PipelinedModel) stallPoint() (Event, uint64) {
 	switch {
 	case m.mms.valid:
-		return m.mms.pc, prof.StallMem
+		return EventStallMem, m.mms.pc
 	case m.exs.valid:
-		return m.exs.pc, prof.StallDrain
+		return EventStallDrain, m.exs.pc
 	case m.ids.valid:
-		return m.ids.pc, prof.StallDrain
+		return EventStallDrain, m.ids.pc
 	case m.ifs.valid:
 		if m.squashRefill {
-			return m.ifs.pc, prof.StallSquash
+			return EventStallSquash, m.ifs.pc
 		}
-		return m.ifs.pc, prof.StallFetch
+		return EventStallFetch, m.ifs.pc
 	case m.squashRefill:
-		return m.fetchPC, prof.StallSquash
+		return EventStallSquash, m.fetchPC
 	default:
-		return m.fetchPC, prof.StallFetch
+		return EventStallFetch, m.fetchPC
 	}
 }
 
@@ -321,9 +313,7 @@ func (m *PipelinedModel) execStage() {
 		// instead (the front end is already stalled).
 		if s.trap == nil && s.in.Format != isa.FormatPAL && s.actualNext != s.predNext {
 			m.Pred.Mispredicts++
-			if c.Prof != nil {
-				c.Prof.OnMispredict(s.pc)
-			}
+			c.observeEvent(EventMispredict, s.pc)
 			m.squashFrontend()
 			m.fetchPC = s.actualNext
 		}
@@ -408,8 +398,8 @@ func (m *PipelinedModel) fetchStage() {
 			if lat > 1 {
 				s.busy = lat - 1
 			}
-			if miss && c.Prof != nil {
-				c.Prof.OnIMiss(pc)
+			if miss {
+				c.observeEvent(EventIMiss, pc)
 			}
 		}
 	} else if w, err := c.Mem.Read32(pc); err != nil {
@@ -421,8 +411,8 @@ func (m *PipelinedModel) fetchStage() {
 			if lat > 1 {
 				s.busy = lat - 1
 			}
-			if miss && c.Prof != nil {
-				c.Prof.OnIMiss(pc)
+			if miss {
+				c.observeEvent(EventIMiss, pc)
 			}
 		}
 		if s.fi {
@@ -435,7 +425,8 @@ func (m *PipelinedModel) fetchStage() {
 	m.fetchPC = pred.Next
 }
 
-// squashSlot invalidates a speculative slot and notifies the injector.
+// squashSlot invalidates a speculative slot and notifies the injector
+// and the observers.
 func (m *PipelinedModel) squashSlot(s *pipeSlot) {
 	if !s.valid {
 		return
@@ -443,11 +434,8 @@ func (m *PipelinedModel) squashSlot(s *pipeSlot) {
 	if m.C.FI != nil {
 		m.C.FI.OnSquash(s.seq)
 	}
-	if m.C.Taint != nil {
-		m.C.Taint.OnSquash(s.seq)
-	}
-	if m.C.Flight != nil {
-		m.C.Flight.OnSquash(s.seq)
+	for _, o := range m.C.Observers {
+		o.OnSquash(s.seq)
 	}
 	if m.serialize && s.seq == m.serializeSeq {
 		m.serialize = false

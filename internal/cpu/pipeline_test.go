@@ -192,7 +192,7 @@ next:
 	}
 }
 
-// TestTraceFnSeesEveryCommit: the trace hook must fire once per committed
+// TestTraceFnSeesEveryCommit: a cpu.TraceFunc observer must fire once per committed
 // instruction, in program order, on both models.
 func TestTraceFnSeesEveryCommit(t *testing.T) {
 	src := `
@@ -215,7 +215,7 @@ l:  subq t0, #1, t0
 			t.Fatal(err)
 		}
 		var pcs []uint64
-		core.TraceFn = func(pc uint64, in isa.Inst) { pcs = append(pcs, pc) }
+		core.Observers = []cpu.Observer{cpu.TraceFunc(func(pc uint64, in isa.Inst) { pcs = append(pcs, pc) })}
 		var mdl cpu.Model
 		if pipelined {
 			mdl = cpu.NewPipelined(core)

@@ -57,6 +57,11 @@ type Message struct {
 	// results of interesting experiments (Result.Postmortem)
 	Flight bool `json:"flight,omitempty"`
 
+	// welcome (master -> worker): the source tracks fault propagation;
+	// workers run a taint tracker and ship the verdict summary back on
+	// every result (Result.Prop)
+	Taint bool `json:"taint,omitempty"`
+
 	// experiment (master -> worker)
 	Experiment *campaign.Experiment `json:"experiment,omitempty"`
 

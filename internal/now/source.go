@@ -36,6 +36,10 @@ type Welcome struct {
 	// post-mortems: the worker attaches a recorder and interesting
 	// results arrive with Result.Postmortem populated.
 	Flight bool
+	// Taint tells the worker the source tracks fault propagation: the
+	// worker runs a taint tracker and every result arrives with
+	// Result.Prop populated.
+	Taint bool
 }
 
 // Session is one worker's assignment to a campaign. Take, Complete and
@@ -116,6 +120,7 @@ func serveSourceConn(name string, c *conn, src ExpSource) {
 		MaxInsts:    wel.MaxInsts,
 		SpanTrace:   wel.SpanTrace,
 		Flight:      wel.Flight,
+		Taint:       wel.Taint,
 	}); err != nil {
 		return
 	}

@@ -46,8 +46,10 @@ type WorkerConfig struct {
 	// retries, experiment timeouts and retries, completed experiments.
 	Metrics *obs.Registry
 
-	// Taint enables per-experiment fault-propagation tracking; the
-	// compact verdict summary rides back to the master on each Result.
+	// Taint enables per-experiment fault-propagation tracking even when
+	// the master did not ask for it (the master's welcome requests it
+	// for taint campaigns); the compact verdict summary rides back to the
+	// master on each Result.
 	// The golden differ is fed by the runner's own atomic fault-free
 	// continuation from the checkpoint (the same one that rebuilds the
 	// golden output).
@@ -57,7 +59,7 @@ type WorkerConfig struct {
 	// trunk run freezes COW snapshots across the fault window and every
 	// experiment forks from the closest one instead of replaying the
 	// warm-up from the shipped checkpoint. Pruning is disabled when Taint
-	// is also set (instrumented runs must execute in full).
+	// or Flight is also set (observed runs must execute in full).
 	Fork bool
 	// ForkSnapshots overrides the trunk snapshot count in Fork mode;
 	// 0 uses the campaign default.
@@ -285,13 +287,13 @@ func buildRunner(welcome Message, wcfg WorkerConfig) (*campaign.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := campaign.NewRestoredRunner(wl, SimConfig(welcome.Model, welcome.MaxInsts),
-		welcome.WindowInsts, st)
+	cfg := SimConfig(welcome.Model, welcome.MaxInsts)
+	cfg.EnableTaint = welcome.Taint || wcfg.Taint
+	cfg.EnableFlight = welcome.Flight || wcfg.Flight
+	cfg.FlightDepth = wcfg.FlightDepth
+	runner, err := campaign.NewRestoredRunner(wl, cfg, welcome.WindowInsts, st)
 	if err != nil {
 		return nil, err
-	}
-	if wcfg.Taint {
-		runner.AttachTaint()
 	}
 	if wcfg.Fork {
 		fo := campaign.DefaultForkOptions()
@@ -301,9 +303,6 @@ func buildRunner(welcome Message, wcfg WorkerConfig) (*campaign.Runner, error) {
 		if err := runner.EnableFork(fo); err != nil {
 			return nil, err
 		}
-	}
-	if welcome.Flight || wcfg.Flight {
-		runner.AttachFlight(wcfg.FlightDepth)
 	}
 	return runner, nil
 }

@@ -7,14 +7,14 @@
 // million-experiment campaign records everything and keeps almost
 // nothing.
 //
-// The Recorder implements cpu.FlightSink and hooks the shared commit
-// epilogue of all three CPU models; a nil recorder costs one untaken
-// branch per commit (the Core.Flight nil guard), and the atomic model's
-// fast path is re-selected whenever the sink is absent. Each record is
-// compact — sequence number, tick, PC, raw word, the destination
-// register write, load/store address+value, branch outcome — with
-// periodic architectural keyframes so a post-mortem can re-anchor full
-// register state inside the ring window.
+// The Recorder is a cpu.Observer on the shared commit epilogue of all
+// three CPU models; a core without observers pays one untaken branch
+// per commit, and the atomic model's fast path is re-selected whenever
+// no observer is attached. Each record is compact — sequence number,
+// tick, PC, raw word, the destination register write, load/store
+// address+value, branch outcome — with periodic architectural
+// keyframes so a post-mortem can re-anchor full register state inside
+// the ring window.
 package flight
 
 import (
@@ -135,14 +135,15 @@ func (r *Recorder) Squashed() uint64 {
 	return r.squashed
 }
 
-// OnCommitInst implements cpu.FlightSink: append one record to the
-// ring, overwriting the oldest, and cut a keyframe on the interval.
-func (r *Recorder) OnCommitInst(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu.ExecOut, loadVal uint64, tick uint64, a *cpu.Arch) {
+// OnCommit implements cpu.Observer: append one record to the ring,
+// overwriting the oldest, and cut a keyframe on the interval.
+func (r *Recorder) OnCommit(c *cpu.Commit) {
 	if r == nil {
 		return
 	}
+	seq, tick, in, ports, out, a := c.Seq, c.Ticks, c.In, c.Ports, c.Out, c.Arch
 	rec := &r.ring[r.n%uint64(len(r.ring))]
-	*rec = Record{Seq: seq, Tick: tick, PC: pc, Raw: uint32(in.Raw)}
+	*rec = Record{Seq: seq, Tick: tick, PC: c.PC, Raw: uint32(in.Raw)}
 	if ports.DstUsed {
 		rec.DstUsed, rec.DstFP, rec.Dst = true, ports.DstFP, uint8(ports.Dst)
 		if ports.DstFP {
@@ -156,7 +157,7 @@ func (r *Recorder) OnCommitInst(seq, pc uint64, in isa.Inst, ports isa.RegPorts,
 		if in.Kind.IsStore() {
 			rec.Store, rec.MemVal = true, out.StoreVal
 		} else {
-			rec.MemVal = loadVal
+			rec.MemVal = c.LoadVal
 		}
 	}
 	if in.Kind.IsBranch() {
@@ -176,7 +177,7 @@ func (r *Recorder) OnCommitInst(seq, pc uint64, in isa.Inst, ports isa.RegPorts,
 	}
 }
 
-// OnSquash implements cpu.FlightSink. Squashed instructions never
+// OnSquash implements cpu.Observer. Squashed instructions never
 // committed and never entered the ring; only the count is kept (a
 // post-mortem of a pipelined run reports it).
 func (r *Recorder) OnSquash(seq uint64) {
@@ -185,6 +186,10 @@ func (r *Recorder) OnSquash(seq uint64) {
 	}
 	r.squashed++
 }
+
+// OnEvent implements cpu.Observer; the ring keeps committed
+// instructions only.
+func (r *Recorder) OnEvent(cpu.Event, uint64) {}
 
 // Reset clears the ring for the next experiment — the campaign runner
 // calls it from the restore/fork path, alongside the taint tracker and
@@ -231,6 +236,3 @@ func (r *Recorder) Keyframes() []Keyframe {
 	}
 	return out
 }
-
-// static interface check
-var _ cpu.FlightSink = (*Recorder)(nil)

@@ -17,7 +17,7 @@ func commit(r *Recorder, seq uint64, pc uint64, in isa.Inst, ports isa.RegPorts,
 	if a == nil {
 		a = &cpu.Arch{}
 	}
-	r.OnCommitInst(seq, pc, in, ports, out, loadVal, seq*2, a)
+	r.OnCommit(&cpu.Commit{Seq: seq, PC: pc, In: in, Ports: ports, Out: out, LoadVal: loadVal, Ticks: seq * 2, Arch: a})
 }
 
 func TestRingWrap(t *testing.T) {
@@ -143,7 +143,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	// Every method must be a no-op on the nil receiver — this is the
 	// disabled path's contract.
-	r.OnCommitInst(0, 0, isa.Inst{}, isa.RegPorts{}, &cpu.ExecOut{}, 0, 0, &cpu.Arch{})
+	r.OnCommit(&cpu.Commit{Out: &cpu.ExecOut{}, Arch: &cpu.Arch{}})
 	r.OnSquash(0)
 	r.Reset()
 	if r.Depth() != 0 || r.Committed() != 0 || r.Squashed() != 0 {

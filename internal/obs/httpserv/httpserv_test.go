@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/taint"
@@ -28,9 +29,9 @@ func get(t *testing.T, url string) (int, string) {
 
 func testProfile() *prof.Profile {
 	p := prof.New(0x1000, 4)
-	p.OnCommit(0x1000, 1)
-	p.OnCommit(0x1004, 2)
-	p.OnCommit(0x1004, 3)
+	p.OnCommit(&cpu.Commit{PC: 0x1000, Ticks: 1})
+	p.OnCommit(&cpu.Commit{PC: 0x1004, Ticks: 2})
+	p.OnCommit(&cpu.Commit{PC: 0x1004, Ticks: 3})
 	return p.Snapshot()
 }
 

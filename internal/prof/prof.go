@@ -1,17 +1,17 @@
 // Package prof is the guest-program profiler: an exact per-PC account
 // of retired instructions, cycles, cache misses, branch mispredicts and
-// pipeline stall causes, collected through cheap hooks in the CPU
-// models and symbolized against the program's function symbol table.
-// It plays the role of gem5's per-PC m5out statistics for the
-// simulated application, with one addition gem5 lacks: per-PC
+// pipeline stall causes, collected as a cpu.Observer of the CPU
+// models' commit stream and symbolized against the program's function
+// symbol table. It plays the role of gem5's per-PC m5out statistics
+// for the simulated application, with one addition gem5 lacks: per-PC
 // fault-injection outcome attribution (see Attribution in
 // internal/campaign).
 //
 // The profiler is hot-loop safe in the same way the obs registry is:
-// a nil *Profiler is never touched (every core hook sits behind a
-// single nil-check branch), and an attached profiler only performs
-// array-indexed atomic adds, so live HTTP readers can snapshot it
-// while a simulation runs without stopping it.
+// a detached profiler is never touched (the core's observer hooks sit
+// behind one emptiness branch each), and an attached profiler only
+// performs array-indexed atomic adds, so live HTTP readers can
+// snapshot it while a simulation runs without stopping it.
 package prof
 
 import (
@@ -19,18 +19,21 @@ import (
 	"sync/atomic"
 
 	"repro/internal/asm"
+	"repro/internal/cpu"
+	"repro/internal/isa"
 )
 
 // StallCause classifies why the pipelined model failed to commit an
-// instruction on a given cycle.
+// instruction on a given cycle. The causes follow the order of the
+// cpu.EventStall* events.
 type StallCause int
 
 // Stall causes, in render order.
 const (
-	StallFetch    StallCause = iota // front end waiting on L1I / redirect
-	StallMem                        // memory stage busy on a data access
-	StallSquash                     // refilling after a mispredict squash
-	StallDrain                      // serialization / pipeline drain
+	StallFetch  StallCause = iota // front end waiting on L1I / redirect
+	StallMem                      // memory stage busy on a data access
+	StallSquash                   // refilling after a mispredict squash
+	StallDrain                    // serialization / pipeline drain
 	NumStallCauses
 )
 
@@ -70,7 +73,7 @@ type Profiler struct {
 	dense    []Sample // indexed by (pc-textBase)/4
 	syms     asm.SymbolTable
 
-	mu       sync.Mutex        // guards sparse map shape (values still atomic)
+	mu       sync.Mutex         // guards sparse map shape (values still atomic)
 	sparse   map[uint64]*Sample // PCs outside [textBase, textBase+4*len)
 	lastTick uint64             // commit-to-commit cycle attribution state
 
@@ -124,46 +127,57 @@ func (p *Profiler) sample(pc uint64) *Sample {
 	return s
 }
 
-// OnCommit records one retired instruction at pc, attributing every
-// cycle since the previous commit to it (so per-PC cycles sum exactly
-// to total ticks: stall cycles land on the instruction that was
-// waiting to commit). ticks is the core's cycle counter after the
-// instruction completed.
-func (p *Profiler) OnCommit(pc uint64, ticks uint64) {
-	s := p.sample(pc)
+// OnCommit implements cpu.Observer: it records one retired instruction
+// at c.PC, attributing every cycle since the previous commit to it (so
+// per-PC cycles sum exactly to total ticks: stall cycles land on the
+// instruction that was waiting to commit), samples the shadow call
+// stack, and follows the call/return edges that maintain it.
+func (p *Profiler) OnCommit(c *cpu.Commit) {
+	s := p.sample(c.PC)
 	atomic.AddUint64(&s.Insts, 1)
-	if ticks < p.lastTick {
-		p.lastTick = ticks // checkpoint restore rewound the clock
+	if c.Ticks < p.lastTick {
+		p.lastTick = c.Ticks // checkpoint restore rewound the clock
 	}
-	if d := ticks - p.lastTick; d > 0 {
+	if d := c.Ticks - p.lastTick; d > 0 {
 		atomic.AddUint64(&s.Cycles, d)
-		p.lastTick = ticks
+		p.lastTick = c.Ticks
+	}
+	p.OnStackSample(c.PC)
+	switch in := c.In; {
+	case in.Kind == isa.KindBSR && c.Out.Taken:
+		p.OnCall(c.Out.Target)
+	case in.Kind == isa.KindJMP && in.Hint == isa.HintJSR:
+		p.OnCall(c.Out.Target)
+	case in.Kind == isa.KindJMP && in.Hint == isa.HintRET:
+		p.OnReturn()
 	}
 }
 
-// OnIMiss records an L1I miss fetching pc.
-func (p *Profiler) OnIMiss(pc uint64) {
-	atomic.AddUint64(&p.sample(pc).IMisses, 1)
-}
+// OnSquash implements cpu.Observer; squashed instructions are never
+// charged.
+func (p *Profiler) OnSquash(uint64) {}
 
-// OnDMiss records an L1D miss by the instruction at pc.
-func (p *Profiler) OnDMiss(pc uint64) {
-	atomic.AddUint64(&p.sample(pc).DMisses, 1)
-}
-
-// OnMispredict records a branch mispredict resolved at pc.
-func (p *Profiler) OnMispredict(pc uint64) {
-	atomic.AddUint64(&p.sample(pc).Mispredict, 1)
-}
-
-// OnStall charges n stalled cycles with the given cause to the oldest
-// in-flight PC (pipelined model only; cycle *attribution* still comes
-// from OnCommit — stall counters are a diagnostic breakdown).
-func (p *Profiler) OnStall(pc uint64, cause StallCause, n uint64) {
-	if cause < 0 || cause >= NumStallCauses {
-		cause = StallDrain
+// OnEvent implements cpu.Observer: an L1I miss fetching pc, an L1D
+// miss by pc, a branch mispredict resolved at pc, or one stalled cycle
+// charged to the oldest in-flight pc (pipelined model only; cycle
+// attribution still comes from OnCommit — stall counters are a
+// diagnostic breakdown).
+func (p *Profiler) OnEvent(ev cpu.Event, pc uint64) {
+	s := p.sample(pc)
+	switch ev {
+	case cpu.EventIMiss:
+		atomic.AddUint64(&s.IMisses, 1)
+	case cpu.EventDMiss:
+		atomic.AddUint64(&s.DMisses, 1)
+	case cpu.EventMispredict:
+		atomic.AddUint64(&s.Mispredict, 1)
+	default:
+		cause := StallCause(ev - cpu.EventStallFetch)
+		if cause >= NumStallCauses {
+			cause = StallDrain
+		}
+		atomic.AddUint64(&s.Stalls[cause], 1)
 	}
-	atomic.AddUint64(&p.sample(pc).Stalls[cause], n)
 }
 
 // OnCall pushes callee onto the shadow call stack (BSR/JSR commit).
@@ -173,7 +187,7 @@ func (p *Profiler) OnCall(callee uint64) { p.stack.push(callee) }
 func (p *Profiler) OnReturn() { p.stack.pop() }
 
 // OnStackSample charges one retired instruction to the current shadow
-// stack (called at commit alongside OnCommit).
+// stack.
 func (p *Profiler) OnStackSample(pc uint64) { p.stack.sample(pc) }
 
 // ResetStack clears shadow-stack state (checkpoint restore lands the

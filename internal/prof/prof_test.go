@@ -6,18 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cpu"
 )
 
 func TestProfilerDenseAndSparse(t *testing.T) {
 	p := New(0x1000, 2) // dense window covers 0x1000 and 0x1004
-	p.OnCommit(0x1000, 1)
-	p.OnCommit(0x1004, 3)
-	p.OnCommit(0x2000, 10) // outside the window: sparse overflow
-	p.OnIMiss(0x1000)
-	p.OnDMiss(0x1004)
-	p.OnMispredict(0x2000)
-	p.OnStall(0x1000, StallMem, 5)
-	p.OnStall(0x1000, StallCause(99), 1) // out of range clamps to drain
+	p.OnCommit(&cpu.Commit{PC: 0x1000, Ticks: 1})
+	p.OnCommit(&cpu.Commit{PC: 0x1004, Ticks: 3})
+	p.OnCommit(&cpu.Commit{PC: 0x2000, Ticks: 10}) // outside the window: sparse overflow
+	p.OnEvent(cpu.EventIMiss, 0x1000)
+	p.OnEvent(cpu.EventDMiss, 0x1004)
+	p.OnEvent(cpu.EventMispredict, 0x2000)
+	for i := 0; i < 5; i++ {
+		p.OnEvent(cpu.EventStallMem, 0x1000)
+	}
+	p.OnEvent(cpu.Event(99), 0x1000) // out of range clamps to drain
 
 	snap := p.Snapshot()
 	if snap.TotalInsts != 3 {
@@ -45,9 +48,9 @@ func TestProfilerDenseAndSparse(t *testing.T) {
 
 func TestProfilerTickRewind(t *testing.T) {
 	p := New(0x1000, 4)
-	p.OnCommit(0x1000, 100)
-	p.OnCommit(0x1004, 5) // checkpoint restore rewound the clock
-	p.OnCommit(0x1008, 8)
+	p.OnCommit(&cpu.Commit{PC: 0x1000, Ticks: 100})
+	p.OnCommit(&cpu.Commit{PC: 0x1004, Ticks: 5}) // checkpoint restore rewound the clock
+	p.OnCommit(&cpu.Commit{PC: 0x1008, Ticks: 8})
 	snap := p.Snapshot()
 	// 100 + 0 (rewind resets the baseline) + 3.
 	if snap.TotalCycles != 103 {
@@ -58,8 +61,8 @@ func TestProfilerTickRewind(t *testing.T) {
 func TestMergeProfiles(t *testing.T) {
 	mk := func() *Profiler {
 		p := New(0x1000, 2)
-		p.OnCommit(0x1000, 2)
-		p.OnCommit(0x1004, 4)
+		p.OnCommit(&cpu.Commit{PC: 0x1000, Ticks: 2})
+		p.OnCommit(&cpu.Commit{PC: 0x1004, Ticks: 4})
 		return p
 	}
 	a, b := mk().Snapshot(), mk().Snapshot()

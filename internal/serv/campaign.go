@@ -212,18 +212,12 @@ func (c *Campaign) prepare() (uint64, error) {
 		return 0, err
 	}
 	cfg := now.SimConfig(string(c.Spec.model()), c.Spec.MaxInsts)
+	cfg.EnableProfiler = c.Spec.Profile
+	cfg.EnableTaint = c.Spec.Taint
+	cfg.EnableFlight = c.Spec.Flight || c.flight
 	first, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		return 0, err
-	}
-	if c.Spec.Profile {
-		first.AttachProfiler()
-	}
-	if c.Spec.Taint {
-		first.AttachTaint()
-	}
-	if c.Spec.Flight || c.flight {
-		first.AttachFlight(0) // clones replicate the recorder, per runner
 	}
 	if c.Spec.Fork {
 		if err := first.EnableFork(campaign.DefaultForkOptions()); err != nil {
@@ -328,17 +322,7 @@ func (c *Campaign) Profile() *prof.Profile {
 	if final != nil {
 		return final
 	}
-	return mergedProfile(runners)
-}
-
-func mergedProfile(runners []*campaign.Runner) *prof.Profile {
-	var parts []*prof.Profile
-	for _, r := range runners {
-		if p := r.Profiler(); p != nil {
-			parts = append(parts, p.Snapshot())
-		}
-	}
-	return prof.MergeProfiles(parts...)
+	return campaign.MergedProfile(runners)
 }
 
 // TaintReport returns the campaign's freshest propagation report across
@@ -351,19 +335,7 @@ func (c *Campaign) TaintReport() *taint.PropReport {
 	if final != nil {
 		return final
 	}
-	return freshestTaint(runners)
-}
-
-func freshestTaint(runners []*campaign.Runner) *taint.PropReport {
-	var best *taint.PropReport
-	var bestStamp uint64
-	for _, r := range runners {
-		rep, stamp := r.LastTaintReport()
-		if rep != nil && stamp >= bestStamp {
-			best, bestStamp = rep, stamp
-		}
-	}
-	return best
+	return campaign.FreshestTaintReport(runners)
 }
 
 // subscribe registers a stream consumer primed with every existing
@@ -420,8 +392,8 @@ func (c *Campaign) broadcastLocked(ev streamEvent) {
 // bookkeeping, and closes every subscriber after a terminal event.
 func (c *Campaign) finishLocked() {
 	if c.runners != nil {
-		c.profile = mergedProfile(c.runners)
-		c.taintRep = freshestTaint(c.runners)
+		c.profile = campaign.MergedProfile(c.runners)
+		c.taintRep = campaign.FreshestTaintReport(c.runners)
 		c.runners, c.free = nil, nil
 	}
 	c.pending, c.expBatch = nil, nil

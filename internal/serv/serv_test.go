@@ -370,7 +370,9 @@ func TestServiceHTTP(t *testing.T) {
 // queue to protocol workers via the ExpSource bridge, and a worker
 // death mid-campaign loses nothing — its taken experiments requeue and
 // count exactly once. The welcome ships the watchdog the campaign's own
-// runners use.
+// runners use and the campaign's observers: every result of a taint
+// campaign carries its propagation summary, though all of them run
+// remotely.
 func TestServiceNoWWorkers(t *testing.T) {
 	s, err := New(Config{Dir: t.TempDir(), Slots: -1})
 	if err != nil {
@@ -384,7 +386,7 @@ func TestServiceNoWWorkers(t *testing.T) {
 	defer ln.Close()
 	s.ServeWorkers(ln)
 
-	spec := CampaignSpec{Workload: "pi", N: 16, Seed: 13}
+	spec := CampaignSpec{Workload: "pi", N: 16, Seed: 13, Taint: true}
 	id, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -406,6 +408,9 @@ func TestServiceNoWWorkers(t *testing.T) {
 	}
 	if len(wel.Checkpoint) == 0 {
 		t.Fatal("welcome carries no checkpoint")
+	}
+	if !wel.Taint {
+		t.Fatal("welcome of a taint campaign does not ask for taint")
 	}
 	sess.Close()
 	if st := c.Status(); st.Pending != spec.N {
@@ -438,6 +443,9 @@ func TestServiceNoWWorkers(t *testing.T) {
 			t.Fatalf("experiment %d double-counted", r.ID)
 		}
 		seen[r.ID] = true
+		if r.Prop == nil {
+			t.Errorf("experiment %d (run by %q) carries no propagation summary", r.ID, r.Worker)
+		}
 	}
 }
 

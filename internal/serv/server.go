@@ -776,6 +776,7 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 		MaxInsts:    runner.Cfg.MaxInsts, // the watchdog the local runners use
 		SpanTrace:   s.cfg.Spans != nil,
 		Flight:      s.cfg.Flight || pick.Spec.Flight,
+		Taint:       pick.Spec.Taint,
 	}
 	s.nowWorkers.Add(1)
 	return wel, &servSession{s: s, c: pick, worker: workerName,

@@ -70,12 +70,12 @@ func (s *Simulator) ForkFrom(fp *checkpoint.ForkPoint, faults []core.Fault) {
 	if s.Engine != nil {
 		s.Engine.ResetWithWindow(faults, fp.Window) // also resets the taint tracker
 	} else {
-		s.Cfg.Taint.Reset()
+		s.observers.Taint.Reset()
 	}
-	if pr := s.Cfg.Profiler; pr != nil {
+	if pr := s.observers.Profiler; pr != nil {
 		pr.ResetStack() // the forked guest is mid-call-chain
 	}
-	s.Cfg.Flight.Reset() // nil-safe; the ring belongs to one experiment
+	s.observers.Flight.Reset() // nil-safe; the ring belongs to one experiment
 	s.stopRequested = false
 	s.interrupted.Store(false)
 	switch {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
@@ -26,7 +27,7 @@ loop:
 `
 
 // TestProfilerExactCounts checks the profiler's per-PC instruction
-// counts against an independent tally (the commit-time TraceFn) on all
+// counts against an independent tally (a commit-time cpu.TraceFunc) on all
 // three CPU models, pins the known loop trip count, and requires the
 // cycle attribution to sum to the run's total ticks.
 func TestProfilerExactCounts(t *testing.T) {
@@ -41,7 +42,7 @@ func TestProfilerExactCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := map[uint64]uint64{}
-		s.Core.TraceFn = func(pc uint64, in isa.Inst) { counts[pc]++ }
+		s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(func(pc uint64, in isa.Inst) { counts[pc]++ }))
 		r := s.Run()
 		if !r.Exited || r.ExitStatus != 0 {
 			t.Fatalf("%s: run failed: %+v", model, r)

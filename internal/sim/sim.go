@@ -90,42 +90,21 @@ type Config struct {
 	// captures/restores. Nil disables tracing at zero hot-path cost.
 	Tracer *obs.Tracer
 
-	// Profiler, when non-nil, receives per-PC profiling events (retired
-	// instructions, cycles, cache misses, mispredicts, stalls) and is
-	// symbolized against the loaded program at Load time. Nil disables
-	// profiling at zero hot-path cost. Alternatively set
-	// EnableProfiler to have Load build one sized to the program.
-	Profiler *prof.Profiler
-
-	// EnableProfiler makes Load construct a profiler for the loaded
-	// program when Profiler is nil; retrieve it with Simulator.Profiler.
+	// EnableProfiler, EnableTaint and EnableFlight switch on the
+	// commit-stream observers (see Observe): the per-PC guest profiler
+	// (retired instructions, cycles, cache misses, mispredicts, stalls;
+	// built and symbolized at Load), the fault-propagation taint tracker
+	// (follows the corrupted bits through registers, memory, control
+	// flow and I/O into a per-experiment PropReport) and the flight
+	// recorder (a ring of the last FlightDepth committed instructions,
+	// dumped retroactively for interesting verdicts; <= 0 selects
+	// flight.DefaultDepth). Retrieve them with Simulator.Profiler, Taint
+	// and Flight. With all three off the core has no observer: one
+	// untaken branch per commit, and the atomic fast path stays open.
 	EnableProfiler bool
-
-	// Taint, when non-nil, is the fault-propagation taint tracker: it
-	// shadows the corrupted architectural bits through registers, memory,
-	// control flow and I/O, and renders a per-experiment PropReport.
-	// Nil disables tracking at one untaken branch per committed
-	// instruction. Alternatively set EnableTaint to have New build one.
-	Taint *taint.Tracker
-
-	// EnableTaint makes New construct a tracker when Taint is nil;
-	// retrieve it with Simulator.Taint.
-	EnableTaint bool
-
-	// Flight, when non-nil, is the black-box flight recorder: a fixed
-	// ring of the last K committed instructions, dumped retroactively for
-	// interesting experiment verdicts. Nil costs one untaken branch per
-	// committed instruction. Alternatively set EnableFlight to have New
-	// build one of FlightDepth records.
-	Flight *flight.Recorder
-
-	// EnableFlight makes New construct a flight recorder when Flight is
-	// nil; retrieve it with Simulator.Flight.
-	EnableFlight bool
-
-	// FlightDepth sizes the recorder EnableFlight builds (<= 0 selects
-	// flight.DefaultDepth).
-	FlightDepth int
+	EnableTaint    bool
+	EnableFlight   bool
+	FlightDepth    int
 
 	// EnableBlockTranslation attaches the basic-block translator
 	// (internal/bbt) to the core: hot straight-line guest code is fused
@@ -193,6 +172,7 @@ type Simulator struct {
 	ffPending      bool   // window opened mid-step: switch before the next step
 	bbtUntil       uint64 // RunUntil bound folded into the translation limit
 	interrupted    atomic.Bool
+	observers      Observers // installed on Core by Observe
 
 	// Span-phase recording (SetSpans): the run stamps its rare phase
 	// transitions (fast-forward end, first window open, last window
@@ -271,63 +251,78 @@ func New(cfg Config) *Simulator {
 			s.stopRequested = true
 		}
 	}
-	if cfg.Taint != nil || cfg.EnableTaint {
-		s.AttachTaint(cfg.Taint)
-	}
-	if cfg.Flight != nil || cfg.EnableFlight {
-		s.AttachFlight(cfg.Flight)
-	}
+	s.Observe(Observers{})
 	s.registerMetrics()
 	return s
 }
 
-// Taint returns the attached propagation tracker (nil when disabled).
-func (s *Simulator) Taint() *taint.Tracker { return s.Cfg.Taint }
+// Observers is the set of commit-stream observers a simulator installs
+// on its core; a nil member is off.
+type Observers struct {
+	Profiler *prof.Profiler
+	Taint    *taint.Tracker
+	Flight   *flight.Recorder
+}
 
-// AttachTaint wires a propagation tracker into the core and the fault
-// engine, building one when tr is nil — the campaign path, where runners
-// exist before the driver decides to trace propagation. The tracker is
-// returned.
-func (s *Simulator) AttachTaint(tr *taint.Tracker) *taint.Tracker {
-	if tr == nil {
-		tr = taint.New()
+// Observe installs the simulator's observers: the members of o, plus a
+// fresh observer for each nil member whose Cfg switch (EnableProfiler,
+// EnableTaint, EnableFlight) is on — the profiler only once a program
+// is loaded. It replaces the core's observer list. Passing another
+// simulator's Observers keeps accumulating into the same instances,
+// which is how a rebuilt simulator carries a runner's profile on.
+func (s *Simulator) Observe(o Observers) {
+	if o.Profiler == nil && s.Cfg.EnableProfiler && s.Program != nil {
+		o.Profiler = prof.ForProgram(s.Program)
 	}
-	s.Cfg.Taint = tr
-	s.Core.Taint = tr
+	if o.Taint == nil && s.Cfg.EnableTaint {
+		o.Taint = taint.New()
+	}
+	if o.Flight == nil && s.Cfg.EnableFlight {
+		o.Flight = flight.NewRecorder(s.Cfg.FlightDepth)
+	}
+	s.observers = o
+	var list []cpu.Observer
+	if pr := o.Profiler; pr != nil {
+		if pr.Symbols() == nil && s.Program != nil {
+			pr.SetSymbols(s.Program.Symbols())
+		}
+		list = append(list, pr)
+	}
+	if tr := o.Taint; tr != nil {
+		if tr.Trace == nil {
+			tr.Trace = s.Cfg.Tracer
+		}
+		tr.TickFn = func() uint64 { return s.Core.Ticks }
+		tr.RegisterMetrics(s.Cfg.Metrics)
+		list = append(list, tr)
+	}
 	if s.Engine != nil {
-		s.Engine.Taint = tr
+		s.Engine.Taint = o.Taint
 	}
-	if tr.Trace == nil {
-		tr.Trace = s.Cfg.Tracer
+	if o.Flight != nil {
+		list = append(list, o.Flight)
 	}
-	tr.TickFn = func() uint64 { return s.Core.Ticks }
-	tr.RegisterMetrics(s.Cfg.Metrics)
-	return tr
+	s.Core.Observers = list
 }
 
-// Flight returns the attached flight recorder (nil when disabled).
-func (s *Simulator) Flight() *flight.Recorder { return s.Cfg.Flight }
+// Observers returns the installed observers.
+func (s *Simulator) Observers() Observers { return s.observers }
 
-// AttachFlight wires a flight recorder into the core, building one of
-// Cfg.FlightDepth records when fr is nil — the campaign path, where
-// runners exist before the driver decides to record. Core.Flight is
-// only assigned for a non-nil recorder, so a disabled recorder never
-// defeats the atomic fast path through a typed-nil interface.
-func (s *Simulator) AttachFlight(fr *flight.Recorder) *flight.Recorder {
-	if fr == nil {
-		fr = flight.NewRecorder(s.Cfg.FlightDepth)
-	}
-	s.Cfg.Flight = fr
-	s.Core.Flight = fr
-	return fr
-}
+// Profiler returns the installed guest profiler (nil when disabled).
+func (s *Simulator) Profiler() *prof.Profiler { return s.observers.Profiler }
+
+// Taint returns the installed propagation tracker (nil when disabled).
+func (s *Simulator) Taint() *taint.Tracker { return s.observers.Taint }
+
+// Flight returns the installed flight recorder (nil when disabled).
+func (s *Simulator) Flight() *flight.Recorder { return s.observers.Flight }
 
 // TaintReport renders the propagation report for the last run. crashed
 // tells the verdict logic whether the run ended in a crash; golden (the
 // final state of a fault-free run) may be nil, which skips the
 // architectural differ.
 func (s *Simulator) TaintReport(crashed bool, golden *taint.GoldenState) *taint.PropReport {
-	return s.Cfg.Taint.Report(crashed, &s.Core.Arch, s.Mem, golden)
+	return s.observers.Taint.Report(crashed, &s.Core.Arch, s.Mem, golden)
 }
 
 // registerMetrics wires every component's counters into the configured
@@ -352,22 +347,14 @@ func (s *Simulator) registerMetrics() {
 	r.RegisterFunc("sim.checkpoint.hits", func() float64 { return float64(s.CheckpointHits) })
 }
 
-// Load boots the program image and attaches the profiler (building and
-// symbolizing one when EnableProfiler asked for it).
+// Load boots the program image and installs the profiler (building and
+// symbolizing one when EnableProfiler asks for it).
 func (s *Simulator) Load(p *asm.Program) error {
 	s.Program = p
 	if err := s.Kernel.Boot(s.Core, p); err != nil {
 		return fmt.Errorf("sim load: %w", err)
 	}
-	if s.Cfg.Profiler == nil && s.Cfg.EnableProfiler {
-		s.Cfg.Profiler = prof.ForProgram(p)
-	}
-	if pr := s.Cfg.Profiler; pr != nil {
-		if pr.Symbols() == nil {
-			pr.SetSymbols(p.Symbols())
-		}
-		s.Core.Prof = pr
-	}
+	s.Observe(s.observers)
 	s.Model = s.newModel(s.Cfg.Model)
 	s.armFastForward()
 	return nil
@@ -434,27 +421,6 @@ func (s *Simulator) endFastForward() {
 	s.Cfg.Metrics.Counter("sim.fastforward.switches").Inc()
 	s.Cfg.Tracer.Instant(obs.CatSim, "fastforward.end", s.Core.Ticks,
 		map[string]any{"insts": s.Core.Insts, "to": string(s.Cfg.Model)})
-}
-
-// Profiler returns the attached guest profiler (nil when disabled).
-func (s *Simulator) Profiler() *prof.Profiler { return s.Cfg.Profiler }
-
-// AttachProfiler attaches pr to an already loaded simulator, building a
-// program-sized one when pr is nil — the campaign path, where runners
-// exist before the driver decides to profile. The profiler is returned.
-func (s *Simulator) AttachProfiler(pr *prof.Profiler) *prof.Profiler {
-	if pr == nil {
-		if s.Program == nil {
-			return nil
-		}
-		pr = prof.ForProgram(s.Program)
-	}
-	if pr.Symbols() == nil && s.Program != nil {
-		pr.SetSymbols(s.Program.Symbols())
-	}
-	s.Cfg.Profiler = pr
-	s.Core.Prof = pr
-	return pr
 }
 
 // newModel returns a cold model of the given kind at the core's current
@@ -837,12 +803,12 @@ func (s *Simulator) Restore(st *checkpoint.State, faults []core.Fault) {
 	if s.Engine != nil {
 		s.Engine.Reset(faults) // also resets the taint tracker (rearm)
 	} else {
-		s.Cfg.Taint.Reset()
+		s.observers.Taint.Reset()
 	}
-	if pr := s.Cfg.Profiler; pr != nil {
+	if pr := s.observers.Profiler; pr != nil {
 		pr.ResetStack() // the restored guest is mid-call-chain
 	}
-	s.Cfg.Flight.Reset() // nil-safe; the ring belongs to one experiment
+	s.observers.Flight.Reset() // nil-safe; the ring belongs to one experiment
 	s.Model = s.newModel(s.Cfg.Model)
 	s.switched = false
 	s.stopRequested = false

@@ -10,7 +10,7 @@
 // or masked-logically, an SDC shows a path from the injection node to an
 // output or final-state node.
 //
-// The tracker attaches to a cpu.Core as its TaintSink and observes only
+// The tracker attaches to a cpu.Core as one of its Observers and sees only
 // committed (architectural) instructions, so it is exact on all three CPU
 // models: speculative wrong-path work in the pipelined model never
 // propagates taint, and the only speculative state — injection marks made
@@ -79,8 +79,6 @@ type Tracker struct {
 
 	firstLoad, firstStore, firstBranch, firstOutput int64
 }
-
-var _ cpu.TaintSink = (*Tracker)(nil)
 
 // New builds an empty tracker.
 func New() *Tracker {
@@ -313,9 +311,9 @@ func (t *Tracker) MarkIOInjection(label string) {
 	t.emit("fault.prop.inject", map[string]any{"fault": label, "node": id, "io": true})
 }
 
-// ---- cpu.TaintSink ----
+// ---- cpu.Observer ----
 
-// OnSquash implements cpu.TaintSink: provisional injection marks on a
+// OnSquash implements cpu.Observer: provisional injection marks on a
 // squashed speculative instruction are discarded, so wrong-path
 // corruption leaves zero residual taint.
 func (t *Tracker) OnSquash(seq uint64) {
@@ -329,21 +327,22 @@ func (t *Tracker) OnSquash(seq uint64) {
 	}
 }
 
-// OnCommitInst implements cpu.TaintSink: propagate taint through one
+// OnCommit implements cpu.Observer: propagate taint through one
 // committed instruction. The fast path — no live taint, no pending
-// injection — is a counter increment and two length checks.
-func (t *Tracker) OnCommitInst(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu.ExecOut, loadVal uint64, a *cpu.Arch) {
-	if t == nil {
-		return
-	}
+// injection — is a counter increment and three emptiness checks.
+func (t *Tracker) OnCommit(c *cpu.Commit) {
 	t.committed++
 	if t.liveRegs == 0 && len(t.memT) == 0 && len(t.pending) == 0 {
 		return
 	}
-	t.step(seq, pc, in, ports, out, a)
+	t.step(c.Seq, c.PC, c.In, c.Ports, c.Out, c.Arch)
 }
 
-// step is the slow path of OnCommitInst: at least one tainted bit or
+// OnEvent implements cpu.Observer; microarchitectural events carry no
+// dataflow.
+func (t *Tracker) OnEvent(cpu.Event, uint64) {}
+
+// step is the slow path of OnCommit: at least one tainted bit or
 // pending injection exists somewhere in the machine.
 func (t *Tracker) step(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu.ExecOut, a *cpu.Arch) {
 	// Collect the provenance of this instruction's tainted inputs.
