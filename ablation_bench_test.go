@@ -3,14 +3,12 @@
 //   - the PCB-pointer cache that replaces per-instruction hash lookups
 //     (the optimization Section III.C describes);
 //   - the tournament branch predictor (vs. never-taken fetch);
-//   - checkpoint capture/restore cost (the currency of Fig. 8);
 //   - the decode-stage port computation.
 package gemfi
 
 import (
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -90,38 +88,6 @@ func BenchmarkAblationBranchPredictor(b *testing.B) {
 		}
 		b.ReportMetric(float64(ticks), "cycles/run")
 		b.ReportMetric(float64(miss), "mispredicts/run")
-	})
-}
-
-// BenchmarkAblationCheckpoint measures the two halves of the Fig. 8
-// currency: capturing a whole-machine checkpoint and restoring it.
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	r, err := campaign.NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), campaign.RunnerOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := r.Ckpt
-	blob, err := st.Bytes()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("SerializeGob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.Bytes(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(blob)))
-	})
-	b.Run("RunnerRestoreAndRun", func(b *testing.B) {
-		b.ReportAllocs()
-		exp := campaign.Experiment{ID: 0}
-		for i := 0; i < b.N; i++ {
-			if res := r.Run(exp); res.Outcome != campaign.OutcomeNonPropagated {
-				b.Fatalf("%+v", res)
-			}
-		}
 	})
 }
 

@@ -1,25 +1,20 @@
-// Package gemfi's benchmark harness regenerates every table and figure of
-// the paper's evaluation. Each benchmark prints the same rows/series the
-// paper reports; absolute numbers differ (the substrate is a simulator,
-// not the authors' Xeon cluster) but the shapes are asserted in
-// EXPERIMENTS.md:
+// Micro-benchmarks for the parts of the paper's evaluation that neither
+// the benchmark ledger (go run ./benchmark) nor a gemfi-campaign
+// -experiment driver measures:
 //
 //	BenchmarkTableIInstructionFormats  - Table I (ISA decode throughput per format)
 //	BenchmarkFig2FIPerInstruction      - Fig. 2  (the per-instruction FI fast path)
 //	BenchmarkFig4OutcomeClasses        - Fig. 4  (DCT outcome categories)
-//	BenchmarkFig5Campaign              - Fig. 5  (outcome vs fault location, 6 apps)
-//	BenchmarkFig6TimingSweep           - Fig. 6  (outcome vs injection time)
-//	BenchmarkFig7Overhead              - Fig. 7  (GemFI vs vanilla simulator)
-//	BenchmarkFig8CampaignTime          - Fig. 8  (baseline vs checkpoint vs parallel)
 //
-// Run with: go test -bench=. -benchmem
+// Figs. 5-8 come from gemfi-campaign -experiment fig5 ... fig8.
+//
+// Run with: go test -run '^$' -bench . -benchtime 1x .
 package gemfi
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -149,173 +144,6 @@ func BenchmarkFig4OutcomeClasses(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Campaign runs the Fig. 5 campaign matrix (all six apps x
-// seven locations) once per iteration and prints the outcome table.
-func BenchmarkFig5Campaign(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := campaign.RunFig5(campaign.Fig5Config{
-			Workloads:   workloads.All(workloads.ScaleTest),
-			PerLocation: 12,
-			Parallelism: 4,
-			Seed:        1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", rep.String())
-		}
-	}
-}
-
-// BenchmarkFig6TimingSweep runs the Fig. 6 injection-time correlation for
-// the paper's three interesting workloads.
-func BenchmarkFig6TimingSweep(b *testing.B) {
-	for _, name := range []string{"pi", "knapsack", "jacobi"} {
-		b.Run(name, func(b *testing.B) {
-			w, err := workloads.ByName(name, workloads.ScaleTest)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := campaign.RunFig6(campaign.Fig6Config{
-					Workload: w, Experiments: 60, Bins: 4, Parallelism: 4, Seed: 2,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("\n%s", rep.String())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7Overhead measures GemFI-enabled vs vanilla simulation time
-// per application (FI active, no faults injected, cycle-accurate model
-// throughout — the paper's worst case).
-func BenchmarkFig7Overhead(b *testing.B) {
-	for _, w := range workloads.All(workloads.ScaleTest) {
-		p, err := w.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, enabled := range []bool{false, true} {
-			name := w.Name + "/vanilla"
-			if enabled {
-				name = w.Name + "/gemfi"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					s := sim.New(sim.Config{Model: sim.ModelPipelined, EnableFI: enabled, MaxInsts: 2_000_000_000})
-					if err := s.Load(p); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if r := s.Run(); r.Failed() {
-						b.Fatalf("%+v", r)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig8CampaignTime measures the campaign-time effect of the two
-// optimizations (checkpoint fast-forwarding; parallel workers).
-func BenchmarkFig8CampaignTime(b *testing.B) {
-	w := workloads.MonteCarloPI(workloads.ScaleTest)
-	exps := func(r *campaign.Runner) []campaign.Experiment {
-		return campaign.GenerateUniform(10, campaign.GenConfig{WindowInsts: r.WindowInsts, Seed: 3})
-	}
-	b.Run("Baseline", func(b *testing.B) {
-		r, err := campaign.NewRunner(w, campaign.RunnerOptions{DisableCheckpoint: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		es := exps(r)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, e := range es {
-				r.Run(e)
-			}
-		}
-	})
-	b.Run("Checkpoint", func(b *testing.B) {
-		r, err := campaign.NewRunner(w, campaign.RunnerOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		es := exps(r)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, e := range es {
-				r.Run(e)
-			}
-		}
-	})
-	b.Run("CheckpointParallel4", func(b *testing.B) {
-		pool, err := campaign.NewPool(w, 4, campaign.RunnerOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		es := exps(pool.Runner())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pool.RunAll(es)
-		}
-	})
-}
-
-// BenchmarkCampaignFork compares the three campaign execution strategies
-// on identical experiments: full replay from the checkpoint, the
-// fast-forward prefix, and the fork server (each experiment forked from
-// the closest COW trunk snapshot). Trunk setup runs once outside the
-// timed loop, matching how a long campaign amortizes it.
-func BenchmarkCampaignFork(b *testing.B) {
-	w := workloads.MonteCarloPI(workloads.ScaleTest)
-	newPool := func(b *testing.B, ff, fork bool) (*campaign.Pool, []campaign.Experiment) {
-		b.Helper()
-		cfg := sim.DefaultConfig()
-		cfg.FastForward = ff
-		pool, err := campaign.NewPool(w, 4, campaign.RunnerOptions{Cfg: &cfg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if fork {
-			if err := pool.EnableFork(campaign.DefaultForkOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		exps := campaign.GenerateUniform(12, campaign.GenConfig{
-			WindowInsts: pool.Runner().WindowInsts, Seed: 7,
-		})
-		return pool, exps
-	}
-	for _, tc := range []struct {
-		name     string
-		ff, fork bool
-	}{
-		{"Replay", false, false},
-		{"FastForward", true, false},
-		{"Fork", false, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			pool, exps := newPool(b, tc.ff, tc.fork)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pool.RunAll(exps)
-			}
-			b.ReportMetric(float64(len(exps))*float64(b.N)/b.Elapsed().Seconds(), "exps/sec")
-		})
-	}
-}
-
 // BenchmarkCowSnapshotOverhead measures the heap uniquely attributable to
 // one trunk snapshot as a function of dirty rate: the trunk rewrites a
 // fraction of a 256-page working set between freezes, so each freeze
@@ -349,36 +177,6 @@ func BenchmarkCowSnapshotOverhead(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(bytes)/float64(b.N), "bytes/snapshot")
-		})
-	}
-}
-
-// BenchmarkSimulatorModels compares the three CPU models' simulation
-// speed (the speed/accuracy trade-off of Section II).
-func BenchmarkSimulatorModels(b *testing.B) {
-	w := workloads.MonteCarloPI(workloads.ScaleTest)
-	p, err := w.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined} {
-		b.Run(string(model), func(b *testing.B) {
-			b.ReportAllocs()
-			var insts uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := sim.New(sim.Config{Model: model, EnableFI: true, MaxInsts: 2_000_000_000})
-				if err := s.Load(p); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				r := s.Run()
-				if r.Failed() {
-					b.Fatalf("%+v", r)
-				}
-				insts = r.Insts
-			}
-			b.ReportMetric(float64(insts), "guest-insts/run")
 		})
 	}
 }

@@ -63,7 +63,7 @@ func run() error {
 		bbtOn      = flag.Bool("bbt", true, "translate hot basic blocks into fused closure chains wherever the atomic fast path runs (fast-forward prefix, atomic experiments, post-resolve tail)")
 		forkOn     = flag.Bool("fork", false, "fork-server mode: one trunk run freezes COW snapshots across the fault window; each experiment forks from the closest one instead of replaying the warm-up (custom experiment)")
 		forkSnaps  = flag.Int("fork-snapshots", 32, "target trunk snapshots across the fault window in -fork mode")
-		forkPrune  = flag.Bool("fork-prune", true, "classify provably masked experiments early in -fork mode (disabled automatically under -profile/-taint)")
+		forkPrune  = flag.Bool("fork-prune", true, "classify provably masked experiments early in -fork mode (disabled automatically under -profile/-taint/-flight)")
 
 		flightOn    = flag.Bool("flight", false, "flight recorder: dump the last -flight-depth committed instructions of every crashed/SDC experiment onto its result (custom experiment; served at /postmortem/{id} with -http)")
 		flightDepth = flag.Int("flight-depth", 0, "flight recorder ring size (0 = default)")

@@ -208,8 +208,8 @@ var propClock atomic.Uint64
 
 // RunnerOptions configures NewRunner.
 type RunnerOptions struct {
-	// Model for the injection phase (default: pipelined with a switch to
-	// atomic after fault resolution — the paper's methodology).
+	// Model for the injection phase (default: sim.DefaultConfig with the
+	// atomic model).
 	Cfg *sim.Config
 	// DisableCheckpoint runs every experiment from program start (the
 	// Fig. 8 baseline).

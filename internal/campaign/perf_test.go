@@ -7,23 +7,24 @@ import (
 	"repro/internal/workloads"
 )
 
+// TestRunFig7SmallStructure runs every paper workload on the pipelined
+// model with fault injection off and on; RunFig7 fails if any run does.
 func TestRunFig7SmallStructure(t *testing.T) {
-	rep, err := RunFig7(Fig7Config{
-		Workloads: []*workloads.Workload{workloads.MonteCarloPI(workloads.ScaleTest)},
-		Trials:    2,
-	})
+	ws := workloads.All(workloads.ScaleTest)
+	rep, err := RunFig7(Fig7Config{Workloads: ws, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rep.Rows))
+	if len(rep.Rows) != len(ws) {
+		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(ws))
 	}
-	row := rep.Rows[0]
-	if row.VanillaSec <= 0 || row.GemFISec <= 0 {
-		t.Errorf("timings missing: %+v", row)
-	}
-	if row.CILowPct > row.OverheadPct || row.CIHighPct < row.OverheadPct {
-		t.Errorf("CI does not bracket the point estimate: %+v", row)
+	for _, row := range rep.Rows {
+		if row.VanillaSec <= 0 || row.GemFISec <= 0 {
+			t.Errorf("timings missing: %+v", row)
+		}
+		if row.CILowPct > row.OverheadPct || row.CIHighPct < row.OverheadPct {
+			t.Errorf("CI does not bracket the point estimate: %+v", row)
+		}
 	}
 	if rep.String() == "" {
 		t.Error("empty rendering")

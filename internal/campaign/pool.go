@@ -179,8 +179,6 @@ func NewPhaseHists(reg *obs.Registry) *PhaseHists {
 	return &PhaseHists{reg: reg, m: make(map[string]*obs.Histogram)}
 }
 
-func newPhaseHists(reg *obs.Registry) *PhaseHists { return NewPhaseHists(reg) }
-
 // Observe feeds one result's phase durations.
 func (p *PhaseHists) Observe(res Result) {
 	if p == nil || p.reg == nil || len(res.PhaseNS) == 0 {
@@ -197,8 +195,6 @@ func (p *PhaseHists) Observe(res Result) {
 		h.ObserveEx(float64(ns)/1e3, res.TraceID)
 	}
 }
-
-func (p *PhaseHists) observe(res Result) { p.Observe(res) }
 
 // RunAll executes all experiments across the pool and returns results
 // ordered by experiment ID. A fork-enabled pool dispatches whole trigger
@@ -224,7 +220,7 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 			r.AttachSpans(p.Spans, fmt.Sprintf("worker %d", wi+1))
 		}
 	}
-	phaseHists := newPhaseHists(p.Metrics)
+	phaseHists := NewPhaseHists(p.Metrics)
 
 	for i := range exps {
 		if exps[i].ID != i {
@@ -248,7 +244,7 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 				record := func(res Result) {
 					results[res.ID] = res
 					durHist.ObserveEx(float64(time.Since(t0).Microseconds()), res.TraceID)
-					phaseHists.observe(res)
+					phaseHists.Observe(res)
 					completed.Inc()
 					outcomeCounters[res.Outcome].Inc()
 					if res.Outcome >= 1 && res.Outcome < numOutcomes {

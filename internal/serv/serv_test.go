@@ -222,6 +222,54 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 	}
 }
 
+// TestAdaptiveNoWiderThanUniform is the sampler's accuracy claim: on the
+// same budget, adaptive importance sampling sends experiments where the
+// uncertainty is, so on every paper workload its population-weighted
+// aggregate interval is strictly tighter than the uniform referee's and
+// its widest per-stratum interval is no wider.
+func TestAdaptiveNoWiderThanUniform(t *testing.T) {
+	const budget, strata, batch, seed = 48, 8, 12, 7
+	s, err := New(Config{Dir: t.TempDir(), Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(time.Second)
+	// aggregate and widest-stratum interval widths of one finished campaign.
+	widths := func(spec CampaignSpec) (agg, widest float64) {
+		t.Helper()
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Wait(id, waitBound) {
+			t.Fatalf("%s %s campaign did not finish", spec.Workload, spec.Sampling)
+		}
+		c, _ := s.Campaign(id)
+		if st := c.Status(); st.Phase != PhaseDone {
+			t.Fatalf("%s %s: phase %s (err %s)", spec.Workload, spec.Sampling, st.Phase, st.Error)
+		}
+		rep := c.VulnReport()
+		for _, sr := range rep.Strata {
+			widest = max(widest, sr.CIWidth)
+		}
+		return rep.AggCIWidth, widest
+	}
+	for _, name := range workloads.Names() {
+		spec := CampaignSpec{Workload: name, N: budget, Seed: seed, Sampling: SampleUniform, Strata: strata, Workers: 2}
+		uAgg, uWidest := widths(spec)
+		spec.Sampling, spec.Batch = SampleAdaptive, batch
+		aAgg, aWidest := widths(spec)
+		t.Logf("%-9s uniform agg ±%.4f (widest stratum %.3f)  adaptive agg ±%.4f (widest stratum %.3f)",
+			name, uAgg/2, uWidest, aAgg/2, aWidest)
+		if aAgg >= uAgg {
+			t.Errorf("%s: adaptive aggregate interval %.4f is not tighter than uniform's %.4f", name, aAgg, uAgg)
+		}
+		if aWidest > uWidest {
+			t.Errorf("%s: adaptive widest stratum %.4f is wider than uniform's %.4f", name, aWidest, uWidest)
+		}
+	}
+}
+
 // TestServiceHTTP drives the full client surface: submit over POST,
 // watch over SSE until done, then read status/results/report and the
 // keyed observability endpoints.
