@@ -294,7 +294,7 @@ func (t *Translator) run(b *block) {
 		t.sched.ConsumeSlice(committed)
 	}
 	if c.FI != nil {
-		c.FI.Retire(executed, committed, c.Ticks)
+		c.FI.Retire(executed, executed, executed, committed, c.Ticks)
 	}
 	t.Stats.Hits++
 	t.Stats.Insts += committed

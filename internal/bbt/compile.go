@@ -421,7 +421,8 @@ func (t *Translator) emitFP(in isa.Inst, pc uint64) opFn {
 		return func(t *Translator) bool { t.arch.F[rc] = boolFP(t.arch.F[fa] <= t.arch.F[fb]); return true }
 	case isa.KindSQRTT, isa.KindCVTTQ, isa.KindCVTQT, isa.KindCPYS:
 		return func(t *Translator) bool {
-			o := cpu.Execute(in, 0, 0, t.arch.F[fa], t.arch.F[fb], pc)
+			var o cpu.ExecOut
+			cpu.Execute(&in, 0, 0, t.arch.F[fa], t.arch.F[fb], pc, &o)
 			t.arch.F[rc] = o.FpRes
 			return true
 		}

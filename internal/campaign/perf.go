@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -59,11 +60,15 @@ func RunFig7(cfg Fig7Config) (*Fig7Report, error) {
 		}
 		var vanilla, gemfi stats.Mean
 		for trial := 0; trial < cfg.Trials; trial++ {
-			for _, enabled := range []bool{false, true} {
+			// Alternate which side runs first, and collect the garbage
+			// before each timed run, so drift and the previous run's
+			// heap land on both sides alike.
+			for _, enabled := range [2]bool{trial%2 == 1, trial%2 == 0} {
 				s := sim.New(sim.Config{Model: cfg.Model, EnableFI: enabled, MaxInsts: 2_000_000_000})
 				if err := s.Load(p); err != nil {
 					return nil, err
 				}
+				runtime.GC()
 				start := time.Now()
 				r := s.Run()
 				elapsed := time.Since(start).Seconds()

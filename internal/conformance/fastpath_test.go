@@ -85,6 +85,48 @@ func TestFastPathArchIdentity(t *testing.T) {
 	}
 }
 
+// TestFastPathWindowCounters pins the hookless detailed models to their
+// fully hooked referee inside the window, where end states cannot look:
+// each workload runs fault-free on the timing and pipelined models with
+// the fast paths on and off, pausing every 997 instructions, and at
+// every pause the engine's window state (every per-thread stage counter,
+// squashed wrong-path fetches, decodes and executes included, and the
+// tick clock) and the core's tick count must be equal.
+func TestFastPathWindowCounters(t *testing.T) {
+	for _, w := range workloads.All(workloads.ScaleTest) {
+		for _, model := range []sim.ModelKind{sim.ModelTiming, sim.ModelPipelined} {
+			label := fmt.Sprintf("%s/%s", w.Name, model)
+			cfg := sim.Config{Model: model, EnableFI: true, MaxInsts: 200_000_000}
+			fast := loadSim(t, w, cfg)
+			cfg.DisableFastPath = true
+			cold := loadSim(t, w, cfg)
+			inWindow := 0
+			for pause := 0; ; pause++ {
+				until := fast.Core.Insts + 997
+				rf, rc := fast.RunUntil(until), cold.RunUntil(until)
+				if rf.Paused != rc.Paused || fast.Core.Insts != cold.Core.Insts || fast.Core.Ticks != cold.Core.Ticks {
+					t.Fatalf("%s: pause %d diverged: insts %d vs %d, ticks %d vs %d",
+						label, pause, fast.Core.Insts, cold.Core.Insts, fast.Core.Ticks, cold.Core.Ticks)
+				}
+				fw, cw := fast.Engine.CaptureWindow(), cold.Engine.CaptureWindow()
+				if !reflect.DeepEqual(fw, cw) {
+					t.Fatalf("%s: pause %d at %d insts: window state diverged:\nfast %+v\ncold %+v",
+						label, pause, fast.Core.Insts, fw, cw)
+				}
+				if fw.Open() {
+					inWindow++
+				}
+				if !rf.Paused {
+					break
+				}
+			}
+			if inWindow == 0 {
+				t.Errorf("%s: no pause landed inside the window", label)
+			}
+		}
+	}
+}
+
 // traceHash folds the committed (pc, raw word) stream into a hash plus a
 // count — a whole-run golden trace in O(1) memory.
 type traceHash struct {

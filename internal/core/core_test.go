@@ -207,9 +207,9 @@ func TestFastPathQuiescence(t *testing.T) {
 	if ok, wi, wf := e.FastPath(); !ok || wi != 1<<5 || wf != 0 || e.Quiesced != 1 {
 		t.Fatalf("after firing: FastPath = %v, %#x, %#x, quiesced %d", ok, wi, wf, e.Quiesced)
 	}
-	e.Retire(4, 3, 99)
+	e.Retire(6, 5, 4, 3, 99)
 	if ws := e.CaptureWindow(); ws.TicksNow != 99 || ws.Threads[0x1000].Commits != 5 ||
-		ws.Threads[0x1000].Execs != 4 || ws.Threads[0x1000].Fetches != 4 {
+		ws.Threads[0x1000].Execs != 4 || ws.Threads[0x1000].Decodes != 5 || ws.Threads[0x1000].Fetches != 6 {
 		t.Errorf("Retire: window state %+v", ws)
 	}
 	e.OnRegWrite(false, 5)

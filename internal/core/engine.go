@@ -294,13 +294,13 @@ func (e *Engine) FastPath() (ok bool, watchInt, watchFP uint32) {
 }
 
 // Retire implements cpu.Injector: the stage counters the hooks would have
-// advanced for instructions run on the fast path, and the tick clock
-// OnTick would have delivered.
-func (e *Engine) Retire(execs, commits, tick uint64) {
+// advanced for hookless instructions, and the tick clock OnTick would
+// have delivered.
+func (e *Engine) Retire(fetches, decodes, execs, commits, tick uint64) {
 	e.ticksNow = tick
 	if t := e.current; t != nil {
-		t.Fetches += execs
-		t.Decodes += execs
+		t.Fetches += fetches
+		t.Decodes += decodes
 		t.Execs += execs
 		t.Commits += commits
 	}

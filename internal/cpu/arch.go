@@ -139,12 +139,15 @@ type ExecOut struct {
 	TrapKind TrapKind // TrapNone if the instruction executed cleanly
 }
 
-// Execute computes the pure (non-memory) semantics of one instruction.
-// a and b are the integer operand values (b already substituted with the
-// literal for literal-form instructions); fa and fb are the FP operands;
-// pc is the instruction's own address.
-func Execute(in isa.Inst, a, b uint64, fa, fb float64, pc uint64) ExecOut {
-	var o ExecOut
+// Execute computes the pure (non-memory) semantics of one instruction
+// into o, which it overwrites whole. a and b are the integer operand
+// values (b already substituted with the literal for literal-form
+// instructions); fa and fb are the FP operands; pc is the instruction's
+// own address. The output is written in place, never returned by value:
+// a returned record is stored field by field and then block-copied into
+// the caller's, and the copy's wide loads stall on those narrow stores.
+func Execute(in *isa.Inst, a, b uint64, fa, fb float64, pc uint64, o *ExecOut) {
+	*o = ExecOut{}
 	next := pc + 4
 	switch in.Kind {
 	case isa.KindLDA:
@@ -257,7 +260,6 @@ func Execute(in isa.Inst, a, b uint64, fa, fb float64, pc uint64) ExecOut {
 	default:
 		o.TrapKind = TrapIllegal
 	}
-	return o
 }
 
 func boolBit(b bool) uint64 {

@@ -67,9 +67,10 @@ func (m *AtomicModel) Step() bool {
 
 // stepFast is Step with the stage hooks structurally removed: no FI
 // stage hooks, no observer dispatch, and the commit epilogue inlined
-// down to the PAL and scheduler work that can still occur. One Injector.Retire call per instruction keeps an open window's
-// stage counters and the engine tick clock exactly where the slow path's
-// hooks would have left them (trunk fork points capture both, and
+// down to the PAL and scheduler work that can still occur. One
+// Injector.Retire call per instruction keeps an open window's stage
+// counters and the engine tick clock exactly where the slow path's hooks
+// would have left them (trunk fork points capture both, and
 // fi_activate_inst anchors tick-relative faults on the clock). Register
 // traffic is reported only for instructions touching a watched register.
 func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
@@ -115,8 +116,8 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 
 	// Execute.
 	a, b, fa, fb := c.readOperands(in, ports)
-	m.out = Execute(in, a, b, fa, fb, pc)
 	out := &m.out
+	Execute(&in, a, b, fa, fb, pc, out)
 	if out.TrapKind != TrapNone {
 		m.retireUncommitted(1, tickAtFetch)
 		c.stop(&Trap{Kind: out.TrapKind, PC: pc, Word: in.Raw})
@@ -126,7 +127,7 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 	// Memory.
 	var loadVal uint64
 	if in.Kind.IsMem() {
-		val, lat, trap := c.accessMem(seq, pc, in, out, false)
+		val, lat, trap := c.accessMem(seq, pc, &in, out, false)
 		if trap != nil {
 			m.retireUncommitted(1, tickAtFetch)
 			trap.PC = pc
@@ -140,7 +141,7 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 	}
 
 	// Writeback and next PC.
-	c.writeback(in, ports, *out, loadVal)
+	c.writeback(&in, &ports, out, loadVal)
 	if in.Kind.IsBranch() && out.Taken {
 		c.Arch.PC = out.Target
 	} else {
@@ -152,10 +153,10 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 	c.Insts++
 	if in.Format != isa.FormatPAL || in.Kind == isa.KindNop {
 		if c.FI != nil {
-			c.FI.Retire(1, 1, tickAtFetch)
+			c.FI.Retire(1, 1, 1, 1, tickAtFetch)
 			if watchInt|watchFP != 0 {
 				if wi, wf := ports.Masks(); wi&watchInt|wf&watchFP != 0 {
-					c.regTraffic(ports)
+					c.regTraffic(&ports)
 				}
 			}
 		}
@@ -189,7 +190,7 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 				return false
 			}
 			if c.Arch.PCBB != pcbbBefore && c.FI != nil {
-				c.FI.OnContextSwitch(c.Arch.PCBB)
+				c.contextSwitched()
 			}
 		}
 		// fi_activate_inst may have just opened the window: the
@@ -203,7 +204,7 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 		pcbbBefore := c.Arch.PCBB
 		if c.Sched.MaybeSwitch(c) {
 			if c.Arch.PCBB != pcbbBefore && c.FI != nil {
-				c.FI.OnContextSwitch(c.Arch.PCBB)
+				c.contextSwitched()
 			}
 		}
 	}
@@ -216,7 +217,7 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 // later, or a PAL instruction before its dispatch (execs 1).
 func (m *AtomicModel) retireUncommitted(execs, tickAtFetch uint64) {
 	if m.C.FI != nil {
-		m.C.FI.Retire(execs, 0, tickAtFetch)
+		m.C.FI.Retire(execs, execs, execs, 0, tickAtFetch)
 	}
 }
 
@@ -282,8 +283,8 @@ func (m *AtomicModel) stepSlow() bool {
 
 	// Execute.
 	a, b, fa, fb := c.readOperands(in, ports)
-	m.out = Execute(in, a, b, fa, fb, pc)
 	out := &m.out
+	Execute(&in, a, b, fa, fb, pc, out)
 	if fi {
 		c.FI.OnExecute(seq, pc, in, out)
 	}
@@ -295,7 +296,7 @@ func (m *AtomicModel) stepSlow() bool {
 	// Memory.
 	var loadVal uint64
 	if in.Kind.IsMem() {
-		val, lat, trap := c.accessMem(seq, pc, in, out, fi)
+		val, lat, trap := c.accessMem(seq, pc, &in, out, fi)
 		if trap != nil {
 			trap.PC = pc
 			c.stop(trap)
@@ -308,14 +309,18 @@ func (m *AtomicModel) stepSlow() bool {
 	}
 
 	// Writeback and next PC.
-	c.writeback(in, ports, *out, loadVal)
+	c.writeback(&in, &ports, out, loadVal)
 	if in.Kind.IsBranch() && out.Taken {
 		c.Arch.PC = out.Target
 	} else {
 		c.Arch.PC = pc + 4
 	}
 
-	red := c.commitEpilogue(seq, pc, in, ports, out, loadVal, fi)
+	var w fiWatch
+	if fi {
+		w.mode = hooksOn
+	}
+	red := c.commitEpilogue(seq, pc, &in, &ports, out, loadVal, w)
 	if red.stopped {
 		return false
 	}

@@ -20,25 +20,34 @@ import (
 // (per-PC outcome attribution in the profiler/campaign reports).
 type Injector interface {
 	// Enabled reports whether the currently running thread has activated
-	// fault injection, i.e. whether its window is open. The pipelined
-	// model and the atomic slow path run every stage hook while it holds;
-	// the atomic fast path asks FastPath instead, which also admits an
-	// open window once no fault can act.
+	// fault injection, i.e. whether its window is open. Under
+	// DisableFastPath both models run every stage hook while it holds;
+	// otherwise they ask FastPath at fetch instead. The commit epilogue
+	// asks it for the commit hook of every instruction that is not
+	// hookless, and of a PAL instruction after its dispatch, which may
+	// just have opened or closed the window.
 	Enabled() bool
 
 	// FastPath reports whether the next instruction may run without any
 	// stage hook: the window is closed, or the engine is quiescent —
 	// every armed fault is exhausted and nothing it struck is in flight.
-	// watchInt and watchFP are bit masks of registers with outstanding
-	// taint; a fast-path commit whose ports touch one must still call
-	// OnRegRead/OnRegWrite exactly as the slow path's commit epilogue
-	// does. Both masks are zero while the window is closed.
+	// Both models ask it at fetch, and an instruction fetched while it
+	// holds stays hookless to commit. watchInt and watchFP are bit masks
+	// of registers with outstanding taint; a hookless commit whose ports
+	// touch one must still call OnRegRead/OnRegWrite exactly as the
+	// hooked commit epilogue does. Both masks are zero while the window
+	// is closed.
 	FastPath() (ok bool, watchInt, watchFP uint32)
-	// Retire accounts instructions run on the fast path: execs of them
-	// were fetched, decoded and executed, commits of them committed, and
-	// tick is the fetch tick of the last (the value OnTick would have
-	// delivered). Only an open window's counters move.
-	Retire(execs, commits, tick uint64)
+	// Retire accounts the stage events of hookless instructions: the
+	// fetches, decodes and executes they took part in (squashed
+	// wrong-path ones included) and their commits, counted exactly as
+	// the stage hooks would have counted them. tick is the clock OnTick
+	// would have delivered last, which Retire delivers in its place.
+	// Only an open window's counters move. The atomic model and
+	// translated blocks pass equal fetch, decode and execute counts; the
+	// pipelined model retires each cycle's tallies with the next cycle's
+	// tick.
+	Retire(fetches, decodes, execs, commits, tick uint64)
 
 	// OnFetch may corrupt the fetched instruction word.
 	OnFetch(seq, pc uint64, word uint32) uint32
@@ -67,6 +76,8 @@ type Injector interface {
 	// OnContextSwitch tells the engine the PCB base register changed.
 	OnContextSwitch(pcbb uint64)
 	// OnTick advances the engine's tick count (cycle-based fault timing).
+	// The atomic slow path calls it once per step; the fast paths and the
+	// pipelined model deliver the tick through Retire.
 	OnTick(ticks uint64)
 }
 
@@ -242,8 +253,38 @@ type Core struct {
 	seq    uint64 // dynamic instruction sequence numbering
 	dcache *isa.DecodeCache
 	pred   *predecodeCache
-	commit Commit // what observers receive; a core field, so nothing escapes per commit
+	commit Commit      // what observers receive; a core field, so nothing escapes per commit
+	tally  retireTally // hookless stage events not yet handed to Injector.Retire
 }
+
+// hookMode is how the fault engine watches one instruction, fixed when
+// it is fetched.
+type hookMode uint8
+
+const (
+	// hooksOff: no stage hook and no register traffic; the commit hook
+	// runs if the window is open by then. The slow paths, window closed.
+	hooksOff hookMode = iota
+	// hooksOn: every stage hook and all register traffic. The slow
+	// paths, window open.
+	hooksOn
+	// hookless: no stage hook; the core tallies the stage events for
+	// Injector.Retire, and register traffic is reported only for the
+	// watched registers. FastPath held at fetch.
+	hookless
+)
+
+// fiWatch is how the fault engine watches one instruction: its hook
+// mode and, when hookless, the registers whose committed traffic the
+// engine still needs (Injector.FastPath's watch masks at fetch).
+type fiWatch struct {
+	mode              hookMode
+	watchInt, watchFP uint32
+}
+
+// retireTally counts the stage events of hookless instructions since
+// the injector last heard of them.
+type retireTally struct{ fetches, decodes, execs, commits uint64 }
 
 // CoreSnapshot is the checkpointable part of a core: the architectural
 // state and counters. Microarchitectural state (pipeline latches, branch
@@ -273,6 +314,7 @@ func (c *Core) RestoreSnapshot(s CoreSnapshot) {
 	c.ExitStatus = s.ExitStatus
 	c.Stopped = false
 	c.Trap = nil
+	c.tally = retireTally{}
 }
 
 // decode decodes an instruction word through the per-core word-keyed
@@ -363,6 +405,57 @@ func (c *Core) BumpSeq(n uint64) { c.seq += n }
 // fiEnabled reports whether FI hooks should run for the current thread.
 func (c *Core) fiEnabled() bool { return c.FI != nil && c.FI.Enabled() }
 
+// watchAtFetch decides how the fault engine watches the instruction
+// about to be fetched by the pipelined model. It takes the atomic
+// model's predicate: hookless while Injector.FastPath holds, every hook
+// otherwise. DisableFastPath keeps the reference behaviour, every hook
+// while the window is open.
+func (c *Core) watchAtFetch() fiWatch {
+	if c.FI == nil {
+		return fiWatch{}
+	}
+	if c.DisableFastPath {
+		if c.FI.Enabled() {
+			return fiWatch{mode: hooksOn}
+		}
+		return fiWatch{}
+	}
+	ok, watchInt, watchFP := c.FI.FastPath()
+	if !ok {
+		return fiWatch{mode: hooksOn}
+	}
+	return fiWatch{hookless, watchInt, watchFP}
+}
+
+// retire hands the injector the tallied hookless events with the
+// current tick, which it delivers in place of OnTick.
+func (c *Core) retire() {
+	t := c.tally
+	c.tally = retireTally{}
+	c.FI.Retire(t.fetches, t.decodes, t.execs, t.commits, c.Ticks)
+}
+
+// FlushRetired hands the injector any hookless stage events the core
+// has tallied but not yet reported. The pipelined model reports a
+// cycle's events when the next cycle starts, so between steps the last
+// cycle's are outstanding: anything that reads the injector's window
+// counters between steps must flush first (the simulator's run loop
+// does on every return). With nothing outstanding it does nothing, so
+// the tick clock stays where the last step left it.
+func (c *Core) FlushRetired() {
+	if c.FI != nil && c.tally != (retireTally{}) {
+		c.retire()
+	}
+}
+
+// contextSwitched tells the injector the PCB base register changed,
+// after handing it the hookless events that belong to the thread
+// switched out.
+func (c *Core) contextSwitched() {
+	c.FlushRetired()
+	c.FI.OnContextSwitch(c.Arch.PCBB)
+}
+
 // Stop halts the core with a trap; used by the models for architectural
 // traps and by the kernel for fatal conditions (e.g. a corrupted PCB).
 func (c *Core) Stop(t *Trap) {
@@ -406,7 +499,7 @@ func (c *Core) readOperands(in isa.Inst, p isa.RegPorts) (a, b uint64, fa, fb fl
 // timing (if configured) and the FI memory hook. It returns the loaded
 // value (for loads) and the latency in ticks. pc is the requesting
 // instruction's address, for injection and miss attribution.
-func (c *Core) accessMem(seq, pc uint64, in isa.Inst, o *ExecOut, fi bool) (loadVal uint64, latency uint64, trap *Trap) {
+func (c *Core) accessMem(seq, pc uint64, in *isa.Inst, o *ExecOut, fi bool) (loadVal uint64, latency uint64, trap *Trap) {
 	size := 8
 	if in.Kind == isa.KindLDBU || in.Kind == isa.KindSTB {
 		size = 1
@@ -469,7 +562,7 @@ func (c *Core) observeEvent(ev Event, pc uint64) {
 }
 
 // writeback writes the destination register of a completed instruction.
-func (c *Core) writeback(in isa.Inst, p isa.RegPorts, o ExecOut, loadVal uint64) {
+func (c *Core) writeback(in *isa.Inst, p *isa.RegPorts, o *ExecOut, loadVal uint64) {
 	if !p.DstUsed {
 		return
 	}
@@ -490,7 +583,7 @@ func (c *Core) writeback(in isa.Inst, p isa.RegPorts, o ExecOut, loadVal uint64)
 
 // regTraffic reports a committed instruction's register reads and write
 // to the fault engine, in port order, for register-fault propagation.
-func (c *Core) regTraffic(ports isa.RegPorts) {
+func (c *Core) regTraffic(ports *isa.RegPorts) {
 	if ports.SrcAUsed {
 		c.FI.OnRegRead(ports.SrcAFP, ports.SrcA)
 	}
@@ -514,9 +607,12 @@ type commitRedirect struct {
 // commitEpilogue runs the per-committed-instruction bookkeeping shared by
 // all models: observers, FI commit hook and register-traffic
 // notifications, PAL dispatch, scheduler preemption and context switch
-// detection. The architectural PC must already hold the sequentially-next instruction
+// detection. w is how the engine watched the instruction since fetch: a
+// hookless commit is tallied instead of hooked, unless it is a PAL
+// instruction, whose dispatch may open or close the window. The
+// architectural PC must already hold the sequentially-next instruction
 // address (or branch target) before the call.
-func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *ExecOut, loadVal uint64, fi bool) commitRedirect {
+func (c *Core) commitEpilogue(seq, pc uint64, in *isa.Inst, ports *isa.RegPorts, out *ExecOut, loadVal uint64, w fiWatch) commitRedirect {
 	// Observers see every commit, before PAL dispatch mutates syscall
 	// argument registers and regardless of the FI window (a corrupted
 	// value keeps flowing after fi_activate_inst closes it).
@@ -524,7 +620,7 @@ func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, o
 		// Field by field: a composite literal would zero and copy a
 		// temporary on every commit.
 		cm := &c.commit
-		cm.Seq, cm.PC, cm.In, cm.Ports = seq, pc, in, ports
+		cm.Seq, cm.PC, cm.In, cm.Ports = seq, pc, *in, *ports
 		cm.Out, cm.LoadVal, cm.Ticks, cm.Arch = out, loadVal, c.Ticks, &c.Arch
 		for _, o := range c.Observers {
 			o.OnCommit(cm)
@@ -533,12 +629,20 @@ func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, o
 	c.Insts++
 	var red commitRedirect
 
-	if fi {
+	switch w.mode {
+	case hooksOn:
 		c.regTraffic(ports)
+	case hookless:
+		if w.watchInt|w.watchFP != 0 {
+			if wi, wf := ports.Masks(); wi&w.watchInt|wf&w.watchFP != 0 {
+				c.regTraffic(ports)
+			}
+		}
 	}
 
 	// PAL instructions: FI control, checkpointing, kernel services.
-	if in.Format == isa.FormatPAL && in.Kind != isa.KindNop {
+	pal := in.Format == isa.FormatPAL && in.Kind != isa.KindNop
+	if pal {
 		switch in.Kind {
 		case isa.KindFIActivate:
 			if c.FI != nil {
@@ -567,7 +671,7 @@ func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, o
 				return red
 			}
 			if c.Arch.PCBB != pcbbBefore && c.FI != nil {
-				c.FI.OnContextSwitch(c.Arch.PCBB)
+				c.contextSwitched()
 			}
 		}
 		// All PAL instructions serialize the pipeline.
@@ -576,7 +680,9 @@ func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, o
 	}
 
 	// FI commit: count the instruction, apply register/PC/special faults.
-	if c.FI != nil && c.FI.Enabled() {
+	if w.mode == hookless && !pal {
+		c.tally.commits++
+	} else if c.FI != nil && c.FI.Enabled() {
 		if c.FI.OnCommit(seq, pc, &c.Arch) {
 			red.redirect = true
 			red.target = c.Arch.PC
@@ -588,7 +694,7 @@ func (c *Core) commitEpilogue(seq, pc uint64, in isa.Inst, ports isa.RegPorts, o
 		pcbbBefore := c.Arch.PCBB
 		if c.Sched.MaybeSwitch(c) {
 			if c.Arch.PCBB != pcbbBefore && c.FI != nil {
-				c.FI.OnContextSwitch(c.Arch.PCBB)
+				c.contextSwitched()
 			}
 			red.redirect = true
 			red.target = c.Arch.PC

@@ -16,6 +16,11 @@ func f64FromBits(b uint64) float64 { return math.Float64frombits(b) }
 // O3 model (see DESIGN.md): it provides the per-stage fault injection
 // points, the commit-or-squash lifecycle the paper's campaign methodology
 // depends on, and a large cycle-cost gap versus the atomic model.
+//
+// Whether an instruction's stage hooks run is decided once, at its fetch,
+// with the atomic model's predicate (Injector.FastPath): an instruction
+// fetched while no fault can act is hookless to commit, and its stage
+// events are tallied on the core and retired once per cycle.
 type PipelinedModel struct {
 	C    *Core
 	Pred *Predictor
@@ -44,7 +49,7 @@ type pipeSlot struct {
 	seq   uint64
 	pc    uint64
 	word  uint32
-	fi    bool // FI hooks were live when this instruction was fetched
+	w     fiWatch // how the fault engine watches this instruction, fixed at fetch
 
 	decoded    bool
 	predecoded bool // in/ports came from the predecode cache at fetch
@@ -158,6 +163,7 @@ func (m *PipelinedModel) Drain() {
 	for m.InFlight() > 0 && !m.C.Stopped {
 		m.Step()
 	}
+	m.C.FlushRetired() // the model that runs next reports its own events
 	m.draining = false
 	m.fetchPC = m.C.Arch.PC
 	m.serialize = false
@@ -171,7 +177,9 @@ func (m *PipelinedModel) Step() bool {
 	}
 	c.Ticks++
 	if c.FI != nil {
-		c.FI.OnTick(c.Ticks)
+		// The last cycle's hookless events, with this cycle's tick in
+		// place of OnTick.
+		c.retire()
 	}
 
 	retired := m.commitStage()
@@ -205,10 +213,10 @@ func (m *PipelinedModel) commitStage() bool {
 		c.stop(s.trap)
 		return false
 	}
-	c.writeback(s.in, s.ports, s.out, s.loadVal)
+	c.writeback(&s.in, &s.ports, &s.out, s.loadVal)
 	c.Arch.PC = s.actualNext
 	m.squashRefill = false
-	red := c.commitEpilogue(s.seq, s.pc, s.in, s.ports, &s.out, s.loadVal, s.fi)
+	red := c.commitEpilogue(s.seq, s.pc, &s.in, &s.ports, &s.out, s.loadVal, s.w)
 	s.valid = false
 	if red.stopped {
 		return true
@@ -254,7 +262,7 @@ func (m *PipelinedModel) memStage() {
 	if !s.accessed {
 		s.accessed = true
 		if s.trap == nil && s.in.Kind.IsMem() {
-			val, lat, trap := c.accessMem(s.seq, s.pc, s.in, &s.out, s.fi)
+			val, lat, trap := c.accessMem(s.seq, s.pc, &s.in, &s.out, s.w.mode == hooksOn)
 			if trap != nil {
 				s.trap = trap
 			} else {
@@ -285,9 +293,12 @@ func (m *PipelinedModel) execStage() {
 		s.executed = true
 		if s.trap == nil {
 			a, b, fa, fb := m.readOperandsFwd(s)
-			s.out = Execute(s.in, a, b, fa, fb, s.pc)
-			if s.fi {
+			Execute(&s.in, a, b, fa, fb, s.pc, &s.out)
+			switch s.w.mode {
+			case hooksOn:
 				c.FI.OnExecute(s.seq, s.pc, s.in, &s.out)
+			case hookless:
+				c.tally.execs++
 			}
 			if s.out.TrapKind != TrapNone {
 				s.trap = &Trap{Kind: s.out.TrapKind, PC: s.pc, Word: s.in.Raw}
@@ -336,11 +347,14 @@ func (m *PipelinedModel) decodeStage() {
 		if s.trap == nil {
 			if !s.predecoded {
 				s.in, s.ports = c.decode(s.word)
-				if s.fi {
+				if s.w.mode == hooksOn {
 					s.ports = c.FI.OnDecode(s.seq, s.pc, s.ports)
 				} else {
 					c.predecodeFill(s.pc, s.word, s.in, s.ports)
 				}
+			}
+			if s.w.mode == hookless {
+				c.tally.decodes++
 			}
 			if s.in.Format == isa.FormatPAL && s.in.Kind != isa.KindNop {
 				// Serialize: nothing younger may enter the pipeline until
@@ -384,15 +398,21 @@ func (m *PipelinedModel) fetchStage() {
 	}
 	pc := m.fetchPC
 	s := m.ifs
-	*s = pipeSlot{valid: true, seq: c.NextSeq(), pc: pc, fi: c.fiEnabled()}
+	// Clear in place, then fill: a composite literal with computed
+	// fields would be built in a temporary and block-copied.
+	*s = pipeSlot{}
+	s.valid, s.seq, s.pc, s.w = true, c.NextSeq(), pc, c.watchAtFetch()
 	if pc%4 != 0 {
 		s.trap = &Trap{Kind: TrapFetchFault, PC: pc}
 		s.decoded = true // nothing to decode
-	} else if e := c.predecodeLookup(pc); e != nil && !s.fi {
+	} else if e := c.predecodeLookup(pc); e != nil && s.w.mode != hooksOn {
 		// Predecode hit: the word and decode come from the cache, skipping
 		// the memory read and the decode-stage work. Timing (I-cache
 		// access, stalls) is charged identically.
 		s.word, s.in, s.ports, s.predecoded = e.word, e.in, e.ports, true
+		if s.w.mode == hookless {
+			c.tally.fetches++
+		}
 		if c.Hier != nil {
 			lat, miss := c.Hier.FetchAccess(pc)
 			if lat > 1 {
@@ -415,8 +435,11 @@ func (m *PipelinedModel) fetchStage() {
 				c.observeEvent(EventIMiss, pc)
 			}
 		}
-		if s.fi {
+		switch s.w.mode {
+		case hooksOn:
 			w = c.FI.OnFetch(s.seq, pc, w)
+		case hookless:
+			c.tally.fetches++
 		}
 		s.word = w
 	}
@@ -425,13 +448,14 @@ func (m *PipelinedModel) fetchStage() {
 	m.fetchPC = pred.Next
 }
 
-// squashSlot invalidates a speculative slot and notifies the injector
-// and the observers.
+// squashSlot invalidates a speculative slot and notifies the observers
+// and, unless the slot is hookless (no fault can have struck it), the
+// injector.
 func (m *PipelinedModel) squashSlot(s *pipeSlot) {
 	if !s.valid {
 		return
 	}
-	if m.C.FI != nil {
+	if m.C.FI != nil && s.w.mode != hookless {
 		m.C.FI.OnSquash(s.seq)
 	}
 	for _, o := range m.C.Observers {

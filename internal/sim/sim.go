@@ -633,8 +633,10 @@ const (
 // step's watchdog and model-switch checks (RunUntil's contract). A
 // nonzero steps pauses after that many steps, checked after every other
 // check of the step, so a run resumed from such a pause continues exactly
-// as one that never paused.
+// as one that never paused. On return the fault engine's counters are
+// current: the pipelined model's last hookless events are flushed.
 func (s *Simulator) loop(until, steps uint64) loopEnd {
+	defer s.Core.FlushRetired()
 	s.armTranslationLimit(until)
 	var n uint64
 	for !s.Core.Stopped && !s.stopRequested {
