@@ -52,7 +52,6 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "campaign seed")
 		model      = flag.String("model", "atomic", "CPU model for experiments")
 		jsonOut    = flag.String("json", "", "also write the report as JSON to this file")
-		traceOut   = flag.String("trace", "", "stream campaign trace events as JSON lines to this file (custom experiment)")
 		metrics    = flag.Bool("metrics", false, "print the campaign metrics registry at exit")
 		progress   = flag.Bool("progress", true, "print periodic progress lines (custom experiment)")
 		httpAddr   = flag.String("http", "", "serve live observability endpoints (/metrics /status /profile /taint /debug/pprof) during the campaign (custom experiment)")
@@ -68,10 +67,10 @@ func run() error {
 		flightOn    = flag.Bool("flight", false, "flight recorder: dump the last -flight-depth committed instructions of every crashed/SDC experiment onto its result (custom experiment; served at /postmortem/{id} with -http)")
 		flightDepth = flag.Int("flight-depth", 0, "flight recorder ring size (0 = default)")
 
-		// Distributed span tracing (custom experiment). Each experiment
-		// becomes one trace: an experiment root, per-phase child spans,
-		// and fault-lifecycle events.
-		spansOn     = flag.Bool("spans", false, "record per-experiment span traces (implied by the other -span* flags and -http)")
+		// Distributed span tracing (custom experiment), on when an output
+		// below or -http asks for it. Each experiment becomes one trace:
+		// an experiment root, per-phase child spans, and fault-lifecycle
+		// events.
 		spanSample  = flag.Int("span-sample", 1, "keep 1 in N experiment traces (head sampling; crashed/SDC traces are always kept)")
 		spansJSONL  = flag.String("spans-jsonl", "", "stream completed span trees as JSON lines to this file (validate with gemfi -validate-spans)")
 		spansChrome = flag.String("spans-chrome", "", "write kept traces as Chrome/Perfetto catapult JSON to this file at exit")
@@ -109,27 +108,8 @@ func run() error {
 	if *metrics || *httpAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	var tracer *obs.Tracer
-	var traceFile *os.File
-	if *traceOut != "" {
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		tracer = obs.NewTracer()
-		tracer.StreamJSONL(traceFile)
-	}
-	// dumpObs flushes trace/metrics output on the paths that ran a
-	// campaign.
+	// dumpObs prints the metrics on the paths that ran a campaign.
 	dumpObs := func() error {
-		if tracer != nil {
-			if err := tracer.Flush(); err != nil {
-				return err
-			}
-			if err := traceFile.Close(); err != nil {
-				return err
-			}
-		}
 		if reg != nil {
 			return reg.WriteText(os.Stdout)
 		}
@@ -250,9 +230,7 @@ func run() error {
 			return err
 		}
 		pool.Metrics = reg
-		pool.Tracer = tracer
-		wantSpans := *spansOn || *spansJSONL != "" || *spansChrome != "" ||
-			*traceID != "" || *httpAddr != ""
+		wantSpans := *spansJSONL != "" || *spansChrome != "" || *traceID != "" || *httpAddr != ""
 		var spanRec *obs.SpanRecorder
 		var spansFile *os.File
 		if wantSpans {

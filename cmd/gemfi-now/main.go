@@ -171,16 +171,15 @@ func runMaster(args []string) error {
 		drain     = fs.Duration("drain", 30*time.Second, "in-flight drain bound on SIGINT/SIGTERM")
 
 		flightOn   = fs.Bool("flight", false, "ask workers (via the welcome message) to flight-record: crashed/SDC results arrive with post-mortem dumps attached")
-		spansOn    = fs.Bool("spans", false, "trace every experiment end to end (worker-side spans stitch under the master's experiment span)")
 		spanSample = fs.Int("span-sample", 1, "keep 1 in N experiment traces (crashed/SDC traces are always kept)")
-		spansJSONL = fs.String("spans-jsonl", "", "write completed span trees to this JSONL file at exit")
+		spansJSONL = fs.String("spans-jsonl", "", "trace every experiment end to end (worker-side spans stitch under the master's experiment span) and write the span trees to this JSONL file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
 	var spanRec *obs.SpanRecorder
-	if *spansOn || *spansJSONL != "" || *httpAddr != "" {
+	if *spansJSONL != "" || *httpAddr != "" {
 		spanRec = obs.NewSpanRecorder()
 		spanRec.SetSampling(*spanSample)
 	}

@@ -52,11 +52,10 @@ func run() error {
 		saveCkpt  = flag.String("save-checkpoint", "", "run to fi_read_init_all, save the checkpoint here, and exit")
 		loadCkpt  = flag.String("restore", "", "restore this checkpoint before running (skips boot + init)")
 
-		traceOut    = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
-		traceJSONL  = flag.String("trace-jsonl", "", "stream trace events as JSON lines to this file")
+		spansJSONL  = flag.String("spans-jsonl", "", "write the run's span tree (phases and fault lifecycle) as JSON lines to this file (validate with -validate-spans)")
+		spansChrome = flag.String("spans-chrome", "", "write the run's span tree as Chrome/Perfetto catapult JSON to this file")
 		metricsDump = flag.Bool("metrics", false, "print the metrics registry (gem5 stats style) at exit")
 		metricsJSON = flag.String("metrics-json", "", "write the metrics registry as JSON to this file at exit")
-		validate    = flag.String("validate-trace", "", "validate a JSONL trace file against the event schema and exit")
 
 		profile       = flag.Bool("profile", false, "profile the guest per PC and print the top-N table at exit")
 		profileTop    = flag.Int("profile-top", 20, "rows in the -profile text table")
@@ -69,7 +68,7 @@ func run() error {
 		taintDot      = flag.String("taint-dot", "", "write the propagation DAG as Graphviz DOT to this file (implies -taint)")
 		taintJSON     = flag.String("taint-json", "", "write the propagation report as JSON to this file (implies -taint)")
 		validateTaint = flag.String("validate-taint", "", "validate a propagation-report JSON file against the schema and exit")
-		validateSpans = flag.String("validate-spans", "", "validate a span JSONL file (gemfi-campaign -spans-jsonl) against the span schema and exit")
+		validateSpans = flag.String("validate-spans", "", "validate a span JSONL file (-spans-jsonl) against the span schema and exit")
 
 		bbtOn    = flag.Bool("bbt", true, "translate hot basic blocks into fused closure chains on the atomic fast path")
 		bbtStats = flag.Bool("bbt-stats", false, "print the block translator's counters (blocks compiled, hits, invalidations, fallbacks) at exit")
@@ -80,16 +79,12 @@ func run() error {
 	)
 	flag.Parse()
 
-	// The five -validate-* modes share one shape: open, check, report the
+	// The four -validate-* modes share one shape: open, check, report the
 	// shared line-reader's verdict, exit.
 	validators := []struct {
 		path string
 		run  func(io.Reader) (string, error)
 	}{
-		{*validate, func(r io.Reader) (string, error) {
-			n, err := obs.ValidateJSONL(r)
-			return fmt.Sprintf("%d events OK", n), err
-		}},
 		{*validateProm, func(r io.Reader) (string, error) {
 			n, err := obs.ValidateProm(r)
 			return fmt.Sprintf("%d samples OK", n), err
@@ -165,9 +160,6 @@ func run() error {
 	if *profile || *profileJSON != "" || *profileFolded != "" || *httpAddr != "" {
 		cfg.EnableProfiler = true
 	}
-	if *traceOut != "" || *traceJSONL != "" {
-		cfg.Tracer = obs.NewTracer()
-	}
 	if wantTaint || *httpAddr != "" {
 		cfg.EnableTaint = true
 	}
@@ -175,59 +167,25 @@ func run() error {
 		cfg.EnableFlight = true
 		cfg.FlightDepth = *flightDepth
 	}
-	var jsonlFile *os.File
-	if *traceJSONL != "" {
-		var err error
-		jsonlFile, err = os.Create(*traceJSONL)
-		if err != nil {
-			return err
-		}
-		cfg.Tracer.StreamJSONL(jsonlFile)
+	var spans *obs.SpanRecorder
+	if *spansJSONL != "" || *spansChrome != "" {
+		spans = obs.NewSpanRecorder()
 	}
-	// dumpObs flushes the observability outputs; every exit path that ran
+	// dumpObs writes the observability outputs; every exit path that ran
 	// any simulation calls it.
 	dumpObs := func() error {
-		if jsonlFile != nil {
-			if err := cfg.Tracer.Flush(); err != nil {
-				return err
-			}
-			if err := jsonlFile.Close(); err != nil {
-				return err
-			}
+		if err := writeFile(*spansJSONL, spans.WriteSpansJSONL); err != nil {
+			return err
 		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			if err := cfg.Tracer.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("trace written to %s (%d events)\n", *traceOut, len(cfg.Tracer.Events()))
+		if err := writeFile(*spansChrome, spans.WriteSpansChromeTrace); err != nil {
+			return err
 		}
 		if *metricsDump {
 			if err := cfg.Metrics.WriteText(os.Stdout); err != nil {
 				return err
 			}
 		}
-		if *metricsJSON != "" {
-			f, err := os.Create(*metricsJSON)
-			if err != nil {
-				return err
-			}
-			if err := cfg.Metrics.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeFile(*metricsJSON, cfg.Metrics.WriteJSON)
 	}
 	s := sim.New(cfg)
 	if err := s.Load(prog); err != nil {
@@ -284,33 +242,10 @@ func run() error {
 				return err
 			}
 		}
-		if *profileJSON != "" {
-			f, err := os.Create(*profileJSON)
-			if err != nil {
-				return err
-			}
-			if err := snap.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if err := writeFile(*profileJSON, snap.WriteJSON); err != nil {
+			return err
 		}
-		if *profileFolded != "" {
-			f, err := os.Create(*profileFolded)
-			if err != nil {
-				return err
-			}
-			if err := snap.WriteFolded(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeFile(*profileFolded, snap.WriteFolded)
 	}
 
 	// Checkpoint workflows (the paper's campaign fast-forwarding, as a
@@ -342,7 +277,6 @@ func run() error {
 		// alive but final state identical) from reached-state corruption.
 		gcfg := cfg
 		gcfg.Faults = nil
-		gcfg.Tracer = nil
 		gcfg.Metrics = nil
 		gcfg.EnableProfiler = false
 		gcfg.EnableTaint = false
@@ -358,7 +292,7 @@ func run() error {
 		}
 	}
 
-	r := s.Run()
+	r, _ := s.RunTraced(spans)
 
 	if r.Console != "" {
 		fmt.Print(r.Console)
@@ -398,32 +332,14 @@ func run() error {
 				return err
 			}
 		}
+		if err := writeFile(*taintDot, rep.WriteDOT); err != nil {
+			return err
+		}
 		if *taintDot != "" {
-			f, err := os.Create(*taintDot)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteDOT(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
 			fmt.Printf("propagation DAG written to %s (%d nodes)\n", *taintDot, len(rep.Nodes))
 		}
-		if *taintJSON != "" {
-			f, err := os.Create(*taintJSON)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if err := writeFile(*taintJSON, rep.WriteJSON); err != nil {
+			return err
 		}
 	}
 	if *flightOn {
@@ -457,6 +373,23 @@ func run() error {
 		os.Exit(2)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write; an empty path writes
+// nothing.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // loadProgram builds the guest image from a file or a named workload.

@@ -194,32 +194,18 @@ func SampleSize(populationN int64, confidence, margin, p float64) int64 {
 // cost.
 type MetricsRegistry = obs.Registry
 
-// Tracer records structured fault-lifecycle and simulation events;
-// attach one via SimConfig.Tracer. Export with WriteChromeTrace (load
-// in chrome://tracing or Perfetto) or stream JSONL with StreamJSONL.
-type Tracer = obs.Tracer
-
-// TraceEvent is one structured trace record.
-type TraceEvent = obs.Event
-
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewTracer builds an in-memory event tracer.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// ValidateTraceJSONL checks a JSON-lines trace stream against the event
-// schema and returns the number of valid events.
-func ValidateTraceJSONL(r io.Reader) (int, error) { return obs.ValidateJSONL(r) }
 
 // ValidateProm checks a Prometheus text exposition stream (such as a
 // /metrics scrape) and returns the number of sample lines.
 func ValidateProm(r io.Reader) (int, error) { return obs.ValidateProm(r) }
 
 // SpanRecorder records hierarchical spans (campaign → experiment →
-// phases) across the campaign service and NoW workers; attach one via
-// Pool.Spans or ServiceConfig.Spans. A nil recorder disables tracing at
-// near-zero cost.
+// phases, with the fault lifecycle as span events) for single runs
+// (Simulator.RunTraced), campaigns, the campaign service and NoW
+// workers; attach one via Pool.Spans or ServiceConfig.Spans. A nil
+// recorder disables tracing at near-zero cost.
 type SpanRecorder = obs.SpanRecorder
 
 // Span is one timed operation within a trace; SpanContext carries the

@@ -568,6 +568,14 @@ func (r *Runner) foldSimPhases() {
 	}
 }
 
+// expEvent records a point event at the current tick on the running
+// experiment's span; a no-op untraced.
+func (r *Runner) expEvent(name string, attrs map[string]any) {
+	if tr := r.curTrace; tr != nil {
+		tr.span.Event(name, r.sim.Core.Ticks, attrs)
+	}
+}
+
 // finishExpTrace stamps the verdict onto the experiment span and ends
 // it; crashed and SDC experiments force-keep their trace through head
 // sampling.

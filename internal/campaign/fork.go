@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -466,8 +465,7 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 		}
 		if pruneOK && eng.MaskedClean() {
 			fs.prunedMasked.Add(1)
-			r.Cfg.Tracer.Instant(obs.CatFork, "fork.prune", r.sim.Core.Ticks,
-				map[string]any{"id": exp.ID, "rule": "masked", "insts": res.Insts})
+			r.expEvent("fork.prune", map[string]any{"id": exp.ID, "rule": "masked", "insts": res.Insts})
 			// The machine is provably back in the golden state: the rest of
 			// the run is exactly the trunk's completion, so the experiment
 			// inherits the trunk's totals.
@@ -482,8 +480,7 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 			key := fs.memo.keyFor(r.sim)
 			if e, ok := fs.memo.lookup(key); ok {
 				r.memoCrash = e.crashCause
-				r.Cfg.Tracer.Instant(obs.CatFork, "fork.memo", r.sim.Core.Ticks,
-					map[string]any{"id": exp.ID, "insts": res.Insts})
+				r.expEvent("fork.memo", map[string]any{"id": exp.ID, "insts": res.Insts})
 				res.Insts = e.finalInsts
 				res.Ticks = r.sim.Core.Ticks + e.dTicks
 				return res, e.outcome
@@ -517,8 +514,7 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 			if eng.AnyPropagated() {
 				out = OutcomeStrictlyCorrect
 			}
-			r.Cfg.Tracer.Instant(obs.CatFork, "fork.prune", r.sim.Core.Ticks,
-				map[string]any{"id": exp.ID, "rule": "twin", "insts": res.Insts})
+			r.expEvent("fork.prune", map[string]any{"id": exp.ID, "rule": "twin", "insts": res.Insts})
 			// Twin-pruned runs report the trunk's totals, which are not the
 			// suffix-delta form the memo stores — drop any pending key.
 			r.pendingMemo = nil

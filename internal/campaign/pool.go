@@ -24,10 +24,6 @@ type Pool struct {
 	// experiment-duration histogram (campaign.exp_duration_us). Nil
 	// disables at no cost.
 	Metrics *obs.Registry
-	// Tracer, when set, receives one complete ("X") span per experiment,
-	// with the pool worker index as the tid — loading the Chrome export
-	// shows per-worker occupancy lanes. Nil disables.
-	Tracer *obs.Tracer
 	// Spans, when set, turns on distributed span tracing: every
 	// experiment becomes one trace (experiment root, phase children,
 	// fault-lifecycle events) with the worker index as its track, and
@@ -235,10 +231,9 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 		go func(wi int, r *Runner) {
 			defer wg.Done()
 			for job := range jobs {
-				// Each experiment's event span and duration run from the
-				// previous result (or the job's start) to its own: a walk
-				// member's share of the walk is part of it.
-				endSpan := p.Tracer.Span(obs.CatCampaign, "experiment", wi+1)
+				// Each experiment's duration runs from the previous result
+				// (or the job's start) to its own: a walk member's share of
+				// the walk is part of it.
 				t0 := time.Now()
 				p.inFlight.Add(1)
 				record := func(res Result) {
@@ -251,9 +246,6 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 						p.outcomes[int(res.Outcome)-1].Add(1)
 					}
 					p.done.Add(1)
-					endSpan(map[string]any{
-						"id": res.ID, "outcome": res.Outcome.String(), "fired": res.Fired,
-					})
 					n := done.Add(1)
 					if p.OnResult != nil || p.OnProgress != nil {
 						progressMu.Lock()
@@ -265,7 +257,6 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 						}
 						progressMu.Unlock()
 					}
-					endSpan = p.Tracer.Span(obs.CatCampaign, "experiment", wi+1)
 					t0 = time.Now()
 				}
 				if job.snap != nil {

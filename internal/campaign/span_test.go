@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -144,5 +145,73 @@ func TestPoolSpansAndExemplars(t *testing.T) {
 	out := prom.String()
 	if !bytes.Contains(prom.Bytes(), []byte("trace_id=")) {
 		t.Errorf("prom exposition has no trace_id exemplars:\n%.2000s", out)
+	}
+}
+
+// TestWalkEndsBeforeTriggers covers concludeAll: members of one walk
+// whose triggers lie past the program's end. The walk's run is then every
+// member's own run, start to finish, so each result must equal its
+// replay's, and each member gets one trace of its own: fork and walk
+// phases under the root, and only its own fault announced.
+func TestWalkEndsBeforeTriggers(t *testing.T) {
+	w := workloads.MonteCarloPI(workloads.ScaleTest)
+	replay, err := NewRunner(w, RunnerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(w, 1, RunnerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.EnableFork(DefaultForkOptions()); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewSpanRecorder()
+	pool.Spans = rec
+	var exps []Experiment
+	for i := 0; i < 3; i++ {
+		exps = append(exps, Experiment{ID: i, Faults: []core.Fault{{
+			Loc: core.LocIntReg, Reg: 6, Behavior: core.BehFlip, Bit: i,
+			Base: core.TimeInst, When: 10*replay.WindowInsts + uint64(i), Occ: 1,
+		}}})
+	}
+	got := pool.RunAll(exps)
+	if st := pool.ForkStats(); st.Walks != 1 {
+		t.Fatalf("%d walks for %d members, want one shared walk", st.Walks, len(exps))
+	}
+	traces := map[string]bool{}
+	for _, e := range exps {
+		g, want := got[e.ID], replay.Run(e)
+		if g.Outcome != want.Outcome || g.Fired != want.Fired || g.Insts != want.Insts || g.Ticks != want.Ticks {
+			t.Errorf("exp %d: walked %v fired=%v %d/%d, replay %v fired=%v %d/%d", e.ID,
+				g.Outcome, g.Fired, g.Insts, g.Ticks, want.Outcome, want.Fired, want.Insts, want.Ticks)
+		}
+		if g.TraceID == "" || traces[g.TraceID] {
+			t.Fatalf("exp %d: trace %q missing or shared", e.ID, g.TraceID)
+		}
+		traces[g.TraceID] = true
+		tr := rec.TraceByID(g.TraceID)
+		if tr == nil {
+			t.Fatalf("exp %d: trace %s not recorded", e.ID, g.TraceID)
+		}
+		root := tr.Root()
+		children := map[string]int{}
+		for _, sp := range tr.Spans {
+			if sp.ParentID == root.SpanID {
+				children[sp.Name]++
+			}
+		}
+		if children["fork"] != 1 || children["walk"] != 1 {
+			t.Errorf("exp %d: root children %v, want one fork and one walk", e.ID, children)
+		}
+		var armed []any
+		for _, ev := range root.Events {
+			if ev.Name == "fault.armed" {
+				armed = append(armed, ev.Attrs["fault"])
+			}
+		}
+		if len(armed) != 1 || armed[0] != e.Faults[0].String() {
+			t.Errorf("exp %d: fault.armed for %v, want only %q", e.ID, armed, e.Faults[0])
+		}
 	}
 }

@@ -139,11 +139,7 @@ func (r *Runner) runWalk(w walk, ctx obs.SpanContext, emit func(Result)) {
 			walked = time.Now()
 		}
 		if tr == nil {
-			tr = r.beginExpTrace(exp, ctx, start)
-			// Hand over from the group's faults to the member's in place:
-			// none has fired, so only the armed list changes.
-			eng := r.sim.Engine
-			eng.ResetWithWindow(exp.Faults, eng.CaptureWindow())
+			tr = r.beginMemberTrace(exp, ctx, start)
 		}
 		r.cutPhaseAt("fork", forked)
 		r.sim.BeginPhaseRecording(r.cutPhaseAt("walk", walked))
@@ -163,7 +159,7 @@ func (r *Runner) concludeAll(exps []Experiment, ctx obs.SpanContext, res sim.Run
 	ended := time.Now()
 	for _, exp := range exps {
 		if tr == nil {
-			tr = r.beginExpTrace(exp, ctx, start)
+			tr = r.beginMemberTrace(exp, ctx, start)
 		}
 		r.cutPhaseAt("fork", forked)
 		r.cutPhaseAt("walk", ended)
@@ -171,6 +167,16 @@ func (r *Runner) concludeAll(exps []Experiment, ctx obs.SpanContext, res sim.Run
 		emit(r.conclude(exp, res, 0, nil, start, tr))
 		tr = nil
 	}
+}
+
+// beginMemberTrace opens the trace of one member of a walk of several.
+// It first hands the engine over from the group's faults to the
+// member's in place: none has fired, so only the armed list changes,
+// and the member's trace announces its own faults, not the group's.
+func (r *Runner) beginMemberTrace(exp Experiment, ctx obs.SpanContext, start time.Time) *expTrace {
+	eng := r.sim.Engine
+	eng.ResetWithWindow(exp.Faults, eng.CaptureWindow())
+	return r.beginExpTrace(exp, ctx, start)
 }
 
 // armAll concatenates the members' faults into one armed list; owner maps

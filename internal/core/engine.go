@@ -144,18 +144,15 @@ func (fs *faultState) consume(count, tick uint64) {
 type Engine struct {
 	CPUName string
 
-	// Trace, when non-nil, receives the fault lifecycle as structured
+	// span, when non-nil (SetSpan), receives the fault lifecycle as span
 	// events (armed -> injected -> committed/squashed -> first-read /
-	// first-load / masked). Every emission site is on a fault-firing
-	// path, never on the per-instruction fast path, so tracing costs
-	// nothing until a fault actually strikes.
-	Trace *obs.Tracer
-
-	// Span, when non-nil, additionally receives the same fault lifecycle
-	// as span events, so armed/injected/committed/squashed land on the
-	// enclosing experiment's distributed-trace timeline. Like Trace,
-	// every emission is on a fault-firing path; a nil Span is free.
-	Span *obs.Span
+	// first-load / masked) on the enclosing run's timeline. Every
+	// emission site is on a fault-firing path, never on the
+	// per-instruction fast path, so a nil span is free. unannounced
+	// marks faults armed while no span was attached: the next SetSpan
+	// announces them.
+	span        *obs.Span
+	unannounced bool
 
 	// Taint, when non-nil, receives injection marks for fault-propagation
 	// tracking: pre-commit stage hits stay provisional until commit,
@@ -239,6 +236,7 @@ func (e *Engine) rearm() {
 		e.queues[s] = append(e.queues[s], fs)
 		e.traceFault("fault.armed", fs, nil)
 	}
+	e.unannounced = e.span == nil
 	e.threads = make(map[uint64]*ThreadEnabledFault)
 	e.current = nil
 	e.bySeq = make(map[uint64][]*faultState)
@@ -316,10 +314,6 @@ func (e *Engine) OnActivate(pcbb uint64, id int) {
 		if e.current == t {
 			e.current = nil
 		}
-		if e.Trace != nil {
-			e.Trace.Instant(obs.CatFI, "fi.window.close", e.ticksNow,
-				map[string]any{"thread": t.ID, "commits": t.Commits})
-		}
 		if e.WindowHook != nil {
 			e.WindowHook(false)
 		}
@@ -329,9 +323,6 @@ func (e *Engine) OnActivate(pcbb uint64, id int) {
 	e.threads[pcbb] = t
 	e.current = t
 	e.Activations++
-	if e.Trace != nil {
-		e.Trace.Instant(obs.CatFI, "fi.window.open", e.ticksNow, map[string]any{"thread": id})
-	}
 	if e.WindowHook != nil {
 		e.WindowHook(true)
 	}
@@ -346,10 +337,9 @@ func (e *Engine) OnContextSwitch(pcbb uint64) {
 // OnTick implements cpu.Injector.
 func (e *Engine) OnTick(ticks uint64) { e.ticksNow = ticks }
 
-// traceFault emits one fault-lifecycle event; a no-op without a tracer
-// or an enclosing span.
+// traceFault emits one fault-lifecycle event; a no-op without a span.
 func (e *Engine) traceFault(name string, fs *faultState, extra map[string]any) {
-	if e.Trace == nil && e.Span == nil {
+	if e.span == nil {
 		return
 	}
 	args := map[string]any{
@@ -363,16 +353,18 @@ func (e *Engine) traceFault(name string, fs *faultState, extra map[string]any) {
 	for k, v := range extra {
 		args[k] = v
 	}
-	if e.Trace != nil {
-		e.Trace.Instant(obs.CatFI, name, e.ticksNow, args)
-	}
-	e.Span.Event(name, e.ticksNow, args)
+	e.span.Event(name, e.ticksNow, args)
 }
 
-// AttachTracer sets the lifecycle tracer and announces the already-armed
-// faults (NewEngine arms before the simulator can hand over a tracer).
-func (e *Engine) AttachTracer(t *obs.Tracer) {
-	e.Trace = t
+// SetSpan attaches the span that receives the fault lifecycle (nil
+// detaches) and announces faults armed while no span was attached:
+// NewEngine arms before the simulator can hand over a span.
+func (e *Engine) SetSpan(sp *obs.Span) {
+	e.span = sp
+	if sp == nil || !e.unannounced {
+		return
+	}
+	e.unannounced = false
 	for _, fs := range e.states {
 		e.traceFault("fault.armed", fs, nil)
 	}

@@ -1,5 +1,5 @@
 // Shared line reader for the JSONL/text validators. Every validator in
-// this package (events, spans, Prometheus text) and the CLI's
+// this package (spans, Prometheus text) and the CLI's
 // -validate-* flags used to carry its own scanner loop with subtly
 // different line accounting — record counts vs physical lines, torn
 // tails reported without a position. ScanLines is the single

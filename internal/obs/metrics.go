@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the simulator: a
 // low-overhead metrics registry (counters, gauges, histograms and
-// pull-collectors) and a structured event tracer for the fault-injection
-// lifecycle, with JSONL output and Chrome trace_event export.
+// pull-collectors) and span trees (span.go) carrying run phases and the
+// fault-injection lifecycle, with JSONL output and Chrome trace_event
+// export.
 //
 // It plays the role gem5's pervasive Stats framework plays for gem5: every
 // subsystem (CPU models, caches, FI engine, campaign drivers, NoW

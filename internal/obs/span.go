@@ -1,12 +1,11 @@
-// Span tracing: the distributed half of the observability layer.
-//
-// The Tracer in trace.go records flat Chrome trace_event streams inside
-// one process. Spans add what a campaign spread across gemfi-serve, the
-// fork server, and NoW workers needs on top of that: a durable identity
-// (trace ID) that follows one experiment from HTTP submit to verdict, a
-// parent/child hierarchy so worker-side phases stitch under the
-// master's experiment span, and dual timestamps (wall-clock nanoseconds
-// plus guest ticks) so host latency and simulated time stay correlated.
+// Span tracing: the one trace stream of the observability layer. A
+// single run is one span tree; so is every experiment of a campaign
+// spread across gemfi-serve, the fork server, and NoW workers. A span
+// tree carries a durable identity (trace ID) that follows one experiment
+// from HTTP submit to verdict, a parent/child hierarchy so worker-side
+// phases stitch under the master's experiment span, and dual timestamps
+// (wall-clock nanoseconds plus guest ticks) so host latency and
+// simulated time stay correlated.
 //
 // Design points, mirroring the rest of the package:
 //

@@ -70,9 +70,9 @@ func ValidateSpanRecord(sp SpanRecord) error {
 // ValidateSpansJSONL reads a span JSONL stream, validates every line,
 // and additionally checks referential integrity: every parentSpanId
 // must resolve to a span of the same trace, span IDs must be unique,
-// and every trace must have exactly one root. Returns the number of
-// spans validated; the error identifies the first offending physical
-// line.
+// and every trace must have exactly one root. An empty stream is an
+// error. Returns the number of spans validated; the error identifies the
+// first offending physical line.
 func ValidateSpansJSONL(r io.Reader) (int, error) {
 	type spanKey struct{ trace, span string }
 	seen := make(map[spanKey]bool)
@@ -103,6 +103,9 @@ func ValidateSpansJSONL(r io.Reader) (int, error) {
 	})
 	if err != nil {
 		return n, err
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("empty span stream")
 	}
 	for child, parent := range parents {
 		if !seen[parent] {

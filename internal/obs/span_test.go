@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSpanTreeBasics(t *testing.T) {
@@ -192,14 +193,123 @@ func TestSpanAbandonCountsDropped(t *testing.T) {
 	}
 }
 
+// TestNilTracerIsInert: an untraced run holds a nil recorder and nil
+// spans; the calls it makes through them (child spans, contexts,
+// events, sinks) are no-ops that record nothing.
+func TestNilTracerIsInert(t *testing.T) {
+	var r *SpanRecorder
+	r.AttachMetrics(NewRegistry())
+	r.StreamJSONL(func(Trace) { t.Error("nil recorder streamed a trace") })
+	root := r.StartRoot("run")
+	if root != nil || root.Context().Valid() || root.TrackName() != "" {
+		t.Fatalf("nil recorder opened a live root: %+v", root)
+	}
+	child := r.StartSpan("fi-window", root.Context())
+	child.SetStart(time.Now())
+	child.Event("fault.injected", 99, map[string]any{"loc": "exec"})
+	child.End()
+	child.End()
+	r.AddChild(root.Context(), SpanRecord{Name: "walk"})
+	root.End()
+	if r.Traces() != nil || r.ActiveTraces() != 0 {
+		t.Error("nil recorder buffered traces")
+	}
+
+	// A live recorder drops a finished child whose parent is a nil span.
+	live := NewSpanRecorder()
+	live.AddChild(root.Context(), SpanRecord{Name: "orphan", StartNS: 1, EndNS: 2})
+	if len(live.Traces()) != 0 || live.ActiveTraces() != 0 {
+		t.Errorf("orphan spans recorded: %d traces, %d active", len(live.Traces()), live.ActiveTraces())
+	}
+}
+
+// TestTracerJSONLStreamValidates: the ring's JSONL dump of several
+// traces validates and carries span events with their sim ticks.
+func TestTracerJSONLStreamValidates(t *testing.T) {
+	r := NewSpanRecorder()
+	run := r.StartRoot("run")
+	run.Event("fault.injected", 1234, map[string]any{"loc": "exec"})
+	win := r.StartSpan("fi-window", run.Context())
+	win.SetTicks(1200, 1300)
+	win.End()
+	run.End()
+	r.StartRoot("experiment").End()
+
+	var out bytes.Buffer
+	if err := r.WriteSpansJSONL(&out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	n, err := ValidateSpansJSONL(&out)
+	if err != nil {
+		t.Fatalf("stream does not validate: %v", err)
+	}
+	if n != 3 {
+		t.Errorf("validated %d spans, want 3", n)
+	}
+	if !strings.Contains(text, `"name":"fault.injected"`) || !strings.Contains(text, `"tick":1234`) {
+		t.Errorf("span event or its tick missing from JSONL:\n%s", text)
+	}
+}
+
+// TestValidateJSONLRejectsBadEvents: per-record schema checks — a
+// record without identity, name or start time, or carrying an unnamed
+// event, fails validation; a well-formed record with an event passes.
+func TestValidateJSONLRejectsBadEvents(t *testing.T) {
+	cases := []struct{ name, line string }{
+		{"garbage", "{not json"},
+		{"missing span id", `{"traceId":"t","name":"x","startUnixNano":1,"endUnixNano":2}`},
+		{"empty name", `{"traceId":"t","spanId":"s1","name":"","startUnixNano":1,"endUnixNano":2}`},
+		{"missing start", `{"traceId":"t","spanId":"s1","name":"x","endUnixNano":2}`},
+		{"unnamed event", `{"traceId":"t","spanId":"s1","name":"x","startUnixNano":1,"endUnixNano":2,"events":[{"name":"","tsUnixNano":1}]}`},
+	}
+	for _, tc := range cases {
+		if _, err := ValidateSpansJSONL(strings.NewReader(tc.line)); err == nil {
+			t.Errorf("%s: validated but should not", tc.name)
+		}
+	}
+	if _, err := ValidateSpansJSONL(strings.NewReader("")); err == nil {
+		t.Error("empty trace validated")
+	}
+	ok := `{"traceId":"t","spanId":"s1","name":"run","startUnixNano":1,"endUnixNano":5,"events":[{"name":"fault.injected","tsUnixNano":3,"tick":7}]}` + "\n"
+	if n, err := ValidateSpansJSONL(strings.NewReader(ok)); err != nil || n != 1 {
+		t.Errorf("valid span with event rejected: n=%d err=%v", n, err)
+	}
+}
+
+// TestSpanStreamJSONLSink: the sink receives each finished trace, and
+// the JSONL it writes validates.
 func TestSpanStreamJSONLSink(t *testing.T) {
 	r := NewSpanRecorder()
 	var got []Trace
-	r.StreamJSONL(func(tr Trace) { got = append(got, tr) })
+	var sink bytes.Buffer
+	r.StreamJSONL(func(tr Trace) {
+		got = append(got, tr)
+		if err := WriteTraceJSONL(&sink, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
 	sp := r.StartRoot("experiment")
+	sp.Event("fault.injected", 1234, map[string]any{"loc": "exec"})
+	r.StartSpan("fi-window", sp.Context()).End()
 	sp.End()
 	if len(got) != 1 || got[0].ID != sp.Context().TraceID {
 		t.Fatalf("sink got %+v", got)
+	}
+	if n, err := ValidateSpansJSONL(&sink); err != nil || n != 2 {
+		t.Fatalf("streamed JSONL: n=%d err=%v, want 2 valid spans", n, err)
+	}
+}
+
+// TestSpanDuration: an ended span's record spans the time it was open.
+func TestSpanDuration(t *testing.T) {
+	r := NewSpanRecorder()
+	sp := r.StartRoot("run")
+	sp.SetTrack("w1")
+	sp.End()
+	rec := r.TraceByID(sp.Context().TraceID).Root()
+	if rec.StartNS == 0 || rec.DurationNS() < 0 || rec.Track != "w1" {
+		t.Errorf("span record = %+v", rec)
 	}
 }
 
@@ -220,6 +330,9 @@ func TestSpanMetricsCounters(t *testing.T) {
 
 func TestValidateSpansJSONLRejectsBadStreams(t *testing.T) {
 	cases := map[string]string{
+		"empty":            "",
+		"blank lines only": "\n\n",
+		"not json":         "not json",
 		"missing trace id": `{"spanId":"s1","name":"x","startUnixNano":1,"endUnixNano":2}`,
 		"end before start": `{"traceId":"t","spanId":"s1","name":"x","startUnixNano":5,"endUnixNano":2}`,
 		"tick rewind":      `{"traceId":"t","spanId":"s1","name":"x","startUnixNano":1,"endUnixNano":2,"startTick":9,"endTick":3}`,
@@ -233,6 +346,10 @@ func TestValidateSpansJSONLRejectsBadStreams(t *testing.T) {
 		if _, err := ValidateSpansJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validator accepted bad stream", name)
 		}
+	}
+	ok := `{"traceId":"t","spanId":"s1","name":"run","startUnixNano":1,"endUnixNano":2}` + "\n"
+	if n, err := ValidateSpansJSONL(strings.NewReader(ok)); err != nil || n != 1 {
+		t.Errorf("valid span rejected: n=%d err=%v", n, err)
 	}
 }
 
@@ -267,6 +384,38 @@ func TestWriteSpansChromeTraceParses(t *testing.T) {
 	}
 	if slices != 2 || instants != 1 || meta == 0 {
 		t.Fatalf("slices=%d instants=%d meta=%d", slices, instants, meta)
+	}
+}
+
+// TestChromeTraceExport: span and event names reach the Chrome export,
+// and an event's guest tick survives into its args.
+func TestChromeTraceExport(t *testing.T) {
+	r := NewSpanRecorder()
+	root := r.StartRoot("experiment")
+	root.Event("fault.armed", 0, map[string]any{"loc": "int-register"})
+	root.Event("fault.injected", 99, nil)
+	root.SetAttr("outcome", "SDC")
+	root.End()
+
+	var buf bytes.Buffer
+	if err := r.WriteSpansChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
+	}
+	names := map[string]bool{}
+	for _, e := range events {
+		names[e["name"].(string)] = true
+	}
+	for _, want := range []string{"process_name", "fault.armed", "fault.injected", "experiment"} {
+		if !names[want] {
+			t.Errorf("missing event %q in chrome trace", want)
+		}
+	}
+	if !strings.Contains(buf.String(), `"tick":99`) {
+		t.Error("tick not folded into chrome trace args")
 	}
 }
 

@@ -65,6 +65,13 @@ buf:
 // runAsm assembles src into a fresh simulator and runs it.
 func runAsm(t *testing.T, src string, cfg Config) (*Simulator, RunResult) {
 	t.Helper()
+	s := loadAsm(t, src, cfg)
+	return s, s.Run()
+}
+
+// loadAsm assembles src into a new simulator.
+func loadAsm(t *testing.T, src string, cfg Config) *Simulator {
+	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -73,7 +80,7 @@ func runAsm(t *testing.T, src string, cfg Config) (*Simulator, RunResult) {
 	if err := s.Load(p); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return s, s.Run()
+	return s
 }
 
 // TestBBTSelfModifyingCodeInvalidates runs the SMC program with block

@@ -11,7 +11,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/obs"
 )
 
 // CaptureForkPoint freezes the whole machine into a copy-on-write fork
@@ -31,11 +30,6 @@ func (s *Simulator) CaptureForkPoint() *checkpoint.ForkPoint {
 		fp.Window = s.Engine.CaptureWindow()
 	}
 	s.Cfg.Metrics.Counter("sim.fork.snapshots").Inc()
-	s.Cfg.Tracer.Instant(obs.CatFork, "fork.snapshot", s.Core.Ticks, map[string]any{
-		"insts":        fp.Core.Insts,
-		"dirty_pages":  fp.Mem.DirtyPages(),
-		"approx_bytes": fp.ApproxBytes(),
-	})
 	return fp
 }
 
@@ -103,9 +97,6 @@ func (s *Simulator) ForkFrom(fp *checkpoint.ForkPoint, faults []core.Fault) {
 		s.armFastForward()
 	}
 	s.Cfg.Metrics.Counter("sim.fork.children").Inc()
-	s.Cfg.Tracer.Instant(obs.CatFork, "fork.child", s.Core.Ticks, map[string]any{
-		"insts": fp.Core.Insts, "faults": len(faults), "mid_window": fp.Window.Open(), "warm": w != nil,
-	})
 }
 
 // CaptureWalkPoint is CaptureForkPoint plus the microarchitectural state
@@ -144,22 +135,16 @@ func (s *Simulator) WalkToDue() (RunResult, int) {
 	if s.Model == nil {
 		return RunResult{Crashed: true, CrashCause: "no program loaded"}, -1
 	}
-	endSpan := s.Cfg.Tracer.Span(obs.CatSim, "run.walk", 0)
-	done := func(why loopEnd, src int) (RunResult, int) {
-		r := s.finish(why)
-		endSpan(runSpanArgs(r))
-		return r, src
-	}
 	for {
 		n, src := uint64(math.MaxUint64), -1
 		if s.Engine != nil {
 			n, src = s.Engine.StepsUntilDue()
 		}
 		if n == 0 {
-			return done(loopPaused, src)
+			return s.finish(loopPaused), src
 		}
 		if why := s.loop(0, n); why != loopPaused {
-			return done(why, -1)
+			return s.finish(why), -1
 		}
 	}
 }
@@ -177,8 +162,5 @@ func (s *Simulator) RunUntil(insts uint64) RunResult {
 	if s.Core.Insts >= insts {
 		return s.finish(loopPaused)
 	}
-	endSpan := s.Cfg.Tracer.Span(obs.CatSim, "run.until", 0)
-	r := s.finish(s.loop(insts, 0))
-	endSpan(runSpanArgs(r))
-	return r
+	return s.finish(s.loop(insts, 0))
 }

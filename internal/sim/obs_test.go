@@ -8,22 +8,26 @@ import (
 	"repro/internal/obs"
 )
 
-// eventNames collects the set of event names a tracer saw.
-func eventNames(tr *obs.Tracer) map[string]int {
+// traceNames counts the names in a run's span tree: every span and
+// every span event.
+func traceNames(tr *obs.Trace) map[string]int {
 	names := map[string]int{}
-	for _, e := range tr.Events() {
-		names[e.Name]++
+	for _, sp := range tr.Spans {
+		names[sp.Name]++
+		for _, ev := range sp.Events {
+			names[ev.Name]++
+		}
 	}
 	return names
 }
 
 // TestObsInjectionLifecycle runs a register fault with full observability
 // on and checks the whole armed -> injected -> first-read/masked chain
-// lands in the trace, and that the registry dump covers CPU, cache and FI
-// counters — the acceptance surface of the observability subsystem.
+// lands on the run's span tree, and that the registry dump covers CPU,
+// cache and FI counters — the acceptance surface of the observability
+// subsystem.
 func TestObsInjectionLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer()
 	fault := core.Fault{
 		Loc: core.LocIntReg, Reg: 6, /* t5, the live accumulator */
 		Behavior: core.BehFlip, Bit: 3, ThreadID: 0,
@@ -32,22 +36,23 @@ func TestObsInjectionLifecycle(t *testing.T) {
 	s := newSim(t, Config{
 		Model: ModelTiming, EnableFI: true,
 		Faults:  []core.Fault{fault},
-		Metrics: reg, Tracer: tr,
+		Metrics: reg,
 	})
-	r := s.Run()
+	rec := obs.NewSpanRecorder()
+	r, tr := s.RunTraced(rec)
 	if r.Hung {
 		t.Fatalf("run hung: %+v", r)
 	}
 
-	names := eventNames(tr)
+	names := traceNames(tr)
 	if names["fault.armed"] == 0 {
 		t.Error("no fault.armed event")
 	}
 	if names["fault.injected"] == 0 {
 		t.Error("no fault.injected event")
 	}
-	if names["fi.window.open"] == 0 || names["fi.window.close"] == 0 {
-		t.Errorf("missing FI window events: %v", names)
+	if names["fi-window"] == 0 {
+		t.Errorf("missing FI window phase: %v", names)
 	}
 	// The corrupted accumulator is read by the next loop iteration, so
 	// the register-read terminal event must fire — not just any terminal.
@@ -82,15 +87,17 @@ func TestObsInjectionLifecycle(t *testing.T) {
 		t.Error("cache counters never moved on the timing model")
 	}
 
-	// The full event stream must satisfy the trace schema and the Chrome
-	// export must be loadable JSON.
-	for _, e := range tr.Events() {
-		if err := obs.ValidateEvent(e); err != nil {
-			t.Fatalf("emitted event fails schema: %v (%+v)", err, e)
-		}
+	// The span tree must satisfy the span schema and the Chrome export
+	// must be loadable JSON.
+	var jsonl bytes.Buffer
+	if err := obs.WriteTraceJSONL(&jsonl, *tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateSpansJSONL(&jsonl); err != nil {
+		t.Fatalf("run's span tree fails the schema: %v", err)
 	}
 	var chrome bytes.Buffer
-	if err := tr.WriteChromeTrace(&chrome); err != nil {
+	if err := rec.WriteSpansChromeTrace(&chrome); err != nil {
 		t.Fatal(err)
 	}
 	if chrome.Len() == 0 {
@@ -104,20 +111,19 @@ func TestObsInjectionLifecycle(t *testing.T) {
 // register terminal must not: no architectural register was corrupted
 // directly).
 func TestObsMemFaultFirstLoad(t *testing.T) {
-	tr := obs.NewTracer()
 	fault := core.Fault{
 		Loc: core.LocMem, Behavior: core.BehFlip, Bit: 2, ThreadID: 0,
 		Base: core.TimeInst, When: 3, Occ: 1,
 	}
 	s := newSim(t, Config{
 		Model: ModelTiming, EnableFI: true,
-		Faults: []core.Fault{fault}, Tracer: tr,
+		Faults: []core.Fault{fault},
 	})
-	r := s.Run()
+	r, tr := s.RunTraced(obs.NewSpanRecorder())
 	if r.Hung {
 		t.Fatalf("run hung: %+v", r)
 	}
-	names := eventNames(tr)
+	names := traceNames(tr)
 	if names["fault.injected"] == 0 {
 		t.Fatalf("memory fault never injected: %v", names)
 	}
@@ -132,8 +138,7 @@ func TestObsMemFaultFirstLoad(t *testing.T) {
 // TestObsCheckpointEvents verifies capture/restore instrumentation.
 func TestObsCheckpointEvents(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer()
-	s := newSim(t, Config{Model: ModelAtomic, EnableFI: true, Metrics: reg, Tracer: tr})
+	s := newSim(t, Config{Model: ModelAtomic, EnableFI: true, Metrics: reg})
 	st, _, err := s.RunToCheckpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +146,6 @@ func TestObsCheckpointEvents(t *testing.T) {
 	s.Restore(st, nil)
 	if r := s.Run(); !r.Exited || r.ExitStatus != 0 {
 		t.Fatalf("restored run failed: %+v", r)
-	}
-	names := eventNames(tr)
-	if names["checkpoint.capture"] == 0 || names["checkpoint.restore"] == 0 {
-		t.Errorf("checkpoint events missing: %v", names)
 	}
 	byName := map[string]obs.Metric{}
 	for _, m := range reg.Snapshot() {
@@ -171,21 +172,17 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
-// TestObsDisabledIsFreeOfSideEffects: with both hooks nil the run must
-// behave identically (guards against accidental nil dereference on any
-// instrumentation site).
+// TestObsDisabledIsFreeOfSideEffects: metrics and spans on must not
+// change the run, and with both off every instrumentation site must be
+// nil-safe.
 func TestObsDisabledIsFreeOfSideEffects(t *testing.T) {
 	fault := core.Fault{
 		Loc: core.LocIntReg, Reg: 6, Behavior: core.BehFlip, Bit: 3,
 		ThreadID: 0, Base: core.TimeInst, When: 5, Occ: 1,
 	}
-	run := func(cfg Config) RunResult {
-		s := newSim(t, cfg)
-		return s.Run()
-	}
-	plain := run(Config{Model: ModelTiming, EnableFI: true, Faults: []core.Fault{fault}})
-	instr := run(Config{Model: ModelTiming, EnableFI: true, Faults: []core.Fault{fault},
-		Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()})
+	plain := newSim(t, Config{Model: ModelTiming, EnableFI: true, Faults: []core.Fault{fault}}).Run()
+	instr, _ := newSim(t, Config{Model: ModelTiming, EnableFI: true, Faults: []core.Fault{fault},
+		Metrics: obs.NewRegistry()}).RunTraced(obs.NewSpanRecorder())
 	if plain.Insts != instr.Insts || plain.Ticks != instr.Ticks || plain.ExitStatus != instr.ExitStatus {
 		t.Errorf("observability changed the simulation: %+v vs %+v", plain, instr)
 	}

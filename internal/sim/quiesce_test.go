@@ -18,15 +18,15 @@ import (
 // fault outcomes and counters.
 
 // quiesceRun assembles src and runs it to completion on the atomic model,
-// translated or as the cold referee, with a tracer on the fault engine
-// and a metrics registry on the machine.
-func quiesceRun(t *testing.T, src string, f core.Fault, cold bool) (*Simulator, RunResult, *obs.Tracer) {
+// translated or as the cold referee, as a span tree and with a metrics
+// registry on the machine.
+func quiesceRun(t *testing.T, src string, f core.Fault, cold bool) (*Simulator, RunResult, *obs.Trace) {
 	t.Helper()
-	tr := obs.NewTracer()
-	s, r := runAsm(t, src, Config{
+	s := loadAsm(t, src, Config{
 		Model: ModelAtomic, EnableFI: true, Faults: []core.Fault{f}, MaxInsts: 1_000_000,
-		EnableBlockTranslation: !cold, DisableFastPath: cold, Tracer: tr, Metrics: obs.NewRegistry(),
+		EnableBlockTranslation: !cold, DisableFastPath: cold, Metrics: obs.NewRegistry(),
 	})
+	r, tr := s.RunTraced(obs.NewSpanRecorder())
 	if !r.Exited {
 		t.Fatalf("cold=%v: run did not exit: %+v", cold, r)
 	}
@@ -52,12 +52,14 @@ func compareQuiesced(t *testing.T, fast, cold *Simulator, rf, rc RunResult) {
 	}
 }
 
-// eventTicks returns the ticks of every event with the given name.
-func eventTicks(tr *obs.Tracer, name string) []uint64 {
+// eventTicks returns the ticks of every span event with the given name.
+func eventTicks(tr *obs.Trace, name string) []uint64 {
 	var ticks []uint64
-	for _, e := range tr.Events() {
-		if e.Name == name {
-			ticks = append(ticks, e.Tick)
+	for _, sp := range tr.Spans {
+		for _, e := range sp.Events {
+			if e.Name == name {
+				ticks = append(ticks, e.Tick)
+			}
 		}
 	}
 	return ticks

@@ -85,11 +85,6 @@ type Config struct {
 	// hot-path cost.
 	Metrics *obs.Registry
 
-	// Tracer, when non-nil, receives structured events: the fault
-	// injection lifecycle, run phases, CPU-model switches and checkpoint
-	// captures/restores. Nil disables tracing at zero hot-path cost.
-	Tracer *obs.Tracer
-
 	// EnableProfiler, EnableTaint and EnableFlight switch on the
 	// commit-stream observers (see Observe): the per-PC guest profiler
 	// (retired instructions, cycles, cache misses, mispredicts, stalls;
@@ -222,9 +217,6 @@ func New(cfg Config) *Simulator {
 		s.Engine = core.NewEngine(cfg.CPUName, cfg.Faults)
 		s.Core.FI = s.Engine
 		s.Kernel.IOFilter = s.Engine.OnIO
-		if cfg.Tracer != nil {
-			s.Engine.AttachTracer(cfg.Tracer)
-		}
 		s.Engine.WindowHook = func(open bool) {
 			if s.spans != nil {
 				s.markWindow(open)
@@ -289,10 +281,6 @@ func (s *Simulator) Observe(o Observers) {
 		list = append(list, pr)
 	}
 	if tr := o.Taint; tr != nil {
-		if tr.Trace == nil {
-			tr.Trace = s.Cfg.Tracer
-		}
-		tr.TickFn = func() uint64 { return s.Core.Ticks }
 		tr.RegisterMetrics(s.Cfg.Metrics)
 		list = append(list, tr)
 	}
@@ -372,8 +360,6 @@ func (s *Simulator) armFastForward() {
 	s.ffActive = true
 	s.Model = cpu.NewAtomic(s.Core)
 	s.refreshTranslationLimit()
-	s.Cfg.Tracer.Instant(obs.CatSim, "fastforward.begin", s.Core.Ticks,
-		map[string]any{"until": s.Cfg.FastForwardAt})
 }
 
 // armTranslationLimit (re)computes the translator's committed-instruction
@@ -419,8 +405,6 @@ func (s *Simulator) endFastForward() {
 	s.Model = s.newModel(s.Cfg.Model)
 	s.refreshTranslationLimit() // the FastForwardAt ceiling no longer applies
 	s.Cfg.Metrics.Counter("sim.fastforward.switches").Inc()
-	s.Cfg.Tracer.Instant(obs.CatSim, "fastforward.end", s.Core.Ticks,
-		map[string]any{"insts": s.Core.Insts, "to": string(s.Cfg.Model)})
 }
 
 // newModel returns a cold model of the given kind at the core's current
@@ -479,8 +463,10 @@ func (s *Simulator) Interrupt() { s.interrupted.Store(true) }
 // SetSpans attaches a span recorder and the enclosing experiment span:
 // phase recording (BeginPhaseRecording / EndPhaseRecording) emits
 // contiguous phase child spans under exp, and the fault engine's
-// lifecycle events land on exp's timeline as span events.
-// SetSpans(nil, nil) detaches; the disabled path costs nothing.
+// lifecycle events (faults armed before the span included) and the
+// run's watchdog, interrupt and model-switch events land on exp's
+// timeline as span events. SetSpans(nil, nil) detaches; the disabled
+// path costs nothing.
 func (s *Simulator) SetSpans(rec *obs.SpanRecorder, exp *obs.Span) {
 	if rec == nil || exp == nil {
 		rec, exp = nil, nil
@@ -488,7 +474,7 @@ func (s *Simulator) SetSpans(rec *obs.SpanRecorder, exp *obs.Span) {
 	s.spans = rec
 	s.expSpan = exp
 	if s.Engine != nil {
-		s.Engine.Span = exp
+		s.Engine.SetSpan(exp)
 	}
 }
 
@@ -610,10 +596,27 @@ func (s *Simulator) Run() RunResult {
 	if s.Model == nil {
 		return RunResult{Crashed: true, CrashCause: "no program loaded"}
 	}
-	endSpan := s.Cfg.Tracer.Span(obs.CatSim, "run", 0)
-	r := s.finish(s.loop(0, 0))
-	endSpan(runSpanArgs(r))
-	return r
+	return s.finish(s.loop(0, 0))
+}
+
+// RunTraced is Run recorded as one span tree on rec: a "run" root
+// carrying the result, its phase children and, as root events, the
+// fault lifecycle. It returns the finished trace, nil when rec samples
+// it out. A nil rec records nothing: RunTraced is then Run.
+func (s *Simulator) RunTraced(rec *obs.SpanRecorder) (RunResult, *obs.Trace) {
+	root := rec.StartRoot("run")
+	s.SetSpans(rec, root)
+	start := s.Core.Ticks
+	s.BeginPhaseRecording(time.Now())
+	r := s.Run()
+	s.EndPhaseRecording()
+	s.SetSpans(nil, nil)
+	for k, v := range runSpanArgs(r) {
+		root.SetAttr(k, v)
+	}
+	root.SetTicks(start, r.Ticks)
+	root.End()
+	return r, rec.TraceByID(root.Context().TraceID)
 }
 
 // loopEnd says why loop returned.
@@ -644,7 +647,7 @@ func (s *Simulator) loop(until, steps uint64) loopEnd {
 		// load stays off the per-instruction critical path.
 		if n&255 == 0 && s.interrupted.Load() {
 			s.interrupted.Store(false)
-			s.Cfg.Tracer.Instant(obs.CatSim, "run.interrupted", s.Core.Ticks, nil)
+			s.expSpan.Event("run.interrupted", s.Core.Ticks, nil)
 			return loopInterrupted
 		}
 		n++
@@ -659,7 +662,7 @@ func (s *Simulator) loop(until, steps uint64) loopEnd {
 			return loopPaused
 		}
 		if s.Cfg.MaxInsts > 0 && s.Core.Insts >= s.Cfg.MaxInsts {
-			s.Cfg.Tracer.Instant(obs.CatSim, "watchdog.hang", s.Core.Ticks,
+			s.expSpan.Event("watchdog.hang", s.Core.Ticks,
 				map[string]any{"insts": s.Core.Insts})
 			return loopHung
 		}
@@ -773,7 +776,7 @@ func (s *Simulator) SwitchModel(kind ModelKind) {
 		s.refreshTranslationLimit() // the FastForwardAt ceiling no longer applies
 	}
 	s.Cfg.Metrics.Counter("sim.model_switches").Inc()
-	s.Cfg.Tracer.Instant(obs.CatSim, "model.switch", s.Core.Ticks,
+	s.expSpan.Event("model.switch", s.Core.Ticks,
 		map[string]any{"from": from, "to": string(kind)})
 }
 
@@ -785,8 +788,6 @@ func (s *Simulator) Checkpoint() *checkpoint.State {
 		Kernel: s.Kernel.Snapshot(),
 	}
 	s.Cfg.Metrics.Counter("sim.checkpoint.captures").Inc()
-	s.Cfg.Tracer.Instant(obs.CatCheckpoint, "checkpoint.capture", s.Core.Ticks,
-		map[string]any{"insts": st.Core.Insts, "approx_bytes": st.ApproxSize()})
 	return st
 }
 
@@ -818,8 +819,6 @@ func (s *Simulator) Restore(st *checkpoint.State, faults []core.Fault) {
 	s.armFastForward() // re-arm the atomic prefix for the next experiment
 	s.interrupted.Store(false)
 	s.Cfg.Metrics.Counter("sim.checkpoint.restores").Inc()
-	s.Cfg.Tracer.Instant(obs.CatCheckpoint, "checkpoint.restore", s.Core.Ticks,
-		map[string]any{"insts": st.Core.Insts, "faults": len(faults)})
 }
 
 // RunToCheckpoint runs until fi_read_init_all() executes and returns the

@@ -46,12 +46,6 @@ type pendingInj struct {
 // usable; call New. All methods are safe on a nil receiver (disabled
 // tracking), mirroring the repo's nil-guarded observability convention.
 type Tracker struct {
-	// Trace, when set, receives fault.prop.* lifecycle events.
-	Trace *obs.Tracer
-	// TickFn, when set, timestamps trace events with simulation ticks;
-	// otherwise the committed-instruction index is used.
-	TickFn func() uint64
-
 	// Shadow register files: 0 = clean, otherwise node ID + 1 of the
 	// propagation site that last defined the register.
 	intT [isa.NumRegs]int32
@@ -67,7 +61,6 @@ type Tracker struct {
 	overflow int32 // overflow node ID + 1, once allocated
 
 	liveRegs int // tainted registers (live memory taint is len(memT))
-	everLive bool
 
 	committed    uint64
 	taintedInsts uint64
@@ -102,7 +95,6 @@ func (t *Tracker) Reset() {
 	t.edges = make(map[[2]int32]uint64)
 	t.overflow = 0
 	t.liveRegs = 0
-	t.everLive = false
 	t.committed = 0
 	t.taintedInsts = 0
 	t.injections = 0
@@ -138,22 +130,6 @@ func (t *Tracker) Injections() uint64 {
 		return 0
 	}
 	return t.injections
-}
-
-// now picks the event timestamp: ticks when wired, else committed insts.
-func (t *Tracker) now() uint64 {
-	if t.TickFn != nil {
-		return t.TickFn()
-	}
-	return t.committed
-}
-
-// emit sends one fault.prop.* event; a no-op without a tracer.
-func (t *Tracker) emit(name string, args map[string]any) {
-	if t.Trace == nil {
-		return
-	}
-	t.Trace.Instant(obs.CatTaint, name, t.now(), args)
 }
 
 // node interns the DAG node for a (pc, kind) propagation site and counts
@@ -235,18 +211,10 @@ func (t *Tracker) setMem(addr uint64, p int32) {
 	t.memT[addr] = p
 }
 
-// touchLive refreshes maxLive and emits the extinction event when the
-// last live tainted bit is cleared.
+// touchLive refreshes maxLive.
 func (t *Tracker) touchLive() {
-	live := t.liveRegs + len(t.memT)
-	if live > t.maxLive {
+	if live := t.liveRegs + len(t.memT); live > t.maxLive {
 		t.maxLive = live
-	}
-	if live > 0 {
-		t.everLive = true
-	} else if t.everLive {
-		t.everLive = false
-		t.emit("fault.prop.extinct", map[string]any{"inst": t.committed})
 	}
 }
 
@@ -273,7 +241,6 @@ func (t *Tracker) MarkRegInjection(fp bool, r isa.Reg, pc uint64, label string) 
 	t.injections++
 	t.setReg(fp, r, id+1)
 	t.touchLive()
-	t.emit("fault.prop.inject", map[string]any{"pc": pc, "fault": label, "node": id})
 }
 
 // MarkControlInjection records a fault applied directly to control state
@@ -291,7 +258,6 @@ func (t *Tracker) MarkControlInjection(pc uint64, label string) {
 	if t.firstBranch < 0 {
 		t.firstBranch = int64(t.committed)
 	}
-	t.emit("fault.prop.inject", map[string]any{"pc": pc, "fault": label, "node": id, "control": true})
 }
 
 // MarkIOInjection records a fault applied to a byte already on its way to
@@ -308,7 +274,6 @@ func (t *Tracker) MarkIOInjection(label string) {
 	if t.firstOutput < 0 {
 		t.firstOutput = int64(t.committed)
 	}
-	t.emit("fault.prop.inject", map[string]any{"fault": label, "node": id, "io": true})
 }
 
 // ---- cpu.Observer ----
@@ -323,7 +288,6 @@ func (t *Tracker) OnSquash(seq uint64) {
 	if _, ok := t.pending[seq]; ok {
 		delete(t.pending, seq)
 		t.squashedInj++
-		t.emit("fault.prop.squashed", map[string]any{"seq": seq})
 	}
 }
 
@@ -383,7 +347,6 @@ func (t *Tracker) step(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu
 		id := t.node(NodeInject, inj.pc, inj.label)
 		t.injections++
 		add(id + 1)
-		t.emit("fault.prop.inject", map[string]any{"pc": inj.pc, "fault": inj.label, "node": id})
 	}
 
 	// Syscalls consume R0 (selector) and R16 (argument) — registers the
@@ -405,7 +368,6 @@ func (t *Tracker) step(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu
 			t.outputBytes++
 			if t.firstOutput < 0 {
 				t.firstOutput = int64(t.committed)
-				t.emit("fault.prop.first-output", map[string]any{"pc": pc, "inst": t.committed})
 			}
 		}
 		return
@@ -430,7 +392,6 @@ func (t *Tracker) step(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu
 		}
 		if t.firstStore < 0 {
 			t.firstStore = int64(t.committed)
-			t.emit("fault.prop.first-store", map[string]any{"pc": pc, "addr": out.EA, "inst": t.committed})
 		}
 
 	case k.IsLoad():
@@ -441,7 +402,6 @@ func (t *Tracker) step(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu
 		t.writeDst(ports, id+1)
 		if t.firstLoad < 0 {
 			t.firstLoad = int64(t.committed)
-			t.emit("fault.prop.first-load", map[string]any{"pc": pc, "addr": out.EA, "inst": t.committed})
 		}
 
 	case k.IsBranch():
@@ -456,7 +416,6 @@ func (t *Tracker) step(seq, pc uint64, in isa.Inst, ports isa.RegPorts, out *cpu
 		t.writeDst(ports, 0)
 		if t.firstBranch < 0 {
 			t.firstBranch = int64(t.committed)
-			t.emit("fault.prop.first-branch", map[string]any{"pc": pc, "inst": t.committed})
 		}
 
 	default:

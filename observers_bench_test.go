@@ -40,8 +40,7 @@ type observerCase struct {
 // rows, the unobserved baseline first. "disabled" re-times the
 // baseline, so its 1.5x only catches a structural regression (an
 // unconditional per-instruction hook), not scheduler noise. Metrics are
-// pull-collectors and the tracer emits only on fault-lifecycle edges;
-// spans cost a dozen allocations per experiment; an idle taint tracker
+// pull-collectors; spans cost a dozen allocations per experiment; an idle taint tracker
 // is a counter and three emptiness checks per commit; the profiler does
 // dense-array atomic adds; the flight recorder a ring store per commit.
 var observerTable = []struct {
@@ -52,9 +51,7 @@ var observerTable = []struct {
 	{unitRun, 8, []observerCase{
 		{name: "baseline"},
 		{name: "disabled", bound: 1.5},
-		{name: "metrics+tracer", bound: 2.0, cfg: func(c *SimConfig) {
-			c.Metrics, c.Tracer = obs.NewRegistry(), obs.NewTracer()
-		}},
+		{name: "metrics", bound: 2.0, cfg: func(c *SimConfig) { c.Metrics = obs.NewRegistry() }},
 		{name: "taint", bound: 2.0, cfg: func(c *SimConfig) { c.EnableTaint = true }},
 		{name: "profiler", bound: 2.5, cfg: func(c *SimConfig) { c.EnableProfiler = true }},
 	}},
@@ -195,10 +192,10 @@ func checkOverhead(t *testing.T, unit overheadUnit, names ...string) {
 	}
 }
 
-// TestObsDisabledOverhead bounds metrics and the event tracer on the
-// commit loop, and the disabled path.
+// TestObsDisabledOverhead bounds metrics on the commit loop, and the
+// disabled path.
 func TestObsDisabledOverhead(t *testing.T) {
-	checkOverhead(t, unitRun, "disabled", "metrics+tracer")
+	checkOverhead(t, unitRun, "disabled", "metrics")
 }
 
 // TestTaintDisabledOverhead bounds an attached-but-idle taint tracker
