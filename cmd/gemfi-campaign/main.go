@@ -60,9 +60,8 @@ func run() error {
 		taintOn    = flag.Bool("taint", false, "track fault propagation per experiment: verdict tally, Result.Prop summaries in -json, propagation columns in the PC report (custom experiment)")
 		fastFwd    = flag.Bool("fast-forward", false, "run each experiment on the cheap atomic model until the fault window opens, then switch to -model (campaign speedup; no effect when -model atomic)")
 		bbtOn      = flag.Bool("bbt", true, "translate hot basic blocks into fused closure chains wherever the atomic fast path runs (fast-forward prefix, atomic experiments, post-resolve tail)")
-		forkOn     = flag.Bool("fork", false, "fork-server mode: one trunk run freezes COW snapshots across the fault window; each experiment forks from the closest one instead of replaying the warm-up (custom experiment)")
+		forkOn     = flag.Bool("fork", false, "fork-server mode: one trunk run freezes COW snapshots across the fault window; each experiment forks from the closest one instead of replaying the warm-up, and provably decided ones end early except under -profile/-taint/-flight (custom experiment)")
 		forkSnaps  = flag.Int("fork-snapshots", 32, "target trunk snapshots across the fault window in -fork mode")
-		forkPrune  = flag.Bool("fork-prune", true, "classify provably masked experiments early in -fork mode (disabled automatically under -profile/-taint/-flight)")
 
 		flightOn    = flag.Bool("flight", false, "flight recorder: dump the last -flight-depth committed instructions of every crashed/SDC experiment onto its result (custom experiment; served at /postmortem/{id} with -http)")
 		flightDepth = flag.Int("flight-depth", 0, "flight recorder ring size (0 = default)")
@@ -267,11 +266,7 @@ func run() error {
 			}
 		}
 		if *forkOn {
-			if err := pool.EnableFork(campaign.ForkOptions{
-				Snapshots: *forkSnaps,
-				Prune:     *forkPrune,
-				TwinCheck: *forkPrune,
-			}); err != nil {
+			if err := pool.EnableFork(campaign.ForkOptions{Snapshots: *forkSnaps}); err != nil {
 				return err
 			}
 		}

@@ -126,6 +126,10 @@ func run() error {
 		fmt.Printf("%s: %s\n", v.path, msg)
 		return nil
 	}
+	// A checkpoint save runs untraced, so its span outputs would be empty.
+	if *saveCkpt != "" && (*spansJSONL != "" || *spansChrome != "") {
+		return fmt.Errorf("-save-checkpoint cannot be combined with -spans-jsonl or -spans-chrome: the checkpoint run is not traced")
+	}
 	wantTaint := *taintOn || *taintDot != "" || *taintJSON != ""
 
 	prog, err := loadProgram(*progPath, *workload, *scaleName)

@@ -168,12 +168,6 @@ type Runner struct {
 	// instead of replaying from the checkpoint.
 	fork *forkServer
 
-	// pendingMemo carries the current experiment's memo key from the fork
-	// prune loop to the post-classification insert; memoCrash carries a
-	// memo-hit's crash cause into the pruned-result path of Run.
-	pendingMemo *memoPending
-	memoCrash   string
-
 	// taintGolden is the final architectural state of the golden run,
 	// the taint differ's reference (nil unless Cfg enables taint).
 	taintGolden *taint.GoldenState
@@ -664,13 +658,12 @@ func (r *Runner) replay(exp Experiment) (sim.RunResult, error) {
 }
 
 // conclude turns a finished run into the experiment's result and closes
-// its bookkeeping: output classification, the memo entry, the taint
-// report, the wall time and the span tree. pruned, when nonzero, is an
-// outcome the fork server already decided; err is a set-up failure.
+// its bookkeeping: output classification, the taint report, the wall
+// time and the span tree. pruned, when nonzero, is an outcome the fork
+// server already decided; err is a set-up failure.
 func (r *Runner) conclude(exp Experiment, runRes sim.RunResult, pruned Outcome, err error, start time.Time, tr *expTrace) Result {
 	r.foldSimPhases()
 	res := r.classify(exp, runRes, pruned, err)
-	r.commitMemo(&res)
 	end := r.cutPhase("classify")
 	r.recordProp(&res)
 	if r.observers.Taint != nil {
@@ -715,14 +708,9 @@ func (r *Runner) classify(exp Experiment, runRes sim.RunResult, pruned Outcome, 
 	}
 
 	if pruned != 0 {
-		// Pruned or memoized early: the fork server already put the exact
-		// final totals into runRes, so only the classification (and, for
-		// a memoized crash, its cause) remains.
+		// Pruned early: the fork server already put the exact final
+		// totals into runRes, so only the classification remains.
 		res.Outcome = pruned
-		if r.memoCrash != "" {
-			res.CrashCause = r.memoCrash
-			r.memoCrash = ""
-		}
 		return res
 	}
 

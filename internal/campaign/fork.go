@@ -5,8 +5,10 @@ package campaign
 // through the fault-injection window, freezing copy-on-write snapshots at
 // adaptive intervals into a bounded pool; every experiment then forks a
 // worker simulator from the closest snapshot preceding its injection
-// point instead of replaying the warm-up. Two exact pruning rules let
-// most masked experiments finish without executing the golden suffix:
+// point instead of replaying the warm-up.
+//
+// Two exact early exits let most masked experiments finish without
+// executing the golden suffix:
 //
 //   - engine-masked: every fired fault was overwritten or squashed with
 //     no outstanding taint, so the machine is provably back in the golden
@@ -17,8 +19,10 @@ package campaign
 //     (architectural, memory-image and kernel state) will execute exactly
 //     the golden suffix from there, so its outcome is already decided.
 //
-// Both rules fire only after Engine.Resolved() and only while the fault
-// flags are frozen, so they never change a verdict.
+// Both fire only after Engine.Resolved(), only on a serial model and only
+// while the fault flags are frozen, so they never change a verdict. They
+// are always on, except for observed runners (profiler, taint, flight),
+// whose products cover the whole run.
 //
 // What is exact: a fork, walked (walk.go) or not, is bit-identical to a
 // cold start at its snapshot on all three models — a fresh simulator
@@ -44,49 +48,23 @@ import (
 type ForkOptions struct {
 	// Snapshots is the target number of trunk snapshots across the
 	// fault-injection window (default 32). The capture interval is
-	// WindowInsts/Snapshots committed instructions.
+	// WindowInsts/Snapshots committed instructions. The pool holds at
+	// most Snapshots + Snapshots/2 of them: past that bound the trunk
+	// drops every other snapshot, doubling the effective interval (the
+	// "adaptive interval" policy).
 	Snapshots int
-	// MaxLive bounds the snapshot pool (default Snapshots + Snapshots/2).
-	// During the trunk run the pool thins itself by dropping every other
-	// snapshot — doubling the effective interval, the "adaptive interval"
-	// policy — and at fork time eviction is least-recently-used.
-	MaxLive int
-	// Prune enables engine-masked early classification.
-	Prune bool
-	// TwinCheck enables convergence pruning against the trunk's own
-	// snapshots: after its faults resolve, a child is diffed against each
-	// upcoming trunk anchor it reaches, and a bit-identical match ends the
-	// experiment early. Each check costs a page-map sweep (shared pages
-	// compare by pointer), not a twin execution — the trunk already ran.
-	TwinCheck bool
-	// Memoize enables cross-experiment result memoization: resolved,
-	// propagated machine states are hashed, and a state seen before
-	// closes immediately with the recorded verdict instead of replaying
-	// the identical suffix (see memo.go for the exactness argument).
-	Memoize bool
 }
 
 // DefaultForkOptions returns the standard fork-server configuration.
 func DefaultForkOptions() ForkOptions {
-	return ForkOptions{Snapshots: 32, Prune: true, TwinCheck: true, Memoize: true}
-}
-
-func (o ForkOptions) withDefaults() ForkOptions {
-	if o.Snapshots <= 0 {
-		o.Snapshots = 32
-	}
-	if o.MaxLive <= 0 {
-		o.MaxLive = o.Snapshots + o.Snapshots/2
-	}
-	return o
+	return ForkOptions{Snapshots: 32}
 }
 
 // forkSnap is one pool entry: a frozen fork point plus scheduling
 // metadata.
 type forkSnap struct {
-	fp      *checkpoint.ForkPoint
-	win     uint64 // window commits at capture (0 = pre-window)
-	lastUse uint64 // LRU clock value of the most recent fork
+	fp  *checkpoint.ForkPoint
+	win uint64 // window commits at capture (0 = pre-window)
 }
 
 // snapPool is the bounded snapshot pool. All methods are safe for
@@ -97,7 +75,6 @@ type snapPool struct {
 	snaps   []*forkSnap // mid-window snapshots sorted by win ascending
 	tail    []*forkSnap // post-window prune anchors sorted by insts ascending
 	maxLive int
-	useClk  uint64
 
 	taken   uint64
 	evicted uint64
@@ -111,41 +88,33 @@ func (sp *snapPool) setRoot(fp *checkpoint.ForkPoint) {
 	sp.taken++
 }
 
-// insert adds a mid-window snapshot, evicting when the pool exceeds its
-// bound: least-recently-used once forks have started, every-other
-// thinning during the trunk run (nothing has been used yet, so dropping
-// alternate entries doubles the effective interval while keeping
-// coverage).
+// insert adds a mid-window snapshot, thinning the pool when it exceeds
+// its bound. The trunk inserts before any experiment forks, so no entry
+// is ever in use when it goes.
 func (sp *snapPool) insert(fp *checkpoint.ForkPoint) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	sp.snaps = append(sp.snaps, &forkSnap{fp: fp, win: fp.WindowCommits()})
 	sp.taken++
 	for len(sp.snaps) > sp.maxLive {
-		if sp.useClk == 0 {
-			kept := sp.snaps[:0]
-			lastIdx := len(sp.snaps) - 1
-			for i, s := range sp.snaps {
-				// Keep every other entry, plus the newest so late-window
-				// faults always have a nearby fork point.
-				if i%2 == 1 || i == lastIdx {
-					kept = append(kept, s)
-				} else {
-					sp.evicted++
-				}
-			}
-			sp.snaps = kept
-			continue
-		}
-		victim := 0
-		for i, s := range sp.snaps {
-			if s.lastUse < sp.snaps[victim].lastUse {
-				victim = i
-			}
-		}
-		sp.snaps = append(sp.snaps[:victim], sp.snaps[victim+1:]...)
-		sp.evicted++
+		sp.snaps = sp.thin(sp.snaps)
 	}
+}
+
+// thin drops every other entry of list, doubling its effective interval
+// while keeping coverage, and keeps the newest so the latest stretch
+// always has a nearby snapshot. Callers hold sp.mu.
+func (sp *snapPool) thin(list []*forkSnap) []*forkSnap {
+	kept := list[:0]
+	lastIdx := len(list) - 1
+	for i, s := range list {
+		if i%2 == 1 || i == lastIdx {
+			kept = append(kept, s)
+		} else {
+			sp.evicted++
+		}
+	}
+	return kept
 }
 
 // maxTail bounds the post-window anchor list; when full, every other
@@ -164,16 +133,7 @@ func (sp *snapPool) insertTail(fp *checkpoint.ForkPoint) bool {
 	if len(sp.tail) < maxTail {
 		return false
 	}
-	kept := sp.tail[:0]
-	lastIdx := len(sp.tail) - 1
-	for i, s := range sp.tail {
-		if i%2 == 1 || i == lastIdx {
-			kept = append(kept, s)
-		} else {
-			sp.evicted++
-		}
-	}
-	sp.tail = kept
+	sp.tail = sp.thin(sp.tail)
 	return true
 }
 
@@ -202,17 +162,13 @@ func (sp *snapPool) anchorAfter(insts uint64) *forkSnap {
 func (sp *snapPool) best(when uint64, rootOnly bool) *forkSnap {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.useClk++
 	if !rootOnly {
 		// Largest win < when: first index with win >= when, minus one.
 		i := sort.Search(len(sp.snaps), func(i int) bool { return sp.snaps[i].win >= when })
 		if i > 0 {
-			s := sp.snaps[i-1]
-			s.lastUse = sp.useClk
-			return s
+			return sp.snaps[i-1]
 		}
 	}
-	sp.root.lastUse = sp.useClk
 	return sp.root
 }
 
@@ -241,10 +197,8 @@ func (sp *snapPool) stats() (taken, evicted uint64, live int, bytes uint64) {
 // experiment inherits), and counters. One server serves every runner of
 // a pool.
 type forkServer struct {
-	opts  ForkOptions
 	pool  *snapPool
 	final sim.RunResult // trunk run to completion (golden continuation)
-	memo  *resultMemo   // cross-experiment verdict cache (nil when off)
 
 	forks        atomic.Uint64
 	walks        atomic.Uint64
@@ -265,8 +219,9 @@ type ForkStats struct {
 	PrunedTwin       uint64 `json:"prunedTwin"`
 	TwinChecks       uint64 `json:"twinChecks"`
 	TrunkInsts       uint64 `json:"trunkInsts"`
-	MemoHits         uint64 `json:"memoHits"`
-	MemoEntries      int    `json:"memoEntries"`
+	// MemoHits is always zero: the fork server keeps no cross-experiment
+	// result memo. The field stays for callers that still sum it.
+	MemoHits uint64 `json:"memoHits"`
 
 	// Walks counts trigger walks run; a lone experiment is a walk of one.
 	// ArmedInsts sums the instructions committed between a fork or
@@ -280,7 +235,7 @@ type ForkStats struct {
 
 func (fs *forkServer) statsSnapshot() ForkStats {
 	taken, evicted, live, bytes := fs.pool.stats()
-	st := ForkStats{
+	return ForkStats{
 		SnapshotsTaken:   taken,
 		SnapshotsEvicted: evicted,
 		SnapshotsLive:    live,
@@ -293,11 +248,6 @@ func (fs *forkServer) statsSnapshot() ForkStats {
 		TwinChecks:       fs.twinChecks.Load(),
 		TrunkInsts:       fs.final.Insts,
 	}
-	if fs.memo != nil {
-		st.MemoHits = fs.memo.hits.Load()
-		st.MemoEntries = fs.memo.entries()
-	}
-	return st
 }
 
 // trunkConfig derives the trunk/twin simulator configuration from a
@@ -330,7 +280,9 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	if r.Ckpt == nil {
 		return fmt.Errorf("campaign: fork mode requires a checkpoint-backed runner")
 	}
-	opts = opts.withDefaults()
+	if opts.Snapshots <= 0 {
+		opts.Snapshots = DefaultForkOptions().Snapshots
+	}
 
 	p, err := r.Workload.Build()
 	if err != nil {
@@ -342,7 +294,7 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	}
 	trunk.Restore(r.Ckpt, nil)
 
-	sp := &snapPool{maxLive: opts.MaxLive}
+	sp := &snapPool{maxLive: opts.Snapshots + opts.Snapshots/2}
 	sp.setRoot(trunk.CaptureForkPoint())
 
 	interval := r.WindowInsts / uint64(opts.Snapshots)
@@ -376,10 +328,7 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		return fmt.Errorf("campaign: fork trunk run of %s failed: %+v", r.Workload.Name, res)
 	}
 
-	fs := &forkServer{opts: opts, pool: sp, final: res}
-	if opts.Memoize {
-		fs.memo = newResultMemo()
-	}
+	fs := &forkServer{pool: sp, final: res}
 	r.fork = fs
 	if m := r.Cfg.Metrics; m != nil {
 		m.RegisterFunc("campaign.fork.snapshots_live", func() float64 {
@@ -395,10 +344,6 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		m.RegisterFunc("campaign.fork.armed_insts", func() float64 { return float64(fs.armedInsts.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_masked", func() float64 { return float64(fs.prunedMasked.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_twin", func() float64 { return float64(fs.prunedTwin.Load()) })
-		if fs.memo != nil {
-			m.RegisterFunc("campaign.fork.memo_hits", func() float64 { return float64(fs.memo.hits.Load()) })
-			m.RegisterFunc("campaign.fork.memo_entries", func() float64 { return float64(fs.memo.entries()) })
-		}
 	}
 	return nil
 }
@@ -432,13 +377,10 @@ const childChunk = 4096
 func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outcome) {
 	fs := r.fork
 
-	// Pruning and memoization need the experiment's only observable
-	// products to be the outcome class and the engine flags: profiles,
-	// taint reports and post-mortems cover the whole run, so observed
-	// runners always finish.
-	pruneOK := fs.opts.Prune && !r.observed()
-	memoOK := fs.memo != nil && !r.observed()
-	if !pruneOK && !memoOK {
+	// Pruning needs the experiment's only observable products to be the
+	// outcome class and the engine flags: profiles, taint reports and
+	// post-mortems cover the whole run, so observed runners always finish.
+	if r.observed() {
 		return r.sim.Run(), 0
 	}
 
@@ -463,7 +405,7 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 		if r.sim.Model.ModelName() == "pipelined" {
 			continue
 		}
-		if pruneOK && eng.MaskedClean() {
+		if eng.MaskedClean() {
 			fs.prunedMasked.Add(1)
 			r.expEvent("fork.prune", map[string]any{"id": exp.ID, "rule": "masked", "insts": res.Insts})
 			// The machine is provably back in the golden state: the rest of
@@ -471,32 +413,6 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 			// inherits the trunk's totals.
 			res.Insts, res.Ticks = fs.final.Insts, fs.final.Ticks
 			return res, OutcomeNonPropagated
-		}
-		// Memoization point: a fault has propagated and every fault has
-		// resolved, so the final verdict is a pure function of the machine
-		// state. A recorded state closes immediately; an unseen one is
-		// keyed now and committed after classification (commitMemo).
-		if memoOK && r.pendingMemo == nil && eng.AnyPropagated() {
-			key := fs.memo.keyFor(r.sim)
-			if e, ok := fs.memo.lookup(key); ok {
-				r.memoCrash = e.crashCause
-				r.expEvent("fork.memo", map[string]any{"id": exp.ID, "insts": res.Insts})
-				res.Insts = e.finalInsts
-				res.Ticks = r.sim.Core.Ticks + e.dTicks
-				return res, e.outcome
-			}
-			r.pendingMemo = &memoPending{key: key, ticks: r.sim.Core.Ticks}
-		}
-		if !pruneOK {
-			if r.pendingMemo != nil {
-				// Memo decision made and pruning is off: nothing else can
-				// close this run early, so run it out in one go.
-				return r.sim.Run(), 0
-			}
-			continue
-		}
-		if !fs.opts.TwinCheck {
-			continue
 		}
 		// Advance to the next trunk anchor and diff against it — the trunk
 		// is the fault-free twin, already executed.
@@ -515,9 +431,6 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 				out = OutcomeStrictlyCorrect
 			}
 			r.expEvent("fork.prune", map[string]any{"id": exp.ID, "rule": "twin", "insts": res.Insts})
-			// Twin-pruned runs report the trunk's totals, which are not the
-			// suffix-delta form the memo stores — drop any pending key.
-			r.pendingMemo = nil
 			res.Insts, res.Ticks = fs.final.Insts, fs.final.Ticks
 			return res, out
 		}

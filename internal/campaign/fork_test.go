@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // poolFP fabricates a fork point whose WindowCommits reports win, for
@@ -76,32 +77,12 @@ func TestSnapPoolThinningAccounting(t *testing.T) {
 	}
 }
 
-func TestSnapPoolLRUEviction(t *testing.T) {
-	sp := &snapPool{maxLive: 3}
-	sp.setRoot(poolFP(0))
-	for _, w := range []uint64{10, 20, 30} {
-		sp.insert(poolFP(w))
-	}
-	// Touch 10 and 30; 20 becomes the least recently used.
-	sp.best(11, false)
-	sp.best(31, false)
-	sp.insert(poolFP(40))
-	for _, s := range sp.snaps {
-		if s.win == 20 {
-			t.Fatal("LRU eviction kept the least-recently-used snapshot")
-		}
-	}
-	_, evicted, live, _ := sp.stats()
-	if live != 4 || evicted != 1 { // root + {10, 30, 40}
-		t.Errorf("live %d evicted %d, want 4 and 1", live, evicted)
-	}
-}
-
 // TestForkCampaignMatchesReplay is the outcome-identity half of the fork
 // acceptance criteria: the same experiments run through a fork-server
 // runner and a plain checkpoint-replay runner must classify identically —
-// outcome class, fired flag, and (on the serial atomic model) committed
-// instruction totals, including experiments the fork server pruned early.
+// outcome class, fired flag, crash cause, injection PC, and (on the serial
+// atomic model) committed instruction and tick totals — including
+// experiments the fork server pruned early, of which there must be some.
 func TestForkCampaignMatchesReplay(t *testing.T) {
 	replay := piRunner(t)
 	fork := piRunner(t)
@@ -126,11 +107,20 @@ func TestForkCampaignMatchesReplay(t *testing.T) {
 		if got.Ticks != want.Ticks {
 			t.Errorf("exp %d: ticks %d vs %d", e.ID, got.Ticks, want.Ticks)
 		}
+		if got.CrashCause != want.CrashCause {
+			t.Errorf("exp %d: crash cause %q vs %q", e.ID, got.CrashCause, want.CrashCause)
+		}
+		if got.InjPC != want.InjPC || got.InjPCValid != want.InjPCValid {
+			t.Errorf("exp %d: injection PC %#x/%v vs %#x/%v", e.ID, got.InjPC, got.InjPCValid, want.InjPC, want.InjPCValid)
+		}
 	}
 
 	st := fork.ForkStats()
 	if st.Forks != uint64(len(exps)) {
 		t.Errorf("forks = %d, want %d", st.Forks, len(exps))
+	}
+	if st.PrunedMasked+st.PrunedTwin == 0 {
+		t.Error("no experiment was pruned early: the early exits under test never fired")
 	}
 	if st.SnapshotsTaken < 2 {
 		t.Errorf("trunk took %d snapshots, want at least root + one mid-window", st.SnapshotsTaken)
@@ -167,5 +157,27 @@ func TestForkPoolMatchesSerialReplay(t *testing.T) {
 	}
 	if st := pool.ForkStats(); st.Forks != uint64(len(exps)) {
 		t.Errorf("pool fork count = %d, want %d", st.Forks, len(exps))
+	}
+}
+
+// TestForkObservedRunnersNeverPrune: per-PC profiles, taint reports and
+// post-mortems cover the whole run, so an observed fork runner must run
+// every experiment out — no early exit, not even a twin check.
+func TestForkObservedRunnersNeverPrune(t *testing.T) {
+	for name, observe := range map[string]func(*sim.Config){
+		"profiler": func(c *sim.Config) { c.EnableProfiler = true },
+		"taint":    func(c *sim.Config) { c.EnableTaint = true },
+		"flight":   func(c *sim.Config) { c.EnableFlight = true },
+	} {
+		fork := observedPiRunner(t, observe)
+		if err := fork.EnableFork(DefaultForkOptions()); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range GenerateUniform(6, GenConfig{WindowInsts: fork.WindowInsts, Seed: 7}) {
+			fork.Run(e)
+		}
+		if st := fork.ForkStats(); st.PrunedMasked != 0 || st.PrunedTwin != 0 || st.TwinChecks != 0 {
+			t.Errorf("%s runner pruned: %d masked, %d twin, %d twin checks", name, st.PrunedMasked, st.PrunedTwin, st.TwinChecks)
+		}
 	}
 }
