@@ -1,9 +1,10 @@
 // Package bbt is the basic-block translator: the gem5/QEMU "translated
 // block" idea applied to the atomic fast path. While no fault can act —
-// the fault-injection window is closed, or the engine is quiescent with
-// every fault exhausted and nothing in flight — and no per-instruction
-// observer is attached, exactly the predicate that gates the atomic
-// model's stepFast, hot straight-line runs of guest text are fused into
+// the fault-injection window is closed, the engine is quiescent with
+// every fault exhausted and nothing in flight, or every armed fault's
+// trigger lies beyond the block — and no per-instruction observer is
+// attached, the same budget that gates the atomic model's stepFast,
+// hot straight-line runs of guest text are fused into
 // a pre-bound chain of Go closures, one closure per decoded instruction
 // with its register indices and immediates resolved at translation time.
 // Executing a block skips the per-instruction fetch, predecode lookup,
@@ -165,11 +166,13 @@ func (t *Translator) NoteFallback() { t.Stats.Fallbacks++ }
 // the core's current PC, chaining across taken branches, and returns
 // whether any guest instruction was executed. A false return means the
 // interpreter must execute the current instruction (and the visit was
-// counted toward hotness). Blocks touching a register in the watch masks
-// are declined: the interpreter reports that traffic to the fault engine.
-// The masks hold for the whole chain, since only the register hooks the
-// interpreter calls can clear a watch bit.
-func (t *Translator) Exec(watchInt, watchFP uint32) bool {
+// counted toward hotness). A block longer than what is left of budget,
+// the Injector.FastPath budget at entry, is declined: an armed fault
+// could come due inside it. Blocks touching a register in the watch
+// masks are declined too: the interpreter reports that traffic to the
+// fault engine. The masks hold for the whole chain, since only the
+// register hooks the interpreter calls can clear a watch bit.
+func (t *Translator) Exec(budget uint64, watchInt, watchFP uint32) bool {
 	c := t.c
 	if c.Stopped {
 		return false
@@ -209,10 +212,11 @@ func (t *Translator) Exec(watchInt, watchFP uint32) bool {
 			// outside the text region).
 			return executed
 		}
-		// Admission: the block must not cross the instruction ceiling, and
-		// its commits must fit inside the scheduler's remaining slice so
-		// per-commit MaybeSwitch calls could never have fired mid-block.
-		if t.limit != 0 && c.Insts+b.n > t.limit {
+		// Admission: the block must not cross the instruction ceiling or
+		// run into an armed fault's trigger, and its commits must fit
+		// inside the scheduler's remaining slice so per-commit
+		// MaybeSwitch calls could never have fired mid-block.
+		if t.limit != 0 && c.Insts+b.n > t.limit || b.n > budget {
 			t.Stats.Fallbacks++
 			return executed
 		}
@@ -225,6 +229,7 @@ func (t *Translator) Exec(watchInt, watchFP uint32) bool {
 			return executed
 		}
 		t.run(b)
+		budget -= b.n // each stage counter moved by at most b.n
 		executed = true
 		if c.Stopped || t.exit != exitNone {
 			return true

@@ -24,6 +24,13 @@ package campaign
 // are always on, except for observed runners (profiler, taint, flight),
 // whose products cover the whole run.
 //
+// A child runs from its snapshot toward its trigger without stage hooks
+// for as long as the engine's budget (core.Engine.FastPath) keeps every
+// armed trigger out of reach, on all three models and translated on the
+// atomic one, with the stage counters kept exact; the hooks come on only
+// for the last few events before the trigger. That stretch therefore
+// runs at the model's fault-free speed and cannot move a verdict.
+//
 // What is exact: a fork, walked (walk.go) or not, is bit-identical to a
 // cold start at its snapshot on all three models — a fresh simulator
 // restoring the snapshot and running the same faults. On the serial

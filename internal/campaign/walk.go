@@ -2,11 +2,13 @@ package campaign
 
 // Trigger walks. Every experiment that forks from the same trunk snapshot
 // replays the same instructions from that snapshot to its own trigger:
-// the detailed model, hooks live, no fault yet able to act. A walk runs
-// that stretch once for the whole group. It forks the snapshot cold, as
-// a lone experiment would, and steps the configured model with every
-// member's faults armed. Until one of them fires, the hooks return their
-// inputs unchanged, so the walk is observably each member's own run. At
+// the detailed model, no fault yet able to act, and no stage hook until a
+// trigger is within the engine's budget (core.Engine.FastPath). A walk
+// runs that stretch once for the whole group. It forks the snapshot
+// cold, as a lone experiment would, and steps the configured model with
+// every member's faults armed. Until one of them fires, hooked or
+// hookless, nothing is corrupted and the stage counts are exact, so the
+// walk is observably each member's own run. At
 // the first step boundary where some armed fault could act
 // (core.Engine.StepsUntilDue), the walk freezes a warm walk point,
 // re-arms the engine in place with the owning member's faults, and runs

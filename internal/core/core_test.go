@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,23 +190,25 @@ func TestContextSwitchTracking(t *testing.T) {
 }
 
 // TestFastPathQuiescence walks one register fault through the fast-path
-// contract: hooks required while it is armed, quiescent with the
-// register watched once it fires, the watch cleared by the first write,
-// and a closed window always fast with nothing watched. Retire advances
-// the open window's counters and the tick clock like the hooks would.
+// contract: a budget that counts down to the trigger while it is armed,
+// quiescent with the register watched once it fires, the watch cleared
+// by the first write, and a closed window always fast with nothing
+// watched. Retire advances the open window's counters and the tick clock
+// like the hooks would. A far fault is admitted far from its trigger and
+// refused within the pipelined model's slack.
 func TestFastPathQuiescence(t *testing.T) {
 	e := engineWith(Fault{Loc: LocIntReg, Reg: 5, Behavior: BehFlip, Bit: 0, Base: TimeInst, When: 2, Occ: 1})
-	if ok, _, _ := e.FastPath(); ok {
-		t.Fatal("fast path admitted with an armed fault")
+	if b, _, _ := e.FastPath(); b != 1 {
+		t.Fatalf("armed at commit 2: budget %d, want 1 (commit 1 is safe)", b)
 	}
 	var a cpu.Arch
 	e.OnCommit(1, 0, &a)
-	if ok, _, _ := e.FastPath(); ok {
-		t.Fatal("fast path admitted before the fault fired")
+	if b, _, _ := e.FastPath(); b != 0 {
+		t.Fatalf("fault due on the next commit: budget %d, want 0", b)
 	}
 	e.OnCommit(2, 0, &a) // fires: r5 tainted
-	if ok, wi, wf := e.FastPath(); !ok || wi != 1<<5 || wf != 0 || e.Quiesced != 1 {
-		t.Fatalf("after firing: FastPath = %v, %#x, %#x, quiesced %d", ok, wi, wf, e.Quiesced)
+	if b, wi, wf := e.FastPath(); b != math.MaxUint64 || wi != 1<<5 || wf != 0 || e.Quiesced != 1 {
+		t.Fatalf("after firing: FastPath = %d, %#x, %#x, quiesced %d", b, wi, wf, e.Quiesced)
 	}
 	e.Retire(6, 5, 4, 3, 99)
 	if ws := e.CaptureWindow(); ws.TicksNow != 99 || ws.Threads[0x1000].Commits != 5 ||
@@ -213,19 +216,78 @@ func TestFastPathQuiescence(t *testing.T) {
 		t.Errorf("Retire: window state %+v", ws)
 	}
 	e.OnRegWrite(false, 5)
-	if ok, wi, _ := e.FastPath(); !ok || wi != 0 {
-		t.Errorf("after the overwrite: FastPath = %v, %#x", ok, wi)
+	if b, wi, _ := e.FastPath(); b != math.MaxUint64 || wi != 0 {
+		t.Errorf("after the overwrite: FastPath = %d, %#x", b, wi)
 	}
 	if oc := e.Outcomes()[0]; oc.Propagated || !oc.Overwritten {
 		t.Errorf("outcome %+v, want overwritten", oc)
 	}
 	e.Reset(e.Faults())
-	if ok, _, _ := e.FastPath(); !ok {
+	if b, _, _ := e.FastPath(); b != math.MaxUint64 {
 		t.Error("closed window after Reset is not fast")
 	}
 	e.OnActivate(0x1000, 0)
-	if ok, _, _ := e.FastPath(); ok {
-		t.Error("Reset did not re-arm the fault")
+	if b, _, _ := e.FastPath(); b != 1 {
+		t.Errorf("Reset did not re-arm the fault: budget %d", b)
+	}
+
+	// Far faults: the budget counts down per stage (a fetch fault by
+	// fetches, a register fault by commits) and stays zero from the first
+	// firing on, even with another fault still far ahead. Another
+	// thread's faults do not bound it; a tick-timed fault zeroes it.
+	budget := func(e *Engine) uint64 {
+		b, wi, wf := e.FastPath()
+		if wi|wf != 0 {
+			t.Errorf("watch masks %#x/%#x with nothing fired", wi, wf)
+		}
+		return b
+	}
+	e = engineWith(
+		Fault{Loc: LocFetch, Behavior: BehFlip, Bit: 0, Base: TimeInst, When: 1000, Occ: 1},
+		Fault{Loc: LocIntReg, Reg: 5, Behavior: BehFlip, Bit: 0, Base: TimeInst, When: 500, Occ: 1},
+		Fault{Loc: LocExec, Behavior: BehFlip, Bit: 0, Base: TimeInst, When: 3, Occ: 1, ThreadID: 1},
+	)
+	if b := budget(e); b != 499 {
+		t.Fatalf("far from both triggers: budget %d, want 499", b)
+	}
+	// Wrong-path fetches outrun commits: the fetch fault now bounds it.
+	e.Retire(990, 480, 480, 470, 5)
+	if b := budget(e); b != 9 {
+		t.Errorf("fetches 990, commits 470: budget %d, want 9", b)
+	}
+	e.Retire(4, 0, 0, 0, 6)
+	if b := budget(e); b >= cpu.PipeSlack {
+		t.Errorf("fetches 994: budget %d, not refused within the slack", b)
+	}
+	// Thread 1's fault does not bound thread 0, and a thread with no
+	// fault of its own runs unbounded.
+	e.OnActivate(0x2000, 2)
+	if b := budget(e); b != math.MaxUint64-1 {
+		t.Errorf("thread without faults: budget %d", b)
+	}
+	e.OnContextSwitch(0x1000)
+	e.Retire(5, 0, 0, 0, 7)
+	if b := budget(e); b != 0 {
+		t.Errorf("fetch fault due next: budget %d, want 0", b)
+	}
+	if w := e.OnFetch(1, 0, 0); w != 1 {
+		t.Fatalf("fetch fault did not fire at fetch 1000: word %#x", w)
+	}
+	e.OnSquash(1)
+	if b := budget(e); b != 0 {
+		t.Errorf("after a firing, with the register fault still 30 commits away: budget %d, want 0", b)
+	}
+	// A thread switch recomputes the horizon without the spent fetch
+	// fault; the firing still holds the budget at 0.
+	e.OnContextSwitch(0x2000)
+	e.OnContextSwitch(0x1000)
+	if b := budget(e); b != 0 {
+		t.Errorf("after a firing and a thread switch: budget %d, want 0", b)
+	}
+
+	tick := engineWith(Fault{Loc: LocIntReg, Behavior: BehFlip, Base: TimeTick, When: 1 << 40, Occ: 1})
+	if b := budget(tick); b != 0 {
+		t.Errorf("tick-timed fault armed: budget %d, want 0", b)
 	}
 }
 

@@ -128,6 +128,17 @@ func (fs *faultState) matches(t *ThreadEnabledFault, count, ticksNow uint64) boo
 	return due(now, fs.When)
 }
 
+// stepsUntil returns how many events a counter now at count can take
+// while due(count+k, when) stays false: the look-ahead of one trigger.
+// The fast path's budget and the walk's StepsUntilDue are both minima of
+// it over the armed faults.
+func stepsUntil(count, when uint64) uint64 {
+	if due(count+1, when) {
+		return 0
+	}
+	return when - count - 1
+}
+
 // consume burns one occurrence and records first-fire info.
 func (fs *faultState) consume(count, tick uint64) {
 	if !fs.Fired {
@@ -190,6 +201,18 @@ type Engine struct {
 	quiet             bool
 	watchInt, watchFP uint32
 
+	// Trigger horizon behind FastPath's budget while faults are armed:
+	// hz[s] is the smallest When among the active instruction-timed
+	// faults of queue s that name the running thread (MaxUint64: none).
+	// All of hz is 0, forcing a zero budget, while a tick-timed fault is
+	// armed for the running thread (ticks have no per-event bound) or,
+	// after a refresh, while any fault has fired and the engine is not
+	// yet quiescent. refreshHorizon recomputes it whenever the armed set
+	// or the running thread changes. A firing needs no refresh: the
+	// fired fault's When stays in hz and its counter has reached it, so
+	// the budget is 0 from that event on.
+	hz [numStages]uint64
+
 	// WindowHook, when set, is called after a fault-injection window
 	// opens (open=true) or closes (open=false). The simulator's
 	// fast-forward mode uses the open edge to switch from the cheap
@@ -246,7 +269,34 @@ func (e *Engine) rearm() {
 	e.quiet = false
 	e.watchInt, e.watchFP = 0, 0
 	e.refreshQuiet()
+	e.refreshHorizon()
 	e.Taint.Reset()
+}
+
+// refreshHorizon recomputes hz for the running thread.
+func (e *Engine) refreshHorizon() {
+	for s := range e.hz {
+		e.hz[s] = math.MaxUint64
+	}
+	t := e.current
+	if t == nil || e.quiet {
+		return
+	}
+	for _, fs := range e.states {
+		if fs.Fired {
+			e.hz = [numStages]uint64{}
+			return
+		}
+		if !fs.active() || fs.ThreadID != t.ID {
+			continue
+		}
+		if fs.Base == TimeTick {
+			e.hz = [numStages]uint64{}
+			return
+		}
+		s := stageOf(fs.Loc)
+		e.hz[s] = min(e.hz[s], fs.When)
+	}
 }
 
 // refreshQuiet sets the quiescence flag once it holds: every armed fault
@@ -281,14 +331,28 @@ func (e *Engine) Faults() []Fault { return append([]Fault(nil), e.faults...) }
 // on the cached thread pointer (Fig. 2 of the paper).
 func (e *Engine) Enabled() bool { return e.current != nil }
 
-// FastPath implements cpu.Injector: hooks may be skipped while the
-// window is closed or the engine is quiescent, and the watch masks name
-// the tainted registers whose traffic must still be reported.
-func (e *Engine) FastPath() (ok bool, watchInt, watchFP uint32) {
-	if e.current == nil {
-		return true, 0, 0
+// FastPath implements cpu.Injector. The budget is unbounded while the
+// window is closed or the engine is quiescent, and the watch masks then
+// name the tainted registers whose traffic must still be reported.
+// While faults are armed and none has fired, it is the running thread's
+// distance to its trigger horizon: min over the stage queues of
+// stepsUntil(counter, hz), so that many more events of every stage pass
+// before any armed fault could act. It is zero once a fault has fired,
+// until the engine quiesces, and while a tick-timed fault is armed for
+// the running thread.
+func (e *Engine) FastPath() (budget uint64, watchInt, watchFP uint32) {
+	t := e.current
+	switch {
+	case t == nil:
+		return math.MaxUint64, 0, 0
+	case e.quiet:
+		return math.MaxUint64, e.watchInt, e.watchFP
 	}
-	return e.quiet, e.watchInt, e.watchFP
+	return min(stepsUntil(t.Fetches, e.hz[StageFetch]),
+		stepsUntil(t.Decodes, e.hz[StageDecode]),
+		stepsUntil(t.Execs, e.hz[StageExec]),
+		stepsUntil(t.Execs, e.hz[StageMem]),
+		stepsUntil(t.Commits, e.hz[StageCommit])), 0, 0
 }
 
 // Retire implements cpu.Injector: the stage counters the hooks would have
@@ -314,6 +378,7 @@ func (e *Engine) OnActivate(pcbb uint64, id int) {
 		if e.current == t {
 			e.current = nil
 		}
+		e.refreshHorizon()
 		if e.WindowHook != nil {
 			e.WindowHook(false)
 		}
@@ -322,6 +387,7 @@ func (e *Engine) OnActivate(pcbb uint64, id int) {
 	t := &ThreadEnabledFault{ID: id, PCB: pcbb, TickStart: e.ticksNow}
 	e.threads[pcbb] = t
 	e.current = t
+	e.refreshHorizon()
 	e.Activations++
 	if e.WindowHook != nil {
 		e.WindowHook(true)
@@ -332,6 +398,7 @@ func (e *Engine) OnActivate(pcbb uint64, id int) {
 // when the PCB base register changes.
 func (e *Engine) OnContextSwitch(pcbb uint64) {
 	e.current = e.threads[pcbb] // nil if the switched-in thread has FI off
+	e.refreshHorizon()
 }
 
 // OnTick implements cpu.Injector.

@@ -65,6 +65,7 @@ func (e *Engine) ResetWithWindow(faults []Fault, ws WindowState) {
 	}
 	e.ticksNow = ws.TicksNow
 	e.windowCommits = ws.WindowCommits
+	e.refreshHorizon()
 }
 
 // StepsUntilDue is the trigger walk's look-ahead. It returns how many
@@ -73,15 +74,19 @@ func (e *Engine) ResetWithWindow(faults []Fault, ws WindowState) {
 // fault could act on the very next step; (math.MaxUint64, -1) means none
 // ever can (nothing armed is still active).
 //
-// The bound rests on every stage counter advancing by at most one per
-// step on all three models (one fetch, decode, execute and commit per
-// step; fast-path steps run only while the window is closed or the
-// engine is quiescent, and a walk keeps faults armed). A window opening
-// during a step starts a fresh thread's counters at zero, so a fault can
-// act no earlier than its When-th step whichever thread it names, and
-// the thread counters already open tighten that. Tick-timed faults are
-// always reported due: the timing model charges a whole memory latency in
-// one step, so ticks have no per-step bound.
+// The bound counts stage events. The pipelined model takes at most one
+// event of each stage per cycle; the serial models take at most one per
+// committed instruction, plus the events of a trapping one, which ends
+// the run. That holds on every tier: the fast path runs an instruction,
+// and admits a translated block, only within FastPath's budget, which is
+// this look-ahead restricted to the running thread. So a walk that runs
+// at most this many steps and commits at most this many instructions
+// (sim.WalkToDue caps both) pauses before any fault could act. A window
+// opening meanwhile starts a fresh thread's counters at zero, so a fault
+// can act no earlier than its When-th event whichever thread it names,
+// and the thread counters already open tighten that. Tick-timed faults
+// are always reported due: the timing model charges a whole memory
+// latency in one step, so ticks have no per-step bound.
 func (e *Engine) StepsUntilDue() (steps uint64, src int) {
 	steps, src = math.MaxUint64, -1
 	for _, fs := range e.states {
@@ -102,15 +107,6 @@ func (e *Engine) StepsUntilDue() (steps uint64, src int) {
 		}
 	}
 	return steps, src
-}
-
-// stepsUntil returns how many steps a counter now at count, advancing by
-// at most one per step, can take while due(count+k, when) stays false.
-func stepsUntil(count, when uint64) uint64 {
-	if due(count+1, when) {
-		return 0
-	}
-	return when - count - 1
 }
 
 // MaskedClean reports whether the experiment's fate is already sealed as

@@ -48,6 +48,10 @@ func TestStepsUntilDue(t *testing.T) {
 		if n, _ := e2.StepsUntilDue(); n != 4-commits {
 			t.Errorf("commits=%d: StepsUntilDue = %d, want %d", commits, n, 4-commits)
 		}
+		// One open thread: the fast path's budget is the same look-ahead.
+		if b, _, _ := e2.FastPath(); b != 4-commits {
+			t.Errorf("commits=%d: FastPath budget = %d, want %d", commits, b, 4-commits)
+		}
 		e2.OnCommit(commits+1, 4*commits, &a)
 	}
 	if n, src := e2.StepsUntilDue(); n != 0 || src != 0 {

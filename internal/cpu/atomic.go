@@ -1,6 +1,10 @@
 package cpu
 
-import "repro/internal/isa"
+import (
+	"math"
+
+	"repro/internal/isa"
+)
 
 // AtomicModel is the functional CPU model: one instruction per step, one
 // tick per instruction (gem5's "atomic simple"). With Timing set it also
@@ -33,27 +37,27 @@ func (m *AtomicModel) ModelName() string {
 func (m *AtomicModel) Drain() {}
 
 // Step executes one instruction to completion. When no observer is
-// attached and the fault engine reports that no fault can act (window
-// closed, or engine quiescent: every fault exhausted and nothing in
-// flight), it runs the specialized fast step, which elides all
-// stage-hook dispatch. Registers with outstanding taint stay watched on
-// the fast path, so their first committed read or write still reaches
-// the engine. The two paths produce bit-identical
-// architectural state and fault outcomes (enforced by the conformance
-// suite); DisableFastPath pins the slow path for reference runs.
+// attached and the fault engine's budget covers the instruction (window
+// closed, engine quiescent, or every armed fault's trigger still ahead),
+// it runs the specialized fast step, which elides all stage-hook
+// dispatch. Registers with outstanding taint stay watched on the fast
+// path, so their first committed read or write still reaches the
+// engine. The two paths produce bit-identical architectural state and
+// fault outcomes (enforced by the conformance suite); DisableFastPath
+// pins the slow path for reference runs.
 func (m *AtomicModel) Step() bool {
 	c := m.C
 	if len(c.Observers) == 0 && !c.DisableFastPath {
-		ok, watchInt, watchFP := true, uint32(0), uint32(0)
+		budget, watchInt, watchFP := uint64(math.MaxUint64), uint32(0), uint32(0)
 		if c.FI != nil {
-			ok, watchInt, watchFP = c.FI.FastPath()
+			budget, watchInt, watchFP = c.FI.FastPath()
 		}
-		if ok {
-			// Translated blocks run only under the same predicate that
+		if budget > 0 {
+			// Translated blocks run only under the same budget that
 			// admits stepFast, and never when cache timing matters (the
 			// timing model charges per-access latencies a fused block
 			// cannot reproduce).
-			if c.BBT != nil && !m.Timing && c.BBT.Exec(watchInt, watchFP) {
+			if c.BBT != nil && !m.Timing && c.BBT.Exec(budget, watchInt, watchFP) {
 				return !c.Stopped
 			}
 			return m.stepFast(watchInt, watchFP)

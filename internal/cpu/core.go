@@ -28,25 +28,32 @@ type Injector interface {
 	// just have opened or closed the window.
 	Enabled() bool
 
-	// FastPath reports whether the next instruction may run without any
-	// stage hook: the window is closed, or the engine is quiescent —
-	// every armed fault is exhausted and nothing it struck is in flight.
-	// Both models ask it at fetch, and an instruction fetched while it
-	// holds stays hookless to commit. watchInt and watchFP are bit masks
-	// of registers with outstanding taint; a hookless commit whose ports
-	// touch one must still call OnRegRead/OnRegWrite exactly as the
-	// hooked commit epilogue does. Both masks are zero while the window
-	// is closed.
-	FastPath() (ok bool, watchInt, watchFP uint32)
+	// FastPath returns the hookless budget: how many more events of
+	// every stage (fetch, decode, execute, commit) may pass without any
+	// stage hook before an armed fault could act. It is MaxUint64 while
+	// the window is closed or the engine is quiescent (every armed fault
+	// exhausted and nothing it struck in flight), the distance to the
+	// nearest trigger while faults are armed and none has fired, and 0
+	// otherwise. Both models ask it at fetch, and an instruction fetched
+	// hookless stays hookless to commit: the atomic model needs a budget
+	// of 1 for one instruction, a translated block one of its length, and
+	// the pipelined model PipeSlack, which covers the instructions
+	// already in flight. watchInt and watchFP are bit masks of registers
+	// with outstanding taint; a hookless commit whose ports touch one
+	// must still call OnRegRead/OnRegWrite exactly as the hooked commit
+	// epilogue does. Both masks are zero unless the engine is quiescent
+	// inside an open window.
+	FastPath() (budget uint64, watchInt, watchFP uint32)
 	// Retire accounts the stage events of hookless instructions: the
 	// fetches, decodes and executes they took part in (squashed
 	// wrong-path ones included) and their commits, counted exactly as
 	// the stage hooks would have counted them. tick is the clock OnTick
 	// would have delivered last, which Retire delivers in its place.
-	// Only an open window's counters move. The atomic model and
-	// translated blocks pass equal fetch, decode and execute counts; the
-	// pipelined model retires each cycle's tallies with the next cycle's
-	// tick.
+	// Only an open window's counters move, and never onto a trigger:
+	// the budget FastPath gave kept every hookless event short of it.
+	// The atomic model and translated blocks pass equal fetch, decode
+	// and execute counts; the pipelined model retires each cycle's
+	// tallies with the next cycle's tick.
 	Retire(fetches, decodes, execs, commits, tick uint64)
 
 	// OnFetch may corrupt the fetched instruction word.
@@ -169,13 +176,14 @@ type BatchScheduler interface {
 // BlockRunner executes translated basic blocks for the atomic model
 // (internal/bbt implements it). Exec runs zero or more whole blocks
 // starting at the architectural PC and reports whether any guest
-// instruction was executed; it declines every block whose registers
-// intersect the watch masks from Injector.FastPath, because their
-// traffic must reach the register hooks. NoteFallback counts a
-// slow-path step taken while a runner is attached, making live-fault
-// and observer bailouts observable.
+// instruction was executed. It declines every block longer than what is
+// left of the budget from Injector.FastPath, so no armed fault can come
+// due inside a block, and every block whose registers intersect the
+// watch masks, because their traffic must reach the register hooks.
+// NoteFallback counts a slow-path step taken while a runner is
+// attached, making live-fault and observer bailouts observable.
 type BlockRunner interface {
-	Exec(watchInt, watchFP uint32) bool
+	Exec(budget uint64, watchInt, watchFP uint32) bool
 	NoteFallback()
 }
 
@@ -339,10 +347,10 @@ func (c *Core) decode(w uint32) (isa.Inst, isa.RegPorts) {
 // store overlapping the text region (guest stores, store-value faults
 // landing in text, checkpoint restores) bumps the generation and thereby
 // invalidates all entries at once. Entries are filled and consulted only
-// while no fetch fault can strike (window closed, or engine quiescent on
-// the fast path) — fetch faults are transient corruptions of a single
-// fetch and must be neither served from nor captured into a PC-keyed
-// cache.
+// while no fetch fault can strike (window closed, or a fast-path budget
+// that keeps every fetch short of its trigger) — fetch faults are
+// transient corruptions of a single fetch and must be neither served
+// from nor captured into a PC-keyed cache.
 const (
 	predecodeBits     = 12 // 4096 direct-mapped entries
 	predecodeMask     = 1<<predecodeBits - 1
@@ -405,11 +413,21 @@ func (c *Core) BumpSeq(n uint64) { c.seq += n }
 // fiEnabled reports whether FI hooks should run for the current thread.
 func (c *Core) fiEnabled() bool { return c.FI != nil && c.FI.Enabled() }
 
+// PipeSlack is the smallest FastPath budget at which the pipelined
+// model fetches an instruction hookless. The engine's counters lag the
+// fetch. Each of the four latches ahead of the new instruction (ID, EX,
+// MEM, WB) may still owe an event of a stage, and the cycle's events so
+// far sit in the unretired tally, at most one per stage. So the new
+// instruction's own event of any stage is at most the sixth that stage
+// takes from the engine's count: five latches plus one cycle of
+// tallies, which a budget of 6 keeps short of every trigger.
+const PipeSlack = 6
+
 // watchAtFetch decides how the fault engine watches the instruction
-// about to be fetched by the pipelined model. It takes the atomic
-// model's predicate: hookless while Injector.FastPath holds, every hook
-// otherwise. DisableFastPath keeps the reference behaviour, every hook
-// while the window is open.
+// about to be fetched by the pipelined model: hookless while the
+// Injector.FastPath budget covers it and everything ahead of it in
+// flight (PipeSlack), every hook otherwise. DisableFastPath keeps the
+// reference behaviour, every hook while the window is open.
 func (c *Core) watchAtFetch() fiWatch {
 	if c.FI == nil {
 		return fiWatch{}
@@ -420,8 +438,8 @@ func (c *Core) watchAtFetch() fiWatch {
 		}
 		return fiWatch{}
 	}
-	ok, watchInt, watchFP := c.FI.FastPath()
-	if !ok {
+	budget, watchInt, watchFP := c.FI.FastPath()
+	if budget < PipeSlack {
 		return fiWatch{mode: hooksOn}
 	}
 	return fiWatch{hookless, watchInt, watchFP}

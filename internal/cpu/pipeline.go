@@ -18,9 +18,10 @@ func f64FromBits(b uint64) float64 { return math.Float64frombits(b) }
 // depends on, and a large cycle-cost gap versus the atomic model.
 //
 // Whether an instruction's stage hooks run is decided once, at its fetch,
-// with the atomic model's predicate (Injector.FastPath): an instruction
-// fetched while no fault can act is hookless to commit, and its stage
-// events are tallied on the core and retired once per cycle.
+// from the Injector.FastPath budget: an instruction fetched while no
+// fault can act on it or on anything ahead of it in flight (a budget of
+// at least PipeSlack) is hookless to commit, and its stage events are
+// tallied on the core and retired once per cycle.
 type PipelinedModel struct {
 	C    *Core
 	Pred *Predictor

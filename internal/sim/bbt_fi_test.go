@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -118,8 +119,9 @@ func TestBBTSelfModifyingCodeInvalidates(t *testing.T) {
 
 // TestBBTFetchFaultOverWarmBlocks sweeps transient fetch faults over a
 // program whose hot code is already translated when the FI window opens.
-// Fetch corruption only exists inside the window, where translation is
-// disabled, so the run must match the DisableFastPath reference exactly:
+// Fetch corruption only exists inside the window, where translated
+// blocks stop short of the trigger, so the run must match the
+// DisableFastPath reference exactly:
 // same outcome flags, same architectural state, same memory — a warm
 // translated block must neither serve a corrupted fetch nor hide one.
 func TestBBTFetchFaultOverWarmBlocks(t *testing.T) {
@@ -173,52 +175,75 @@ func TestBBTFetchFaultOverWarmBlocks(t *testing.T) {
 }
 
 // TestBBTWindowOpenFallback runs a translation-enabled experiment whose
-// FI window opens mid-run (no observers). In-window steps take the
-// interpreter, counted as fallbacks, only while the fault is live: from
-// the window's first commit to the one the fault fires at. Once the
-// engine is quiescent, translated blocks run inside the window.
+// FI window opens mid-run (no observers). The activating fi_activate
+// commits on the fast path, leaving the window's commit counter at 1, so
+// the budget at the open is when-2: commits 2..when-1 run hookless,
+// translated where a block fits, and only the commit at when, which
+// fires the fault, takes the interpreter. Once the engine is quiescent,
+// translated blocks run inside the window again. A far trigger shows
+// translated code running inside the window before the fault fires, and
+// the run must match the DisableFastPath reference either way.
 func TestBBTWindowOpenFallback(t *testing.T) {
-	const when = 10
-	f := core.Fault{
-		Loc: core.LocIntReg, Behavior: core.BehFlip, Bit: 3, Reg: 2,
-		Base: core.TimeInst, When: when, Occ: 1,
-	}
 	golden := compileMC(t, fetchFaultProgram, Config{Model: ModelAtomic, EnableFI: true})
 	if r := golden.Run(); !r.Exited {
 		t.Fatalf("golden run: %+v", r)
 	}
 	open, window := golden.WindowOpenInsts, golden.Engine.WindowCommits()
 
-	s := compileMC(t, fetchFaultProgram, Config{
-		Model: ModelAtomic, EnableFI: true, Faults: []core.Fault{f},
-		MaxInsts: 10_000_000, EnableBlockTranslation: true,
-	})
-	if r := s.RunUntil(open); !r.Paused || s.WindowOpenInsts != open {
-		t.Fatalf("did not pause at the window open (inst %d): %+v", open, r)
-	}
-	before := s.BBT.Stats
-	if before.Insts == 0 {
-		t.Errorf("nothing ran translated before the window: %+v", before)
-	}
-	// Run to the instruction before the closing fi_activate.
-	if r := s.RunUntil(open + window - 1); !r.Paused {
-		t.Fatalf("did not pause inside the window: %+v", r)
-	}
-	in := s.BBT.Stats
-	// The activating fi_activate commits on the fast path; commits 2..when
-	// run hooked, and the last of them fires the fault.
-	if got := in.Fallbacks - before.Fallbacks; got != when-1 {
-		t.Errorf("%d in-window fallbacks, want the %d steps the fault was live", got, when-1)
-	}
-	if in.Insts == before.Insts {
-		t.Errorf("nothing ran translated inside the window after the fault fired: %+v", in)
-	}
-	if !s.Engine.Outcomes()[0].Fired || s.Engine.Quiesced != 1 {
-		t.Errorf("fault fired=%v, engine quiesced %d times; want fired and once",
-			s.Engine.Outcomes()[0].Fired, s.Engine.Quiesced)
-	}
-	if r := s.Run(); r.Hung {
-		t.Fatalf("hung: %+v", r)
+	for _, when := range []uint64{10, window - 20} {
+		f := core.Fault{
+			Loc: core.LocIntReg, Behavior: core.BehFlip, Bit: 3, Reg: 2,
+			Base: core.TimeInst, When: when, Occ: 1,
+		}
+		cfg := Config{Model: ModelAtomic, EnableFI: true, Faults: []core.Fault{f}, MaxInsts: 10_000_000}
+		ref := compileMC(t, fetchFaultProgram, Config{Model: ModelAtomic, EnableFI: true,
+			Faults: cfg.Faults, MaxInsts: cfg.MaxInsts, DisableFastPath: true})
+		rc := ref.Run()
+		cfg.EnableBlockTranslation = true
+		s := compileMC(t, fetchFaultProgram, cfg)
+		if r := s.RunUntil(open); !r.Paused || s.WindowOpenInsts != open {
+			t.Fatalf("when=%d: did not pause at the window open (inst %d): %+v", when, open, r)
+		}
+		before := s.BBT.Stats
+		if before.Insts == 0 {
+			t.Errorf("when=%d: nothing ran translated before the window: %+v", when, before)
+		}
+		if b, _, _ := s.Engine.FastPath(); b != when-2 {
+			t.Errorf("when=%d: budget %d at the window open, want %d", when, b, when-2)
+		}
+		// Run to the commit before the trigger: nothing has fired yet.
+		if r := s.RunUntil(open + when - 2); !r.Paused || s.Engine.AnyFired() {
+			t.Fatalf("when=%d: did not pause short of the trigger: %+v", when, r)
+		}
+		armed := s.BBT.Stats
+		if when > 10 && armed.Insts == before.Insts {
+			t.Errorf("when=%d: nothing ran translated inside the window ahead of the trigger: %+v", when, armed)
+		}
+		// Run to the instruction before the closing fi_activate.
+		if r := s.RunUntil(open + window - 1); !r.Paused {
+			t.Fatalf("when=%d: did not pause inside the window: %+v", when, r)
+		}
+		in := s.BBT.Stats
+		if when == 10 {
+			if got := in.Fallbacks - before.Fallbacks; got != 1 {
+				t.Errorf("when=%d: %d in-window fallbacks, want 1: only the firing commit is outside the budget", when, got)
+			}
+		}
+		if in.Insts == armed.Insts {
+			t.Errorf("when=%d: nothing ran translated inside the window after the fault fired: %+v", when, in)
+		}
+		if !s.Engine.Outcomes()[0].Fired || s.Engine.Quiesced != 1 {
+			t.Errorf("when=%d: fault fired=%v, engine quiesced %d times; want fired and once",
+				when, s.Engine.Outcomes()[0].Fired, s.Engine.Quiesced)
+		}
+		rf := s.Run()
+		if rf.Hung {
+			t.Fatalf("when=%d: hung: %+v", when, rf)
+		}
+		if s.Core.Arch != ref.Core.Arch || rf.Insts != rc.Insts || rf.Ticks != rc.Ticks ||
+			!reflect.DeepEqual(rf.Outcomes, rc.Outcomes) {
+			t.Errorf("when=%d: translated run diverged from the reference: %+v vs %+v", when, rf, rc)
+		}
 	}
 }
 

@@ -131,6 +131,11 @@ func (s *Simulator) CaptureWalkPoint() *checkpoint.ForkPoint {
 // ends first — exit, crash, watchdog, interrupt — returns its result and
 // -1. The pause is invisible: Run or RunUntil afterwards continues
 // exactly as a run that never paused.
+//
+// Each stretch caps both its steps and its commits at the look-ahead: a
+// step of the atomic model may run translated blocks, many instructions
+// at once, and the commit cap keeps them from carrying the walk past
+// the point where it must pause.
 func (s *Simulator) WalkToDue() (RunResult, int) {
 	if s.Model == nil {
 		return RunResult{Crashed: true, CrashCause: "no program loaded"}, -1
@@ -143,7 +148,11 @@ func (s *Simulator) WalkToDue() (RunResult, int) {
 		if n == 0 {
 			return s.finish(loopPaused), src
 		}
-		if why := s.loop(0, n); why != loopPaused {
+		until := uint64(0) // no commit cap when nothing can come due
+		if n < math.MaxUint64-s.Core.Insts {
+			until = s.Core.Insts + n
+		}
+		if why := s.loop(until, n); why != loopPaused {
 			return s.finish(why), -1
 		}
 	}

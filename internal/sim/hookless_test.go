@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/minic"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -121,6 +122,60 @@ func TestHooklessCountsFollowThreadSwitches(t *testing.T) {
 		}
 		if twoOpen == 0 {
 			t.Errorf("%s: no pause found both windows open", model)
+		}
+	}
+}
+
+// TestArmedRunMakesFewHookCalls guards the armed-ahead fast path: a run
+// with one register fault armed at the window's last commit stays
+// hookless until the trigger is within reach, so it may make only a
+// handful of hook calls where the DisableFastPath referee makes one per
+// stage event of the whole window. Its instruction and tick totals and
+// the fault's outcome must equal the referee's.
+func TestArmedRunMakesFewHookCalls(t *testing.T) {
+	const maxHookCalls = 64
+	for _, name := range []string{"pi", "canneal"} {
+		w, err := workloads.ByName(name, workloads.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := sim.New(sim.Config{Model: sim.ModelAtomic, EnableFI: true, MaxInsts: 200_000_000})
+		if err := golden.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if r := golden.Run(); !r.Exited {
+			t.Fatalf("%s: golden run: %+v", name, r)
+		}
+		f := core.Fault{Loc: core.LocIntReg, Reg: 3, Behavior: core.BehFlip, Bit: 7,
+			Base: core.TimeInst, When: golden.Engine.WindowCommits() - 1, Occ: 1}
+		for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelPipelined} {
+			run := func(cold bool) (*sim.Simulator, sim.RunResult) {
+				cfg := sim.DefaultConfig()
+				cfg.Model, cfg.Faults, cfg.MaxInsts, cfg.DisableFastPath = model, []core.Fault{f}, 200_000_000, cold
+				s := sim.New(cfg)
+				if err := s.Load(p); err != nil {
+					t.Fatal(err)
+				}
+				return s, s.Run()
+			}
+			fast, rf := run(false)
+			cold, rc := run(true)
+			label := name + "/" + string(model)
+			if !rc.Outcomes[0].Fired {
+				t.Fatalf("%s: the fault never fired: %+v", label, rc)
+			}
+			if rf.Insts != rc.Insts || rf.Ticks != rc.Ticks || !reflect.DeepEqual(rf.Outcomes, rc.Outcomes) {
+				t.Errorf("%s: run diverged from the referee: %+v vs %+v", label, rf, rc)
+			}
+			if fast.Engine.HookCalls > maxHookCalls {
+				t.Errorf("%s: %d hook calls with one fault armed (referee %d), want at most %d",
+					label, fast.Engine.HookCalls, cold.Engine.HookCalls, maxHookCalls)
+			}
+			t.Logf("%s: %d hook calls, referee %d", label, fast.Engine.HookCalls, cold.Engine.HookCalls)
 		}
 	}
 }

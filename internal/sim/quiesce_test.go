@@ -226,8 +226,8 @@ func TestStoreFaultStaysSlowUntilLoaded(t *testing.T) {
 	if !s.Engine.Outcomes()[0].Fired {
 		t.Fatal("store-value fault has not fired by the pause point")
 	}
-	if ok, _, _ := s.Engine.FastPath(); ok {
-		t.Error("engine reports quiescent while the corrupted store is unread")
+	if b, _, _ := s.Engine.FastPath(); b != 0 {
+		t.Error("engine admits hookless steps while the corrupted store is unread")
 	}
 	if st := s.BBT.Stats; st.Insts != 0 || st.Fallbacks < 1900 {
 		t.Errorf("steps left the slow path before the load: %+v", st)

@@ -104,10 +104,11 @@ type Config struct {
 	// EnableBlockTranslation attaches the basic-block translator
 	// (internal/bbt) to the core: hot straight-line guest code is fused
 	// into pre-bound closure chains whenever the atomic fast path is
-	// active — outside the fault-injection window, and inside it once the
-	// engine is quiescent (every fault exhausted, nothing in flight), e.g.
-	// the fast-forward prefix, fault-free runs and the post-resolve atomic
-	// tail. Blocks touching a register with outstanding fault taint fall
+	// active — outside the fault-injection window, inside it ahead of
+	// every armed trigger (a block must fit the FastPath budget), and
+	// once the engine is quiescent (every fault exhausted, nothing in
+	// flight), e.g. the fast-forward prefix, fault-free runs, the stretch
+	// before the fault and the post-resolve atomic tail. Blocks touching a register with outstanding fault taint fall
 	// back to the interpreter. Ignored when DisableFastPath is set (the
 	// conformance referee must interpret every instruction). On in
 	// DefaultConfig.

@@ -26,12 +26,13 @@ const (
 )
 
 // observerCase is one row of the observer overhead table: a
-// configuration and the bound on its cost relative to the unobserved
-// baseline of its unit.
+// configuration and the bound on its cost relative to a reference row
+// of its unit, the unobserved baseline unless vs names another.
 type observerCase struct {
 	name  string
 	unit  overheadUnit
 	bound float64
+	vs    string           // the reference row; "" is the baseline
 	cfg   func(*SimConfig) // nil: unobserved
 	spans bool             // attach a span recorder to the runner
 }
@@ -43,6 +44,9 @@ type observerCase struct {
 // pull-collectors; spans cost a dozen allocations per experiment; an idle taint tracker
 // is a counter and three emptiness checks per commit; the profiler does
 // dense-array atomic adds; the flight recorder a ring store per commit.
+// A flight-recorded experiment runs fully hooked, while the baseline
+// runs the stretch ahead of its armed trigger translated, so flight is
+// bounded against "cold", the unobserved runner with the fast path off.
 var observerTable = []struct {
 	unit   overheadUnit
 	rounds int
@@ -59,7 +63,8 @@ var observerTable = []struct {
 		{name: "baseline"},
 		{name: "disabled", bound: 1.5},
 		{name: "spans", bound: 2.0, spans: true},
-		{name: "flight", bound: 3.0, cfg: func(c *SimConfig) { c.EnableFlight, c.FlightDepth = true, 256 }},
+		{name: "cold", cfg: func(c *SimConfig) { c.DisableFastPath = true }},
+		{name: "flight", bound: 3.0, vs: "cold", cfg: func(c *SimConfig) { c.EnableFlight, c.FlightDepth = true, 256 }},
 	}},
 }
 
@@ -140,7 +145,7 @@ func BenchmarkObservers(b *testing.B) {
 }
 
 // checkOverhead asserts the bounds of the named rows of unit's table
-// against its unobserved baseline. The baseline is timed once, in
+// against their reference rows. Each reference is timed once, in
 // rounds interleaved with the rows' series, so a change in the load
 // from other processes (go test runs packages in parallel) lands on
 // both sides of every ratio.
@@ -150,23 +155,35 @@ func checkOverhead(t *testing.T, unit overheadUnit, names ...string) {
 		t.Skip("benchmark comparison in -short mode")
 	}
 	var rounds int
-	var cases []observerCase
+	var table []observerCase
 	for _, u := range observerTable {
-		if u.unit != unit {
-			continue
-		}
-		rounds = u.rounds
-		cases = append(cases, u.cases[0])
-		for _, name := range names {
-			for _, c := range u.cases[1:] {
-				if c.name == name {
-					cases = append(cases, c)
-				}
-			}
+		if u.unit == unit {
+			rounds, table = u.rounds, u.cases
 		}
 	}
-	if len(cases) != len(names)+1 {
-		t.Fatalf("%s table lacks a baseline or one of the rows %q", unit, names)
+	if len(table) == 0 {
+		t.Fatalf("no %s table", unit)
+	}
+	// cases are the rows to time: the baseline, the named rows and
+	// their references; pos indexes them by name.
+	cases := []observerCase{table[0]}
+	pos := map[string]int{"": 0, table[0].name: 0}
+	add := func(name string) {
+		if _, ok := pos[name]; ok {
+			return
+		}
+		for _, c := range table {
+			if c.name == name {
+				pos[name] = len(cases)
+				cases = append(cases, c)
+				return
+			}
+		}
+		t.Fatalf("%s table lacks the row %q", unit, name)
+	}
+	for _, name := range names {
+		add(name)
+		add(cases[pos[name]].vs)
 	}
 	nexts := make([]func() func(), len(cases))
 	for i, c := range cases {
@@ -182,12 +199,16 @@ func checkOverhead(t *testing.T, unit overheadUnit, names ...string) {
 			total[i] += time.Since(start)
 		}
 	}
-	t.Logf("%s/baseline: %v per op", unit, total[0]/time.Duration(rounds))
-	for i, c := range cases[1:] {
-		ratio := float64(total[i+1]) / float64(total[0])
-		t.Logf("%s/%s: %.2fx (bound %.1fx)", unit, c.name, ratio, c.bound)
+	for i, c := range cases {
+		t.Logf("%s/%s: %v per op", unit, c.name, total[i]/time.Duration(rounds))
+	}
+	for _, name := range names {
+		c := cases[pos[name]]
+		ref := cases[pos[c.vs]].name
+		ratio := float64(total[pos[name]]) / float64(total[pos[c.vs]])
+		t.Logf("%s/%s: %.2fx %s (bound %.1fx)", unit, c.name, ratio, ref, c.bound)
 		if ratio > c.bound {
-			t.Errorf("%s/%s costs %.2fx the unobserved baseline, over the %.1fx bound", unit, c.name, ratio, c.bound)
+			t.Errorf("%s/%s costs %.2fx %s, over the %.1fx bound", unit, c.name, ratio, ref, c.bound)
 		}
 	}
 }
@@ -217,7 +238,7 @@ func TestSpansDisabledOverhead(t *testing.T) {
 }
 
 // TestFlightDisabledOverhead bounds the flight recorder per experiment,
-// and the disabled path.
+// against the runner with the fast path off, and the disabled path.
 func TestFlightDisabledOverhead(t *testing.T) {
 	checkOverhead(t, unitExperiment, "disabled", "flight")
 }
