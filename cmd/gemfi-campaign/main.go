@@ -87,6 +87,10 @@ func run() error {
 		weight   = flag.Int("weight", 0, "fair-share weight (-submit; 0 = default 1)")
 	)
 	flag.Parse()
+	modelKind, err := sim.ParseModel(*model)
+	if err != nil {
+		return err
+	}
 
 	if *server != "" {
 		return runClient(clientArgs{
@@ -114,15 +118,10 @@ func run() error {
 		}
 		return nil
 	}
-	// MaxInsts stays zero: each runner derives its watchdog from its
-	// workload's golden run.
-	cfg := sim.Config{
-		Model:                   sim.ModelKind(*model),
-		EnableFI:                true,
-		SwitchToAtomicOnResolve: sim.ModelKind(*model) == sim.ModelPipelined,
-		FastForward:             *fastFwd,
-		EnableBlockTranslation:  *bbtOn,
-	}
+	// The configuration every campaign runner uses. MaxInsts stays zero:
+	// each runner derives its watchdog from its workload's golden run.
+	cfg := campaign.SimConfig(modelKind, 0)
+	cfg.FastForward, cfg.EnableBlockTranslation = *fastFwd, *bbtOn
 	opts := campaign.RunnerOptions{Cfg: &cfg}
 
 	var report interface {

@@ -6,7 +6,8 @@
 //
 //	gemfi-now master -addr :7070 -workload pi -scale small -n 500
 //
-// Worker (one per workstation; -slots experiments run simultaneously):
+// Worker (one per workstation; -slots experiments run simultaneously;
+// the model, watchdog, fork server and observers come from the master):
 //
 //	gemfi-now worker -addr master-host:7070 -slots 4
 package main
@@ -78,6 +79,10 @@ func runPrepare(args []string) error {
 	if err != nil {
 		return err
 	}
+	modelKind, err := sim.ParseModel(*model)
+	if err != nil {
+		return err
+	}
 	// First pass discovers the injection window; second writes the real
 	// experiment set.
 	probeDir, err := os.MkdirTemp("", "gemfi-probe")
@@ -85,7 +90,7 @@ func runPrepare(args []string) error {
 		return err
 	}
 	defer os.RemoveAll(probeDir)
-	if err := now.PrepareShare(probeDir, now.ShareConfig{Workload: *workload, Scale: scale, Model: sim.ModelKind(*model)}); err != nil {
+	if err := now.PrepareShare(probeDir, now.ShareConfig{Workload: *workload, Scale: scale, Model: modelKind}); err != nil {
 		return err
 	}
 	window, err := now.ShareWindowInsts(probeDir)
@@ -94,7 +99,7 @@ func runPrepare(args []string) error {
 	}
 	exps := campaign.GenerateUniform(*n, campaign.GenConfig{WindowInsts: window, Seed: *seed})
 	if err := now.PrepareShare(*dir, now.ShareConfig{
-		Workload: *workload, Scale: scale, Model: sim.ModelKind(*model), Experiments: exps,
+		Workload: *workload, Scale: scale, Model: modelKind, Experiments: exps,
 	}); err != nil {
 		return err
 	}
@@ -170,6 +175,8 @@ func runMaster(args []string) error {
 		httpAddr  = fs.String("http", "", "serve the campaign API and observability endpoints (/campaigns /metrics /status /traces) on this address")
 		drain     = fs.Duration("drain", 30*time.Second, "in-flight drain bound on SIGINT/SIGTERM")
 
+		forkOn     = fs.Bool("fork", false, "fork-server mode, on every worker (via the welcome message): each slot runs one local trunk and forks experiments from COW snapshots instead of replaying the shipped checkpoint")
+		taintOn    = fs.Bool("taint", false, "track fault propagation on every worker (via the welcome message); verdict summaries ride back on each result")
 		flightOn   = fs.Bool("flight", false, "ask workers (via the welcome message) to flight-record: crashed/SDC results arrive with post-mortem dumps attached")
 		spanSample = fs.Int("span-sample", 1, "keep 1 in N experiment traces (crashed/SDC traces are always kept)")
 		spansJSONL = fs.String("spans-jsonl", "", "trace every experiment end to end (worker-side spans stitch under the master's experiment span) and write the span trees to this JSONL file at exit")
@@ -193,7 +200,8 @@ func runMaster(args []string) error {
 		return err
 	}
 	defer s.Shutdown(*drain)
-	id, err := s.Submit(serv.CampaignSpec{Workload: *workload, Scale: *scaleName, Model: *model, N: *n, Seed: *seed})
+	id, err := s.Submit(serv.CampaignSpec{Workload: *workload, Scale: *scaleName, Model: *model, N: *n, Seed: *seed,
+		Fork: *forkOn, Taint: *taintOn})
 	if err != nil {
 		return err
 	}
@@ -266,6 +274,9 @@ func runMaster(args []string) error {
 	return nil
 }
 
+// runWorker runs one workstation. Its flags are deployment settings
+// only: the master's welcome carries every setting that can change a
+// result.
 func runWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	var (
@@ -277,11 +288,6 @@ func runWorker(args []string) error {
 		retries    = fs.Int("retries", 2, "local retries for a timed-out experiment")
 		heartbeat  = fs.Duration("heartbeat", 5*time.Second, "liveness message interval (0 = off)")
 		metrics    = fs.Bool("metrics", false, "print worker telemetry (now.worker.*) at exit")
-		taintOn    = fs.Bool("taint", false, "track fault propagation per experiment; verdict summaries ride back to the master on each result")
-		forkOn     = fs.Bool("fork", false, "fork-server mode: each slot runs one local trunk and forks experiments from COW snapshots instead of replaying the shipped checkpoint")
-		forkSnaps  = fs.Int("fork-snapshots", 0, "trunk snapshots across the fault window in -fork mode (0 = default)")
-		flightOn   = fs.Bool("flight", false, "flight recorder: crashed/SDC experiments ship a post-mortem dump back to the master on their result (also enabled by the master's welcome)")
-		flightDep  = fs.Int("flight-depth", 0, "flight recorder ring size (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -296,9 +302,6 @@ func runWorker(args []string) error {
 		ExpTimeout:   *expTimeout, ExpRetries: *retries,
 		Heartbeat: *heartbeat,
 		Metrics:   reg,
-		Taint:     *taintOn,
-		Fork:      *forkOn, ForkSnapshots: *forkSnaps,
-		Flight: *flightOn, FlightDepth: *flightDep,
 	})
 	n, err := w.Run()
 	fmt.Printf("worker: completed %d experiments\n", n)

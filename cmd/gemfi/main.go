@@ -131,6 +131,10 @@ func run() error {
 		return fmt.Errorf("-save-checkpoint cannot be combined with -spans-jsonl or -spans-chrome: the checkpoint run is not traced")
 	}
 	wantTaint := *taintOn || *taintDot != "" || *taintJSON != ""
+	modelKind, err := sim.ParseModel(*model)
+	if err != nil {
+		return err
+	}
 
 	prog, err := loadProgram(*progPath, *workload, *scaleName)
 	if err != nil {
@@ -151,12 +155,11 @@ func run() error {
 	}
 
 	cfg := sim.Config{
-		Model:                   sim.ModelKind(*model),
-		EnableFI:                !*noFI,
-		Faults:                  faults,
-		MaxInsts:                *maxInsts,
-		SwitchToAtomicOnResolve: sim.ModelKind(*model) == sim.ModelPipelined,
-		EnableBlockTranslation:  *bbtOn,
+		Model:                  modelKind,
+		EnableFI:               !*noFI,
+		Faults:                 faults,
+		MaxInsts:               *maxInsts,
+		EnableBlockTranslation: *bbtOn,
 	}
 	if *metricsDump || *metricsJSON != "" || *httpAddr != "" {
 		cfg.Metrics = obs.NewRegistry()

@@ -202,19 +202,25 @@ var propClock atomic.Uint64
 
 // RunnerOptions configures NewRunner.
 type RunnerOptions struct {
-	// Model for the injection phase (default: sim.DefaultConfig with the
-	// atomic model).
+	// Model for the injection phase (default: SimConfig on the atomic
+	// model).
 	Cfg *sim.Config
 	// DisableCheckpoint runs every experiment from program start (the
 	// Fig. 8 baseline).
 	DisableCheckpoint bool
 }
 
-// defaultCampaignConfig is the paper's methodology configuration.
-func defaultCampaignConfig() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Model = sim.ModelAtomic // campaigns default to the fast model; drivers override
-	return cfg
+// SimConfig is the simulator configuration of every campaign runner —
+// gemfi-campaign's pool, the campaign service's local runners, NoW
+// workers and file-share workers — so one campaign gives the same
+// verdicts whichever of them runs an experiment. Block translation
+// speeds up the atomic golden passes and post-resolve tails; a zero
+// maxInsts lets the runner derive the watchdog from the golden run.
+// Callers add observers; gemfi-campaign also applies its -fast-forward
+// (which moves Ticks) and -bbt (which cannot change a result).
+func SimConfig(model sim.ModelKind, maxInsts uint64) sim.Config {
+	return sim.Config{Model: model, EnableFI: true, MaxInsts: maxInsts,
+		EnableBlockTranslation: true}
 }
 
 // maxGoldenInsts is the watchdog of a golden pass, and the ceiling of
@@ -232,7 +238,7 @@ const maxGoldenInsts = 2_000_000_000
 // MaxInsts derives the experiment watchdog from the golden run's
 // length.
 func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
-	cfg := defaultCampaignConfig()
+	cfg := SimConfig(sim.ModelAtomic, 0)
 	if opts.Cfg != nil {
 		cfg = *opts.Cfg
 	}

@@ -18,7 +18,7 @@ func piRunner(t *testing.T) *Runner {
 // on in the campaign default configuration.
 func observedPiRunner(t *testing.T, observe func(*sim.Config)) *Runner {
 	t.Helper()
-	cfg := defaultCampaignConfig()
+	cfg := SimConfig(sim.ModelAtomic, 0)
 	observe(&cfg)
 	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), RunnerOptions{Cfg: &cfg})
 	if err != nil {
@@ -272,7 +272,7 @@ func TestFig6ReportStructure(t *testing.T) {
 // on it, so the profile keeps accumulating across experiments and every
 // result still carries its taint summary.
 func TestBaselineRunnerKeepsObservers(t *testing.T) {
-	cfg := defaultCampaignConfig()
+	cfg := SimConfig(sim.ModelAtomic, 0)
 	cfg.EnableProfiler, cfg.EnableTaint = true, true
 	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest),
 		RunnerOptions{Cfg: &cfg, DisableCheckpoint: true})

@@ -132,7 +132,7 @@ func TestFlightPhasesSplicedFromSpans(t *testing.T) {
 }
 
 func TestPoolFlightDumpsAndOnResult(t *testing.T) {
-	cfg := defaultCampaignConfig()
+	cfg := SimConfig(sim.ModelAtomic, 0)
 	cfg.EnableFlight, cfg.FlightDepth = true, 32
 	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 2, RunnerOptions{Cfg: &cfg})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestPoolFlightDumpsAndOnResult(t *testing.T) {
 // server must end both times at the trap, with dumps covering the same
 // commits.
 func TestFlightForkRunnerDumpsEveryRerun(t *testing.T) {
-	cfg := defaultCampaignConfig()
+	cfg := SimConfig(sim.ModelAtomic, 0)
 	cfg.EnableFlight, cfg.FlightDepth = true, 64
 	r, err := NewRunner(workloads.Deblock(workloads.ScaleTest), RunnerOptions{Cfg: &cfg})
 	if err != nil {

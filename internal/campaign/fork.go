@@ -264,7 +264,6 @@ func (fs *forkServer) statsSnapshot() ForkStats {
 func trunkConfig(cfg sim.Config) sim.Config {
 	cfg.Model = sim.ModelAtomic
 	cfg.FastForward = false
-	cfg.FastForwardAt = 0
 	cfg.Faults = nil
 	cfg.StopAtCheckpoint = false
 	cfg.EnableProfiler, cfg.EnableTaint, cfg.EnableFlight = false, false, false
@@ -407,8 +406,8 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 		}
 		// The pipelined model latches in-flight state across steps that a
 		// snapshot comparison cannot see; only prune once the simulator is
-		// on a serial model (atomic, or pipelined after the post-resolve
-		// switch — the campaign methodology's SwitchToAtomicOnResolve).
+		// on a serial model: atomic, or a pipelined run after the switch
+		// to atomic that follows its faults' resolution.
 		if r.sim.Model.ModelName() == "pipelined" {
 			continue
 		}

@@ -103,7 +103,7 @@ func TestTaintExplainsOutcomes(t *testing.T) {
 // every worker its own tracker, Prop summaries land on all completed
 // results, and TaintReport returns the freshest report.
 func TestTaintSummaryOnPoolResults(t *testing.T) {
-	cfg := defaultCampaignConfig()
+	cfg := SimConfig(sim.ModelAtomic, 0)
 	cfg.EnableTaint = true
 	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 4, RunnerOptions{Cfg: &cfg})
 	if err != nil {

@@ -583,6 +583,23 @@ func TestResetRearms(t *testing.T) {
 	}
 }
 
+// TestResetClearsWindowCommits: a restored run counts only its own
+// fault-injection windows, not the closed windows of the run before.
+func TestResetClearsWindowCommits(t *testing.T) {
+	e := NewEngine("cpu", nil)
+	for range 2 {
+		e.OnActivate(0x1000, 0)
+		for seq := uint64(1); seq <= 5; seq++ {
+			e.OnCommit(seq, 0, nil)
+		}
+		e.OnActivate(0x1000, 0)
+		if got := e.WindowCommits(); got != 5 {
+			t.Fatalf("WindowCommits = %d, want 5", got)
+		}
+		e.Reset(nil)
+	}
+}
+
 func TestHooksAreNoOpsWhenDisabled(t *testing.T) {
 	e := NewEngine("cpu", []Fault{
 		{Loc: LocFetch, Behavior: BehAllOne, Base: TimeInst, When: 1, Occ: 1},

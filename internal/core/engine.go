@@ -262,6 +262,7 @@ func (e *Engine) rearm() {
 	e.unannounced = e.span == nil
 	e.threads = make(map[uint64]*ThreadEnabledFault)
 	e.current = nil
+	e.windowCommits = 0
 	e.bySeq = make(map[uint64][]*faultState)
 	e.taintInt = [isa.NumRegs]*faultState{}
 	e.taintFP = [isa.NumRegs]*faultState{}

@@ -9,15 +9,15 @@ import (
 )
 
 // MatchLocal runs exps on a local runner built from the configuration
-// every NoW party uses and requires each remote result to carry the same
-// outcome, fired flag, instruction count and tick count. It is the
-// referee of the file-share tests and, exported, of the wire tests.
+// every campaign runner uses and requires each remote result to carry
+// the same outcome, fired flag, instruction count and tick count. It is
+// the referee of the file-share tests and, exported, of the wire tests.
 func MatchLocal(t *testing.T, model sim.ModelKind, exps []campaign.Experiment, remote []campaign.Result) {
 	t.Helper()
 	if len(remote) != len(exps) {
 		t.Fatalf("remote results = %d of %d", len(remote), len(exps))
 	}
-	cfg := SimConfig(string(model), 0)
+	cfg := campaign.SimConfig(model, 0)
 	local, err := campaign.NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func PrepareShare(dir string, cfg ShareConfig) error {
 	if err != nil {
 		return err
 	}
-	runnerCfg := SimConfig(string(cfg.Model), cfg.MaxInsts)
+	runnerCfg := campaign.SimConfig(cfg.Model, cfg.MaxInsts)
 	runner, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &runnerCfg})
 	if err != nil {
 		return err
@@ -149,7 +149,11 @@ func FileWorker(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	runner, err := campaign.NewRestoredRunner(w, SimConfig(meta.Model, meta.MaxInsts), meta.WindowInsts, st)
+	model, err := sim.ParseModel(meta.Model)
+	if err != nil {
+		return 0, err
+	}
+	runner, err := campaign.NewRestoredRunner(w, campaign.SimConfig(model, meta.MaxInsts), meta.WindowInsts, st)
 	if err != nil {
 		return 0, err
 	}

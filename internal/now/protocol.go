@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Message is the single wire envelope; Type selects which fields are
@@ -40,27 +39,7 @@ type Message struct {
 	WorkerName string `json:"workerName,omitempty"`
 
 	// welcome (master -> worker)
-	Campaign    string `json:"campaign,omitempty"` // the session's campaign
-	Workload    string `json:"workload,omitempty"`
-	Scale       int    `json:"scale,omitempty"`
-	Checkpoint  []byte `json:"checkpoint,omitempty"` // gob bytes (base64 via JSON)
-	WindowInsts uint64 `json:"windowInsts,omitempty"`
-	Model       string `json:"model,omitempty"`
-	MaxInsts    uint64 `json:"maxInsts,omitempty"`
-
-	// welcome (master -> worker): master records spans; workers should
-	// record their side of each experiment and ship it back on results
-	SpanTrace bool `json:"spanTrace,omitempty"`
-
-	// welcome (master -> worker): the source wants flight-recorder
-	// post-mortems; workers attach a recorder and ship dumps back on the
-	// results of interesting experiments (Result.Postmortem)
-	Flight bool `json:"flight,omitempty"`
-
-	// welcome (master -> worker): the source tracks fault propagation;
-	// workers run a taint tracker and ship the verdict summary back on
-	// every result (Result.Prop)
-	Taint bool `json:"taint,omitempty"`
+	Welcome *Welcome `json:"welcome,omitempty"`
 
 	// experiment (master -> worker)
 	Experiment *campaign.Experiment `json:"experiment,omitempty"`
@@ -78,17 +57,6 @@ type Message struct {
 
 	// error (either direction)
 	Error string `json:"error,omitempty"`
-}
-
-// SimConfig is the simulator configuration every NoW party builds its
-// runner from — the campaign service for its golden pass and local
-// experiments, workers and file-share workers for theirs — so remote
-// verdicts match a local runner's. Block translation speeds up the
-// atomic golden passes and post-resolve tails; a zero maxInsts lets the
-// runner derive the watchdog from the golden run.
-func SimConfig(model string, maxInsts uint64) sim.Config {
-	return sim.Config{Model: sim.ModelKind(model), EnableFI: true, MaxInsts: maxInsts,
-		EnableBlockTranslation: true}
 }
 
 // Message types.

@@ -17,29 +17,35 @@ import (
 
 // Welcome carries the campaign parameters a worker needs to build its
 // local runner: the workload identity, the serialized checkpoint, the
-// window size, the simulator model and the watchdog. Campaign tags the
-// session for the source's accounting (workers echo it back implicitly
-// by staying on the session).
+// window size, and every setting that can change a result — the
+// simulator model, the watchdog and the fork decision — so a worker runs
+// exactly the experiments the master's own runners would. Campaign tags
+// the session for the source's accounting (workers echo it back
+// implicitly by staying on the session).
 type Welcome struct {
-	Campaign    string
-	Workload    string
-	Scale       int
-	Checkpoint  []byte
-	WindowInsts uint64
-	Model       string
-	MaxInsts    uint64
+	Campaign    string `json:"campaign"`
+	Workload    string `json:"workload"`
+	Scale       int    `json:"scale"`
+	Checkpoint  []byte `json:"checkpoint"` // gob bytes (base64 via JSON)
+	WindowInsts uint64 `json:"windowInsts"`
+	Model       string `json:"model"`
+	MaxInsts    uint64 `json:"maxInsts"`
+	// Fork runs the worker's experiments on the fork server (a local
+	// trunk and COW snapshots) instead of replaying each from the
+	// checkpoint, as the campaign's own runners do.
+	Fork bool `json:"fork,omitempty"`
 	// SpanTrace tells the worker the source records distributed spans:
 	// each experiment arrives with a trace context, and the worker ships
 	// its span records back on the result.
-	SpanTrace bool
+	SpanTrace bool `json:"spanTrace,omitempty"`
 	// Flight tells the worker the source wants flight-recorder
 	// post-mortems: the worker attaches a recorder and interesting
 	// results arrive with Result.Postmortem populated.
-	Flight bool
+	Flight bool `json:"flight,omitempty"`
 	// Taint tells the worker the source tracks fault propagation: the
 	// worker runs a taint tracker and every result arrives with
 	// Result.Prop populated.
-	Taint bool
+	Taint bool `json:"taint,omitempty"`
 }
 
 // Session is one worker's assignment to a campaign. Take, Complete and
@@ -109,19 +115,7 @@ func serveSourceConn(name string, c *conn, src ExpSource) {
 		return
 	}
 	defer sess.Close()
-	if err := c.send(Message{
-		Type:        MsgWelcome,
-		Campaign:    wel.Campaign,
-		Workload:    wel.Workload,
-		Scale:       wel.Scale,
-		Checkpoint:  wel.Checkpoint,
-		WindowInsts: wel.WindowInsts,
-		Model:       wel.Model,
-		MaxInsts:    wel.MaxInsts,
-		SpanTrace:   wel.SpanTrace,
-		Flight:      wel.Flight,
-		Taint:       wel.Taint,
-	}); err != nil {
+	if err := c.send(Message{Type: MsgWelcome, Welcome: &wel}); err != nil {
 		return
 	}
 	for {

@@ -9,10 +9,13 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// WorkerConfig parameterizes a workstation process.
+// WorkerConfig parameterizes a workstation process. It holds deployment
+// settings only: every setting that can change a result (model,
+// watchdog, fork server, observers) arrives in the master's welcome.
 type WorkerConfig struct {
 	// Addr is the master's address.
 	Addr string
@@ -45,33 +48,6 @@ type WorkerConfig struct {
 	// Metrics, when set, receives worker counters (now.worker.*): dial
 	// retries, experiment timeouts and retries, completed experiments.
 	Metrics *obs.Registry
-
-	// Taint enables per-experiment fault-propagation tracking even when
-	// the master did not ask for it (the master's welcome requests it
-	// for taint campaigns); the compact verdict summary rides back to the
-	// master on each Result.
-	// The golden differ is fed by the runner's own atomic fault-free
-	// continuation from the checkpoint (the same one that rebuilds the
-	// golden output).
-	Taint bool
-
-	// Fork switches each slot's runner into fork-server mode: one local
-	// trunk run freezes COW snapshots across the fault window and every
-	// experiment forks from the closest one instead of replaying the
-	// warm-up from the shipped checkpoint. Pruning is disabled when Taint
-	// or Flight is also set (observed runs must execute in full).
-	Fork bool
-	// ForkSnapshots overrides the trunk snapshot count in Fork mode;
-	// 0 uses the campaign default.
-	ForkSnapshots int
-
-	// Flight attaches a flight recorder to each slot's runner even when
-	// the master did not ask for one (the master's welcome requests it
-	// for -flight campaigns); interesting results ship their post-mortem
-	// dump back on Result.Postmortem.
-	Flight bool
-	// FlightDepth sizes the recorder ring (0 selects the default).
-	FlightDepth int
 }
 
 // Worker pulls experiments from a master and executes them locally from
@@ -166,11 +142,11 @@ func (w *Worker) runSlot(name string) (int, error) {
 	if welcome.Type == MsgDone {
 		return 0, nil // the master has nothing for this slot to run
 	}
-	if welcome.Type != MsgWelcome {
+	if welcome.Type != MsgWelcome || welcome.Welcome == nil {
 		return 0, fmt.Errorf("now: expected welcome, got %q", welcome.Type)
 	}
 
-	runner, err := buildRunner(welcome, w.cfg)
+	runner, err := buildRunner(*welcome.Welcome)
 	if err != nil {
 		return 0, err
 	}
@@ -179,7 +155,7 @@ func (w *Worker) runSlot(name string) (int, error) {
 	// traces are rooted at the master, so nothing completes (or is
 	// sampled) here — the recorder is just a staging buffer.
 	var spans *obs.SpanRecorder
-	if welcome.SpanTrace {
+	if welcome.Welcome.SpanTrace {
 		spans = obs.NewSpanRecorder()
 		runner.AttachSpans(spans, name)
 	}
@@ -273,34 +249,33 @@ func (w *Worker) runExperiment(runner *campaign.Runner, exp campaign.Experiment,
 	}
 }
 
-// buildRunner reconstructs the campaign runner from a welcome message:
-// the program is rebuilt deterministically from (workload, scale), the
+// buildRunner reconstructs the campaign runner from a welcome: the
+// program is rebuilt deterministically from (workload, scale), the
 // simulator state comes from the shipped checkpoint — the "local copy of
 // the checkpoint" of the paper's step 3 — and the runner derives the
 // golden outputs from it with its own atomic fault-free continuation.
-func buildRunner(welcome Message, wcfg WorkerConfig) (*campaign.Runner, error) {
-	wl, err := workloads.ByName(welcome.Workload, workloads.Scale(welcome.Scale))
+// Everything that can change a result comes from the welcome.
+func buildRunner(wel Welcome) (*campaign.Runner, error) {
+	model, err := sim.ParseModel(wel.Model)
 	if err != nil {
 		return nil, err
 	}
-	st, err := checkpoint.FromBytes(welcome.Checkpoint)
+	wl, err := workloads.ByName(wel.Workload, workloads.Scale(wel.Scale))
 	if err != nil {
 		return nil, err
 	}
-	cfg := SimConfig(welcome.Model, welcome.MaxInsts)
-	cfg.EnableTaint = welcome.Taint || wcfg.Taint
-	cfg.EnableFlight = welcome.Flight || wcfg.Flight
-	cfg.FlightDepth = wcfg.FlightDepth
-	runner, err := campaign.NewRestoredRunner(wl, cfg, welcome.WindowInsts, st)
+	st, err := checkpoint.FromBytes(wel.Checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	if wcfg.Fork {
-		fo := campaign.DefaultForkOptions()
-		if wcfg.ForkSnapshots > 0 {
-			fo.Snapshots = wcfg.ForkSnapshots
-		}
-		if err := runner.EnableFork(fo); err != nil {
+	cfg := campaign.SimConfig(model, wel.MaxInsts)
+	cfg.EnableTaint, cfg.EnableFlight = wel.Taint, wel.Flight
+	runner, err := campaign.NewRestoredRunner(wl, cfg, wel.WindowInsts, st)
+	if err != nil {
+		return nil, err
+	}
+	if wel.Fork {
+		if err := runner.EnableFork(campaign.DefaultForkOptions()); err != nil {
 			return nil, err
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/now"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -36,7 +35,7 @@ type CampaignSpec struct {
 	// Workload/Scale/Model/MaxInsts configure the simulators.
 	Workload string `json:"workload"`
 	Scale    string `json:"scale,omitempty"` // test|small|paper (default test)
-	Model    string `json:"model,omitempty"` // atomic|pipelined (default atomic)
+	Model    string `json:"model,omitempty"` // atomic|timing|pipelined (default atomic)
 	MaxInsts uint64 `json:"maxInsts,omitempty"`
 
 	// Sampling selects the experiment planner: "uniform" (default, the
@@ -115,11 +114,11 @@ func (s *CampaignSpec) scale() (workloads.Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (test|small|paper)", s.Scale)
 }
 
-func (s *CampaignSpec) model() sim.ModelKind {
+func (s *CampaignSpec) model() (sim.ModelKind, error) {
 	if s.Model == "" {
-		return sim.ModelAtomic
+		return sim.ModelAtomic, nil
 	}
-	return sim.ModelKind(s.Model)
+	return sim.ParseModel(s.Model)
 }
 
 // Campaign phases.
@@ -211,7 +210,11 @@ func (c *Campaign) prepare() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := now.SimConfig(string(c.Spec.model()), c.Spec.MaxInsts)
+	model, err := c.Spec.model()
+	if err != nil {
+		return 0, err
+	}
+	cfg := campaign.SimConfig(model, c.Spec.MaxInsts)
 	cfg.EnableProfiler = c.Spec.Profile
 	cfg.EnableTaint = c.Spec.Taint
 	cfg.EnableFlight = c.Spec.Flight || c.flight

@@ -228,6 +228,9 @@ func validateSpec(spec *CampaignSpec) error {
 	if _, err := spec.scale(); err != nil {
 		return err
 	}
+	if _, err := spec.model(); err != nil {
+		return err
+	}
 	switch spec.Sampling {
 	case "", SampleUniform, SampleAdaptive:
 	default:

@@ -31,7 +31,11 @@ func directResults(t *testing.T, spec CampaignSpec) ([]campaign.Result, uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Config{Model: spec.model(), EnableFI: true, MaxInsts: spec.MaxInsts}
+	model, err := spec.model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Model: model, EnableFI: true, MaxInsts: spec.MaxInsts}
 	r, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -401,6 +405,7 @@ func TestServiceHTTP(t *testing.T) {
 		{Workload: "pi"},                        // no budget
 		{Workload: "pi", N: 5, Scale: "galaxy"}, // bad scale
 		{Workload: "pi", N: 5, Sampling: "maybe"}, // bad mode
+		{Workload: "pi", N: 5, Model: "pipelind"}, // bad model
 	} {
 		b, _ := json.Marshal(bad)
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(b))

@@ -772,8 +772,9 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 		Scale:       int(scale),
 		Checkpoint:  ckpt,
 		WindowInsts: runner.WindowInsts,
-		Model:       string(pick.Spec.model()),
+		Model:       string(runner.Cfg.Model),
 		MaxInsts:    runner.Cfg.MaxInsts, // the watchdog the local runners use
+		Fork:        pick.Spec.Fork,
 		SpanTrace:   s.cfg.Spans != nil,
 		Flight:      s.cfg.Flight || pick.Spec.Flight,
 		Taint:       pick.Spec.Taint,

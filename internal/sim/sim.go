@@ -33,10 +33,25 @@ const (
 	ModelPipelined ModelKind = "pipelined"
 )
 
+// ParseModel returns the CPU model a name selects, or an error naming
+// the valid ones: every command-line flag and service spec that takes a
+// model goes through it.
+func ParseModel(name string) (ModelKind, error) {
+	switch k := ModelKind(name); k {
+	case ModelAtomic, ModelTiming, ModelPipelined:
+		return k, nil
+	}
+	return "", fmt.Errorf("unknown CPU model %q (atomic|timing|pipelined)", name)
+}
+
 // Config parameterizes a simulator.
 type Config struct {
 	CPUName string
-	Model   ModelKind
+	// Model is the CPU model of the run. A pipelined run whose faults
+	// have all fired, and whose affected instructions have committed or
+	// squashed, continues on the atomic model (the campaign methodology
+	// of Section IV.B.1); a fault-free pipelined run stays pipelined.
+	Model ModelKind
 
 	// EnableFI attaches a fault engine; false models unmodified gem5.
 	EnableFI bool
@@ -49,11 +64,6 @@ type Config struct {
 	// layer classifies a watchdog stop as a crash (hang).
 	MaxInsts uint64
 
-	// SwitchToAtomicOnResolve switches from the pipelined model to the
-	// atomic model once every fault has fired and its affected
-	// instruction has committed or squashed.
-	SwitchToAtomicOnResolve bool
-
 	// FastForward runs the cheap atomic model from the start of the run
 	// (or from a checkpoint restore) until the fault-injection window
 	// opens — the guest's fi_activate_inst — and only then switches to
@@ -63,13 +73,6 @@ type Config struct {
 	// detailed model only where faults can strike. No-op when Model is
 	// already ModelAtomic.
 	FastForward bool
-
-	// FastForwardAt optionally switches earlier: once the core has
-	// committed this many instructions (a warm-up margin of N
-	// instructions before the expected window, computed by the campaign
-	// layer from the golden run). The window-open switch remains as the
-	// correctness backstop. 0 = switch exactly at window open.
-	FastForwardAt uint64
 
 	// Hierarchy overrides the cache configuration (nil = default). Only
 	// timing and pipelined models consume cache latencies.
@@ -127,11 +130,10 @@ type Config struct {
 // on the atomic model.
 func DefaultConfig() Config {
 	return Config{
-		CPUName:                 "system.cpu0",
-		Model:                   ModelPipelined,
-		EnableFI:                true,
-		SwitchToAtomicOnResolve: true,
-		EnableBlockTranslation:  true,
+		CPUName:                "system.cpu0",
+		Model:                  ModelPipelined,
+		EnableFI:               true,
+		EnableBlockTranslation: true,
 	}
 }
 
@@ -157,16 +159,13 @@ type Simulator struct {
 
 	// WindowOpenInsts records the committed-instruction count at the
 	// first fault-window open of the current run (0 until it happens).
-	// The campaign layer reads it off the golden run to compute
-	// fast-forward warm-up points.
 	WindowOpenInsts uint64
 
 	CheckpointHits int
 	stopRequested  bool
 	switched       bool
-	ffActive       bool   // fast-forward prefix running (atomic stand-in model)
-	ffPending      bool   // window opened mid-step: switch before the next step
-	bbtUntil       uint64 // RunUntil bound folded into the translation limit
+	ffActive       bool // fast-forward prefix running (atomic stand-in model)
+	ffPending      bool // window opened mid-step: switch before the next step
 	interrupted    atomic.Bool
 	observers      Observers // installed on Core by Observe
 
@@ -350,8 +349,8 @@ func (s *Simulator) Load(p *asm.Program) error {
 }
 
 // armFastForward starts the run on the cheap atomic model when
-// fast-forward is configured; the window-open hook (or FastForwardAt)
-// switches to the configured model.
+// fast-forward is configured; the window-open hook switches to the
+// configured model.
 func (s *Simulator) armFastForward() {
 	s.ffActive = false
 	s.ffPending = false
@@ -360,7 +359,6 @@ func (s *Simulator) armFastForward() {
 	}
 	s.ffActive = true
 	s.Model = cpu.NewAtomic(s.Core)
-	s.refreshTranslationLimit()
 }
 
 // armTranslationLimit (re)computes the translator's committed-instruction
@@ -368,26 +366,14 @@ func (s *Simulator) armFastForward() {
 // (0 = run to completion). Translated blocks must land every stop, pause
 // and model switch on exactly the instruction count the interpreter
 // would have produced, so the ceiling is the min over every active
-// instruction-indexed event: the run bound, the watchdog, and the
-// fast-forward switch point while the atomic prefix is live.
+// instruction-indexed event: the run bound and the watchdog.
 func (s *Simulator) armTranslationLimit(until uint64) {
 	if s.BBT == nil {
 		return
 	}
-	s.bbtUntil = until
-	s.refreshTranslationLimit()
-}
-
-func (s *Simulator) refreshTranslationLimit() {
-	if s.BBT == nil {
-		return
-	}
-	lim := s.bbtUntil
+	lim := until
 	if s.Cfg.MaxInsts > 0 && (lim == 0 || s.Cfg.MaxInsts < lim) {
 		lim = s.Cfg.MaxInsts
-	}
-	if s.ffActive && s.Cfg.FastForwardAt > 0 && (lim == 0 || s.Cfg.FastForwardAt < lim) {
-		lim = s.Cfg.FastForwardAt
 	}
 	s.BBT.SetLimit(lim)
 }
@@ -395,8 +381,8 @@ func (s *Simulator) refreshTranslationLimit() {
 // endFastForward switches from the atomic prefix to the configured
 // detailed model. The atomic model holds no speculative state, so the
 // switch is a clean handoff at an instruction boundary. Deliberately not
-// SwitchModel: the fast-forward prefix must not consume the one
-// SwitchToAtomicOnResolve transition.
+// SwitchModel: the fast-forward prefix must not consume the run's one
+// post-resolve switch to the atomic model.
 func (s *Simulator) endFastForward() {
 	s.ffActive = false
 	s.ffPending = false
@@ -404,7 +390,6 @@ func (s *Simulator) endFastForward() {
 		s.ffEndMark = phaseCut{time.Now().UnixNano(), s.Core.Ticks}
 	}
 	s.Model = s.newModel(s.Cfg.Model)
-	s.refreshTranslationLimit() // the FastForwardAt ceiling no longer applies
 	s.Cfg.Metrics.Counter("sim.fastforward.switches").Inc()
 }
 
@@ -655,8 +640,7 @@ func (s *Simulator) loop(until, steps uint64) loopEnd {
 		if !s.Model.Step() {
 			break
 		}
-		if s.ffActive && (s.ffPending ||
-			(s.Cfg.FastForwardAt > 0 && s.Core.Insts >= s.Cfg.FastForwardAt)) {
+		if s.ffPending {
 			s.endFastForward()
 		}
 		if until > 0 && s.Core.Insts >= until {
@@ -667,8 +651,11 @@ func (s *Simulator) loop(until, steps uint64) loopEnd {
 				map[string]any{"insts": s.Core.Insts})
 			return loopHung
 		}
-		if s.Cfg.SwitchToAtomicOnResolve && !s.switched && s.Engine != nil &&
-			s.Cfg.Model == ModelPipelined && s.Engine.AnyFired() && s.Engine.Resolved() {
+		// The post-resolve switch. A serial model pays one compare a
+		// step, and Injections, zero until some fault fires, keeps a
+		// fault-free pipelined run off the fault list.
+		if s.Cfg.Model == ModelPipelined && !s.switched && s.Engine != nil &&
+			s.Engine.Injections != 0 && s.Engine.AnyFired() && s.Engine.Resolved() {
 			s.SwitchModel(ModelAtomic)
 		}
 		if n == steps {
@@ -772,10 +759,7 @@ func (s *Simulator) SwitchModel(kind ModelKind) {
 	}
 	s.Model = s.newModel(kind)
 	s.switched = true
-	if s.ffActive {
-		s.ffActive, s.ffPending = false, false
-		s.refreshTranslationLimit() // the FastForwardAt ceiling no longer applies
-	}
+	s.ffActive, s.ffPending = false, false
 	s.Cfg.Metrics.Counter("sim.model_switches").Inc()
 	s.expSpan.Event("model.switch", s.Core.Ticks,
 		map[string]any{"from": from, "to": string(kind)})

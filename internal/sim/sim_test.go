@@ -380,6 +380,19 @@ func TestCheckpointRestoreWithDifferentFaults(t *testing.T) {
 	}
 }
 
+func TestParseModel(t *testing.T) {
+	for _, k := range []ModelKind{ModelAtomic, ModelTiming, ModelPipelined} {
+		if got, err := ParseModel(string(k)); got != k || err != nil {
+			t.Errorf("ParseModel(%q) = %q, %v", k, got, err)
+		}
+	}
+	for _, bad := range []string{"", "pipelind", "Atomic"} {
+		if _, err := ParseModel(bad); err == nil {
+			t.Errorf("ParseModel(%q) accepted an unknown model", bad)
+		}
+	}
+}
+
 // TestSwitchToAtomicAfterResolve verifies the campaign methodology: start
 // pipelined, inject, and once the fault resolves the simulator must be
 // running the atomic model.
@@ -390,7 +403,7 @@ func TestSwitchToAtomicAfterResolve(t *testing.T) {
 	}
 	s := newSim(t, Config{
 		Model: ModelPipelined, EnableFI: true, Faults: []core.Fault{f},
-		SwitchToAtomicOnResolve: true, MaxInsts: 10_000_000,
+		MaxInsts: 10_000_000,
 	})
 	r := s.Run()
 	if !r.Switched {
