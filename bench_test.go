@@ -1,12 +1,12 @@
 // Micro-benchmarks for the parts of the paper's evaluation that neither
-// the benchmark ledger (go run ./benchmark) nor a gemfi-campaign
+// the benchmark ledger (go run ./benchmark) nor a gemfi campaign
 // -experiment driver measures:
 //
 //	BenchmarkTableIInstructionFormats  - Table I (ISA decode throughput per format)
 //	BenchmarkFig2FIPerInstruction      - Fig. 2  (the per-instruction FI fast path)
 //	BenchmarkFig4OutcomeClasses        - Fig. 4  (DCT outcome categories)
 //
-// Figs. 5-8 come from gemfi-campaign -experiment fig5 ... fig8.
+// Figs. 5-8 come from gemfi campaign -experiment fig5 ... fig8.
 //
 // Run with: go test -run '^$' -bench . -benchtime 1x .
 package gemfi

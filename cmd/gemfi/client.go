@@ -1,15 +1,17 @@
 package main
 
 // Campaign-service client mode (-server): submit specs to a running
-// gemfi-serve, watch campaigns stream in live over SSE, and resume
+// gemfi serve, watch campaigns stream in live over SSE, and resume
 // watching after a client restart — the server's journal, not this
 // process, is the source of truth.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -17,45 +19,17 @@ import (
 	"repro/internal/serv"
 )
 
-type clientArgs struct {
-	server string
-	submit bool
-	watch  string
-	resume string
-
-	workload string
-	scale    string
-	model    string
-	n        int
-	seed     int64
-	sampling string
-	strata   int
-	batch    int
-	tenant   string
-	weight   int
-	workers  int
-	fork     bool
-	taint    bool
-	profile  bool
-	flight   bool
-}
-
-func runClient(a clientArgs) error {
-	base := strings.TrimSuffix(a.server, "/")
+// runClient submits spec to the service at server, or streams one of its
+// campaigns (watch or resume).
+func runClient(ctx context.Context, server string, spec *serv.CampaignSpec, submit bool, watch, resume string, stdout io.Writer) error {
+	base := strings.TrimSuffix(server, "/")
 	switch {
-	case a.submit:
-		spec := serv.CampaignSpec{
-			Workload: a.workload, Scale: a.scale, Model: a.model,
-			N: a.n, Seed: a.seed,
-			Sampling: a.sampling, Strata: a.strata, Batch: a.batch,
-			Tenant: a.tenant, Weight: a.weight, Workers: a.workers,
-			Fork: a.fork, Taint: a.taint, Profile: a.profile, Flight: a.flight,
-		}
+	case submit:
 		body, err := json.Marshal(spec)
 		if err != nil {
 			return err
 		}
-		resp, err := http.Post(base+"/campaigns", "application/json", bytes.NewReader(body))
+		resp, err := send(ctx, http.MethodPost, base+"/campaigns", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -69,32 +43,44 @@ func runClient(a clientArgs) error {
 		if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
 			return err
 		}
-		fmt.Println(created.ID)
+		fmt.Fprintln(stdout, created.ID)
 		return nil
 
-	case a.watch != "":
-		return watchCampaign(base, a.watch, false)
+	case watch != "":
+		return watchCampaign(ctx, base, watch, false, stdout)
 
-	case a.resume != "":
-		return watchCampaign(base, a.resume, true)
+	case resume != "":
+		return watchCampaign(ctx, base, resume, true, stdout)
 	}
 	return fmt.Errorf("client mode needs one of -submit, -watch <id>, -resume <id>")
+}
+
+// send makes one request to the service that ctx's cancellation aborts.
+func send(ctx context.Context, method, url string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return http.DefaultClient.Do(req)
 }
 
 // watchCampaign streams a campaign until it finishes. In resume mode the
 // report-so-far prints first, so a reconnecting client sees where the
 // campaign stands before the stream (which replays history, then runs
 // live) takes over.
-func watchCampaign(base, id string, resumeMode bool) error {
+func watchCampaign(ctx context.Context, base, id string, resumeMode bool, stdout io.Writer) error {
 	if resumeMode {
-		rep, err := fetchReport(base, id)
+		rep, err := fetchReport(ctx, base, id)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("campaign %s (%s, %s sampling): %d results so far\n",
+		fmt.Fprintf(stdout, "campaign %s (%s, %s sampling): %d results so far\n",
 			rep.ID, rep.Workload, rep.Sampling, rep.Total)
 	}
-	resp, err := http.Get(base + "/campaigns/" + id + "/stream")
+	resp, err := send(ctx, http.MethodGet, base+"/campaigns/"+id+"/stream", nil)
 	if err != nil {
 		return err
 	}
@@ -121,19 +107,16 @@ func watchCampaign(base, id string, resumeMode bool) error {
 					return err
 				}
 				tally.Add(r)
-				fmt.Printf("exp %4d: %-18s (fault %s@%d, %d insts)\n",
+				fmt.Fprintf(stdout, "exp %4d: %-18s (fault %s@%d, %d insts)\n",
 					r.ID, r.Outcome, r.Fault.Loc, r.Fault.When, r.Insts)
 			case "done":
 				var st serv.CampaignStatus
 				if err := json.Unmarshal([]byte(data), &st); err != nil {
 					return err
 				}
-				fmt.Printf("\ncampaign %s %s: %d experiments\n", st.ID, st.Phase, tally.Total())
-				for _, o := range campaign.Outcomes() {
-					fmt.Printf("  %-18s %5d (%5.1f%%)\n", o, tally[o], 100*tally.Fraction(o))
-				}
+				writeTally(stdout, fmt.Sprintf("\ncampaign %s %s: %d experiments", st.ID, st.Phase, tally.Total()), tally)
 				if st.AggCIWidth > 0 {
-					fmt.Printf("vulnerability estimate %.4f (±%.4f at campaign confidence)\n",
+					fmt.Fprintf(stdout, "vulnerability estimate %.4f (±%.4f at campaign confidence)\n",
 						st.AggP, st.AggCIWidth/2)
 				}
 				return nil
@@ -148,8 +131,8 @@ func watchCampaign(base, id string, resumeMode bool) error {
 	return fmt.Errorf("stream ended before campaign finished (reconnect with -resume %s)", id)
 }
 
-func fetchReport(base, id string) (*serv.Report, error) {
-	resp, err := http.Get(base + "/campaigns/" + id + "/report")
+func fetchReport(ctx context.Context, base, id string) (*serv.Report, error) {
+	resp, err := send(ctx, http.MethodGet, base+"/campaigns/"+id+"/report", nil)
 	if err != nil {
 		return nil, err
 	}

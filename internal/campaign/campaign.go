@@ -211,13 +211,13 @@ type RunnerOptions struct {
 }
 
 // SimConfig is the simulator configuration of every campaign runner —
-// gemfi-campaign's pool, the campaign service's local runners, NoW
+// gemfi campaign's pool, the campaign service's local runners, NoW
 // workers and file-share workers — so one campaign gives the same
 // verdicts whichever of them runs an experiment. Block translation
 // speeds up the atomic golden passes and post-resolve tails; a zero
 // maxInsts lets the runner derive the watchdog from the golden run.
-// Callers add observers; gemfi-campaign also applies its -fast-forward
-// (which moves Ticks) and -bbt (which cannot change a result).
+// Callers add observers; gemfi campaign also applies its -fast-forward
+// (which moves Ticks).
 func SimConfig(model sim.ModelKind, maxInsts uint64) sim.Config {
 	return sim.Config{Model: model, EnableFI: true, MaxInsts: maxInsts,
 		EnableBlockTranslation: true}

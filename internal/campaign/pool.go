@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -196,6 +197,14 @@ func (p *PhaseHists) Observe(res Result) {
 // ordered by experiment ID. A fork-enabled pool dispatches whole trigger
 // walks, in snapshot order; otherwise every experiment is its own job.
 func (p *Pool) RunAll(exps []Experiment) []Result {
+	results, _ := p.RunAllContext(context.Background(), exps)
+	return results
+}
+
+// RunAllContext is RunAll that stops handing out jobs once ctx is done:
+// jobs already running finish, experiments never started keep zero
+// results, and the error is ctx's.
+func (p *Pool) RunAllContext(ctx context.Context, exps []Experiment) ([]Result, error) {
 	jobs := make(chan walk)
 	results := make([]Result, len(exps))
 	start := time.Now()
@@ -268,16 +277,24 @@ func (p *Pool) RunAll(exps []Experiment) []Result {
 			}
 		}(wi, r)
 	}
+	var plan []walk
 	if p.forkEnabled() {
-		for _, w := range p.runners[0].planWalks(exps) {
-			jobs <- w
-		}
+		plan = p.runners[0].planWalks(exps)
 	} else {
+		plan = make([]walk, len(exps))
 		for i := range exps {
-			jobs <- walk{exps: exps[i : i+1]}
+			plan[i] = walk{exps: exps[i : i+1]}
+		}
+	}
+	var err error
+	for i := 0; i < len(plan) && err == nil; i++ {
+		select {
+		case jobs <- plan[i]:
+		case <-ctx.Done():
+			err = ctx.Err()
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	return results
+	return results, err
 }

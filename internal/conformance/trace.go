@@ -60,25 +60,12 @@ func fnvString(s string) uint64 {
 	return h
 }
 
-// ParseScale maps a trace-file scale name to a workload scale.
-func ParseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "test":
-		return workloads.ScaleTest, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "paper":
-		return workloads.ScalePaper, nil
-	}
-	return 0, fmt.Errorf("conformance: unknown scale %q", s)
-}
-
 // Capture runs the named workload fault-free and records its golden trace.
 func Capture(name, scale string, model sim.ModelKind, interval uint64) (*Trace, error) {
 	if interval == 0 {
 		return nil, fmt.Errorf("conformance: capture interval must be positive")
 	}
-	sc, err := ParseScale(scale)
+	sc, err := workloads.ParseScale(scale)
 	if err != nil {
 		return nil, err
 	}

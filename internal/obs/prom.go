@@ -11,7 +11,7 @@ import (
 
 // This file implements the Prometheus text exposition format for the
 // registry (served at /metrics by obs/httpserv) and a small validator
-// for it (used by the CLI's -validate-prom flag and by CI to assert
+// for it (used by `gemfi validate prom` and by the CLI tests to assert
 // the served payload parses).
 
 // promName sanitizes a registry metric name into the Prometheus name

@@ -1,6 +1,6 @@
 // Span tracing: the one trace stream of the observability layer. A
 // single run is one span tree; so is every experiment of a campaign
-// spread across gemfi-serve, the fork server, and NoW workers. A span
+// spread across gemfi serve, the fork server, and NoW workers. A span
 // tree carries a durable identity (trace ID) that follows one experiment
 // from HTTP submit to verdict, a parent/child hierarchy so worker-side
 // phases stitch under the master's experiment span, and dual timestamps

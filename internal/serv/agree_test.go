@@ -13,7 +13,7 @@ import (
 
 // TestExecutorsAgree is the one-spec-one-machine referee: a campaign
 // description gives the same result for every experiment whether
-// gemfi-campaign's pool, the service's local runners or a default NoW
+// gemfi campaign's pool, the service's local runners or a default NoW
 // worker runs it, on every model and fork setting.
 func TestExecutorsAgree(t *testing.T) {
 	for _, wl := range []string{"pi", "canneal"} {
@@ -51,7 +51,7 @@ func TestExecutorsAgree(t *testing.T) {
 }
 
 // poolResults runs spec's uniform plan on a campaign.Pool built the way
-// gemfi-campaign builds one, keyed by the ID the service gives the same
+// gemfi campaign builds one, keyed by the ID the service gives the same
 // experiment (it numbers its plan from 1).
 func poolResults(t *testing.T, spec CampaignSpec) map[int]campaign.Result {
 	t.Helper()

@@ -103,15 +103,10 @@ func (s *CampaignSpec) workers() int {
 }
 
 func (s *CampaignSpec) scale() (workloads.Scale, error) {
-	switch s.Scale {
-	case "", "test":
+	if s.Scale == "" {
 		return workloads.ScaleTest, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "paper":
-		return workloads.ScalePaper, nil
 	}
-	return 0, fmt.Errorf("unknown scale %q (test|small|paper)", s.Scale)
+	return workloads.ParseScale(s.Scale)
 }
 
 func (s *CampaignSpec) model() (sim.ModelKind, error) {

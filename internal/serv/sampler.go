@@ -219,24 +219,24 @@ func (s *sampler) status() ([]StratumStatus, float64, float64) {
 	return out, p, width
 }
 
-// validateSpec rejects specs the service cannot run before anything is
-// journaled.
-func validateSpec(spec *CampaignSpec) error {
-	if spec.Workload == "" {
+// Validate rejects specs the service cannot run before anything is
+// journaled; the campaign command applies it to local runs too.
+func (s *CampaignSpec) Validate() error {
+	if s.Workload == "" {
 		return fmt.Errorf("spec needs a workload")
 	}
-	if _, err := spec.scale(); err != nil {
+	if _, err := s.scale(); err != nil {
 		return err
 	}
-	if _, err := spec.model(); err != nil {
+	if _, err := s.model(); err != nil {
 		return err
 	}
-	switch spec.Sampling {
+	switch s.Sampling {
 	case "", SampleUniform, SampleAdaptive:
 	default:
-		return fmt.Errorf("unknown sampling mode %q (uniform|adaptive)", spec.Sampling)
+		return fmt.Errorf("unknown sampling mode %q (uniform|adaptive)", s.Sampling)
 	}
-	if spec.N <= 0 {
+	if s.N <= 0 {
 		return fmt.Errorf("spec needs a positive experiment budget n")
 	}
 	return nil

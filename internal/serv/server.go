@@ -5,7 +5,7 @@ package serv
 // the journal, executes experiments on per-campaign local runner pools
 // under a global slot budget and on NoW workers via the now.ExpSource
 // bridge, and streams progress to any number of watchers. It is the only
-// NoW master: gemfi-now master is this service with no local slots and
+// NoW master: gemfi now master is this service with no local slots and
 // one submitted campaign.
 //
 // Fair sharing is smooth weighted round-robin over campaigns that have
@@ -246,7 +246,7 @@ func (s *Service) appendApply(r record) error {
 // Submit validates a spec, journals it, and launches its campaign.
 // Returns the assigned campaign ID.
 func (s *Service) Submit(spec CampaignSpec) (string, error) {
-	if err := validateSpec(&spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return "", err
 	}
 	if _, err := workloads.ByName(spec.Workload, workloads.ScaleTest); err != nil {

@@ -44,6 +44,19 @@ const (
 	ScalePaper
 )
 
+// ParseScale maps a scale name (test|small|paper) to its Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "test":
+		return ScaleTest, nil
+	case "small":
+		return ScaleSmall, nil
+	case "paper":
+		return ScalePaper, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (test|small|paper)", name)
+}
+
 // Grade is the quality classification of a terminating run's output
 // relative to the fault-free golden run.
 type Grade int
