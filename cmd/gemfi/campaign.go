@@ -5,14 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
+	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/httpserv"
+	"repro/internal/serv"
 	"repro/internal/sim"
 	"repro/internal/taint"
 	"repro/internal/workloads"
@@ -27,7 +27,9 @@ import (
 //	gemfi campaign -experiment fig8 -n 20 -workers 4
 //	gemfi campaign -experiment custom -workload dct -n 200 -json out.json
 //
-// With -server it is instead a client of a gemfi serve campaign service:
+// A custom campaign runs on an in-process campaign service, with
+// -parallel local slots and a temporary journal. With -server it is
+// instead a client of a gemfi serve campaign service:
 //
 //	gemfi campaign -server http://localhost:8080 -submit -workload pi -n 500 -sampling adaptive
 //	gemfi campaign -server http://localhost:8080 -watch c0001
@@ -44,12 +46,8 @@ func campaignCmd(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		jsonOut    = fs.String("json", "", "also write the report as JSON to this file")
 		metrics    = fs.Bool("metrics", false, "print the campaign metrics registry at exit")
 		progress   = fs.Bool("progress", true, "print periodic progress lines (custom experiment)")
-		httpAddr   = fs.String("http", "", "serve live observability endpoints (/metrics /status /profile /taint /debug/pprof) during the campaign (custom experiment)")
+		httpAddr   = fs.String("http", "", "serve the campaign API and live observability endpoints (/campaigns /metrics /status?campaign=<id> /profile /taint /traces /debug/pprof) during the campaign (custom experiment)")
 		profileTop = fs.Int("profile-top", 20, "rows in the -profile tables")
-		fastFwd    = fs.Bool("fast-forward", false, "run each experiment on the cheap atomic model until the fault window opens, then switch to -model (campaign speedup; no effect when -model atomic)")
-		forkSnaps  = fs.Int("fork-snapshots", 32, "target trunk snapshots across the fault window in -fork mode")
-
-		flightDepth = fs.Int("flight-depth", 0, "flight recorder ring size (0 = default)")
 
 		// Distributed span tracing (custom experiment), on when an output
 		// below or -http asks for it. Each experiment becomes one trace:
@@ -68,11 +66,11 @@ func campaignCmd(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	)
 	fs.BoolVar(&spec.Profile, "profile", false, "profile the guest across all experiments and print the top table plus the per-PC outcome attribution (custom experiment)")
 	fs.BoolVar(&spec.Taint, "taint", false, "track fault propagation per experiment: verdict tally, Result.Prop summaries in -json, propagation columns in the PC report (custom experiment)")
-	fs.BoolVar(&spec.Fork, "fork", false, "fork-server mode: one trunk run freezes COW snapshots across the fault window; each experiment forks from the closest one instead of replaying the warm-up, and provably decided ones end early except under -profile/-taint/-flight (custom experiment)")
-	fs.BoolVar(&spec.Flight, "flight", false, "flight recorder: dump the last -flight-depth committed instructions of every crashed/SDC experiment onto its result (custom experiment; served at /postmortem/{id} with -http)")
-	fs.StringVar(&spec.Sampling, "sampling", "", "service sampling mode: uniform|adaptive (-submit)")
-	fs.IntVar(&spec.Strata, "strata", 0, "adaptive strata count (-submit; 0 = service default)")
-	fs.IntVar(&spec.Batch, "batch", 0, "adaptive batch size (-submit; 0 = service default)")
+	fs.BoolVar(&spec.Fork, "fork", false, "fork-server mode: one atomic trunk run freezes COW snapshots across the fault window; experiments fork from the closest one instead of replaying the warm-up, walk to their triggers in groups, and provably decided ones end early except under -profile/-taint/-flight (custom experiment)")
+	fs.BoolVar(&spec.Flight, "flight", false, "flight recorder: dump the last committed instructions of every crashed/SDC experiment onto its result (custom experiment; served at /postmortem/{id} with -http)")
+	fs.StringVar(&spec.Sampling, "sampling", "", "sampling mode: uniform|adaptive (custom experiment, -submit)")
+	fs.IntVar(&spec.Strata, "strata", 0, "adaptive strata count (0 = service default)")
+	fs.IntVar(&spec.Batch, "batch", 0, "adaptive batch size (0 = service default)")
 	fs.StringVar(&spec.Tenant, "tenant", "", "fair-share tenant account (-submit)")
 	fs.IntVar(&spec.Weight, "weight", 0, "fair-share weight (-submit; 0 = default 1)")
 	if err := parse(fs, args); err != nil {
@@ -95,13 +93,12 @@ func campaignCmd(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	}
 
 	var reg *obs.Registry
-	if *metrics || *httpAddr != "" {
+	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	// The configuration every campaign runner uses. MaxInsts stays zero:
+	// The configuration every figure's runners use. MaxInsts stays zero:
 	// each runner derives its watchdog from its workload's golden run.
 	cfg := campaign.SimConfig(modelKind, 0)
-	cfg.FastForward = *fastFwd
 	opts := campaign.RunnerOptions{Cfg: &cfg}
 
 	var report func() (fmt.Stringer, error)
@@ -184,161 +181,11 @@ func campaignCmd(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		}
 
 	case "custom":
-		w, err := workloads.ByName(spec.Workload, scale)
-		if err != nil {
-			return err
-		}
-		cfg.EnableProfiler = spec.Profile || *httpAddr != ""
-		cfg.EnableTaint = spec.Taint || *httpAddr != ""
-		cfg.EnableFlight, cfg.FlightDepth = spec.Flight, *flightDepth
-		pool, err := campaign.NewPool(w, *parallel, opts)
-		if err != nil {
-			return err
-		}
-		pool.Metrics = reg
-		var spanRec *obs.SpanRecorder
-		var spanOut *spanFiles
-		if *spansJSONL != "" || *spansChrome != "" || *traceID != "" || *httpAddr != "" {
-			spanRec = obs.NewSpanRecorder()
-			spanRec.SetSampling(*spanSample)
-			pool.Spans = spanRec
-			if spanOut, err = openSpanFiles(spanRec, *spansJSONL, *spansChrome); err != nil {
-				return err
-			}
-		}
-		// Post-mortem index for /postmortem/{id}: filled as results land
-		// (OnResult fires from worker goroutines, hence the lock).
-		var pmMu sync.Mutex
-		pmByTrace := make(map[string]*flight.Postmortem)
-		if spec.Flight {
-			pool.OnResult = func(res campaign.Result) {
-				if res.Postmortem == nil {
-					return
-				}
-				pmMu.Lock()
-				pmByTrace[res.TraceID] = res.Postmortem
-				pmByTrace[fmt.Sprintf("exp/%d", res.ID)] = res.Postmortem
-				pmMu.Unlock()
-			}
-		}
-		if spec.Fork {
-			if err := pool.EnableFork(campaign.ForkOptions{Snapshots: *forkSnaps}); err != nil {
-				return err
-			}
-		}
-		if *httpAddr != "" {
-			hcfg := httpserv.Config{
-				Metrics: reg,
-				Status:  func() any { return pool.Status() },
-				Profile: pool.Profile,
-				Taint:   pool.TaintReport,
-				Spans:   spanRec,
-				TopN:    *profileTop,
-			}
-			if spec.Flight {
-				hcfg.Postmortem = func(id string) (*flight.Postmortem, bool) {
-					pmMu.Lock()
-					defer pmMu.Unlock()
-					pm, ok := pmByTrace[id]
-					return pm, ok
-				}
-			}
-			srv, err := httpserv.New(*httpAddr, hcfg)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(stderr, "observability server on http://%s\n", srv.Addr())
-		}
-		if *progress {
-			// Throttled progress: at most one line every ~2s, plus the
-			// final one.
-			var last time.Time
-			pool.OnProgress = func(done, total int, elapsed time.Duration) {
-				if done != total && time.Since(last) < 2*time.Second {
-					return
-				}
-				last = time.Now()
-				rate := float64(done) / elapsed.Seconds()
-				fmt.Fprintf(stderr, "campaign: %d/%d experiments (%.1f exp/s)\n", done, total, rate)
-			}
-		}
-		exps := campaign.GenerateUniform(spec.N, campaign.GenConfig{
-			WindowInsts: pool.Runner().WindowInsts,
-			Seed:        spec.Seed,
-		})
-		results, err := pool.RunAllContext(ctx, exps)
-		if err != nil {
-			return fmt.Errorf("campaign stopped after %d of %d experiments: %w", pool.Status().Done, len(exps), err)
-		}
-		tally := campaign.TallyOf(results)
-		writeTally(stdout, fmt.Sprintf("workload %s: %d experiments", w.Name, tally.Total()), tally)
-		if spec.Flight {
-			dumps := 0
-			for _, r := range results {
-				if r.Postmortem != nil {
-					dumps++
-				}
-			}
-			fmt.Fprintf(stdout, "flight recorder: %d post-mortem dumps (crashed/SDC/reached-state)\n", dumps)
-		}
-		if spec.Fork {
-			st := pool.ForkStats()
-			fmt.Fprintf(stdout, "fork server: %d forks from %d snapshots (%d evicted, ~%d KiB live), "+
-				"%d walks over %d armed insts, "+
-				"pruned %d masked + %d twin-converged of %d twin checks\n",
-				st.Forks, st.SnapshotsTaken, st.SnapshotsEvicted, st.ApproxBytes/1024,
-				st.Walks, st.ArmedInsts,
-				st.PrunedMasked, st.PrunedTwin, st.TwinChecks)
-		}
-		if spec.Taint {
-			// Companion tally: for each outcome above, how the taint
-			// tracker explains it.
-			verdicts := make(map[taint.Verdict]int)
-			for _, r := range results {
-				if r.Prop != nil {
-					verdicts[r.Prop.Verdict]++
-				}
-			}
-			fmt.Fprintln(stdout, "propagation verdicts:")
-			for _, v := range taint.Verdicts() {
-				if n := verdicts[v]; n > 0 {
-					fmt.Fprintf(stdout, "  %-18s %5d\n", v, n)
-				}
-			}
-		}
-		if spec.Profile {
-			if p := pool.Profile(); p != nil {
-				fmt.Fprintln(stdout)
-				if err := p.WriteTop(stdout, *profileTop); err != nil {
-					return err
-				}
-			}
-			syms := pool.Runner().Profiler().Symbols()
-			rows, unattributed := campaign.AttributeByPC(results, syms)
-			if len(rows) > *profileTop {
-				rows = rows[:*profileTop]
-			}
-			fmt.Fprintln(stdout)
-			if err := campaign.WritePCReport(stdout, rows, unattributed); err != nil {
-				return err
-			}
-		}
-		if spanOut != nil {
-			if err := spanOut.close(stdout, stderr); err != nil {
-				return err
-			}
-			if err := writeTrace(spanRec, *traceID, stdout, stderr); err != nil {
-				return err
-			}
-		}
-		if err := writeJSON(*jsonOut, results); err != nil {
-			return err
-		}
-		if reg != nil {
-			return reg.WriteText(stdout)
-		}
-		return nil
+		return hostCampaign(ctx, spec, hostOptions{
+			slots: *parallel, httpAddr: *httpAddr, drain: 30 * time.Second,
+			metrics: *metrics, progress: *progress, profileTop: *profileTop, jsonOut: *jsonOut,
+			spanSample: *spanSample, spansJSONL: *spansJSONL, spansChrome: *spansChrome, traceID: *traceID,
+		}, stdout, stderr)
 
 	default:
 		return fmt.Errorf("unknown experiment %q", *experiment)
@@ -359,6 +206,182 @@ func campaignCmd(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		}
 		return nil
 	})
+}
+
+// hostOptions are what one hosted campaign runs with besides its spec:
+// the local slots and NoW worker listener that tell a local campaign
+// from a NoW master, and the outputs the commands offer.
+type hostOptions struct {
+	slots      int    // local runners; negative runs nothing locally
+	workerAddr string // serve NoW workers here once the golden run is done
+	httpAddr   string // serve the campaign API and observability here
+	drain      time.Duration
+
+	metrics, progress bool
+	profileTop        int
+	jsonOut           string
+
+	spanSample                       int
+	spansJSONL, spansChrome, traceID string
+}
+
+// hostCampaign runs spec on an in-process campaign service with a
+// temporary journal — every campaign gemfi runs itself, local or NoW
+// master — and prints its reports: the tally, then the flight, fork,
+// taint and profile reports the spec asks for. Cancelling ctx drains the
+// service and reports what finished.
+func hostCampaign(ctx context.Context, spec *serv.CampaignSpec, o hostOptions, stdout, stderr io.Writer) error {
+	reg := obs.NewRegistry()
+	var spanRec *obs.SpanRecorder
+	var spanOut *spanFiles
+	if o.spansJSONL != "" || o.spansChrome != "" || o.traceID != "" || o.httpAddr != "" {
+		spanRec = obs.NewSpanRecorder()
+		spanRec.SetSampling(o.spanSample)
+		var err error
+		if spanOut, err = openSpanFiles(spanRec, o.spansJSONL, o.spansChrome); err != nil {
+			return err
+		}
+	}
+	dir, err := os.MkdirTemp("", "gemfi-campaign")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	s, err := serv.New(serv.Config{Dir: dir, Slots: o.slots, Metrics: reg, Spans: spanRec})
+	if err != nil {
+		return err
+	}
+	defer s.Shutdown(o.drain)
+	id, err := s.Submit(*spec)
+	if err != nil {
+		return err
+	}
+	c, _ := s.Campaign(id)
+	var listeners []io.Closer
+	if o.httpAddr != "" {
+		srv, ln, err := s.Serve(o.httpAddr)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		listeners = append(listeners, srv)
+		fmt.Fprintf(stderr, "observability server on http://%s (campaign %s)\n", ln.Addr(), id)
+	}
+	if o.workerAddr != "" {
+		// Workers are welcomed with the checkpoint, so the port opens once
+		// the golden run has produced it.
+		for !s.WaitPrepared(id, 100*time.Millisecond) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if st := c.Status(); st.Phase == serv.PhaseFailed {
+			return fmt.Errorf("campaign preparation: %s", st.Error)
+		}
+		ln, err := net.Listen("tcp", o.workerAddr)
+		if err != nil {
+			return err
+		}
+		defer ln.Close()
+		s.ServeWorkers(ln)
+		listeners = append(listeners, ln)
+		fmt.Fprintf(stdout, "master: serving %d experiments of %s on %s\n", spec.N, spec.Workload, ln.Addr())
+	}
+
+	last := time.Now()
+	finished := func() bool {
+		done := s.Wait(id, 100*time.Millisecond)
+		if o.progress && (done || time.Since(last) >= 2*time.Second) {
+			last = time.Now()
+			st := c.Status()
+			fmt.Fprintf(stderr, "campaign: %d/%d experiments (%.1f exp/s)\n", st.Done, st.Budget, float64(st.Done)/st.ElapsedSec)
+		}
+		return done
+	}
+	if err := drain(ctx, s, finished, o.drain, stderr, listeners...); err != nil {
+		return err
+	}
+	st := c.Status()
+	if st.Phase == serv.PhaseFailed {
+		return fmt.Errorf("campaign %s: %s", id, st.Error)
+	}
+
+	results := c.Results()
+	tally := campaign.TallyOf(results)
+	verb := "complete"
+	if st.Phase != serv.PhaseDone {
+		verb = "stopped"
+	}
+	header := fmt.Sprintf("campaign %s: %d experiments of %s", verb, tally.Total(), spec.Workload)
+	if o.workerAddr != "" {
+		header += fmt.Sprintf(" (%d requeued after disconnects)", reg.Counter("serv.now.requeued").Value())
+	}
+	writeTally(stdout, header, tally)
+	dumps, verdicts := 0, make(map[taint.Verdict]int)
+	for _, r := range results {
+		if r.Postmortem != nil {
+			dumps++
+		}
+		if r.Prop != nil {
+			verdicts[r.Prop.Verdict]++
+		}
+	}
+	if spec.Flight {
+		fmt.Fprintf(stdout, "flight recorder: %d post-mortem dumps (crashed/SDC/reached-state)\n", dumps)
+	}
+	if spec.Fork && o.slots >= 0 {
+		fs := c.ForkStats()
+		fmt.Fprintf(stdout, "fork server: %d forks from %d snapshots (%d evicted, ~%d KiB live), "+
+			"%d walks over %d armed insts, "+
+			"pruned %d masked + %d twin-converged of %d twin checks\n",
+			fs.Forks, fs.SnapshotsTaken, fs.SnapshotsEvicted, fs.ApproxBytes/1024,
+			fs.Walks, fs.ArmedInsts,
+			fs.PrunedMasked, fs.PrunedTwin, fs.TwinChecks)
+	}
+	if spec.Taint {
+		// Companion tally: for each outcome above, how the taint tracker
+		// explains it.
+		fmt.Fprintln(stdout, "propagation verdicts:")
+		for _, v := range taint.Verdicts() {
+			if n := verdicts[v]; n > 0 {
+				fmt.Fprintf(stdout, "  %-18s %5d\n", v, n)
+			}
+		}
+	}
+	if p := c.Profile(); spec.Profile && p != nil {
+		fmt.Fprintln(stdout)
+		if err := p.WriteTop(stdout, o.profileTop); err != nil {
+			return err
+		}
+		rows, unattributed := campaign.AttributeByPC(results, p.Symbols())
+		if len(rows) > o.profileTop {
+			rows = rows[:o.profileTop]
+		}
+		fmt.Fprintln(stdout)
+		if err := campaign.WritePCReport(stdout, rows, unattributed); err != nil {
+			return err
+		}
+	}
+	if spanOut != nil {
+		if err := spanOut.close(stdout, stderr); err != nil {
+			return err
+		}
+		if err := writeTrace(spanRec, o.traceID, stdout, stderr); err != nil {
+			return err
+		}
+	}
+	if err := writeJSON(o.jsonOut, results); err != nil {
+		return err
+	}
+	if o.metrics {
+		if err := reg.WriteText(stdout); err != nil {
+			return err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("campaign stopped after %d of %d experiments: %w", tally.Total(), spec.N, err)
+	}
+	return nil
 }
 
 // writeTrace prints one kept trace's span timeline: the trace with ID

@@ -93,7 +93,7 @@ func TestSpanOutputs(t *testing.T) {
 }
 
 // TestLiveEndpoints scrapes a running campaign's /metrics, /status and
-// /profile, then cancels it.
+// /profile on its in-process service, then cancels it.
 func TestLiveEndpoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -101,6 +101,7 @@ func TestLiveEndpoints(t *testing.T) {
 	done := background(ctx, []string{"campaign", "-experiment", "custom", "-workload", "pi", "-n", "2000",
 		"-parallel", "2", "-http", "127.0.0.1:0", "-profile", "-progress=false"}, &stdout, &stderr)
 	base := await(t, &stderr, `observability server on (http://\S+)`)
+	id := await(t, &stderr, `\(campaign (\w+)\)`)
 	get := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(base + path)
@@ -114,18 +115,19 @@ func TestLiveEndpoints(t *testing.T) {
 		}
 		return b
 	}
-	// The server is up before the golden run ends; /status reports the
-	// budget once experiments are dispatched.
+	// The server is up before the golden run ends; wait until the
+	// campaign's /status counts finished experiments.
 	var status struct {
 		Workload string `json:"workload"`
-		Total    int    `json:"total"`
+		Budget   int    `json:"budget"`
+		Done     int    `json:"done"`
 	}
-	for deadline := time.Now().Add(10 * time.Second); status.Total == 0 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		if err := json.Unmarshal(get("/status"), &status); err != nil {
+	for deadline := time.Now().Add(10 * time.Second); status.Done == 0 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if err := json.Unmarshal(get("/status?campaign="+id), &status); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if status.Workload != "pi" || status.Total != 2000 {
+	if status.Workload != "pi" || status.Budget != 2000 {
 		t.Fatalf("/status = %+v", status)
 	}
 	prom := filepath.Join(t.TempDir(), "metrics.prom")
@@ -133,7 +135,7 @@ func TestLiveEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustGemfi(t, "validate", "prom", prom)
-	if !strings.Contains(string(get("/profile?n=5")), "guest profile:") {
+	if !strings.Contains(string(get("/profile?n=5&campaign="+id)), "guest profile:") {
 		t.Error("/profile has no guest profile")
 	}
 	cancel()

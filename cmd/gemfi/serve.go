@@ -216,10 +216,11 @@ func nowCollect(ctx context.Context, args []string, stdout, stderr io.Writer) er
 }
 
 // nowMaster is the campaign service with no local slots hosting one
-// uniform campaign: it runs the golden pass, then serves the checkpoint
-// and the experiment queue to workers and journals their results on a
-// temporary journal. For a durable, multi-campaign master run gemfi
-// serve -now and submit with gemfi campaign -server.
+// campaign: it runs the golden pass, then serves the checkpoint and the
+// experiment queue to workers and journals their results on a temporary
+// journal — gemfi campaign's host with the local slots swapped for a
+// worker listener. For a durable, multi-campaign master run gemfi serve
+// -now and submit with gemfi campaign -server.
 func nowMaster(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("master", stderr)
 	spec := specFlags(fs)
@@ -238,74 +239,10 @@ func nowMaster(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	reg := obs.NewRegistry()
-	var spanRec *obs.SpanRecorder
-	var spanOut *spanFiles
-	if *spansJSONL != "" || *httpAddr != "" {
-		spanRec = obs.NewSpanRecorder()
-		spanRec.SetSampling(*spanSample)
-		var err error
-		if spanOut, err = openSpanFiles(spanRec, *spansJSONL, ""); err != nil {
-			return err
-		}
-	}
-	dir, err := os.MkdirTemp("", "gemfi-now-master")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	s, err := serv.New(serv.Config{Dir: dir, Slots: -1, Metrics: reg, Spans: spanRec, Flight: spec.Flight})
-	if err != nil {
-		return err
-	}
-	defer s.Shutdown(*bound)
-	id, err := s.Submit(*spec)
-	if err != nil {
-		return err
-	}
-	// Workers are welcomed with the checkpoint, so the port opens once the
-	// golden run has produced it.
-	for !s.WaitPrepared(id, 100*time.Millisecond) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	c, _ := s.Campaign(id)
-	if st := c.Status(); st.Phase == serv.PhaseFailed {
-		return fmt.Errorf("campaign preparation: %s", st.Error)
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	s.ServeWorkers(ln)
-	if *httpAddr != "" {
-		srv, hln, err := s.Serve(*httpAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "observability server on http://%s\n", hln.Addr())
-	}
-	fmt.Fprintf(stdout, "master: serving %d experiments of %s on %s\n", spec.N, spec.Workload, ln.Addr())
-
-	finished := func() bool { return s.Wait(id, 100*time.Millisecond) }
-	if err := drain(ctx, s, finished, *bound, stderr, ln); err != nil {
-		return err
-	}
-	tally := campaign.TallyOf(c.Results())
-	writeTally(stdout, fmt.Sprintf("campaign complete: %d experiments (%d requeued after disconnects)",
-		tally.Total(), reg.Counter("serv.now.requeued").Value()), tally)
-	if spanOut != nil {
-		if err := spanOut.close(stdout, stderr); err != nil {
-			return err
-		}
-	}
-	if *metrics {
-		return reg.WriteText(stdout)
-	}
-	return nil
+	return hostCampaign(ctx, spec, hostOptions{
+		slots: -1, workerAddr: *addr, httpAddr: *httpAddr, drain: *bound, metrics: *metrics,
+		spanSample: *spanSample, spansJSONL: *spansJSONL,
+	}, stdout, stderr)
 }
 
 // nowWorker runs one workstation. Its flags are deployment settings

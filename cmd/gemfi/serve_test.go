@@ -97,7 +97,7 @@ func TestNowMatchesLocal(t *testing.T) {
 }
 
 // TestNowMasterStopsOnCancel checks that a master nobody works for
-// drains and returns when cancelled.
+// drains, reports and returns when cancelled, as a local campaign does.
 func TestNowMasterStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -105,10 +105,10 @@ func TestNowMasterStopsOnCancel(t *testing.T) {
 	done := background(ctx, []string{"now", "master", "-addr", "127.0.0.1:0", "-n", "5", "-drain", "1s",
 		"-http", "127.0.0.1:0"}, &stdout, &stderr)
 	await(t, &stdout, `master: serving 5 experiments of pi on (\S+)`)
-	if err := stop(t, cancel, done); err != nil {
+	if err := stop(t, cancel, done); err == nil || !strings.Contains(err.Error(), "campaign stopped after 0 of 5 experiments") {
 		t.Fatalf("master: %v", err)
 	}
-	if !strings.Contains(stdout.String(), "campaign complete: 0 experiments") {
+	if !strings.Contains(stdout.String(), "campaign stopped: 0 experiments") {
 		t.Errorf("no final report:\n%s", stdout.String())
 	}
 }

@@ -211,13 +211,12 @@ type RunnerOptions struct {
 }
 
 // SimConfig is the simulator configuration of every campaign runner —
-// gemfi campaign's pool, the campaign service's local runners, NoW
-// workers and file-share workers — so one campaign gives the same
+// the campaign service's local pool, NoW workers and file-share
+// workers — so one campaign gives the same
 // verdicts whichever of them runs an experiment. Block translation
 // speeds up the atomic golden passes and post-resolve tails; a zero
 // maxInsts lets the runner derive the watchdog from the golden run.
-// Callers add observers; gemfi campaign also applies its -fast-forward
-// (which moves Ticks).
+// Callers add observers.
 func SimConfig(model sim.ModelKind, maxInsts uint64) sim.Config {
 	return sim.Config{Model: model, EnableFI: true, MaxInsts: maxInsts,
 		EnableBlockTranslation: true}
@@ -331,14 +330,12 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State)
 	return runner, ckpt, nil
 }
 
-// Clone builds a worker runner that shares this runner's expensive
+// clone builds a pool worker that shares this runner's expensive
 // immutable state — golden outputs, checkpoint, fault-injection window,
 // fork server and taint differ reference — but owns a private simulator
-// with its own observers (accumulating privately, pool style), so the
-// clone can run experiments concurrently with the original. This is the
-// pool's clone logic, exported for schedulers that build per-campaign
-// worker sets.
-func (r *Runner) Clone() (*Runner, error) {
+// with its own observers (accumulating privately), so the clone can run
+// experiments concurrently with the original.
+func (r *Runner) clone() (*Runner, error) {
 	prog, err := r.Workload.Build()
 	if err != nil {
 		return nil, err
@@ -347,8 +344,8 @@ func (r *Runner) Clone() (*Runner, error) {
 	if err := s.Load(prog); err != nil {
 		return nil, err
 	}
-	// The span recorder is shared (it is concurrency-safe); the pool or
-	// scheduler overrides the clone's track with its own lane name.
+	// The span recorder is shared (it is concurrency-safe); the pool
+	// overrides the clone's track with its own lane name.
 	return &Runner{
 		Workload:    r.Workload,
 		Cfg:         r.Cfg,
@@ -622,7 +619,9 @@ func (r *Runner) Run(exp Experiment) Result {
 func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
 	if r.fork != nil {
 		var res Result
-		r.runWalk(walk{snap: r.snapFor(exp), exps: []Experiment{exp}}, ctx, func(x Result) { res = x })
+		r.runWalk(Group{Exps: []Experiment{exp}, snap: r.snapFor(exp)},
+			func(Experiment, time.Time) (obs.SpanContext, bool) { return ctx, true },
+			func(x Result) { res = x })
 		return res
 	}
 	// Covers the baseline (DisableCheckpoint) path, which rebuilds the

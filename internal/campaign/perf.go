@@ -114,7 +114,8 @@ func (r *Fig7Report) String() string {
 
 // Fig8Row is the campaign-time measurement for one application: the
 // no-checkpoint baseline, the checkpoint-fast-forwarded campaign, and
-// the parallel (NoW-style) campaign.
+// the parallel (NoW-style) campaign, the last two as medians of fig8Reps
+// timings.
 type Fig8Row struct {
 	Workload string `json:"workload"`
 
@@ -144,6 +145,22 @@ type Fig8Config struct {
 	// Metrics, when set, records the per-phase campaign times as gauges
 	// (campaign.fig8.<workload>.{baseline,checkpoint,parallel}_sec).
 	Metrics *obs.Registry
+}
+
+// fig8Reps is how many times RunFig8 times its checkpointed and parallel
+// legs, reporting the median: a leg can last a few milliseconds, where
+// one timing reads the host's scheduling noise as much as the campaign.
+const fig8Reps = 5
+
+// medianSec times run fig8Reps times and returns the median in seconds.
+func medianSec(run func()) float64 {
+	secs := make([]float64, fig8Reps)
+	for i := range secs {
+		start := time.Now()
+		run()
+		secs[i] = time.Since(start).Seconds()
+	}
+	return stats.Quantile(secs, 0.5)
 }
 
 // RunFig8 measures the campaign-time effect of GemFI's two optimizations
@@ -179,20 +196,18 @@ func RunFig8(cfg Fig8Config) (*Fig8Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		for _, e := range exps {
-			ck.Run(e)
-		}
-		row.CheckpointSec = time.Since(start).Seconds()
+		row.CheckpointSec = medianSec(func() {
+			for _, e := range exps {
+				ck.Run(e)
+			}
+		})
 
 		// Checkpoint + parallel workers (the NoW effect, in-process).
 		pool, err := NewPool(w, cfg.Workers, RunnerOptions{Cfg: cfg.Cfg})
 		if err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		pool.RunAll(exps)
-		row.ParallelSec = time.Since(start).Seconds()
+		row.ParallelSec = medianSec(func() { pool.RunAll(exps) })
 
 		if row.CheckpointSec > 0 {
 			row.CheckpointSpeedup = row.BaselineSec / row.CheckpointSec

@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -19,37 +17,19 @@ import (
 // (the paper ran 4 per quad-core node).
 type Pool struct {
 	runners []*Runner
+	// idle holds the runners not running a group; TryRun takes from it
+	// and a finished group puts its runner back.
+	idle chan *Runner
 
-	// Metrics, when set, receives campaign counters: per-outcome tallies
-	// (campaign.outcome.<name>), the completed-experiment count, and an
-	// experiment-duration histogram (campaign.exp_duration_us). Nil
-	// disables at no cost.
-	Metrics *obs.Registry
-	// Spans, when set, turns on distributed span tracing: every
-	// experiment becomes one trace (experiment root, phase children,
-	// fault-lifecycle events) with the worker index as its track, and
-	// the per-phase latency histograms in Metrics carry trace-ID
-	// exemplars. Nil disables at no cost.
+	// Spans, when set, turns on distributed span tracing for RunAll:
+	// every experiment becomes one trace (experiment root, phase
+	// children, fault-lifecycle events) with the worker index as its
+	// track. Nil disables at no cost.
 	Spans *obs.SpanRecorder
-	// OnProgress, when set, is called after every completed experiment
-	// with the done count, the total, and the elapsed wall time. Calls
-	// are serialized; keep the callback cheap (drivers use it for
-	// throttled progress lines).
-	OnProgress func(done, total int, elapsed time.Duration)
 	// OnResult, when set, is called with every completed experiment's
-	// result as soon as it lands (before the run finishes). Calls are
-	// serialized with OnProgress; drivers use it to index post-mortem
-	// dumps for live serving while the campaign is still running.
+	// result as soon as it lands (before RunAll returns). Calls are
+	// serialized.
 	OnResult func(Result)
-
-	// Live status, maintained by RunAll and read by Status() — the
-	// campaign driver's -http /status endpoint scrapes this while the
-	// run is in flight, so everything is atomic.
-	total     atomic.Int64
-	done      atomic.Int64
-	inFlight  atomic.Int64
-	startNano atomic.Int64
-	outcomes  [numOutcomes]atomic.Int64 // indexed by Outcome-1
 }
 
 // NewPool builds n parallel runners for the workload. The golden run and
@@ -63,16 +43,16 @@ func NewPool(w *workloads.Workload, n int, opts RunnerOptions) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{runners: make([]*Runner, n)}
-	p.runners[0] = first
+	p := &Pool{runners: []*Runner{first}, idle: make(chan *Runner, n)}
 	for i := 1; i < n; i++ {
-		// Clone cheaply: reuse the golden outputs and checkpoint, but
-		// give each worker its own simulator.
-		r, err := first.Clone()
+		r, err := first.clone()
 		if err != nil {
 			return nil, err
 		}
-		p.runners[i] = r
+		p.runners = append(p.runners, r)
+	}
+	for _, r := range p.runners {
+		p.idle <- r
 	}
 	return p, nil
 }
@@ -80,20 +60,30 @@ func NewPool(w *workloads.Workload, n int, opts RunnerOptions) (*Pool, error) {
 // Size returns the worker count.
 func (p *Pool) Size() int { return len(p.runners) }
 
+// Idle returns how many runners are not running a group. For the pool's
+// only TryRun caller, a nonzero count stays nonzero until its next
+// TryRun.
+func (p *Pool) Idle() int { return len(p.idle) }
+
 // Runner returns the first runner (for window/golden metadata).
 func (p *Pool) Runner() *Runner { return p.runners[0] }
 
-// TaintReport returns the pool-wide most recent propagation report.
-// Safe to call while RunAll is in flight.
-func (p *Pool) TaintReport() *taint.PropReport { return FreshestTaintReport(p.runners) }
+// AttachSpans attaches rec to every runner; runner i's spans go on the
+// track lane followed by i+1.
+func (p *Pool) AttachSpans(rec *obs.SpanRecorder, lane string) {
+	p.Spans = rec
+	for i, r := range p.runners {
+		r.AttachSpans(rec, fmt.Sprintf("%s%d", lane, i+1))
+	}
+}
 
-// FreshestTaintReport returns the freshest LastTaintReport across
-// runners: nil when taint tracking is off or no experiment has
-// finished. Safe to call while the runners run.
-func FreshestTaintReport(runners []*Runner) *taint.PropReport {
+// TaintReport returns the freshest propagation report across the
+// runners: nil when taint tracking is off or no experiment has finished.
+// Safe to call while groups run.
+func (p *Pool) TaintReport() *taint.PropReport {
 	var best *taint.PropReport
 	var bestStamp uint64
-	for _, r := range runners {
+	for _, r := range p.runners {
 		rep, stamp := r.LastTaintReport()
 		if rep != nil && stamp >= bestStamp {
 			best, bestStamp = rep, stamp
@@ -103,15 +93,11 @@ func FreshestTaintReport(runners []*Runner) *taint.PropReport {
 }
 
 // Profile merges every worker's profiler into one campaign-wide
-// profile. Safe to call while RunAll is in flight.
-func (p *Pool) Profile() *prof.Profile { return MergedProfile(p.runners) }
-
-// MergedProfile snapshots and merges the runners' profilers: nil when
-// profiling is off. Safe to call while the runners run (snapshots are
-// atomic).
-func MergedProfile(runners []*Runner) *prof.Profile {
+// profile: nil when profiling is off. Safe to call while groups run
+// (snapshots are atomic).
+func (p *Pool) Profile() *prof.Profile {
 	var parts []*prof.Profile
-	for _, r := range runners {
+	for _, r := range p.runners {
 		if pr := r.Profiler(); pr != nil {
 			parts = append(parts, pr.Snapshot())
 		}
@@ -119,182 +105,80 @@ func MergedProfile(runners []*Runner) *prof.Profile {
 	return prof.MergeProfiles(parts...)
 }
 
-// PoolStatus is a point-in-time view of a running (or finished)
-// campaign, served as JSON by the -http /status endpoint.
-type PoolStatus struct {
-	Workload   string         `json:"workload"`
-	Workers    int            `json:"workers"`
-	Total      int            `json:"total"`
-	Done       int            `json:"done"`
-	InFlight   int            `json:"inFlight"`
-	ElapsedSec float64        `json:"elapsedSec"`
-	ExpsPerSec float64        `json:"expsPerSec"`
-	Outcomes   map[string]int `json:"outcomes"`
+// Plan groups experiments into the units a runner takes whole: trigger
+// walks in snapshot order on a fork-enabled pool, single experiments
+// otherwise.
+func (p *Pool) Plan(exps []Experiment) []Group {
+	if p.forkEnabled() {
+		return p.runners[0].planWalks(exps)
+	}
+	groups := make([]Group, len(exps))
+	for i := range exps {
+		groups[i] = Group{Exps: exps[i : i+1]}
+	}
+	return groups
 }
 
-// Status reads the live campaign state. Safe to call concurrently with
-// RunAll from any goroutine.
-func (p *Pool) Status() PoolStatus {
-	st := PoolStatus{
-		Workers:  len(p.runners),
-		Total:    int(p.total.Load()),
-		Done:     int(p.done.Load()),
-		InFlight: int(p.inFlight.Load()),
-		Outcomes: make(map[string]int, int(numOutcomes)),
-	}
-	if len(p.runners) > 0 && p.runners[0].Workload != nil {
-		st.Workload = p.runners[0].Workload.Name
-	}
-	for _, o := range Outcomes() {
-		if n := p.outcomes[int(o)-1].Load(); n > 0 {
-			st.Outcomes[o.String()] = int(n)
-		}
-	}
-	if t0 := p.startNano.Load(); t0 > 0 {
-		st.ElapsedSec = time.Since(time.Unix(0, t0)).Seconds()
-		if st.ElapsedSec > 0 {
-			st.ExpsPerSec = float64(st.Done) / st.ElapsedSec
-		}
-	}
-	return st
-}
+// Member is called as a runner reaches each member of a group, with the
+// time the member's share of the work began. It returns the span context
+// the member's trace parents under (zero: a trace of its own), or false
+// to stop the group before that member.
+type Member func(exp Experiment, start time.Time) (obs.SpanContext, bool)
 
-// PhaseHists lazily binds the per-phase latency histograms
-// (campaign.phase.<name>_us) of a registry. Observing a result whose
-// PhaseNS is populated feeds each phase's duration in microseconds,
-// carrying the result's trace ID as the histogram exemplar — a fat
-// bucket then links to a concrete experiment's span tree. Safe for
-// concurrent use; an instance over a nil registry is free.
-type PhaseHists struct {
-	reg *obs.Registry
-	mu  sync.Mutex
-	m   map[string]*obs.Histogram
-}
-
-// NewPhaseHists builds the binder (reg may be nil).
-func NewPhaseHists(reg *obs.Registry) *PhaseHists {
-	return &PhaseHists{reg: reg, m: make(map[string]*obs.Histogram)}
-}
-
-// Observe feeds one result's phase durations.
-func (p *PhaseHists) Observe(res Result) {
-	if p == nil || p.reg == nil || len(res.PhaseNS) == 0 {
-		return
-	}
-	for name, ns := range res.PhaseNS {
-		p.mu.Lock()
-		h, ok := p.m[name]
-		if !ok {
-			h = p.reg.Histogram("campaign.phase." + name + "_us")
-			p.m[name] = h
-		}
-		p.mu.Unlock()
-		h.ObserveEx(float64(ns)/1e3, res.TraceID)
+// TryRun starts g on an idle runner and reports true, or reports false
+// at once when every runner is busy. The runner calls member before each
+// member and emit with each member's result as soon as it is classified.
+// Once the runner is idle again, done gets the members never started.
+func (p *Pool) TryRun(g Group, member Member, emit func(Result), done func(unstarted []Experiment)) bool {
+	select {
+	case r := <-p.idle:
+		go func() {
+			rest := r.runGroup(g, member, emit)
+			p.idle <- r
+			done(rest)
+		}()
+		return true
+	default:
+		return false
 	}
 }
 
 // RunAll executes all experiments across the pool and returns results
-// ordered by experiment ID. A fork-enabled pool dispatches whole trigger
-// walks, in snapshot order; otherwise every experiment is its own job.
+// ordered by experiment ID. A fork-enabled pool runs whole trigger
+// walks, in snapshot order; otherwise every experiment is its own group.
 func (p *Pool) RunAll(exps []Experiment) []Result {
-	results, _ := p.RunAllContext(context.Background(), exps)
-	return results
-}
-
-// RunAllContext is RunAll that stops handing out jobs once ctx is done:
-// jobs already running finish, experiments never started keep zero
-// results, and the error is ctx's.
-func (p *Pool) RunAllContext(ctx context.Context, exps []Experiment) ([]Result, error) {
-	jobs := make(chan walk)
-	results := make([]Result, len(exps))
-	start := time.Now()
-	p.total.Store(int64(len(exps)))
-	p.startNano.Store(start.UnixNano())
-
-	// Instruments are fetched once up front so workers never touch the
-	// registry lock; outcomeCounters is read-only during the run.
-	durHist := p.Metrics.Histogram("campaign.exp_duration_us")
-	completed := p.Metrics.Counter("campaign.completed")
-	outcomeCounters := make(map[Outcome]*obs.Counter, int(numOutcomes))
-	for _, o := range Outcomes() {
-		outcomeCounters[o] = p.Metrics.Counter("campaign.outcome." + o.String())
-	}
-	if p.Spans != nil {
-		p.Spans.AttachMetrics(p.Metrics)
-		for wi, r := range p.runners {
-			r.AttachSpans(p.Spans, fmt.Sprintf("worker %d", wi+1))
-		}
-	}
-	phaseHists := NewPhaseHists(p.Metrics)
-
+	p.AttachSpans(p.Spans, "worker ")
 	for i := range exps {
-		if exps[i].ID != i {
-			exps[i].ID = i
+		exps[i].ID = i
+	}
+	results := make([]Result, len(exps))
+	var mu sync.Mutex
+	emit := func(res Result) {
+		results[res.ID] = res
+		if p.OnResult != nil {
+			mu.Lock()
+			p.OnResult(res)
+			mu.Unlock()
 		}
 	}
-	var done atomic.Int64
-	var progressMu sync.Mutex
+	own := func(Experiment, time.Time) (obs.SpanContext, bool) { return obs.SpanContext{}, true }
+	// freed holds a token once a runner has gone idle since the last
+	// failed TryRun; a full buffer already wakes the waiter.
+	freed := make(chan struct{}, 1)
 	var wg sync.WaitGroup
-	for wi, r := range p.runners {
-		wg.Add(1)
-		go func(wi int, r *Runner) {
-			defer wg.Done()
-			for job := range jobs {
-				// Each experiment's duration runs from the previous result
-				// (or the job's start) to its own: a walk member's share of
-				// the walk is part of it.
-				t0 := time.Now()
-				p.inFlight.Add(1)
-				record := func(res Result) {
-					results[res.ID] = res
-					durHist.ObserveEx(float64(time.Since(t0).Microseconds()), res.TraceID)
-					phaseHists.Observe(res)
-					completed.Inc()
-					outcomeCounters[res.Outcome].Inc()
-					if res.Outcome >= 1 && res.Outcome < numOutcomes {
-						p.outcomes[int(res.Outcome)-1].Add(1)
-					}
-					p.done.Add(1)
-					n := done.Add(1)
-					if p.OnResult != nil || p.OnProgress != nil {
-						progressMu.Lock()
-						if p.OnResult != nil {
-							p.OnResult(res)
-						}
-						if p.OnProgress != nil {
-							p.OnProgress(int(n), len(exps), time.Since(start))
-						}
-						progressMu.Unlock()
-					}
-					t0 = time.Now()
-				}
-				if job.snap != nil {
-					r.runWalk(job, obs.SpanContext{}, record)
-				} else {
-					record(r.Run(job.exps[0]))
-				}
-				p.inFlight.Add(-1)
-			}
-		}(wi, r)
-	}
-	var plan []walk
-	if p.forkEnabled() {
-		plan = p.runners[0].planWalks(exps)
-	} else {
-		plan = make([]walk, len(exps))
-		for i := range exps {
-			plan[i] = walk{exps: exps[i : i+1]}
-		}
-	}
-	var err error
-	for i := 0; i < len(plan) && err == nil; i++ {
+	done := func([]Experiment) {
+		wg.Done()
 		select {
-		case jobs <- plan[i]:
-		case <-ctx.Done():
-			err = ctx.Err()
+		case freed <- struct{}{}:
+		default:
 		}
 	}
-	close(jobs)
+	for _, g := range p.Plan(exps) {
+		wg.Add(1)
+		for !p.TryRun(g, own, emit, done) {
+			<-freed
+		}
+	}
 	wg.Wait()
-	return results, err
+	return results
 }

@@ -111,43 +111,6 @@ func TestForkModePhasesTileWallTime(t *testing.T) {
 	}
 }
 
-// TestPoolSpansAndExemplars: the pool wires the recorder to every
-// runner and the per-phase histograms carry trace-ID exemplars.
-func TestPoolSpansAndExemplars(t *testing.T) {
-	pool, err := NewPool(workloads.MonteCarloPI(workloads.ScaleTest), 2, RunnerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewSpanRecorder()
-	pool.Spans = rec
-	pool.Metrics = obs.NewRegistry()
-	reg := pool.Metrics
-	exps := GenerateUniform(8, GenConfig{WindowInsts: pool.Runner().WindowInsts, Seed: 3})
-	results := pool.RunAll(exps)
-	if len(results) != len(exps) {
-		t.Fatalf("results = %d", len(results))
-	}
-	if got := len(rec.Traces()); got != len(exps) {
-		t.Fatalf("traces = %d, want %d", got, len(exps))
-	}
-	for _, res := range results {
-		if res.TraceID == "" {
-			t.Errorf("experiment %d: no trace ID", res.ID)
-		}
-		if rec.TraceByID(res.TraceID) == nil {
-			t.Errorf("experiment %d: trace %s missing from ring", res.ID, res.TraceID)
-		}
-	}
-	var prom bytes.Buffer
-	if err := reg.WriteProm(&prom); err != nil {
-		t.Fatal(err)
-	}
-	out := prom.String()
-	if !bytes.Contains(prom.Bytes(), []byte("trace_id=")) {
-		t.Errorf("prom exposition has no trace_id exemplars:\n%.2000s", out)
-	}
-}
-
 // TestWalkEndsBeforeTriggers covers concludeAll: members of one walk
 // whose triggers lie past the program's end. The walk's run is then every
 // member's own run, start to finish, so each result must equal its

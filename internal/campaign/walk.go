@@ -27,11 +27,13 @@ import (
 	"repro/internal/sim"
 )
 
-// walk is the unit of fork-campaign work: experiments that fork from one
-// trunk snapshot, in trigger order. A walk of one is a lone experiment.
-type walk struct {
+// Group is the unit of work a runner takes whole. On a fork runner it is
+// a trigger walk: experiments that fork from one trunk snapshot, in
+// trigger order, where a walk of one is a lone experiment. Otherwise it
+// is one experiment. Any subsequence of a group is a group.
+type Group struct {
+	Exps []Experiment
 	snap *forkSnap
-	exps []Experiment
 }
 
 // snapFor picks an experiment's fork point: the snapshot closest below
@@ -76,41 +78,66 @@ func (r *Runner) observed() bool { return r.observers != sim.Observers{} }
 // planWalks groups experiments into walks. In injection-time order, each
 // walkable experiment joins the walk of the snapshot it forks from; the
 // others are walks of one. Walks come out in snapshot order.
-func (r *Runner) planWalks(exps []Experiment) []walk {
-	var walks []walk
+func (r *Runner) planWalks(exps []Experiment) []Group {
+	var walks []Group
 	bySnap := make(map[*forkSnap]int)
 	for _, exp := range sortForFork(exps) {
 		snap := r.snapFor(exp)
 		if !r.walkable(exp) {
-			walks = append(walks, walk{snap: snap, exps: []Experiment{exp}})
+			walks = append(walks, Group{snap: snap, Exps: []Experiment{exp}})
 			continue
 		}
 		if i, ok := bySnap[snap]; ok {
-			walks[i].exps = append(walks[i].exps, exp)
+			walks[i].Exps = append(walks[i].Exps, exp)
 			continue
 		}
 		bySnap[snap] = len(walks)
-		walks = append(walks, walk{snap: snap, exps: []Experiment{exp}})
+		walks = append(walks, Group{snap: snap, Exps: []Experiment{exp}})
 	}
 	return walks
 }
 
+// runGroup runs a group's members in turn, handing each result to emit
+// as soon as it is classified, and returns the members left unstarted
+// when member stops it.
+func (r *Runner) runGroup(g Group, member Member, emit func(Result)) []Experiment {
+	if r.fork != nil {
+		if g.snap == nil {
+			g.snap = r.snapFor(g.Exps[0])
+		}
+		return r.runWalk(g, member, emit)
+	}
+	for i, exp := range g.Exps {
+		ctx, ok := member(exp, time.Now())
+		if !ok {
+			return g.Exps[i:]
+		}
+		emit(r.RunCtx(exp, ctx))
+	}
+	return nil
+}
+
 // runWalk executes a walk and hands each member's result to emit as soon
-// as it is classified. ctx parents every member's span tree. A member's
-// phases are fork (the cold fork or walk-point restore), walk (its share
-// of the walk, up to the step before its trigger), then the run's own.
-func (r *Runner) runWalk(w walk, ctx obs.SpanContext, emit func(Result)) {
+// as it is classified. member supplies each member's span parent. A
+// member's phases are fork (the cold fork or walk-point restore), walk
+// (its share of the walk, up to the step before its trigger), then the
+// run's own. It returns the members left unstarted when member stops it.
+func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment {
 	fs := r.fork
 	fs.walks.Add(1)
 	base := w.snap.fp.Core.Insts
 	from := w.snap.fp
-	pending := w.exps
+	pending := w.Exps
 	for len(pending) > 0 {
 		start := time.Now()
 		// A member's trace opens as soon as the member is known: at once
 		// in a walk of one, after its walk segment otherwise.
 		var tr *expTrace
 		if len(pending) == 1 {
+			ctx, ok := member(pending[0], start)
+			if !ok {
+				return pending
+			}
 			tr = r.beginExpTrace(pending[0], ctx, start)
 		}
 		faults, owner := armAll(pending)
@@ -124,14 +151,20 @@ func (r *Runner) runWalk(w walk, ctx obs.SpanContext, emit func(Result)) {
 			res, src := r.sim.WalkToDue()
 			fs.armedInsts.Add(r.sim.Core.Insts - insts)
 			if !res.Paused {
-				r.concludeAll(pending, ctx, res, start, forked, tr, emit)
-				return
+				return r.concludeAll(pending, member, res, start, forked, tr, emit)
 			}
 			if owner != nil {
 				m = owner[src]
 			}
 		}
 		exp := pending[m]
+		ctx, ok := obs.SpanContext{}, true
+		if tr == nil {
+			ctx, ok = member(exp, start)
+		}
+		if !ok {
+			return pending
+		}
 		pending = append(pending[:m:m], pending[m+1:]...)
 		var next *checkpoint.ForkPoint
 		if len(pending) > 0 {
@@ -150,17 +183,22 @@ func (r *Runner) runWalk(w walk, ctx obs.SpanContext, emit func(Result)) {
 		emit(r.conclude(exp, runRes, pruned, nil, start, tr))
 		from = next
 	}
+	return nil
 }
 
 // concludeAll classifies the members left when a walk's run ended before
 // any of their faults could act: that run is each one's own, start to
 // finish, so they share its final state. tr is the trace already open for
 // a walk of one.
-func (r *Runner) concludeAll(exps []Experiment, ctx obs.SpanContext, res sim.RunResult,
-	start, forked time.Time, tr *expTrace, emit func(Result)) {
+func (r *Runner) concludeAll(exps []Experiment, member Member, res sim.RunResult,
+	start, forked time.Time, tr *expTrace, emit func(Result)) []Experiment {
 	ended := time.Now()
-	for _, exp := range exps {
+	for i, exp := range exps {
 		if tr == nil {
+			ctx, ok := member(exp, start)
+			if !ok {
+				return exps[i:]
+			}
 			tr = r.beginMemberTrace(exp, ctx, start)
 		}
 		r.cutPhaseAt("fork", forked)
@@ -169,6 +207,7 @@ func (r *Runner) concludeAll(exps []Experiment, ctx obs.SpanContext, res sim.Run
 		emit(r.conclude(exp, res, 0, nil, start, tr))
 		tr = nil
 	}
+	return nil
 }
 
 // beginMemberTrace opens the trace of one member of a walk of several.

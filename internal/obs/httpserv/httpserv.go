@@ -54,7 +54,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Status, when set, is invoked per /status request and its result
 	// rendered as JSON. Implementations must be safe to call while the
-	// campaign runs (campaign.Pool.Status, serv.Service.Campaigns).
+	// campaign runs (serv.Service.Campaigns).
 	Status func() any
 	// Profile, when set, is invoked per /profile request; it should
 	// return a live snapshot (prof.Profiler.Snapshot, or a merge across

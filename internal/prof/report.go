@@ -48,6 +48,10 @@ type Profile struct {
 	syms asm.SymbolTable
 }
 
+// Symbols returns the symbol table the profile's PCs resolve against
+// (possibly nil).
+func (p *Profile) Symbols() asm.SymbolTable { return p.syms }
+
 // Snapshot captures the profiler's current state with atomic loads; it
 // is safe to call from an HTTP handler while the simulation commits
 // instructions.

@@ -7,12 +7,12 @@ package serv
 // the Service before the in-memory state advances.
 //
 // What a campaign retains depends on its phase. A live one holds its
-// runner pool (simulators, decode caches, translator, fork snapshots)
+// campaign.Pool (simulators, decode caches, translator, fork snapshots)
 // and its ledger. A finished one holds only its ledger, the merged
-// profile and the freshest taint report: finishLocked releases the pool.
+// profile, the freshest taint report and the fork accounting:
+// finishLocked releases the pool.
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -51,9 +51,9 @@ type CampaignSpec struct {
 	Batch      int     `json:"batch,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
 
-	// Workers bounds this campaign's local runner pool (default 1; the
-	// global slot budget still applies). Fork/Taint/Profile attach the
-	// fork server, propagation tracker, and guest profiler.
+	// Workers sizes this campaign's local runner pool (default 1), up to
+	// the service's slot budget. Fork/Taint/Profile attach the fork
+	// server, propagation tracker, and guest profiler.
 	Workers int  `json:"workers,omitempty"`
 	Fork    bool `json:"fork,omitempty"`
 	Taint   bool `json:"taint,omitempty"`
@@ -92,14 +92,10 @@ func (s *CampaignSpec) margin() float64 {
 	return s.Margin
 }
 
-func (s *CampaignSpec) workers() int {
-	if s.Workers <= 0 {
-		return 1
-	}
-	if s.Workers > 8 {
-		return 8
-	}
-	return s.Workers
+// workers is the local runner count: Workers (default 1), bounded by
+// the slot budget, beyond which runners could never run at once.
+func (s *CampaignSpec) workers(slots int) int {
+	return min(max(s.Workers, 1), max(slots, 1))
 }
 
 func (s *CampaignSpec) scale() (workloads.Scale, error) {
@@ -118,7 +114,7 @@ func (s *CampaignSpec) model() (sim.ModelKind, error) {
 
 // Campaign phases.
 const (
-	PhasePreparing = "preparing" // golden run / runner pool building
+	PhasePreparing = "preparing" // golden run / pool building
 	PhaseRunning   = "running"
 	PhaseDone      = "done"
 	PhaseFailed    = "failed"
@@ -137,33 +133,33 @@ type Campaign struct {
 	// so every planned experiment and result is held once. It changes only
 	// inside Service.appendApply, with both c.mu and the Service's lock
 	// held; either lock is enough to read it.
-	led      *persisted
-	sampler  *sampler
-	pending  []campaign.Experiment
+	led     *persisted
+	sampler *sampler
+	// pending is the queue of planned, unstarted experiments in the units
+	// the pool runs whole (trigger walks on a fork campaign).
+	pending  []campaign.Group
 	inflight map[int]campaign.Experiment
 	expBatch map[int]int // experiment ID -> batch it was planned in
 	started  time.Time
 
 	// spans, when set (by the Service from its config), is attached to
-	// every pool runner so local executions emit phase spans under the
-	// service's experiment roots.
+	// the pool so local executions emit phase spans under the service's
+	// experiment roots.
 	spans *obs.SpanRecorder
 
 	// flight (set by the Service from its config) turns on flight
 	// recording for this campaign's pool even when the spec did not ask.
 	flight bool
 
-	// Runner pool: built by prepare, borrowed by the scheduler, released
-	// by finishLocked. free is buffered to the pool size so returns never
-	// block.
-	runners []*campaign.Runner
-	free    chan *campaign.Runner
+	// pool runs the local experiments: built by prepare, handed groups
+	// by the dispatcher, released by finishLocked.
+	pool *campaign.Pool
 
-	// profile and taintRep are what /profile and /taint serve once the
-	// pool is gone: the runners' merged profile and freshest report,
-	// captured at finish.
-	profile  *prof.Profile
-	taintRep *taint.PropReport
+	// profile, taintRep and forkStats are what the campaign reports once
+	// the pool is gone, captured at finish.
+	profile   *prof.Profile
+	taintRep  *taint.PropReport
+	forkStats campaign.ForkStats
 
 	// wrrCur is the smooth-WRR accumulator; touched only by the single
 	// dispatcher goroutine, so it needs no lock.
@@ -172,6 +168,8 @@ type Campaign struct {
 	// Stream subscribers: each gets every result exactly once plus a
 	// terminal done event. Buffered; a stalled subscriber is dropped.
 	subs map[chan streamEvent]struct{}
+	// ended is closed once the campaign is done or failed.
+	ended chan struct{}
 }
 
 // streamEvent is one SSE payload.
@@ -189,14 +187,15 @@ func newCampaign(id string, led *persisted) *Campaign {
 		led:      led,
 		inflight: make(map[int]campaign.Experiment),
 		subs:     make(map[chan streamEvent]struct{}),
+		ended:    make(chan struct{}),
 		started:  time.Now(),
 	}
 }
 
-// prepare builds the golden run and the runner pool. Expensive (it runs
-// the workload once); the Service calls it off the request path. The
-// returned window is 0 only on error.
-func (c *Campaign) prepare() (uint64, error) {
+// prepare builds the golden run and a pool of up to slots runners.
+// Expensive (it runs the workload once); the Service calls it off the
+// request path. The returned window is 0 only on error.
+func (c *Campaign) prepare(slots int) (uint64, error) {
 	scale, err := c.Spec.scale()
 	if err != nil {
 		return 0, err
@@ -213,37 +212,24 @@ func (c *Campaign) prepare() (uint64, error) {
 	cfg.EnableProfiler = c.Spec.Profile
 	cfg.EnableTaint = c.Spec.Taint
 	cfg.EnableFlight = c.Spec.Flight || c.flight
-	first, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
+	pool, err := campaign.NewPool(w, c.Spec.workers(slots), campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		return 0, err
 	}
-	if c.Spec.Fork {
-		if err := first.EnableFork(campaign.DefaultForkOptions()); err != nil {
+	// Without local slots nothing forks here: workers build their own
+	// fork servers from the welcome.
+	if c.Spec.Fork && slots >= 0 {
+		if err := pool.EnableFork(campaign.DefaultForkOptions()); err != nil {
 			return 0, err
 		}
-	}
-	runners := []*campaign.Runner{first}
-	for i := 1; i < c.Spec.workers(); i++ {
-		r, err := first.Clone()
-		if err != nil {
-			return 0, err
-		}
-		runners = append(runners, r)
 	}
 	if c.spans != nil {
-		for i, r := range runners {
-			r.AttachSpans(c.spans, fmt.Sprintf("%s/r%d", c.ID, i+1))
-		}
-	}
-	free := make(chan *campaign.Runner, len(runners))
-	for _, r := range runners {
-		free <- r
+		pool.AttachSpans(c.spans, c.ID+"/r")
 	}
 	c.mu.Lock()
-	c.runners = runners
-	c.free = free
+	c.pool = pool
 	c.mu.Unlock()
-	return first.WindowInsts, nil
+	return pool.Runner().WindowInsts, nil
 }
 
 // fail moves the campaign to the failed phase.
@@ -255,85 +241,85 @@ func (c *Campaign) fail(err error) {
 	c.broadcastStatus()
 }
 
-// borrowRunner takes an idle runner without blocking (nil when all are
-// busy).
-func (c *Campaign) borrowRunner() *campaign.Runner {
-	c.mu.Lock()
-	free := c.free
-	c.mu.Unlock()
-	if free == nil {
-		return nil
-	}
-	select {
-	case r := <-free:
-		return r
-	default:
-		return nil
-	}
-}
-
-func (c *Campaign) returnRunner(r *campaign.Runner) {
-	c.mu.Lock()
-	free := c.free
-	c.mu.Unlock()
-	if free != nil {
-		free <- r
-	}
-}
-
-// takeLocked pops one pending experiment into in-flight. Caller holds
-// c.mu.
-func (c *Campaign) takeLocked() (campaign.Experiment, bool) {
+// takeLocked pops up to n experiments of the next pending group into
+// in-flight, less any already classified: a local slot takes a whole
+// group, a NoW worker one experiment. Caller holds c.mu.
+func (c *Campaign) takeLocked(n int) (campaign.Group, bool) {
 	for len(c.pending) > 0 {
-		exp := c.pending[0]
-		c.pending = c.pending[1:]
-		if _, dup := c.led.Results[exp.ID]; dup {
-			continue // already classified (journal resume overlap)
+		head := &c.pending[0]
+		g := *head
+		g.Exps = head.Exps[:min(n, len(head.Exps))]
+		if head.Exps = head.Exps[len(g.Exps):]; len(head.Exps) == 0 {
+			c.pending = c.pending[1:]
 		}
-		c.inflight[exp.ID] = exp
-		return exp, true
+		var live []campaign.Experiment
+		for _, exp := range g.Exps {
+			if _, dup := c.led.Results[exp.ID]; !dup { // journal resume overlap
+				c.inflight[exp.ID] = exp
+				live = append(live, exp)
+			}
+		}
+		if len(live) > 0 {
+			g.Exps = live
+			return g, true
+		}
 	}
-	return campaign.Experiment{}, false
+	return campaign.Group{}, false
+}
+
+// pendingLocked counts the pending experiments. Caller holds c.mu.
+func (c *Campaign) pendingLocked() int {
+	n := 0
+	for _, g := range c.pending {
+		n += len(g.Exps)
+	}
+	return n
 }
 
 // requeue returns un-finished experiments to the head of the queue (a
-// died NoW worker's assignments).
+// died NoW worker's assignments, or the members a draining walk never
+// started).
 func (c *Campaign) requeue(exps []campaign.Experiment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var live []campaign.Experiment
 	for _, e := range exps {
-		if _, done := c.led.Results[e.ID]; done {
-			continue
+		if _, done := c.led.Results[e.ID]; !done {
+			delete(c.inflight, e.ID)
+			live = append(live, e)
 		}
-		delete(c.inflight, e.ID)
-		c.pending = append([]campaign.Experiment{e}, c.pending...)
+	}
+	if len(live) > 0 && c.pool != nil {
+		c.pending = append(c.pool.Plan(live), c.pending...)
 	}
 }
 
 // Profile merges the campaign's per-runner profiles (empty when
-// profiling is off or the pool is not built yet). A finished campaign
-// answers with the profile captured when its pool was released.
-func (c *Campaign) Profile() *prof.Profile {
-	c.mu.Lock()
-	runners, final := c.runners, c.profile
-	c.mu.Unlock()
-	if final != nil {
-		return final
-	}
-	return campaign.MergedProfile(runners)
-}
+// profiling is off, nil before the pool is built).
+func (c *Campaign) Profile() *prof.Profile { return fromPool(c, (*campaign.Pool).Profile, &c.profile) }
 
 // TaintReport returns the campaign's freshest propagation report across
 // its runners — the per-campaign selection the /taint endpoint keys on.
-// A finished campaign answers with the report captured at finish.
 func (c *Campaign) TaintReport() *taint.PropReport {
+	return fromPool(c, (*campaign.Pool).TaintReport, &c.taintRep)
+}
+
+// ForkStats returns the campaign's fork-server accounting (zero when
+// fork mode is off).
+func (c *Campaign) ForkStats() campaign.ForkStats {
+	return fromPool(c, (*campaign.Pool).ForkStats, &c.forkStats)
+}
+
+// fromPool reads the live pool, or once the campaign has finished, what
+// finishLocked captured from it in final.
+func fromPool[T any](c *Campaign, live func(*campaign.Pool) T, final *T) T {
 	c.mu.Lock()
-	runners, final := c.runners, c.taintRep
+	pool, v := c.pool, *final
 	c.mu.Unlock()
-	if final != nil {
-		return final
+	if pool == nil {
+		return v
 	}
-	return campaign.FreshestTaintReport(runners)
+	return live(pool)
 }
 
 // subscribe registers a stream consumer primed with every existing
@@ -384,17 +370,23 @@ func (c *Campaign) broadcastLocked(ev streamEvent) {
 }
 
 // finishLocked runs whenever the campaign is done or failed, and is
-// idempotent. It releases the runner pool — simulators, caches, fork
-// snapshots and the checkpoint go with it — after capturing what
-// /profile and /taint serve from then on, drops the scheduler's
-// bookkeeping, and closes every subscriber after a terminal event.
+// idempotent. It releases the pool — simulators, caches, fork snapshots
+// and the checkpoint go with it — after capturing what the campaign
+// reports from then on, drops the scheduler's bookkeeping, and closes
+// every subscriber after a terminal event.
 func (c *Campaign) finishLocked() {
-	if c.runners != nil {
-		c.profile = campaign.MergedProfile(c.runners)
-		c.taintRep = campaign.FreshestTaintReport(c.runners)
-		c.runners, c.free = nil, nil
+	if c.pool != nil {
+		c.profile = c.pool.Profile()
+		c.taintRep = c.pool.TaintReport()
+		c.forkStats = c.pool.ForkStats()
+		c.pool = nil
 	}
 	c.pending, c.expBatch = nil, nil
+	select {
+	case <-c.ended:
+	default:
+		close(c.ended)
+	}
 	st := c.statusLocked()
 	for ch := range c.subs {
 		select {
@@ -460,7 +452,7 @@ func (c *Campaign) statusLocked() CampaignStatus {
 		Planned:     len(c.led.Planned),
 		Done:        len(c.led.Results),
 		InFlight:    len(c.inflight),
-		Pending:     len(c.pending),
+		Pending:     c.pendingLocked(),
 		Batches:     c.led.Batches,
 		WindowInsts: c.led.Window,
 		Outcomes:    make(map[string]int),

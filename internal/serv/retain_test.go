@@ -36,7 +36,7 @@ func TestFinishedCampaignKeepsProfileAndTaint(t *testing.T) {
 		t.Fatalf("phase %s (err %s)", st.Phase, st.Error)
 	}
 	c.mu.Lock()
-	released := c.runners == nil && c.free == nil
+	released := c.pool == nil
 	c.mu.Unlock()
 	if !released {
 		t.Fatal("finished campaign still holds its runner pool")
@@ -74,9 +74,8 @@ func TestFinishedCampaignKeepsProfileAndTaint(t *testing.T) {
 }
 
 // TestFinishedCampaignReleasesPool is the retention bound: after each of
-// eight sequential fork campaigns the finished campaign holds no runner
-// and no free channel (and with them no simulator, fork snapshot or
-// checkpoint), and the in-use heap grows by less than 1 MiB per finished
+// eight sequential fork campaigns the finished campaign holds no pool
+// (and with it no simulator, fork snapshot or checkpoint), and the in-use heap grows by less than 1 MiB per finished
 // campaign. A service that kept its pools grew by several MiB each.
 func TestFinishedCampaignReleasesPool(t *testing.T) {
 	s, err := New(Config{Dir: t.TempDir(), Slots: 2})
@@ -97,13 +96,13 @@ func TestFinishedCampaignReleasesPool(t *testing.T) {
 		}
 		c, _ := s.Campaign(id)
 		c.mu.Lock()
-		phase, runners, free := c.phase, c.runners, c.free
+		phase, pool := c.phase, c.pool
 		c.mu.Unlock()
 		if phase != PhaseDone {
 			t.Fatalf("campaign %s: phase %s", id, phase)
 		}
-		if runners != nil || free != nil {
-			t.Fatalf("finished campaign %s holds %d runners (free channel %v)", id, len(runners), free != nil)
+		if pool != nil {
+			t.Fatalf("finished campaign %s holds its pool of %d runners", id, pool.Size())
 		}
 		heap[i] = liveHeap()
 	}

@@ -454,7 +454,7 @@ func TestServiceNoWWorkers(t *testing.T) {
 		t.Fatal("running campaign offered no work to a worker")
 	}
 	c.mu.Lock()
-	watchdog := c.runners[0].Cfg.MaxInsts
+	watchdog := c.pool.Runner().Cfg.MaxInsts
 	c.mu.Unlock()
 	if wel.MaxInsts == 0 || wel.MaxInsts != watchdog {
 		t.Fatalf("welcome MaxInsts %d, runners use %d", wel.MaxInsts, watchdog)
@@ -526,7 +526,7 @@ func TestShutdownDrainJournalsInFlight(t *testing.T) {
 	}
 	c, _ := s.Campaign(id)
 	c.mu.Lock()
-	r := c.runners[0]
+	r := c.pool.Runner()
 	c.mu.Unlock()
 	res := r.Run(exp)
 

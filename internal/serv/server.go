@@ -2,25 +2,27 @@ package serv
 
 // Service is the campaign server: a durable, multi-tenant scheduler that
 // accepts campaign specs over HTTP, persists every state transition to
-// the journal, executes experiments on per-campaign local runner pools
-// under a global slot budget and on NoW workers via the now.ExpSource
-// bridge, and streams progress to any number of watchers. It is the only
-// NoW master: gemfi now master is this service with no local slots and
-// one submitted campaign.
+// the journal, executes experiments on per-campaign campaign.Pools under
+// a global slot budget and on NoW workers via the now.ExpSource bridge,
+// and streams progress to any number of watchers. It is the only
+// campaign host: gemfi campaign runs a local campaign on an in-process
+// service, and gemfi now master is that service with no local slots.
 //
-// Fair sharing is smooth weighted round-robin over campaigns that have
-// both pending work and an idle runner: each dispatch round every
-// runnable campaign gains its weight, the largest accumulator wins the
-// slot and pays the total back. Interleaving is proportional to weight
-// even in short windows, so one tenant's 10k-experiment campaign cannot
-// starve another's smoke test.
+// A local slot runs one pool group: a whole trigger walk on a fork
+// campaign, one experiment otherwise. NoW workers take single
+// experiments. Fair sharing is smooth weighted round-robin over
+// campaigns that have both pending work and an idle runner: each
+// dispatch round every runnable campaign gains its weight, the largest
+// accumulator wins the slot and pays the total back. Interleaving is
+// proportional to weight even in short windows, so one tenant's
+// 10k-experiment campaign cannot starve another's smoke test.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,10 +43,11 @@ import (
 type Config struct {
 	// Dir is the journal directory (required).
 	Dir string
-	// Slots bounds concurrent local experiment executions across all
-	// campaigns (default 4). A negative value runs nothing locally: NoW
-	// workers execute every experiment, as the paper's master machine
-	// only held the checkpoint and the queue.
+	// Slots bounds concurrent local group executions across all
+	// campaigns (default 4), and so each campaign's pool size. A negative
+	// value runs nothing locally: NoW workers execute every experiment,
+	// as the paper's master machine only held the checkpoint and the
+	// queue.
 	Slots int
 	// Metrics receives service telemetry (nil disables).
 	Metrics *obs.Registry
@@ -86,7 +89,6 @@ type Service struct {
 	slots chan struct{} // global local-execution budget (semaphore)
 	kickC chan struct{}
 	stopC chan struct{}
-	wg    sync.WaitGroup // dispatcher + experiment goroutines
 
 	// Span bookkeeping for in-flight experiments (nil-map free when
 	// tracing is off). spanMu is leaf-level: taken with c.mu or s.mu
@@ -146,17 +148,9 @@ func New(cfg Config) (*Service, error) {
 			s.restoreFinished(c)
 			continue
 		}
-		if s.resumedC != nil {
-			s.resumedC.Inc()
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.launch(c)
-		}()
+		s.resumedC.Inc()
+		go s.launch(c)
 	}
-
-	s.wg.Add(1)
 	go s.dispatch()
 	return s, nil
 }
@@ -179,18 +173,9 @@ func (s *Service) registerMetrics() {
 		return float64(s.nowWorkers.Load())
 	})
 	r.RegisterFunc("serv.campaigns_active", func() float64 {
-		// Copy the campaign set under s.mu, then read each status under
-		// its own lock — taking c.mu while holding s.mu would invert the
-		// service's lock order (completion holds c.mu when journaling).
-		s.mu.Lock()
-		camps := make([]*Campaign, 0, len(s.camps))
-		for _, c := range s.camps {
-			camps = append(camps, c)
-		}
-		s.mu.Unlock()
 		n := 0
-		for _, c := range camps {
-			if ph := c.Status().Phase; ph == PhaseRunning || ph == PhasePreparing {
+		for _, st := range s.Campaigns() {
+			if st.Phase == PhaseRunning || st.Phase == PhasePreparing {
 				n++
 			}
 		}
@@ -271,14 +256,8 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 	s.st.apply(rec)
 	c := s.adopt(id)
 	s.mu.Unlock()
-	if s.submittedC != nil {
-		s.submittedC.Inc()
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.launch(c)
-	}()
+	s.submittedC.Inc()
+	go s.launch(c)
 	return id, nil
 }
 
@@ -286,7 +265,7 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 // of its ledger already journaled) to running: golden run, sampler,
 // first batch.
 func (s *Service) launch(c *Campaign) {
-	window, err := c.prepare()
+	window, err := c.prepare(s.cfg.Slots)
 	if err != nil {
 		c.fail(err)
 		return
@@ -301,11 +280,13 @@ func (s *Service) launch(c *Campaign) {
 	}
 	c.sampler = newSampler(&c.Spec, window)
 	c.sampler.restore(c.led)
+	var todo []campaign.Experiment
 	for _, e := range c.led.Planned {
 		if _, done := c.led.Results[e.ID]; !done {
-			c.pending = append(c.pending, e)
+			todo = append(todo, e)
 		}
 	}
+	c.pending = c.pool.Plan(todo)
 	if len(c.pending) == 0 {
 		if err := s.planBatchLocked(c); err != nil {
 			c.mu.Unlock()
@@ -338,16 +319,14 @@ func (s *Service) planBatchLocked(c *Campaign) error {
 	if err := s.appendApply(rec); err != nil {
 		return err
 	}
-	c.pending = append(c.pending, exps...)
+	c.pending = append(c.pending, c.pool.Plan(exps)...)
 	if c.expBatch == nil {
 		c.expBatch = make(map[int]int)
 	}
 	for _, e := range exps {
 		c.expBatch[e.ID] = rec.Batch
 	}
-	if s.batchesC != nil {
-		s.batchesC.Inc()
-	}
+	s.batchesC.Inc()
 	return nil
 }
 
@@ -373,10 +352,11 @@ type servExp struct {
 	sentNS int64
 }
 
-// startExpSpan roots one experiment's trace at the service — the root
-// exists even if the executor dies — and returns the context runner or
-// worker spans parent under. Zero context when tracing is off.
-func (s *Service) startExpSpan(c *Campaign, exp campaign.Experiment, worker string) obs.SpanContext {
+// startExpSpan roots one experiment's trace at the service, starting at
+// start — the root exists even if the executor dies — and returns the
+// context runner or worker spans parent under. Zero context when tracing
+// is off.
+func (s *Service) startExpSpan(c *Campaign, exp campaign.Experiment, worker string, start time.Time) obs.SpanContext {
 	if s.cfg.Spans == nil {
 		return obs.SpanContext{}
 	}
@@ -384,6 +364,7 @@ func (s *Service) startExpSpan(c *Campaign, exp campaign.Experiment, worker stri
 	batch := c.expBatch[exp.ID]
 	c.mu.Unlock()
 	sp := s.cfg.Spans.StartRoot("experiment")
+	sp.SetStart(start)
 	sp.SetTrack(worker)
 	sp.SetAttr("campaign", c.ID)
 	sp.SetAttr("tenant", c.Spec.tenant())
@@ -466,10 +447,11 @@ func (s *Service) abandonExpSpan(campID string, expID int, remember bool) {
 }
 
 // complete folds one classified experiment into the campaign: dedupe,
-// journal, sampler evidence, stream broadcast, and — when the batch has
-// drained — the next batch or the finish line. The exactly-once point:
-// a result is journaled and counted only if its ID was not already
-// classified, so requeued or duplicated executions collapse to one.
+// journal, metrics, sampler evidence, stream broadcast, and — when the
+// batch has drained — the next batch or the finish line. The
+// exactly-once point: a result is journaled and counted only if its ID
+// was not already classified, so requeued or duplicated executions
+// collapse to one.
 func (s *Service) complete(c *Campaign, res campaign.Result, spans []obs.SpanRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -488,9 +470,8 @@ func (s *Service) complete(c *Campaign, res campaign.Result, spans []obs.SpanRec
 	s.finishExpSpan(c, res, spans)
 	delete(c.inflight, res.ID)
 	c.sampler.record(res)
-	if s.resultsC != nil {
-		s.resultsC.Inc()
-	}
+	s.resultsC.Inc()
+	s.observe(res)
 	c.broadcastLocked(streamEvent{Type: "result", Result: &res})
 	if len(c.pending) == 0 && len(c.inflight) == 0 {
 		if err := s.planBatchLocked(c); err != nil {
@@ -505,6 +486,20 @@ func (s *Service) complete(c *Campaign, res campaign.Result, spans []obs.SpanRec
 	}
 }
 
+// observe feeds one journaled result into the campaign metrics: the
+// per-outcome tallies, the completed count, and the experiment-duration
+// and per-phase latency histograms, whose exemplars carry the result's
+// trace ID so a fat bucket links to a concrete span tree.
+func (s *Service) observe(res campaign.Result) {
+	m := s.cfg.Metrics
+	m.Counter("campaign.completed").Inc()
+	m.Counter("campaign.outcome." + res.Outcome.String()).Inc()
+	m.Histogram("campaign.exp_duration_us").ObserveEx(float64(res.WallNs)/1e3, res.TraceID)
+	for name, ns := range res.PhaseNS {
+		m.Histogram("campaign.phase."+name+"_us").ObserveEx(float64(ns)/1e3, res.TraceID)
+	}
+}
+
 // kick wakes the dispatcher (coalescing).
 func (s *Service) kick() {
 	select {
@@ -516,7 +511,6 @@ func (s *Service) kick() {
 // dispatch is the scheduler loop: on every wake it hands out as many
 // (campaign, experiment, runner, slot) quadruples as it can.
 func (s *Service) dispatch() {
-	defer s.wg.Done()
 	for {
 		select {
 		case <-s.stopC:
@@ -530,51 +524,41 @@ func (s *Service) dispatch() {
 
 // dispatchOne picks the next campaign by smooth weighted round-robin
 // among those with pending work and an idle runner, takes a global slot,
-// and launches one experiment. Returns false when nothing can start.
+// and starts the campaign's next group on its pool. Returns false when
+// nothing can start.
 func (s *Service) dispatchOne() bool {
 	select {
 	case s.slots <- struct{}{}:
 	default:
 		return false // all slots busy; a completion will re-kick
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.isDraining() {
 		<-s.slots
 		return false
 	}
+	s.mu.Lock()
 	cands := s.campaignsLocked()
 	s.mu.Unlock()
 
 	// Smooth WRR (nginx variant): every runnable candidate gains its
 	// weight; the largest accumulator wins and repays the round total.
-	// wrrCur is touched only here, on the single dispatcher goroutine.
+	// wrrCur is touched only here, on the single dispatcher goroutine,
+	// which is also every pool's only TryRun caller: an idle runner it
+	// sees stays idle until it starts a group there.
 	var pick *Campaign
-	var pickRunner *campaign.Runner
-	var pickExp campaign.Experiment
 	total := 0
 	for _, c := range cands {
 		c.mu.Lock()
-		runnable := c.phase == PhaseRunning && len(c.pending) > 0
+		runnable := c.phase == PhaseRunning && len(c.pending) > 0 && c.pool.Idle() > 0
 		c.mu.Unlock()
 		if !runnable {
 			continue
-		}
-		r := c.borrowRunner()
-		if r == nil {
-			continue // pool busy; its completion will re-kick
 		}
 		w := c.Spec.weight()
 		total += w
 		c.wrrCur += w
 		if pick == nil || c.wrrCur > pick.wrrCur {
-			if pick != nil {
-				pick.returnRunner(pickRunner)
-			}
-			pick, pickRunner = c, r
-		} else {
-			c.returnRunner(r)
+			pick = c
 		}
 	}
 	if pick == nil {
@@ -584,25 +568,31 @@ func (s *Service) dispatchOne() bool {
 	pick.wrrCur -= total
 
 	pick.mu.Lock()
-	exp, ok := pick.takeLocked()
+	g, ok := pick.takeLocked(math.MaxInt)
+	pool := pick.pool
 	pick.mu.Unlock()
 	if !ok {
-		pick.returnRunner(pickRunner)
 		<-s.slots
 		return false
 	}
-	pickExp = exp
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		ctx := s.startExpSpan(pick, pickExp, "local")
-		res := pickRunner.RunCtx(pickExp, ctx)
-		pick.returnRunner(pickRunner)
+	// Each member's root span opens when the runner reaches it; once the
+	// service drains, the group stops there and its unstarted members go
+	// back to pending.
+	member := func(exp campaign.Experiment, start time.Time) (obs.SpanContext, bool) {
+		if s.isDraining() {
+			return obs.SpanContext{}, false
+		}
+		return s.startExpSpan(pick, exp, "local", start), true
+	}
+	done := func(unstarted []campaign.Experiment) {
+		pick.requeue(unstarted)
 		<-s.slots
-		s.complete(pick, res, nil)
 		s.kick()
-	}()
+	}
+	if !pool.TryRun(g, member, func(res campaign.Result) { s.complete(pick, res, nil) }, done) {
+		done(g.Exps) // unreachable while dispatch is the only caller
+		return false
+	}
 	return true
 }
 
@@ -639,30 +629,33 @@ func (s *Service) Campaigns() []CampaignStatus {
 // Wait blocks until the campaign finishes (done or failed) or the
 // timeout elapses; reports whether it finished.
 func (s *Service) Wait(id string, timeout time.Duration) bool {
-	return s.waitPhase(id, timeout, PhaseDone, PhaseFailed)
+	c, ok := s.Campaign(id)
+	if !ok {
+		return false
+	}
+	select {
+	case <-c.ended:
+		return true
+	case <-time.After(timeout):
+		return false
+	}
 }
 
 // WaitPrepared blocks until the campaign has left the preparing phase —
 // its golden run has produced the checkpoint NoW workers are welcomed
 // with — or the timeout elapses; reports whether it has.
 func (s *Service) WaitPrepared(id string, timeout time.Duration) bool {
-	return s.waitPhase(id, timeout, PhaseRunning, PhaseDone, PhaseFailed)
-}
-
-func (s *Service) waitPhase(id string, timeout time.Duration, phases ...string) bool {
 	c, ok := s.Campaign(id)
 	if !ok {
 		return false
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if slices.Contains(phases, c.Status().Phase) {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(5 * time.Millisecond) {
+		if c.Status().Phase != PhasePreparing {
 			return true
 		}
 		if time.Now().After(deadline) {
 			return false
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -700,6 +693,13 @@ func (s *Service) Close() {
 	_ = s.j.close()
 }
 
+// isDraining reports whether Shutdown or Close has begun.
+func (s *Service) isDraining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
+
 // startDrain stops submissions, dispatch and hand-outs to workers;
 // false when Shutdown or Close already did.
 func (s *Service) startDrain() bool {
@@ -714,7 +714,8 @@ func (s *Service) startDrain() bool {
 }
 
 // inflight counts the experiments handed to a local runner or a NoW
-// worker whose results have not come back.
+// worker whose results have not come back (a local group's members count
+// from its dispatch).
 func (s *Service) inflight() int {
 	s.mu.Lock()
 	camps := s.campaignsLocked()
@@ -747,8 +748,8 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 	best := 0
 	for _, c := range camps {
 		c.mu.Lock()
-		if c.phase == PhaseRunning && len(c.pending) > best && len(c.runners) > 0 {
-			pick, runner, best = c, c.runners[0], len(c.pending)
+		if n := c.pendingLocked(); c.phase == PhaseRunning && n > best {
+			pick, runner, best = c, c.pool.Runner(), n
 		}
 		c.mu.Unlock()
 	}
@@ -786,11 +787,7 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 
 // ServeWorkers serves the NoW worker protocol on ln until it closes.
 func (s *Service) ServeWorkers(ln net.Listener) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		now.ServeSource(ln, s)
-	}()
+	go now.ServeSource(ln, s)
 }
 
 // servSession is one worker connection's campaign assignment.
@@ -804,22 +801,20 @@ type servSession struct {
 }
 
 func (ss *servSession) Take() (campaign.Experiment, obs.SpanContext, bool) {
-	ss.s.mu.Lock()
-	draining := ss.s.draining
-	ss.s.mu.Unlock()
-	if draining {
+	if ss.s.isDraining() {
 		return campaign.Experiment{}, obs.SpanContext{}, false
 	}
 	ss.c.mu.Lock()
-	exp, ok := ss.c.takeLocked()
+	g, ok := ss.c.takeLocked(1)
 	ss.c.mu.Unlock()
 	if !ok {
-		return exp, obs.SpanContext{}, false
+		return campaign.Experiment{}, obs.SpanContext{}, false
 	}
+	exp := g.Exps[0]
 	ss.mu.Lock()
 	ss.taken[exp.ID] = exp
 	ss.mu.Unlock()
-	return exp, ss.s.startExpSpan(ss.c, exp, ss.worker), true
+	return exp, ss.s.startExpSpan(ss.c, exp, ss.worker, time.Now()), true
 }
 
 func (ss *servSession) Complete(res campaign.Result, spans []obs.SpanRecord) {
@@ -864,10 +859,7 @@ func (ss *servSession) Close() {
 // else in the ledger.
 func (s *Service) Postmortem(id string) (*flight.Postmortem, bool) {
 	s.mu.Lock()
-	camps := make([]*Campaign, 0, len(s.camps))
-	for _, c := range s.camps {
-		camps = append(camps, c)
-	}
+	camps := s.campaignsLocked()
 	s.mu.Unlock()
 	var campID string
 	expID := -1
@@ -1049,10 +1041,6 @@ func (s *Service) Serve(addr string) (*http.Server, net.Listener, error) {
 		return nil, nil, err
 	}
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		_ = srv.Serve(ln)
-	}()
+	go func() { _ = srv.Serve(ln) }()
 	return srv, ln, nil
 }
