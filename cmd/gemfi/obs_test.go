@@ -252,8 +252,8 @@ func TestForkMatchesReplay(t *testing.T) {
 			if r, f := tallyLines(replay), tallyLines(fork); r != f {
 				t.Errorf("tallies differ\nreplay:\n%s\nfork:\n%s", r, f)
 			}
-			if !strings.Contains(fork, "fork server:") {
-				t.Errorf("no fork server report:\n%s", fork)
+			if !strings.Contains(fork, "fork server:") || !strings.Contains(fork, "pre-classified dead-register faults") {
+				t.Errorf("no fork server report with its pre-classified count:\n%s", fork)
 			}
 		})
 	}

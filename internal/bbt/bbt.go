@@ -2,9 +2,10 @@
 // block" idea applied to the atomic fast path. While no fault can act —
 // the fault-injection window is closed, the engine is quiescent with
 // every fault exhausted and nothing in flight, or every armed fault's
-// trigger lies beyond the block — and no per-instruction observer is
-// attached, the same budget that gates the atomic model's stepFast,
-// hot straight-line runs of guest text are fused into
+// trigger lies beyond the block — and every attached observer takes
+// whole blocks (cpu.BlockObserver), the same budget that gates the
+// atomic model's stepFast, hot straight-line runs of guest text are
+// fused into
 // a pre-bound chain of Go closures, one closure per decoded instruction
 // with its register indices and immediates resolved at translation time.
 // Executing a block skips the per-instruction fetch, predecode lookup,
@@ -27,13 +28,14 @@
 // executing a stale downstream instruction.
 //
 // The ROADMAP calls for the per-PC profiler's counts to seed hotness,
-// but an attached profiler forces the slow path (it needs per-commit
+// but an attached profiler keeps translation off (it needs per-commit
 // hooks), so a translated run never has one; the translator keeps its
 // own direct-mapped hotness table over block-entry PCs instead.
 package bbt
 
 import (
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -142,6 +144,10 @@ type Translator struct {
 
 	blocks [1 << blockBits]block
 	hot    [1 << hotBits]hotEntry
+	// ports holds, slot for slot, the register ports of each block's
+	// instructions, for block observers. It is apart from blocks, whose
+	// entries stay one cache line each.
+	ports [1 << blockBits][]isa.RegPorts
 }
 
 var _ cpu.BlockRunner = (*Translator)(nil)
@@ -156,8 +162,8 @@ func New(c *cpu.Core) *Translator {
 func (t *Translator) SetLimit(limit uint64) { t.limit = limit }
 
 // NoteFallback implements cpu.BlockRunner: the atomic model reports each
-// slow-path step taken while translation is attached — a fault can still
-// act or an observer needs per-instruction hooks — so the bailout
+// interpreted step taken while translation is attached — a fault can
+// still act or an observer needs per-instruction hooks — so the bailout
 // behavior is observable (a campaign with taint and flight attached must
 // show zero translated instructions and a growing fallback count).
 func (t *Translator) NoteFallback() { t.Stats.Fallbacks++ }
@@ -300,6 +306,9 @@ func (t *Translator) run(b *block) {
 	}
 	if c.FI != nil {
 		c.FI.Retire(executed, executed, executed, committed, c.Ticks)
+	}
+	for _, o := range c.Observers {
+		o.(cpu.BlockObserver).OnBlock(t.ports[(b.tag>>2)&blockMask][:committed], t.arch)
 	}
 	t.Stats.Hits++
 	t.Stats.Insts += committed

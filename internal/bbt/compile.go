@@ -26,6 +26,7 @@ func (t *Translator) compile(pc, gen uint64) {
 		return
 	}
 	b := block{tag: pc | tagValid, gen: gen}
+	ports := t.ports[(pc>>2)&blockMask][:0]
 	cur := pc
 	terminal := false
 	for !terminal && uint64(len(b.ops)) < maxBlockLen && cur < hi {
@@ -39,12 +40,15 @@ func (t *Translator) compile(pc, gen uint64) {
 			break
 		}
 		b.ops = append(b.ops, op)
-		useInt, useFP := in.Ports().Masks()
+		p := in.Ports()
+		ports = append(ports, p)
+		useInt, useFP := p.Masks()
 		b.useInt |= useInt
 		b.useFP |= useFP
 		cur += 4
 	}
 	b.n = uint64(len(b.ops))
+	t.ports[(pc>>2)&blockMask] = ports
 	if b.n == 0 {
 		*slot = b
 		t.Stats.Poisoned++

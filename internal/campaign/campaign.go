@@ -491,6 +491,16 @@ func (r *Runner) Spans() *obs.SpanRecorder { return r.spans }
 // a remote parent) and wires the simulator's phase/fault-event hooks.
 // Returns nil when span tracing is detached.
 func (r *Runner) beginExpTrace(exp Experiment, parent obs.SpanContext, start time.Time) *expTrace {
+	tr := r.openExpTrace(exp, parent, start)
+	if tr != nil {
+		r.sim.SetSpans(r.spans, tr.span)
+	}
+	return tr
+}
+
+// openExpTrace is beginExpTrace for an experiment the simulator does not
+// run: the span without the simulator's hooks.
+func (r *Runner) openExpTrace(exp Experiment, parent obs.SpanContext, start time.Time) *expTrace {
 	if r.spans == nil {
 		return nil
 	}
@@ -509,7 +519,6 @@ func (r *Runner) beginExpTrace(exp Experiment, parent obs.SpanContext, start tim
 	if len(exp.Faults) > 0 {
 		span.SetAttr("fault", exp.Faults[0].String())
 	}
-	r.sim.SetSpans(r.spans, span)
 	tr := &expTrace{span: span, last: start, phases: make(map[string]int64, 8)}
 	r.curTrace = tr
 	return tr

@@ -206,13 +206,18 @@ func (sp *snapPool) stats() (taken, evicted uint64, live int, bytes uint64) {
 type forkServer struct {
 	pool  *snapPool
 	final sim.RunResult // trunk run to completion (golden continuation)
+	// defuse is the trunk's def-use index (defuse.go), from which walks
+	// decide dead-register faults at their trigger; nil unless the
+	// runners are unobserved and atomic, whose ticks are the trunk's.
+	defuse *defUse
 
-	forks        atomic.Uint64
-	walks        atomic.Uint64
-	armedInsts   atomic.Uint64
-	prunedMasked atomic.Uint64
-	prunedTwin   atomic.Uint64
-	twinChecks   atomic.Uint64
+	forks         atomic.Uint64
+	preclassified atomic.Uint64
+	walks         atomic.Uint64
+	armedInsts    atomic.Uint64
+	prunedMasked  atomic.Uint64
+	prunedTwin    atomic.Uint64
+	twinChecks    atomic.Uint64
 }
 
 // ForkStats is a point-in-time accounting of a fork-server campaign.
@@ -238,6 +243,14 @@ type ForkStats struct {
 	// runners) skip the look-ahead and add nothing.
 	Walks      uint64 `json:"walks"`
 	ArmedInsts uint64 `json:"armedInsts"`
+
+	// Preclassified counts the experiments a walk concluded at their
+	// trigger from the trunk's def-use index, never forking or running
+	// them: register faults whose register the golden run overwrites or
+	// never reads again. Forks includes them, as every experiment the
+	// fork server concluded. DefUseBytes is the index's size.
+	Preclassified uint64 `json:"preclassified"`
+	DefUseBytes   uint64 `json:"defUseBytes"`
 }
 
 func (fs *forkServer) statsSnapshot() ForkStats {
@@ -254,6 +267,8 @@ func (fs *forkServer) statsSnapshot() ForkStats {
 		PrunedTwin:       fs.prunedTwin.Load(),
 		TwinChecks:       fs.twinChecks.Load(),
 		TrunkInsts:       fs.final.Insts,
+		Preclassified:    fs.preclassified.Load(),
+		DefUseBytes:      fs.defuse.bytes(),
 	}
 }
 
@@ -278,7 +293,8 @@ const seekChunk = 512
 // EnableFork builds the fork server for a checkpoint-backed runner: a
 // dedicated trunk simulator restores the checkpoint, runs once to
 // completion on the atomic model, and freezes snapshots across the
-// fault-injection window on the way. Idempotent.
+// fault-injection window on the way. For unobserved atomic runners it
+// also records the run's def-use index. Idempotent.
 func (r *Runner) EnableFork(opts ForkOptions) error {
 	if r.fork != nil {
 		return nil
@@ -299,6 +315,11 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		return err
 	}
 	trunk.Restore(r.Ckpt, nil)
+	var du *defUseRecorder
+	if r.Cfg.Model == sim.ModelAtomic && !r.observed() {
+		du = newDefUseRecorder(trunk.Core)
+		trunk.Watch(du)
+	}
 
 	sp := &snapPool{maxLive: opts.Snapshots + opts.Snapshots/2}
 	sp.setRoot(trunk.CaptureForkPoint())
@@ -335,6 +356,9 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	}
 
 	fs := &forkServer{pool: sp, final: res}
+	if du != nil {
+		fs.defuse = &du.idx
+	}
 	r.fork = fs
 	if m := r.Cfg.Metrics; m != nil {
 		m.RegisterFunc("campaign.fork.snapshots_live", func() float64 {
@@ -350,6 +374,8 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		m.RegisterFunc("campaign.fork.armed_insts", func() float64 { return float64(fs.armedInsts.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_masked", func() float64 { return float64(fs.prunedMasked.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_twin", func() float64 { return float64(fs.prunedTwin.Load()) })
+		m.RegisterFunc("campaign.fork.preclassified", func() float64 { return float64(fs.preclassified.Load()) })
+		m.RegisterFunc("campaign.fork.defuse_bytes", func() float64 { return float64(fs.defuse.bytes()) })
 	}
 	return nil
 }

@@ -10,19 +10,24 @@ package campaign
 // hookless, nothing is corrupted and the stage counts are exact, so the
 // walk is observably each member's own run. At
 // the first step boundary where some armed fault could act
-// (core.Engine.StepsUntilDue), the walk freezes a warm walk point,
-// re-arms the engine in place with the owning member's faults, and runs
-// that member to its verdict exactly as a lone fork would. Then it
-// resumes from the walk point with the remaining faults. A member
+// (core.Engine.StepsUntilDue), the walk freezes a warm walk point, hands
+// the engine over in place to the owning member's faults, and runs that
+// member to its verdict exactly as a lone fork would. Then it resumes
+// from the walk point with the other faults as they were. A member
 // therefore starts from the state its own run would have reached at its
 // trigger, pipeline, predictor and caches included, and its verdict is
-// bit-identical to running it alone.
+// bit-identical to running it alone. A member whose register fault the
+// golden run overwrites or never reads again is concluded at its pause
+// instead, from the trunk's def-use index (defuse.go).
 
 import (
+	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -119,71 +124,170 @@ func (r *Runner) runGroup(g Group, member Member, emit func(Result)) []Experimen
 
 // runWalk executes a walk and hands each member's result to emit as soon
 // as it is classified. member supplies each member's span parent. A
-// member's phases are fork (the cold fork or walk-point restore), walk
-// (its share of the walk, up to the step before its trigger), then the
-// run's own. It returns the members left unstarted when member stops it.
+// member's phases are fork (the cold fork, or the resume from the last
+// walk point), walk (its share of the walk, up to the step before its
+// trigger), then the run's own. It returns the members left unstarted
+// when member stops it.
+//
+// The walk forks once and arms every member's faults once. At a member's
+// pause it either concludes the member from the trunk's def-use index
+// (deadAtPause), dropping its faults in place, or freezes a walk point,
+// hands the engine over in place to the member's faults, runs the member
+// and resumes the walk point with the other faults as they were. So a
+// walk costs its members, each once, whatever its size.
 func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment {
 	fs := r.fork
 	fs.walks.Add(1)
 	base := w.snap.fp.Core.Insts
-	from := w.snap.fp
-	pending := w.Exps
-	for len(pending) > 0 {
-		start := time.Now()
-		// A member's trace opens as soon as the member is known: at once
-		// in a walk of one, after its walk segment otherwise.
-		var tr *expTrace
-		if len(pending) == 1 {
-			ctx, ok := member(pending[0], start)
-			if !ok {
-				return pending
-			}
-			tr = r.beginExpTrace(pending[0], ctx, start)
+	exps := w.Exps
+	start := time.Now()
+	// A member's trace opens as soon as the member is known: at once in a
+	// walk of one, at its pause otherwise.
+	var tr *expTrace
+	if len(exps) == 1 {
+		ctx, ok := member(exps[0], start)
+		if !ok {
+			return exps
 		}
-		faults, owner := armAll(pending)
-		r.sim.ForkFrom(from, faults)
-		forked := time.Now()
+		tr = r.beginExpTrace(exps[0], ctx, start)
+	}
+	faults, off := armAll(exps)
+	r.sim.ForkFrom(w.snap.fp, faults)
+	forked := time.Now()
 
-		m, walked := 0, forked
-		walks := r.walkable(pending[0])
+	walks := r.walkable(exps[0])
+	done := make([]bool, len(exps))
+	for left := len(exps); left > 0; left-- {
+		m, src, walked := 0, 0, forked
 		if walks {
 			insts := r.sim.Core.Insts
-			res, src := r.sim.WalkToDue()
+			var res sim.RunResult
+			res, src = r.sim.WalkToDue()
 			fs.armedInsts.Add(r.sim.Core.Insts - insts)
 			if !res.Paused {
-				return r.concludeAll(pending, member, res, start, forked, tr, emit)
+				return r.concludeAll(unstarted(exps, done), member, res, start, forked, tr, emit)
 			}
-			if owner != nil {
-				m = owner[src]
-			}
+			m = sort.Search(len(exps), func(i int) bool { return off[i+1] > src })
 		}
-		exp := pending[m]
+		exp := exps[m]
 		ctx, ok := obs.SpanContext{}, true
 		if tr == nil {
 			ctx, ok = member(exp, start)
 		}
 		if !ok {
-			return pending
+			return unstarted(exps, done)
 		}
-		pending = append(pending[:m:m], pending[m+1:]...)
+		done[m] = true
+
+		if walks {
+			if res, ev, dead := r.deadAtPause(exp, src); dead {
+				r.sim.Engine.Drop(off[m], off[m+1])
+				walked = time.Now()
+				if tr == nil {
+					tr = r.openExpTrace(exp, ctx, start)
+				}
+				r.cutPhaseAt("fork", forked)
+				r.cutPhaseAt("walk", walked)
+				fs.forks.Add(1)
+				fs.preclassified.Add(1)
+				r.expEvent("fork.preclassified", ev)
+				emit(r.conclude(exp, res, OutcomeNonPropagated, nil, start, tr))
+				tr, start = nil, time.Now()
+				forked = start
+				continue
+			}
+		}
+
 		var next *checkpoint.ForkPoint
-		if len(pending) > 0 {
+		if left > 1 {
 			next = r.sim.CaptureWalkPoint()
 		}
 		if walks {
 			walked = time.Now()
 		}
+		var rest core.Armed
+		if len(exps) > 1 {
+			// None of the member's faults has fired, so only the armed
+			// list changes, and the member's trace announces its own
+			// faults, not the walk's.
+			rest = r.sim.Engine.Handover(off[m], off[m+1])
+		}
 		if tr == nil {
-			tr = r.beginMemberTrace(exp, ctx, start)
+			tr = r.beginExpTrace(exp, ctx, start)
 		}
 		r.cutPhaseAt("fork", forked)
 		r.sim.BeginPhaseRecording(r.cutPhaseAt("walk", walked))
 		fs.forks.Add(1)
 		runRes, pruned := r.finishForked(exp, base)
 		emit(r.conclude(exp, runRes, pruned, nil, start, tr))
-		from = next
+		tr = nil
+		if next != nil {
+			start = time.Now()
+			r.sim.ResumeWalk(next, rest)
+			forked = time.Now()
+		}
 	}
 	return nil
+}
+
+// deadAtPause decides a walk member at its pause, without running it,
+// when its one fault is a register fault the golden run makes dead: the
+// walk is the golden run so far, the fault strikes the running thread's
+// very next commit (not a PAL one, whose dispatch may close the window,
+// switch threads or stop the run first), and the trunk's def-use index
+// says the register's next access after that commit is a write, or that
+// there is none. The run would then go on exactly as the golden one with
+// the flipped bits unread, so the verdict is non-propagated, fired, with
+// the trunk's totals and the struck commit's PC. It returns that run's
+// result and the span event's attributes.
+func (r *Runner) deadAtPause(exp Experiment, src int) (sim.RunResult, map[string]any, bool) {
+	du := r.fork.defuse
+	if du == nil || len(exp.Faults) != 1 {
+		return sim.RunResult{}, nil, false
+	}
+	f := exp.Faults[0]
+	if f.Loc != core.LocIntReg && f.Loc != core.LocFloatReg || f.Occ != 1 ||
+		!r.sim.Engine.DueAtNextCommit(src) {
+		return sim.RunResult{}, nil, false
+	}
+	pc := r.sim.Core.Arch.PC
+	word, err := r.sim.Mem.Read32(pc)
+	if err != nil || isa.Decode(isa.Word(word)).Format == isa.FormatPAL {
+		return sim.RunResult{}, nil, false
+	}
+	fp, reg := f.Loc == core.LocFloatReg, isa.Reg(f.Reg&31)
+	struck := r.sim.Core.Insts + 1
+	at, read, touched := du.next(fp, reg, struck)
+	if read {
+		return sim.RunResult{}, nil, false
+	}
+	ev := map[string]any{"id": exp.ID, "reg": regName(fp, reg), "commit": struck, "rule": "unread"}
+	if touched {
+		ev["rule"], ev["next"] = "overwritten", at
+	}
+	res := r.fork.final
+	res.Outcomes = []core.FaultOutcome{{Fault: f, Fired: true, PC: pc, HavePC: true, Committed: true, Overwritten: touched}}
+	return res, ev, true
+}
+
+// regName names register r of the integer or FP file as fault
+// descriptions do.
+func regName(fp bool, r isa.Reg) string {
+	if fp {
+		return fmt.Sprintf("f%d", r)
+	}
+	return r.String()
+}
+
+// unstarted lists the members of a walk not yet reached, in order.
+func unstarted(exps []Experiment, done []bool) []Experiment {
+	var out []Experiment
+	for i, exp := range exps {
+		if !done[i] {
+			out = append(out, exp)
+		}
+	}
+	return out
 }
 
 // concludeAll classifies the members left when a walk's run ended before
@@ -210,27 +314,26 @@ func (r *Runner) concludeAll(exps []Experiment, member Member, res sim.RunResult
 	return nil
 }
 
-// beginMemberTrace opens the trace of one member of a walk of several.
-// It first hands the engine over from the group's faults to the
-// member's in place: none has fired, so only the armed list changes,
-// and the member's trace announces its own faults, not the group's.
+// beginMemberTrace opens the trace of one member of a walk of several
+// whose run has ended. It first re-arms the engine with the member's
+// faults alone, so that the trace announces the member's faults, not the
+// walk's.
 func (r *Runner) beginMemberTrace(exp Experiment, ctx obs.SpanContext, start time.Time) *expTrace {
 	eng := r.sim.Engine
 	eng.ResetWithWindow(exp.Faults, eng.CaptureWindow())
 	return r.beginExpTrace(exp, ctx, start)
 }
 
-// armAll concatenates the members' faults into one armed list; owner maps
-// each position back to its member.
-func armAll(exps []Experiment) (faults []core.Fault, owner []int) {
+// armAll concatenates the members' faults into one armed list; member i's
+// faults sit at positions [off[i], off[i+1]).
+func armAll(exps []Experiment) (faults []core.Fault, off []int) {
 	if len(exps) == 1 {
-		return exps[0].Faults, nil
+		return exps[0].Faults, []int{0, len(exps[0].Faults)}
 	}
-	for i, exp := range exps {
+	off = make([]int, 0, len(exps)+1)
+	for _, exp := range exps {
+		off = append(off, len(faults))
 		faults = append(faults, exp.Faults...)
-		for range exp.Faults {
-			owner = append(owner, i)
-		}
 	}
-	return faults, owner
+	return faults, append(off, len(faults))
 }

@@ -330,8 +330,9 @@ func TestForkPointFuzz(t *testing.T) {
 
 // TestForkCampaignVerdictIdentity runs the same experiments through a
 // fork-server campaign runner and a plain replay runner for every
-// workload and requires identical outcome classes — the campaign-level
-// half of the acceptance criteria.
+// workload, on the atomic model, and requires identical results: outcome
+// class, fired flag, instruction and tick totals, injection PC and crash
+// cause. It referees the walks' def-use verdicts too.
 func TestForkCampaignVerdictIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign pair per workload is slow")
@@ -350,11 +351,8 @@ func TestForkCampaignVerdictIdentity(t *testing.T) {
 		}
 		exps := campaign.GenerateUniform(8, campaign.GenConfig{WindowInsts: replay.WindowInsts, Seed: 42})
 		for _, e := range exps {
-			got := fork.Run(e)
-			want := replay.Run(e)
-			if got.Outcome != want.Outcome || got.Fired != want.Fired {
-				t.Errorf("%s exp %d (%s): fork %v/fired=%v, replay %v/fired=%v",
-					w.Name, e.ID, e.Faults[0], got.Outcome, got.Fired, want.Outcome, want.Fired)
+			if diff := sameResult(fork.Run(e), replay.Run(e)); diff != "" {
+				t.Errorf("%s exp %d (%s): fork vs replay: %s", w.Name, e.ID, e.Faults[0], diff)
 			}
 		}
 	}

@@ -260,6 +260,13 @@ func (e *Engine) rearm() {
 		e.traceFault("fault.armed", fs, nil)
 	}
 	e.unannounced = e.span == nil
+	e.resetRun()
+}
+
+// resetRun clears everything an armed fault list's run accumulates: the
+// open windows, in-flight hits, register and memory taint, and the
+// quiescence and horizon caches derived from them.
+func (e *Engine) resetRun() {
 	e.threads = make(map[uint64]*ThreadEnabledFault)
 	e.current = nil
 	e.windowCommits = 0

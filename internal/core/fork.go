@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Fork support: capturing the engine's fault-injection window bookkeeping
 // so a campaign fork taken mid-window behaves exactly like a full replay
@@ -56,6 +59,11 @@ func (e *Engine) CaptureWindow() WindowState {
 // closed-window total continue from the fork point.
 func (e *Engine) ResetWithWindow(faults []Fault, ws WindowState) {
 	e.Reset(faults)
+	e.installWindow(ws)
+}
+
+// installWindow reinstalls a captured window state over a reset run.
+func (e *Engine) installWindow(ws WindowState) {
 	for pcb, t := range ws.Threads {
 		ct := t
 		e.threads[pcb] = &ct
@@ -139,4 +147,93 @@ func (e *Engine) MaskedClean() bool {
 		}
 	}
 	return len(e.memTaint) == 0 && len(e.bySeq) == 0
+}
+
+// Armed is the rest of a trigger walk's armed faults, set aside by
+// Handover while one member runs alone and reinstalled by Resume. None
+// of them has fired, so their state is exactly as armed.
+type Armed struct {
+	faults []Fault
+	states []*faultState
+	queues [numStages][]*faultState
+}
+
+// Drop disarms, in place, the faults at positions [lo, hi) of Faults(),
+// none of which may have fired: a trigger walk concludes a member
+// without running it. The other faults keep their state and their
+// positions, so StepsUntilDue keeps naming them as before.
+func (e *Engine) Drop(lo, hi int) {
+	e.states, _ = cutRange(e.states, lo, hi)
+	for s := range e.queues {
+		e.queues[s], _ = cutRange(e.queues[s], lo, hi)
+	}
+	e.refreshHorizon()
+}
+
+// Handover hands the engine over in place from a trigger walk's armed
+// faults to the faults at positions [lo, hi) of Faults() — one member's,
+// none of which has fired — and returns the others, set aside unchanged
+// for Resume. The member's faults keep their state, numbered as if armed
+// alone, and the next span announces them as a fresh arming would. It
+// costs the member's faults, not the walk's.
+func (e *Engine) Handover(lo, hi int) Armed {
+	rest := Armed{faults: e.faults}
+	var own []*faultState
+	rest.states, own = cutRange(e.states, lo, hi)
+	for s := range e.queues {
+		rest.queues[s], _ = cutRange(e.queues[s], lo, hi)
+		e.queues[s] = nil
+	}
+	e.faults = append([]Fault(nil), e.faults[lo:hi]...)
+	e.states = own
+	for i, fs := range own {
+		fs.idx, fs.src = i, fs.src-lo
+		s := stageOf(fs.Loc)
+		e.queues[s] = append(e.queues[s], fs)
+	}
+	e.unannounced = e.span == nil
+	e.refreshHorizon()
+	return rest
+}
+
+// Resume reinstalls a walk's faults set aside by Handover under a
+// captured window state: ResetWithWindow without arming anything anew.
+func (e *Engine) Resume(a Armed, ws WindowState) {
+	e.faults, e.states, e.queues = a.faults, a.states, a.queues
+	e.unannounced = e.span == nil
+	e.resetRun()
+	e.installWindow(ws)
+}
+
+// cutRange removes from list, which is in Faults() order, the states at
+// positions [lo, hi) of Faults(), and returns them too. A leading run is
+// cut by reslicing, so a walk that concludes its members in trigger
+// order pays nothing per member; the cut run then keeps its place in the
+// backing array, capped so that appending to it cannot reach the rest.
+func cutRange(list []*faultState, lo, hi int) (kept, cut []*faultState) {
+	i := sort.Search(len(list), func(i int) bool { return list[i].src >= lo })
+	j := sort.Search(len(list), func(j int) bool { return list[j].src >= hi })
+	if i == 0 {
+		return list[j:], list[:j:j]
+	}
+	cut = append(cut, list[i:j]...)
+	n := copy(list[i:], list[j:])
+	clear(list[i+n:])
+	return list[:i+n], cut
+}
+
+// DueAtNextCommit reports whether the armed fault at position src of
+// Faults() strikes the running thread's next counted commit: it is an
+// instruction-timed register, special-register or PC fault of the
+// running thread, and one more commit reaches its trigger. A trigger
+// walk paused for it then knows the commit it strikes.
+func (e *Engine) DueAtNextCommit(src int) bool {
+	t := e.current
+	i := sort.Search(len(e.states), func(i int) bool { return e.states[i].src >= src })
+	if t == nil || i == len(e.states) || e.states[i].src != src {
+		return false
+	}
+	fs := e.states[i]
+	return fs.active() && fs.Base != TimeTick && stageOf(fs.Loc) == StageCommit && fs.Loc != LocIO &&
+		fs.ThreadID == t.ID && due(t.Commits+1, fs.When)
 }

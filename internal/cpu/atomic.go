@@ -36,29 +36,36 @@ func (m *AtomicModel) ModelName() string {
 // Drain implements Model; the atomic model holds no speculative state.
 func (m *AtomicModel) Drain() {}
 
-// Step executes one instruction to completion. When no observer is
-// attached and the fault engine's budget covers the instruction (window
-// closed, engine quiescent, or every armed fault's trigger still ahead),
-// it runs the specialized fast step, which elides all stage-hook
-// dispatch. Registers with outstanding taint stay watched on the fast
-// path, so their first committed read or write still reaches the
-// engine. The two paths produce bit-identical architectural state and
-// fault outcomes (enforced by the conformance suite); DisableFastPath
-// pins the slow path for reference runs.
+// Step executes one instruction to completion. When the fault engine's
+// budget covers the instruction (window closed, engine quiescent, or
+// every armed fault's trigger still ahead), it runs the specialized fast
+// step, which elides all stage-hook dispatch. Registers with outstanding
+// taint stay watched on the fast path, so their first committed read or
+// write still reaches the engine. Observers see the fast step's commits
+// as they see the slow step's, except on the timing model, whose fast
+// fetch does not report instruction-cache misses. The two paths produce
+// bit-identical architectural state, fault outcomes and observations
+// (enforced by the conformance suite); DisableFastPath pins the slow
+// path for reference runs.
 func (m *AtomicModel) Step() bool {
 	c := m.C
-	if len(c.Observers) == 0 && !c.DisableFastPath {
+	if !c.DisableFastPath && (len(c.Observers) == 0 || !m.Timing) {
 		budget, watchInt, watchFP := uint64(math.MaxUint64), uint32(0), uint32(0)
 		if c.FI != nil {
 			budget, watchInt, watchFP = c.FI.FastPath()
 		}
 		if budget > 0 {
 			// Translated blocks run only under the same budget that
-			// admits stepFast, and never when cache timing matters (the
+			// admits stepFast, never when cache timing matters (the
 			// timing model charges per-access latencies a fused block
-			// cannot reproduce).
-			if c.BBT != nil && !m.Timing && c.BBT.Exec(budget, watchInt, watchFP) {
-				return !c.Stopped
+			// cannot reproduce), and never under an observer that
+			// needs each commit on its own.
+			if c.BBT != nil && !m.Timing {
+				if !c.blockObserved() {
+					c.BBT.NoteFallback()
+				} else if c.BBT.Exec(budget, watchInt, watchFP) {
+					return !c.Stopped
+				}
 			}
 			return m.stepFast(watchInt, watchFP)
 		}
@@ -70,8 +77,8 @@ func (m *AtomicModel) Step() bool {
 }
 
 // stepFast is Step with the stage hooks structurally removed: no FI
-// stage hooks, no observer dispatch, and the commit epilogue inlined
-// down to the PAL and scheduler work that can still occur. One
+// stage hooks, and the commit epilogue inlined down to the observers and
+// the PAL and scheduler work that can still occur. One
 // Injector.Retire call per instruction keeps an open window's stage
 // counters and the engine tick clock exactly where the slow path's hooks
 // would have left them (trunk fork points capture both, and
@@ -154,6 +161,9 @@ func (m *AtomicModel) stepFast(watchInt, watchFP uint32) bool {
 
 	// Commit epilogue, minus the hooks known inactive. PAL instructions
 	// are rare; everything below the Insts++ is off the common path.
+	if len(c.Observers) != 0 {
+		c.observeCommit(seq, pc, &in, &ports, out, loadVal)
+	}
 	c.Insts++
 	if in.Format != isa.FormatPAL || in.Kind == isa.KindNop {
 		if c.FI != nil {

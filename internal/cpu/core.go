@@ -126,8 +126,11 @@ const (
 // listener). Unlike Injector hooks, observers are not gated on the
 // fault-injection window: propagated corruption and the final
 // instructions before a crash lie past the window's close. With no
-// observer attached the models pay one untaken branch per hook site,
-// and the atomic model keeps its fast path.
+// observer attached the models pay one untaken branch per hook site.
+// Observers ride the atomic model's fast path, but keep it off block
+// translation unless they take whole blocks (BlockObserver), and keep
+// the timing model on its slow path, whose fetch reports
+// instruction-cache misses.
 type Observer interface {
 	// OnCommit is called once per committed instruction, in commit order.
 	OnCommit(c *Commit)
@@ -137,6 +140,28 @@ type Observer interface {
 	OnSquash(seq uint64)
 	// OnEvent reports a microarchitectural event at pc.
 	OnEvent(ev Event, pc uint64)
+}
+
+// BlockObserver is an Observer that also takes a translated block's
+// commits at once, so that block translation stays on while every
+// attached observer is one. OnBlock receives the register ports of the
+// block's committed instructions, in commit order, and the architectural
+// state after them. A block holds no PAL instruction and no context
+// switch, and its instructions squash nothing and raise no event.
+type BlockObserver interface {
+	Observer
+	OnBlock(ports []isa.RegPorts, a *Arch)
+}
+
+// blockObserved reports whether every attached observer, if any, takes
+// whole translated blocks.
+func (c *Core) blockObserved() bool {
+	for _, o := range c.Observers {
+		if _, ok := o.(BlockObserver); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // TraceFunc adapts a per-commit callback (the execution trace used for
@@ -235,8 +260,8 @@ type Core struct {
 	OnCheckpoint func()
 
 	// Observers receive the committed instruction stream, pipeline
-	// squashes and microarchitectural events. Empty: no observation, and
-	// the atomic model may take its fast path.
+	// squashes and microarchitectural events. The atomic model runs
+	// translated blocks only while every one is a BlockObserver.
 	Observers []Observer
 
 	// BBT, when set, executes translated basic blocks on the atomic
@@ -579,6 +604,18 @@ func (c *Core) observeEvent(ev Event, pc uint64) {
 	}
 }
 
+// observeCommit delivers one committed instruction to every observer.
+func (c *Core) observeCommit(seq, pc uint64, in *isa.Inst, ports *isa.RegPorts, out *ExecOut, loadVal uint64) {
+	// Field by field: a composite literal would zero and copy a temporary
+	// on every commit.
+	cm := &c.commit
+	cm.Seq, cm.PC, cm.In, cm.Ports = seq, pc, *in, *ports
+	cm.Out, cm.LoadVal, cm.Ticks, cm.Arch = out, loadVal, c.Ticks, &c.Arch
+	for _, o := range c.Observers {
+		o.OnCommit(cm)
+	}
+}
+
 // writeback writes the destination register of a completed instruction.
 func (c *Core) writeback(in *isa.Inst, p *isa.RegPorts, o *ExecOut, loadVal uint64) {
 	if !p.DstUsed {
@@ -635,14 +672,7 @@ func (c *Core) commitEpilogue(seq, pc uint64, in *isa.Inst, ports *isa.RegPorts,
 	// argument registers and regardless of the FI window (a corrupted
 	// value keeps flowing after fi_activate_inst closes it).
 	if len(c.Observers) != 0 {
-		// Field by field: a composite literal would zero and copy a
-		// temporary on every commit.
-		cm := &c.commit
-		cm.Seq, cm.PC, cm.In, cm.Ports = seq, pc, *in, *ports
-		cm.Out, cm.LoadVal, cm.Ticks, cm.Arch = out, loadVal, c.Ticks, &c.Arch
-		for _, o := range c.Observers {
-			o.OnCommit(cm)
-		}
+		c.observeCommit(seq, pc, in, ports, out, loadVal)
 	}
 	c.Insts++
 	var red commitRedirect

@@ -166,8 +166,8 @@ type Campaign struct {
 	wrrCur int
 
 	// Stream subscribers: each gets every result exactly once plus a
-	// terminal done event. Buffered; a stalled subscriber is dropped.
-	subs map[chan streamEvent]struct{}
+	// terminal done event.
+	subs map[*subscriber]struct{}
 	// ended is closed once the campaign is done or failed.
 	ended chan struct{}
 }
@@ -186,7 +186,7 @@ func newCampaign(id string, led *persisted) *Campaign {
 		phase:    PhasePreparing,
 		led:      led,
 		inflight: make(map[int]campaign.Experiment),
-		subs:     make(map[chan streamEvent]struct{}),
+		subs:     make(map[*subscriber]struct{}),
 		ended:    make(chan struct{}),
 		started:  time.Now(),
 	}
@@ -322,36 +322,80 @@ func fromPool[T any](c *Campaign, live func(*campaign.Pool) T, final *T) T {
 	return live(pool)
 }
 
+// subscriber is one stream watcher's event queue. Broadcasts append to
+// it and never block or drop, so a stalled watcher cannot stall the
+// campaign, and a watcher slower than a burst of results still sees
+// every one. A queue holds at most the campaign's results, which the
+// ledger keeps anyway.
+type subscriber struct {
+	mu     sync.Mutex
+	events []streamEvent
+	closed bool
+	wake   chan struct{} // holds a token while events or the close are unread
+}
+
+func newSubscriber() *subscriber { return &subscriber{wake: make(chan struct{}, 1)} }
+
+// push queues an event.
+func (q *subscriber) push(ev streamEvent) {
+	q.mu.Lock()
+	q.events = append(q.events, ev)
+	q.mu.Unlock()
+	q.poke()
+}
+
+// close marks the queue closed after the events already queued.
+func (q *subscriber) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.poke()
+}
+
+// poke wakes the watcher.
+func (q *subscriber) poke() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take returns the queued events and whether the queue is closed after
+// them.
+func (q *subscriber) take() ([]streamEvent, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	evs := q.events
+	q.events = nil
+	return evs, q.closed
+}
+
 // subscribe registers a stream consumer primed with every existing
 // result, so late watchers see the full history in order.
-func (c *Campaign) subscribe() (chan streamEvent, func()) {
+func (c *Campaign) subscribe() (*subscriber, func()) {
+	q := newSubscriber()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	backlog := c.resultsLocked()
-	done := c.phase == PhaseDone || c.phase == PhaseFailed
-	ch := make(chan streamEvent, 256+2*len(backlog))
+	q.events = make([]streamEvent, 0, len(backlog)+1)
 	for i := range backlog {
-		ch <- streamEvent{Type: "result", Result: &backlog[i]}
+		q.events = append(q.events, streamEvent{Type: "result", Result: &backlog[i]})
 	}
-	if done {
+	if c.phase == PhaseDone || c.phase == PhaseFailed {
 		st := c.statusLocked()
-		ch <- streamEvent{Type: "done", Status: &st}
-		close(ch)
-		c.mu.Unlock()
-		return ch, func() {}
+		q.push(streamEvent{Type: "done", Status: &st})
+		q.close()
+		return q, func() {}
 	}
-	c.subs[ch] = struct{}{}
-	c.mu.Unlock()
-	return ch, func() {
+	c.subs[q] = struct{}{}
+	return q, func() {
 		c.mu.Lock()
-		if _, ok := c.subs[ch]; ok {
-			delete(c.subs, ch)
-		}
+		delete(c.subs, q)
 		c.mu.Unlock()
 	}
 }
 
-// broadcast sends an event to every subscriber, dropping ones whose
-// buffers are full (a stalled client must not stall the campaign).
+// broadcast sends an event to every subscriber.
 func (c *Campaign) broadcast(ev streamEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,13 +403,8 @@ func (c *Campaign) broadcast(ev streamEvent) {
 }
 
 func (c *Campaign) broadcastLocked(ev streamEvent) {
-	for ch := range c.subs {
-		select {
-		case ch <- ev:
-		default:
-			delete(c.subs, ch)
-			close(ch)
-		}
+	for q := range c.subs {
+		q.push(ev)
 	}
 }
 
@@ -388,13 +427,10 @@ func (c *Campaign) finishLocked() {
 		close(c.ended)
 	}
 	st := c.statusLocked()
-	for ch := range c.subs {
-		select {
-		case ch <- streamEvent{Type: "done", Status: &st}:
-		default:
-		}
-		close(ch)
-		delete(c.subs, ch)
+	for q := range c.subs {
+		q.push(streamEvent{Type: "done", Status: &st})
+		q.close()
+		delete(c.subs, q)
 	}
 }
 

@@ -1001,16 +1001,11 @@ func (s *Service) handleStream(w http.ResponseWriter, req *http.Request, c *Camp
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	ch, cancel := c.subscribe()
+	q, cancel := c.subscribe()
 	defer cancel()
 	for {
-		select {
-		case <-req.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
+		evs, closed := q.take()
+		for _, ev := range evs {
 			var payload any
 			switch {
 			case ev.Result != nil:
@@ -1025,10 +1020,19 @@ func (s *Service) handleStream(w http.ResponseWriter, req *http.Request, c *Camp
 				continue
 			}
 			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
-			fl.Flush()
 			if ev.Type == "done" {
+				fl.Flush()
 				return
 			}
+		}
+		fl.Flush()
+		if closed {
+			return
+		}
+		select {
+		case <-req.Context().Done():
+			return
+		case <-q.wake:
 		}
 	}
 }

@@ -50,6 +50,20 @@ func (s *Simulator) CaptureForkPoint() *checkpoint.ForkPoint {
 // points restore only into a simulator with the capturing one's
 // configuration.
 func (s *Simulator) ForkFrom(fp *checkpoint.ForkPoint, faults []core.Fault) {
+	s.forkFrom(fp, func(e *core.Engine) { e.ResetWithWindow(faults, fp.Window) })
+}
+
+// ResumeWalk is ForkFrom for a trigger walk coming back to its warm walk
+// point after one member ran alone: the engine reinstalls the walk's
+// other faults, set aside by core.Engine.Handover, instead of arming a
+// list anew.
+func (s *Simulator) ResumeWalk(fp *checkpoint.ForkPoint, rest core.Armed) {
+	s.forkFrom(fp, func(e *core.Engine) { e.Resume(rest, fp.Window) })
+}
+
+// forkFrom repoints the simulator at fp; arm re-arms the engine under
+// fp's window state (and resets the taint tracker).
+func (s *Simulator) forkFrom(fp *checkpoint.ForkPoint, arm func(*core.Engine)) {
 	s.Mem.ForkFrom(fp.Mem)
 	s.Core.RestoreSnapshot(fp.Core)
 	s.Kernel.Restore(fp.Kernel)
@@ -62,7 +76,7 @@ func (s *Simulator) ForkFrom(fp *checkpoint.ForkPoint, faults []core.Fault) {
 		}
 	}
 	if s.Engine != nil {
-		s.Engine.ResetWithWindow(faults, fp.Window) // also resets the taint tracker
+		arm(s.Engine)
 	} else {
 		s.observers.Taint.Reset()
 	}
@@ -126,11 +140,13 @@ func (s *Simulator) CaptureWalkPoint() *checkpoint.ForkPoint {
 }
 
 // WalkToDue steps the configured model until some armed fault could act
-// on the next step (core.Engine.StepsUntilDue) and returns that paused
-// result with the fault's position in the engine's fault list. A run that
-// ends first — exit, crash, watchdog, interrupt — returns its result and
-// -1. The pause is invisible: Run or RunUntil afterwards continues
-// exactly as a run that never paused.
+// on the next step (core.Engine.StepsUntilDue) and returns a paused
+// result with the fault's position in the engine's fault list. The
+// paused result carries the counts only, no console or fault outcomes: a
+// walk pauses once per member, and those cost the whole armed list each
+// time. A run that ends first — exit, crash, watchdog, interrupt —
+// returns its full result and -1. The pause is invisible: Run or
+// RunUntil afterwards continues exactly as a run that never paused.
 //
 // Each stretch caps both its steps and its commits at the look-ahead: a
 // step of the atomic model may run translated blocks, many instructions
@@ -146,7 +162,8 @@ func (s *Simulator) WalkToDue() (RunResult, int) {
 			n, src = s.Engine.StepsUntilDue()
 		}
 		if n == 0 {
-			return s.finish(loopPaused), src
+			return RunResult{Paused: true, Insts: s.Core.Insts, Ticks: s.Core.Ticks,
+				Model: s.Model.ModelName(), Switched: s.switched}, src
 		}
 		until := uint64(0) // no commit cap when nothing can come due
 		if n < math.MaxUint64-s.Core.Insts {

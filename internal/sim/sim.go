@@ -98,7 +98,7 @@ type Config struct {
 	// dumped retroactively for interesting verdicts; <= 0 selects
 	// flight.DefaultDepth). Retrieve them with Simulator.Profiler, Taint
 	// and Flight. With all three off the core has no observer: one
-	// untaken branch per commit, and the atomic fast path stays open.
+	// untaken branch per commit, and block translation stays open.
 	EnableProfiler bool
 	EnableTaint    bool
 	EnableFlight   bool
@@ -167,7 +167,8 @@ type Simulator struct {
 	ffActive       bool // fast-forward prefix running (atomic stand-in model)
 	ffPending      bool // window opened mid-step: switch before the next step
 	interrupted    atomic.Bool
-	observers      Observers // installed on Core by Observe
+	observers      Observers    // installed on Core by Observe
+	watch          cpu.Observer // Watch's extra observer, installed with them
 
 	// Span-phase recording (SetSpans): the run stamps its rare phase
 	// transitions (fast-forward end, first window open, last window
@@ -290,7 +291,20 @@ func (s *Simulator) Observe(o Observers) {
 	if o.Flight != nil {
 		list = append(list, o.Flight)
 	}
+	if s.watch != nil {
+		list = append(list, s.watch)
+	}
 	s.Core.Observers = list
+}
+
+// Watch installs o as one more commit-stream observer beside the
+// configured ones, or removes it (nil). It is how a fork-server trunk
+// records its golden pass. Like any observer it keeps the atomic model
+// off block translation while installed, unless it is a
+// cpu.BlockObserver.
+func (s *Simulator) Watch(o cpu.Observer) {
+	s.watch = o
+	s.Observe(s.observers)
 }
 
 // Observers returns the installed observers.
