@@ -333,11 +333,11 @@ func hostCampaign(ctx context.Context, spec *serv.CampaignSpec, o hostOptions, s
 		fs := c.ForkStats()
 		fmt.Fprintf(stdout, "fork server: %d forks from %d snapshots (%d evicted, ~%d KiB live), "+
 			"%d walks over %d armed insts, "+
-			"%d pre-classified dead-register faults (%d KiB def-use index), "+
+			"%d pre-classified dead-register faults, "+
 			"pruned %d masked + %d twin-converged of %d twin checks\n",
 			fs.Forks, fs.SnapshotsTaken, fs.SnapshotsEvicted, fs.ApproxBytes/1024,
 			fs.Walks, fs.ArmedInsts,
-			fs.Preclassified, fs.DefUseBytes/1024,
+			fs.Preclassified,
 			fs.PrunedMasked, fs.PrunedTwin, fs.TwinChecks)
 	}
 	if spec.Taint {

@@ -206,10 +206,9 @@ func (sp *snapPool) stats() (taken, evicted uint64, live int, bytes uint64) {
 type forkServer struct {
 	pool  *snapPool
 	final sim.RunResult // trunk run to completion (golden continuation)
-	// defuse is the trunk's def-use index (defuse.go), from which walks
-	// decide dead-register faults at their trigger; nil unless the
-	// runners are unobserved and atomic, whose ticks are the trunk's.
-	defuse *defUse
+	// lastReads is the trunk's last-read table (defuse.go), from which
+	// walks decide dead-register faults at their trigger.
+	lastReads lastReads
 
 	forks         atomic.Uint64
 	preclassified atomic.Uint64
@@ -226,11 +225,15 @@ type ForkStats struct {
 	SnapshotsEvicted uint64 `json:"snapshotsEvicted"`
 	SnapshotsLive    int    `json:"snapshotsLive"`
 	ApproxBytes      uint64 `json:"approxBytes"`
-	Forks            uint64 `json:"forks"`
-	PrunedMasked     uint64 `json:"prunedMasked"`
-	PrunedTwin       uint64 `json:"prunedTwin"`
-	TwinChecks       uint64 `json:"twinChecks"`
-	TrunkInsts       uint64 `json:"trunkInsts"`
+	// Forks counts the experiments that ran from a fork to a verdict of
+	// their own, pruned or not. A member a walk decided at its trigger,
+	// or one that shared the end of a walk no fault of which could act,
+	// runs no step of its own and is not counted.
+	Forks        uint64 `json:"forks"`
+	PrunedMasked uint64 `json:"prunedMasked"`
+	PrunedTwin   uint64 `json:"prunedTwin"`
+	TwinChecks   uint64 `json:"twinChecks"`
+	TrunkInsts   uint64 `json:"trunkInsts"`
 	// MemoHits is always zero: the fork server keeps no cross-experiment
 	// result memo. The field stays for callers that still sum it.
 	MemoHits uint64 `json:"memoHits"`
@@ -245,12 +248,10 @@ type ForkStats struct {
 	ArmedInsts uint64 `json:"armedInsts"`
 
 	// Preclassified counts the experiments a walk concluded at their
-	// trigger from the trunk's def-use index, never forking or running
-	// them: register faults whose register the golden run overwrites or
-	// never reads again. Forks includes them, as every experiment the
-	// fork server concluded. DefUseBytes is the index's size.
+	// trigger from the trunk's last-read table, never forking or running
+	// them: register faults whose register the golden run never reads
+	// again.
 	Preclassified uint64 `json:"preclassified"`
-	DefUseBytes   uint64 `json:"defUseBytes"`
 }
 
 func (fs *forkServer) statsSnapshot() ForkStats {
@@ -268,7 +269,6 @@ func (fs *forkServer) statsSnapshot() ForkStats {
 		TwinChecks:       fs.twinChecks.Load(),
 		TrunkInsts:       fs.final.Insts,
 		Preclassified:    fs.preclassified.Load(),
-		DefUseBytes:      fs.defuse.bytes(),
 	}
 }
 
@@ -293,8 +293,8 @@ const seekChunk = 512
 // EnableFork builds the fork server for a checkpoint-backed runner: a
 // dedicated trunk simulator restores the checkpoint, runs once to
 // completion on the atomic model, and freezes snapshots across the
-// fault-injection window on the way. For unobserved atomic runners it
-// also records the run's def-use index. Idempotent.
+// fault-injection window on the way, recording the run's last-read
+// table. Idempotent.
 func (r *Runner) EnableFork(opts ForkOptions) error {
 	if r.fork != nil {
 		return nil
@@ -315,11 +315,8 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		return err
 	}
 	trunk.Restore(r.Ckpt, nil)
-	var du *defUseRecorder
-	if r.Cfg.Model == sim.ModelAtomic && !r.observed() {
-		du = newDefUseRecorder(trunk.Core)
-		trunk.Watch(du)
-	}
+	reads := newLastReadRecorder(trunk.Core)
+	trunk.Watch(reads)
 
 	sp := &snapPool{maxLive: opts.Snapshots + opts.Snapshots/2}
 	sp.setRoot(trunk.CaptureForkPoint())
@@ -355,10 +352,7 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		return fmt.Errorf("campaign: fork trunk run of %s failed: %+v", r.Workload.Name, res)
 	}
 
-	fs := &forkServer{pool: sp, final: res}
-	if du != nil {
-		fs.defuse = &du.idx
-	}
+	fs := &forkServer{pool: sp, final: res, lastReads: reads.last}
 	r.fork = fs
 	if m := r.Cfg.Metrics; m != nil {
 		m.RegisterFunc("campaign.fork.snapshots_live", func() float64 {
@@ -375,7 +369,6 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		m.RegisterFunc("campaign.fork.pruned_masked", func() float64 { return float64(fs.prunedMasked.Load()) })
 		m.RegisterFunc("campaign.fork.pruned_twin", func() float64 { return float64(fs.prunedTwin.Load()) })
 		m.RegisterFunc("campaign.fork.preclassified", func() float64 { return float64(fs.preclassified.Load()) })
-		m.RegisterFunc("campaign.fork.defuse_bytes", func() float64 { return float64(fs.defuse.bytes()) })
 	}
 	return nil
 }

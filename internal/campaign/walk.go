@@ -17,8 +17,8 @@ package campaign
 // therefore starts from the state its own run would have reached at its
 // trigger, pipeline, predictor and caches included, and its verdict is
 // bit-identical to running it alone. A member whose register fault the
-// golden run overwrites or never reads again is concluded at its pause
-// instead, from the trunk's def-use index (defuse.go).
+// golden run never reads again is concluded at its pause instead, from
+// the trunk's last-read table (defuse.go), on every model.
 
 import (
 	"fmt"
@@ -130,7 +130,7 @@ func (r *Runner) runGroup(g Group, member Member, emit func(Result)) []Experimen
 // when member stops it.
 //
 // The walk forks once and arms every member's faults once. At a member's
-// pause it either concludes the member from the trunk's def-use index
+// pause it either concludes the member from the trunk's last-read table
 // (deadAtPause), dropping its faults in place, or freezes a walk point,
 // hands the engine over in place to the member's faults, runs the member
 // and resumes the walk point with the other faults as they were. So a
@@ -188,7 +188,6 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 				}
 				r.cutPhaseAt("fork", forked)
 				r.cutPhaseAt("walk", walked)
-				fs.forks.Add(1)
 				fs.preclassified.Add(1)
 				r.expEvent("fork.preclassified", ev)
 				emit(r.conclude(exp, res, OutcomeNonPropagated, nil, start, tr))
@@ -234,15 +233,15 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 // when its one fault is a register fault the golden run makes dead: the
 // walk is the golden run so far, the fault strikes the running thread's
 // very next commit (not a PAL one, whose dispatch may close the window,
-// switch threads or stop the run first), and the trunk's def-use index
-// says the register's next access after that commit is a write, or that
-// there is none. The run would then go on exactly as the golden one with
-// the flipped bits unread, so the verdict is non-propagated, fired, with
-// the trunk's totals and the struck commit's PC. It returns that run's
-// result and the span event's attributes.
+// switch threads or stop the run first), and the trunk's last-read table
+// says no commit after that one reads the register. The run would then
+// commit exactly the golden instructions with the flipped bits unread,
+// so the verdict is non-propagated, fired, with the trunk's totals and
+// the struck commit's PC. On timing and pipelined runners the trunk's
+// ticks stand in for the child's, as the masked-clean and twin prunes'
+// do. It returns that run's result and the span event's attributes.
 func (r *Runner) deadAtPause(exp Experiment, src int) (sim.RunResult, map[string]any, bool) {
-	du := r.fork.defuse
-	if du == nil || len(exp.Faults) != 1 {
+	if len(exp.Faults) != 1 {
 		return sim.RunResult{}, nil, false
 	}
 	f := exp.Faults[0]
@@ -257,16 +256,12 @@ func (r *Runner) deadAtPause(exp Experiment, src int) (sim.RunResult, map[string
 	}
 	fp, reg := f.Loc == core.LocFloatReg, isa.Reg(f.Reg&31)
 	struck := r.sim.Core.Insts + 1
-	at, read, touched := du.next(fp, reg, struck)
-	if read {
+	if !r.fork.lastReads.unreadAfter(fp, reg, struck) {
 		return sim.RunResult{}, nil, false
 	}
 	ev := map[string]any{"id": exp.ID, "reg": regName(fp, reg), "commit": struck, "rule": "unread"}
-	if touched {
-		ev["rule"], ev["next"] = "overwritten", at
-	}
 	res := r.fork.final
-	res.Outcomes = []core.FaultOutcome{{Fault: f, Fired: true, PC: pc, HavePC: true, Committed: true, Overwritten: touched}}
+	res.Outcomes = []core.FaultOutcome{{Fault: f, Fired: true, PC: pc, HavePC: true, Committed: true}}
 	return res, ev, true
 }
 
@@ -307,7 +302,6 @@ func (r *Runner) concludeAll(exps []Experiment, member Member, res sim.RunResult
 		}
 		r.cutPhaseAt("fork", forked)
 		r.cutPhaseAt("walk", ended)
-		r.fork.forks.Add(1)
 		emit(r.conclude(exp, res, 0, nil, start, tr))
 		tr = nil
 	}

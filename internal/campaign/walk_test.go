@@ -50,10 +50,11 @@ func TestWalkCostLinear(t *testing.T) {
 // TestPreclassifiedObservable checks that a member decided at its pause
 // explains itself: a fork.preclassified event naming the register and
 // the struck commit on its trace, phases that tile its wall time, and
-// the fork accounting and metrics counting it.
+// the fork accounting and metrics counting it, not as a fork. It runs on
+// the pipelined model, whose members are decided like atomic ones.
 func TestPreclassifiedObservable(t *testing.T) {
 	w := workloads.MonteCarloPI(workloads.ScaleTest)
-	cfg := SimConfig(sim.ModelAtomic, 0)
+	cfg := SimConfig(sim.ModelPipelined, 0)
 	cfg.Metrics = obs.NewRegistry()
 	pool, err := NewPool(w, 1, RunnerOptions{Cfg: &cfg})
 	if err != nil {
@@ -76,8 +77,8 @@ func TestPreclassifiedObservable(t *testing.T) {
 				continue
 			}
 			decided++
-			if ev.Attrs["reg"] == nil || ev.Attrs["commit"] == nil {
-				t.Errorf("exp %d: preclassified event without register or commit: %v", res.ID, ev.Attrs)
+			if ev.Attrs["reg"] == nil || ev.Attrs["commit"] == nil || ev.Attrs["rule"] != "unread" {
+				t.Errorf("exp %d: preclassified event without register, commit or the unread rule: %v", res.ID, ev.Attrs)
 			}
 			if res.Outcome != OutcomeNonPropagated || !res.Fired || !res.InjPCValid {
 				t.Errorf("exp %d: preclassified as %v fired=%v injPC valid=%v", res.ID, res.Outcome, res.Fired, res.InjPCValid)
@@ -96,7 +97,8 @@ func TestPreclassifiedObservable(t *testing.T) {
 	if got := metrics["campaign.fork.preclassified"]; got != float64(st.Preclassified) {
 		t.Errorf("campaign.fork.preclassified = %v, want %d", got, st.Preclassified)
 	}
-	if got := metrics["campaign.fork.defuse_bytes"]; got == 0 || got != float64(st.DefUseBytes) {
-		t.Errorf("campaign.fork.defuse_bytes = %v, ForkStats.DefUseBytes %d", got, st.DefUseBytes)
+	if got := metrics["campaign.fork.forks"]; got != float64(st.Forks) || st.Forks+st.Preclassified > uint64(len(exps)) {
+		t.Errorf("campaign.fork.forks = %v, ForkStats.Forks %d: forks and decided members exceed %d experiments",
+			got, st.Forks, len(exps))
 	}
 }

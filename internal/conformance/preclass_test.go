@@ -33,70 +33,90 @@ func sameResult(got, want campaign.Result) string {
 	return ""
 }
 
-// forkPoolAgainstReplay runs exps through a two-runner atomic fork pool
-// and each one alone through a replay runner, fails on any result field
-// that differs, and returns the pool's fork accounting.
-func forkPoolAgainstReplay(t *testing.T, w *workloads.Workload, exps []campaign.Experiment, label string) campaign.ForkStats {
+// forkPoolAgainstReplay runs exps through a two-runner fork pool on
+// model and through a two-runner replay pool on the same model,
+// fails on any result field that differs, and returns the pool's fork
+// accounting. Off the atomic model ticks are not compared: a fork's are
+// not a replay's there, whether it runs or is decided (ROADMAP item 1).
+func forkPoolAgainstReplay(t *testing.T, w *workloads.Workload, model sim.ModelKind,
+	exps []campaign.Experiment, label string) campaign.ForkStats {
 	t.Helper()
-	replay, err := campaign.NewRunner(w, campaign.RunnerOptions{})
+	cfg := campaign.SimConfig(model, 0)
+	replay, err := campaign.NewPool(w, 2, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
-		t.Fatalf("%s: runner: %v", label, err)
+		t.Fatalf("%s: replay pool: %v", label, err)
 	}
-	pool, err := campaign.NewPool(w, 2, campaign.RunnerOptions{})
+	pool, err := campaign.NewPool(w, 2, campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		t.Fatalf("%s: pool: %v", label, err)
 	}
 	if err := pool.EnableFork(campaign.DefaultForkOptions()); err != nil {
 		t.Fatalf("%s: EnableFork: %v", label, err)
 	}
-	got := pool.RunAll(exps)
+	got, wants := pool.RunAll(exps), replay.RunAll(exps)
 	for _, e := range exps {
-		if diff := sameResult(got[e.ID], replay.Run(e)); diff != "" {
+		want := wants[e.ID]
+		if model != sim.ModelAtomic {
+			want.Ticks = got[e.ID].Ticks
+		}
+		if diff := sameResult(got[e.ID], want); diff != "" {
 			t.Errorf("%s exp %d (%s): fork vs replay: %s", label, e.ID, e.Faults[0], diff)
 		}
 	}
 	return pool.ForkStats()
 }
 
-// TestPreclassifiedMatchesReplay referees the walks' def-use verdicts: on
-// register-only corpora, where most faults strike a register the golden
-// run overwrites or never reads again, every result of an atomic fork
-// pool must equal the replay runner's, and every workload must decide
-// some experiments without running them. -short keeps pi and dct, one
-// seed. A hand-built guest checks that reads by the kernel count.
+// preclassModels are the models the def-use verdicts are refereed on.
+var preclassModels = []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined}
+
+// TestPreclassifiedMatchesReplay referees the walks' dead-register
+// verdicts on every model: on register-only corpora, where most faults
+// strike a register the golden run never reads again, every result of a
+// fork pool must equal the replay runner's, ticks excepted off the
+// atomic model, and every workload must decide some experiments without
+// running them. -short keeps pi and dct, one seed, atomic and
+// pipelined. A hand-built guest checks on every model that reads by the
+// kernel count.
 func TestPreclassifiedMatchesReplay(t *testing.T) {
-	t.Run("kernel-reads", testKernelReads)
 	ws := workloads.All(workloads.ScaleTest)
-	seeds := []int64{1, 2, 3}
+	models, seeds := preclassModels, []int64{1, 2, 3}
 	if testing.Short() {
 		ws = []*workloads.Workload{workloads.MonteCarloPI(workloads.ScaleTest), workloads.DCT(workloads.ScaleTest)}
-		seeds = seeds[:1]
+		models, seeds = []sim.ModelKind{sim.ModelAtomic, sim.ModelPipelined}, seeds[:1]
 	}
+	t.Run("kernel-reads", func(t *testing.T) {
+		for _, model := range preclassModels {
+			testKernelReads(t, model)
+		}
+	})
 	regs := []core.Location{core.LocIntReg, core.LocFloatReg}
 	for _, w := range ws {
 		window, err := campaign.NewRunner(w, campaign.RunnerOptions{})
 		if err != nil {
 			t.Fatalf("%s: runner: %v", w.Name, err)
 		}
-		decided := uint64(0)
-		for _, seed := range seeds {
-			exps := campaign.GenerateUniform(80, campaign.GenConfig{
-				Locations: regs, WindowInsts: window.WindowInsts, Seed: seed,
-			})
-			st := forkPoolAgainstReplay(t, w, exps, fmt.Sprintf("%s/seed=%d", w.Name, seed))
-			decided += st.Preclassified
+		for _, model := range models {
+			decided := uint64(0)
+			for _, seed := range seeds {
+				exps := campaign.GenerateUniform(80, campaign.GenConfig{
+					Locations: regs, WindowInsts: window.WindowInsts, Seed: seed,
+				})
+				st := forkPoolAgainstReplay(t, w, model, exps, fmt.Sprintf("%s/%s/seed=%d", w.Name, model, seed))
+				decided += st.Preclassified
+			}
+			if decided == 0 {
+				t.Errorf("%s/%s: no register fault was decided from the last-read table", w.Name, model)
+			}
+			t.Logf("%s/%s: %d of %d register faults decided from the last-read table",
+				w.Name, model, decided, 80*len(seeds))
 		}
-		if decided == 0 {
-			t.Errorf("%s: no register fault was decided from the def-use index", w.Name)
-		}
-		t.Logf("%s: %d of %d register faults decided from the def-use index", w.Name, decided, 80*len(seeds))
 	}
 }
 
-// kernelReadsSource is a guest whose window holds two putc calls and a
-// yield to a second thread: the kernel reads the first putc's a0 before
-// the second one overwrites it, and saves every register of the thread
-// it switches out, without any committed instruction reading them.
+// kernelReadsSource is a guest whose window holds a yield to a second
+// thread and then, once that thread has ended, two putc calls. The
+// kernel saves every register of the thread it switches out and reads
+// every syscall's a1, and no committed instruction reads f20 or a1.
 const kernelReadsSource = `
 int out[1];
 void worker(int n) {
@@ -104,24 +124,24 @@ void worker(int n) {
 }
 int main() {
     fi_checkpoint();
-    int t = spawn(worker, 2);
+    int t = spawn(worker, 1);
     fi_activate(0);
+    yield();
+    join(t);
     putc(72);
     putc(10);
-    yield();
     out[0] = 7;
     fi_activate(0);
-    join(t);
     return 0;
 }
 `
 
-// testKernelReads flips a0 on the commit before a putc and f20 on the
-// commit before a yield that switches threads. Only the kernel reads
-// either register next, and the def-use index must count those reads:
-// neither experiment may be decided without running, and both must
-// still match replay.
-func testKernelReads(t *testing.T) {
+// testKernelReads flips f20 on the commit before a yield that switches
+// threads, and a1 on the commit before a putc. Only the kernel reads
+// either register afterwards, and the last-read table must count those
+// reads: neither experiment may be decided without running, and both
+// must still match replay on model.
+func testKernelReads(t *testing.T, model sim.ModelKind) {
 	w := &workloads.Workload{
 		Name:    "kernel-reads",
 		Source:  kernelReadsSource,
@@ -165,10 +185,10 @@ func testKernelReads(t *testing.T) {
 		}}}
 	}
 	exps := []campaign.Experiment{
-		flip(0, core.LocIntReg, int(isa.RegA0), putc),
+		flip(0, core.LocIntReg, int(isa.RegA1), putc),
 		flip(1, core.LocFloatReg, 20, yield),
 	}
-	if st := forkPoolAgainstReplay(t, w, exps, w.Name); st.Preclassified != 0 {
+	if st := forkPoolAgainstReplay(t, w, model, exps, w.Name+"/"+string(model)); st.Preclassified != 0 {
 		t.Errorf("%d experiments decided without running, want 0: kernel reads were missed", st.Preclassified)
 	}
 }
