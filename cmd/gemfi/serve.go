@@ -42,8 +42,6 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		spansOff   = fs.Bool("no-spans", false, "disable distributed span tracing (/trace and /traces endpoints)")
 		spanSample = fs.Int("span-sample", 1, "keep 1 in N experiment traces (head sampling; crashed/SDC traces are always kept)")
 		spanRing   = fs.Int("span-ring", 0, "recent-trace ring capacity (0 = default)")
-
-		flightOn = fs.Bool("flight", false, "flight recorder on every campaign: crashed/SDC experiments carry post-mortem dumps, journaled and served at /postmortem/{id}")
 	)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -61,7 +59,7 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			spans.SetRingCap(*spanRing)
 		}
 	}
-	s, err := serv.New(serv.Config{Dir: *dir, Slots: *slots, Metrics: reg, Spans: spans, Flight: *flightOn})
+	s, err := serv.New(serv.Config{Dir: *dir, Slots: *slots, Metrics: reg, Spans: spans})
 	if err != nil {
 		return err
 	}

@@ -152,15 +152,22 @@ type Runner struct {
 	// run's fault-injection window.
 	WindowInsts uint64
 
-	// Ckpt, when non-nil, fast-forwards every experiment from the
-	// fi_read_init_all checkpoint instead of re-running boot + init.
+	// Ckpt, when non-nil, is the fi_read_init_all checkpoint every
+	// experiment fast-forwards from instead of re-running boot + init
+	// (nil under DisableCheckpoint). Its pages are the start point's
+	// frozen base: read it, never mutate it.
 	Ckpt *checkpoint.State
 
+	// start is the cold fork point every experiment starts from, shared
+	// by the runner's clones and its fork trunk: Ckpt's, or without a
+	// checkpoint the booted program.
+	start *checkpoint.ForkPoint
+
+	// sim is the runner's simulator, fixed at construction.
 	sim *sim.Simulator
 	// observers are the runner's own commit-stream observers, built from
 	// Cfg's switches once the golden pass is done. Experiments accumulate
-	// into them (the profile) or reset them (taint, flight), and the
-	// DisableCheckpoint rebuild re-installs them on each new simulator.
+	// into them (the profile) or reset them (taint, flight).
 	observers sim.Observers
 
 	// fork, when non-nil, routes experiments through the fork server
@@ -231,27 +238,20 @@ const maxGoldenInsts = 2_000_000_000
 // fault-injection window size. Everything the golden run produces is
 // architectural, so it runs on the atomic model (translated when the
 // config enables block translation) and unobserved whatever cfg asks
-// for; experiments run on cfg.Model, which Restore, ForkFrom and the
-// DisableCheckpoint rebuild reinstate, with the observers cfg's
-// EnableProfiler, EnableTaint and EnableFlight switch on. A zero
-// MaxInsts derives the experiment watchdog from the golden run's
-// length.
+// for; experiments fork onto cfg.Model from the runner's start point,
+// with the observers cfg's EnableProfiler, EnableTaint and EnableFlight
+// switch on. A zero MaxInsts derives the experiment watchdog from the
+// golden run's length.
 func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	cfg := SimConfig(sim.ModelAtomic, 0)
 	if opts.Cfg != nil {
 		cfg = *opts.Cfg
 	}
-	runner, ckpt, err := goldenRunner(w, cfg, nil)
+	runner, err := goldenRunner(w, cfg, nil, opts.DisableCheckpoint)
 	if err != nil {
 		return nil, err
 	}
 	runner.WindowInsts = runner.sim.Engine.WindowCommits()
-	if !opts.DisableCheckpoint {
-		if ckpt == nil {
-			return nil, fmt.Errorf("campaign: %s never executed fi_read_init_all", w.Name)
-		}
-		runner.Ckpt = ckpt
-	}
 	return runner, nil
 }
 
@@ -263,28 +263,28 @@ func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 // continued from the checkpoint, which also supplies the taint differ's
 // final state.
 func NewRestoredRunner(w *workloads.Workload, cfg sim.Config, windowInsts uint64, ckpt *checkpoint.State) (*Runner, error) {
-	runner, _, err := goldenRunner(w, cfg, ckpt)
+	runner, err := goldenRunner(w, cfg, ckpt, false)
 	if err != nil {
 		return nil, err
 	}
 	runner.WindowInsts = windowInsts
-	runner.Ckpt = ckpt
 	return runner, nil
 }
 
 // goldenRunner builds the runner's simulator for cfg and takes the
-// fault-free golden pass on it, on the atomic model: from boot,
-// returning the fi_read_init_all checkpoint it captured, or from the
-// restored checkpoint from. A zero cfg.MaxInsts becomes a multiple of
-// the golden run's length: fault runs that loop forever would otherwise
-// burn the full generic limit per experiment. Jacobi-style workloads
-// legitimately run much longer than golden when reconverging, so the
-// margin is generous.
-func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State) (*Runner, *checkpoint.State, error) {
+// fault-free golden pass on it, on the atomic model: from the restored
+// checkpoint from, or from boot, capturing the fi_read_init_all
+// checkpoint on the way. The runner's experiments start from that
+// checkpoint, or with fromBoot from the booted program, captured right
+// after Load. A zero cfg.MaxInsts becomes a multiple of the golden run's
+// length: fault runs that loop forever would otherwise burn the full
+// generic limit per experiment. Jacobi-style workloads legitimately run
+// much longer than golden when reconverging, so the margin is generous.
+func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State, fromBoot bool) (*Runner, error) {
 	cfg.EnableFI = true
 	p, err := w.Build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	gcfg := cfg
 	if gcfg.MaxInsts == 0 {
@@ -293,33 +293,41 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State)
 	gcfg.EnableProfiler, gcfg.EnableTaint, gcfg.EnableFlight = false, false, false
 	s := sim.New(gcfg)
 	if err := s.Load(p); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var ckpt *checkpoint.State
-	if from != nil {
-		s.Restore(from, nil)
-	} else {
+	runner := &Runner{Workload: w, Cfg: cfg, sim: s, Ckpt: from}
+	switch {
+	case fromBoot:
+		runner.start = s.CaptureForkPoint()
+	case from != nil:
+		runner.start = from.ForkPoint(s.Mem.TextRegion())
+		s.ForkFrom(runner.start, nil)
+	default:
 		s.OnCheckpoint = func(sm *sim.Simulator) {
-			if ckpt == nil {
-				ckpt = sm.Checkpoint()
+			if runner.Ckpt == nil {
+				runner.Ckpt = sm.Checkpoint()
 			}
 		}
 	}
 	s.SwitchModel(sim.ModelAtomic)
 	r := s.Run()
 	if r.Failed() {
-		return nil, nil, fmt.Errorf("campaign: golden run of %s failed: %+v", w.Name, r)
+		return nil, fmt.Errorf("campaign: golden run of %s failed: %+v", w.Name, r)
 	}
-	golden, err := workloads.Extract(w, s)
-	if err != nil {
-		return nil, nil, err
+	if runner.start == nil {
+		if runner.Ckpt == nil {
+			return nil, fmt.Errorf("campaign: %s never executed fi_read_init_all", w.Name)
+		}
+		runner.start = runner.Ckpt.ForkPoint(s.Mem.TextRegion())
 	}
-	golden.ExitStatus = r.ExitStatus
+	if runner.Golden, err = workloads.Extract(w, s); err != nil {
+		return nil, err
+	}
+	runner.Golden.ExitStatus = r.ExitStatus
 	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = min(r.Insts*50+10_000_000, maxGoldenInsts)
+		runner.Cfg.MaxInsts = min(r.Insts*50+10_000_000, maxGoldenInsts)
 	}
-	s.Cfg.MaxInsts = cfg.MaxInsts
-	runner := &Runner{Workload: w, Cfg: cfg, Golden: golden, sim: s}
+	s.Cfg.MaxInsts = runner.Cfg.MaxInsts
 	if cfg.EnableTaint {
 		// The simulator still holds the golden run's final state.
 		runner.taintGolden = taint.CaptureGolden(&s.Core.Arch, s.Mem)
@@ -327,14 +335,15 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State)
 	s.Cfg.EnableProfiler, s.Cfg.EnableTaint, s.Cfg.EnableFlight = cfg.EnableProfiler, cfg.EnableTaint, cfg.EnableFlight
 	s.Observe(sim.Observers{})
 	runner.observers = s.Observers()
-	return runner, ckpt, nil
+	return runner, nil
 }
 
 // clone builds a pool worker that shares this runner's expensive
-// immutable state — golden outputs, checkpoint, fault-injection window,
-// fork server and taint differ reference — but owns a private simulator
-// with its own observers (accumulating privately), so the clone can run
-// experiments concurrently with the original.
+// immutable state — golden outputs, checkpoint, start point,
+// fault-injection window, fork server and taint differ reference — but
+// owns a private simulator with its own observers (accumulating
+// privately), so the clone can run experiments concurrently with the
+// original.
 func (r *Runner) clone() (*Runner, error) {
 	prog, err := r.Workload.Build()
 	if err != nil {
@@ -352,6 +361,7 @@ func (r *Runner) clone() (*Runner, error) {
 		Golden:      r.Golden,
 		WindowInsts: r.WindowInsts,
 		Ckpt:        r.Ckpt,
+		start:       r.start,
 		fork:        r.fork,
 		sim:         s,
 		observers:   s.Observers(),
@@ -363,15 +373,9 @@ func (r *Runner) clone() (*Runner, error) {
 
 // Interrupt asks the in-progress experiment's simulation to stop at its
 // next poll point; Run then returns a Result with CrashCause
-// CrashInterrupted. It is safe to call concurrently with Run only on
-// checkpoint-backed runners (NewRunner without DisableCheckpoint, or
-// NewRestoredRunner), where the simulator is fixed at construction — the
-// NoW worker path.
-func (r *Runner) Interrupt() {
-	if r.sim != nil {
-		r.sim.Interrupt()
-	}
-}
+// CrashInterrupted. It is safe to call concurrently with Run: the
+// simulator is fixed at construction (the NoW worker's timeout uses it).
+func (r *Runner) Interrupt() { r.sim.Interrupt() }
 
 // Profiler returns the runner's profiler (nil when profiling is off).
 func (r *Runner) Profiler() *prof.Profiler { return r.observers.Profiler }
@@ -439,7 +443,7 @@ func (r *Runner) dumpPostmortem(res *Result, tr *expTrace) {
 	}
 	// The faulting instruction never committed — append it so the
 	// timeline's final record carries the crash PC.
-	if res.Outcome == OutcomeCrashed && r.sim != nil {
+	if res.Outcome == OutcomeCrashed {
 		if t := r.sim.Core.Trap; t != nil {
 			pm.AppendTrap(t.PC, uint32(t.Word))
 		}
@@ -459,7 +463,7 @@ func (r *Runner) LastTaintReport() (*taint.PropReport, uint64) {
 // recordProp renders and stores the propagation report after one
 // experiment; res.Prop gets the compact summary.
 func (r *Runner) recordProp(res *Result) {
-	if r.observers.Taint == nil || r.sim == nil {
+	if r.observers.Taint == nil {
 		return
 	}
 	rep := r.sim.TaintReport(res.Outcome == OutcomeCrashed, r.taintGolden)
@@ -633,51 +637,22 @@ func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
 			func(x Result) { res = x })
 		return res
 	}
-	// Covers the baseline (DisableCheckpoint) path, which rebuilds the
-	// simulator without a Restore reset; elsewhere a second reset is a
-	// no-op on an already-empty ring.
-	r.observers.Flight.Reset()
 	start := time.Now()
 	tr := r.beginExpTrace(exp, ctx, start)
-	runRes, err := r.replay(exp)
-	return r.conclude(exp, runRes, 0, err, start, tr)
-}
-
-// replay runs one experiment without the fork server: restore the
-// checkpoint and re-arm the engine with the experiment's faults (Fig. 3
-// of the paper), or, without a checkpoint, re-simulate from program
-// start.
-func (r *Runner) replay(exp Experiment) (sim.RunResult, error) {
-	if r.Ckpt != nil {
-		r.sim.Restore(r.Ckpt, exp.Faults)
-		r.sim.BeginPhaseRecording(r.cutPhase("restore"))
-		return r.sim.Run(), nil
-	}
-	s := sim.New(r.Cfg)
-	s.Observe(r.observers) // the profile keeps accumulating across rebuilds
-	p, err := r.Workload.Build()
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	if err := s.Load(p); err != nil {
-		return sim.RunResult{}, err
-	}
-	s.Engine.Reset(exp.Faults)
-	r.sim = s
-	if tr := r.curTrace; tr != nil {
-		s.SetSpans(r.spans, tr.span)
-	}
-	s.BeginPhaseRecording(r.cutPhase("restore"))
-	return s.Run(), nil
+	// Without the fork server an experiment forks from the start point
+	// and re-arms the engine with its faults (Fig. 3 of the paper).
+	r.sim.ForkFrom(r.start, exp.Faults)
+	r.sim.BeginPhaseRecording(r.cutPhase("restore"))
+	return r.conclude(exp, r.sim.Run(), 0, start, tr)
 }
 
 // conclude turns a finished run into the experiment's result and closes
 // its bookkeeping: output classification, the taint report, the wall
 // time and the span tree. pruned, when nonzero, is an outcome the fork
-// server already decided; err is a set-up failure.
-func (r *Runner) conclude(exp Experiment, runRes sim.RunResult, pruned Outcome, err error, start time.Time, tr *expTrace) Result {
+// server already decided.
+func (r *Runner) conclude(exp Experiment, runRes sim.RunResult, pruned Outcome, start time.Time, tr *expTrace) Result {
 	r.foldSimPhases()
-	res := r.classify(exp, runRes, pruned, err)
+	res := r.classify(exp, runRes, pruned)
 	end := r.cutPhase("classify")
 	r.recordProp(&res)
 	if r.observers.Taint != nil {
@@ -696,18 +671,13 @@ func (r *Runner) conclude(exp Experiment, runRes sim.RunResult, pruned Outcome, 
 
 // classify builds the result of one finished run: fault bookkeeping,
 // then the outcome class from the run's disposition and the output.
-func (r *Runner) classify(exp Experiment, runRes sim.RunResult, pruned Outcome, err error) (res Result) {
+func (r *Runner) classify(exp Experiment, runRes sim.RunResult, pruned Outcome) (res Result) {
 	res = Result{ID: exp.ID}
 	if len(exp.Faults) > 0 {
 		res.Fault = exp.Faults[0]
 		if r.WindowInsts > 0 {
 			res.NormTime = float64(exp.Faults[0].When) / float64(r.WindowInsts)
 		}
-	}
-	if err != nil {
-		res.Outcome = OutcomeCrashed
-		res.CrashCause = err.Error()
-		return res
 	}
 	res.Insts = runRes.Insts
 	res.Ticks = runRes.Ticks

@@ -1,12 +1,17 @@
 package campaign
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
 
 // piRunner is shared across tests (golden run + checkpoint are costly).
 func piRunner(t *testing.T) *Runner {
@@ -267,10 +272,10 @@ func TestFig6ReportStructure(t *testing.T) {
 	}
 }
 
-// TestBaselineRunnerKeepsObservers: a DisableCheckpoint runner rebuilds
-// its simulator for every experiment and re-installs its own observers
-// on it, so the profile keeps accumulating across experiments and every
-// result still carries its taint summary.
+// TestBaselineRunnerKeepsObservers: a DisableCheckpoint runner forks
+// every experiment from the booted program on its one simulator, which
+// keeps the runner's own observers, so the profile keeps accumulating
+// across experiments and every result still carries its taint summary.
 func TestBaselineRunnerKeepsObservers(t *testing.T) {
 	cfg := SimConfig(sim.ModelAtomic, 0)
 	cfg.EnableProfiler, cfg.EnableTaint = true, true
@@ -297,5 +302,90 @@ func TestBaselineRunnerKeepsObservers(t *testing.T) {
 			t.Errorf("exp %d: profile at %d instructions, %d before it", e.ID, total, seen)
 		}
 		seen = total
+	}
+}
+
+// TestBaselineRunnerMatchesRebuild is the referee of the DisableCheckpoint
+// runner: every experiment's result equals that of a fresh simulator
+// built, loaded and run from boot with the experiment's faults, on every
+// Result field but WallNs. On the atomic model, where a checkpoint adds no
+// ticks of its own, the checkpoint-backed runner must match it too. The
+// detailed models run boot and init on every reference run, so they take
+// fewer experiments. The referee is single-goroutine and a golden pass
+// takes seconds under the race detector, so race and short runs keep pi
+// only.
+func TestBaselineRunnerMatchesRebuild(t *testing.T) {
+	wls := workloads.All(workloads.ScaleTest)
+	if raceEnabled || testing.Short() {
+		wls = []*workloads.Workload{workloads.MonteCarloPI(workloads.ScaleTest)}
+	}
+	for _, w := range wls {
+		for _, model := range []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined} {
+			n := 12
+			if model != sim.ModelAtomic {
+				n = 2
+			}
+			t.Run(fmt.Sprintf("%s/%s", w.Name, model), func(t *testing.T) {
+				cfg := SimConfig(model, 0)
+				base, err := NewRunner(w, RunnerOptions{Cfg: &cfg, DisableCheckpoint: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ckpt *Runner
+				if model == sim.ModelAtomic {
+					if ckpt, err = NewRunner(w, RunnerOptions{Cfg: &cfg}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				prog, err := w.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range GenerateUniform(n, GenConfig{WindowInsts: base.WindowInsts, Seed: 3}) {
+					s := sim.New(base.Cfg)
+					if err := s.Load(prog); err != nil {
+						t.Fatal(err)
+					}
+					s.Engine.Reset(e.Faults)
+					ref := &Runner{Workload: w, Cfg: base.Cfg, Golden: base.Golden, WindowInsts: base.WindowInsts, sim: s}
+					want := ref.classify(e, s.Run(), 0)
+					got := base.Run(e)
+					got.WallNs = 0
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("exp %d (%s): baseline %+v, rebuild %+v", e.ID, e.Faults[0], got, want)
+					}
+					if ckpt != nil {
+						got := ckpt.Run(e)
+						got.WallNs = 0
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("exp %d (%s): checkpoint %+v, rebuild %+v", e.ID, e.Faults[0], got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBaselineRunnerInterrupt: Interrupt from another goroutine stops a
+// DisableCheckpoint runner's experiment mid-run. The guest's
+// fi_read_init_all pauses the run until the interrupt has been sent.
+func TestBaselineRunnerInterrupt(t *testing.T) {
+	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), RunnerOptions{DisableCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached, sent := make(chan struct{}), make(chan struct{})
+	r.sim.OnCheckpoint = func(*sim.Simulator) {
+		reached <- struct{}{}
+		<-sent
+	}
+	go func() {
+		<-reached
+		r.Interrupt()
+		close(sent)
+	}()
+	if res := r.Run(Experiment{ID: 1}); res.CrashCause != CrashInterrupted {
+		t.Fatalf("interrupted run: %v %q, want crash cause %q", res.Outcome, res.CrashCause, CrashInterrupted)
 	}
 }

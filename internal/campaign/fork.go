@@ -291,10 +291,10 @@ func trunkConfig(cfg sim.Config) sim.Config {
 const seekChunk = 512
 
 // EnableFork builds the fork server for a checkpoint-backed runner: a
-// dedicated trunk simulator restores the checkpoint, runs once to
-// completion on the atomic model, and freezes snapshots across the
-// fault-injection window on the way, recording the run's last-read
-// table. Idempotent.
+// dedicated trunk simulator forks from the runner's start point, which
+// is the pool's root, runs once to completion on the atomic model, and
+// freezes snapshots across the fault-injection window on the way,
+// recording the run's last-read table. Idempotent.
 func (r *Runner) EnableFork(opts ForkOptions) error {
 	if r.fork != nil {
 		return nil
@@ -314,12 +314,12 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	if err := trunk.Load(p); err != nil {
 		return err
 	}
-	trunk.Restore(r.Ckpt, nil)
+	trunk.ForkFrom(r.start, nil)
 	reads := newLastReadRecorder(trunk.Core)
 	trunk.Watch(reads)
 
 	sp := &snapPool{maxLive: opts.Snapshots + opts.Snapshots/2}
-	sp.setRoot(trunk.CaptureForkPoint())
+	sp.setRoot(r.start)
 
 	interval := r.WindowInsts / uint64(opts.Snapshots)
 	if interval == 0 {

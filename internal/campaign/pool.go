@@ -33,8 +33,9 @@ type Pool struct {
 }
 
 // NewPool builds n parallel runners for the workload. The golden run and
-// checkpoint are computed once and shared (checkpoint restore deep-copies
-// state, so sharing is safe).
+// start point are computed once and shared (forks write private
+// copy-on-write overlays over the point's frozen pages, so sharing is
+// safe).
 func NewPool(w *workloads.Workload, n int, opts RunnerOptions) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("campaign: pool size must be positive")

@@ -190,7 +190,7 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 				r.cutPhaseAt("walk", walked)
 				fs.preclassified.Add(1)
 				r.expEvent("fork.preclassified", ev)
-				emit(r.conclude(exp, res, OutcomeNonPropagated, nil, start, tr))
+				emit(r.conclude(exp, res, OutcomeNonPropagated, start, tr))
 				tr, start = nil, time.Now()
 				forked = start
 				continue
@@ -218,7 +218,7 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 		r.sim.BeginPhaseRecording(r.cutPhaseAt("walk", walked))
 		fs.forks.Add(1)
 		runRes, pruned := r.finishForked(exp, base)
-		emit(r.conclude(exp, runRes, pruned, nil, start, tr))
+		emit(r.conclude(exp, runRes, pruned, start, tr))
 		tr = nil
 		if next != nil {
 			start = time.Now()
@@ -302,7 +302,7 @@ func (r *Runner) concludeAll(exps []Experiment, member Member, res sim.RunResult
 		}
 		r.cutPhaseAt("fork", forked)
 		r.cutPhaseAt("walk", ended)
-		emit(r.conclude(exp, res, 0, nil, start, tr))
+		emit(r.conclude(exp, res, 0, start, tr))
 		tr = nil
 	}
 	return nil

@@ -99,7 +99,7 @@ func TestRestoredMemoryMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.New()
-	m.Restore(got.Mem)
+	m.ForkFrom(got.ForkPoint(0, 0).Mem)
 	v, err := m.Read64(0x1008)
 	if err != nil || v != 0xDEADBEEF {
 		t.Errorf("restored mem: %x %v", v, err)

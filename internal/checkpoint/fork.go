@@ -43,6 +43,15 @@ type Warm struct {
 	WindowOpenInsts uint64
 }
 
+// ForkPoint wraps the checkpoint as a cold fork point with a closed
+// fault-injection window, its memory declaring [textLo, textHi) as text.
+// The point adopts the State's pages by reference
+// (mem.CowFromSnapshot): they become its frozen base, so they must not
+// be mutated afterwards.
+func (s *State) ForkPoint(textLo, textHi uint64) *ForkPoint {
+	return &ForkPoint{Core: s.Core, Mem: mem.CowFromSnapshot(s.Mem, textLo, textHi), Kernel: s.Kernel}
+}
+
 // WindowCommits returns the committed-instruction progress of the open
 // fault-injection window at the fork point (0 when no window is open):
 // an experiment whose fault fires at window instruction W can only fork

@@ -180,10 +180,11 @@ func (m *Memory) textSharedWith(s *CowSnapshot) bool {
 	return true
 }
 
-// CowFromSnapshot wraps a deep Snapshot as a fork point, so code paths
-// exercised with COW snapshots can be replayed bit-for-bit from a plain
-// deep copy (the conformance suite's "deep twin"). The snapshot's pages
-// are adopted by reference and must not be mutated afterwards.
+// CowFromSnapshot wraps a deep Snapshot as a fork point: a checkpoint
+// restore forks from it, and the conformance suite's "deep twin" replays
+// code paths exercised with COW snapshots from a plain deep copy. The
+// snapshot's pages are adopted by reference and must not be mutated
+// afterwards.
 func CowFromSnapshot(s Snapshot, textLo, textHi uint64) *CowSnapshot {
 	pages := make(map[uint64][]byte, len(s.Pages))
 	for b, p := range s.Pages {
@@ -200,7 +201,7 @@ func CowFromSnapshot(s Snapshot, textLo, textHi uint64) *CowSnapshot {
 }
 
 // DirtyPages returns the number of private pages written since the last
-// freeze, restore, or creation — the memory's current fork cost.
+// freeze, fork, or creation — the memory's current fork cost.
 func (m *Memory) DirtyPages() int { return len(m.pages) }
 
 // allZero reports whether every byte of a page is zero — the value an

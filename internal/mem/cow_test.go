@@ -322,8 +322,9 @@ func TestDiffPrivate(t *testing.T) {
 	}
 }
 
-// TestRestoreDropsCowBase: a deep Restore must sever the memory from any
-// frozen base so later writes cannot be confused with COW faults.
+// TestRestoreDropsCowBase: restoring a deep copy must sever the memory
+// from the frozen base it forked from, so later writes cannot be
+// confused with COW faults on that base.
 func TestRestoreDropsCowBase(t *testing.T) {
 	trunk := newTestMem(t)
 	snap := trunk.CowSnapshot()
@@ -334,9 +335,12 @@ func TestRestoreDropsCowBase(t *testing.T) {
 	if child.BaseID() == 0 {
 		t.Fatal("fork did not record base identity")
 	}
-	child.Restore(deep)
-	if child.BaseID() != 0 {
-		t.Fatal("Restore left the frozen base attached")
+	child.ForkFrom(CowFromSnapshot(deep, 0, 0))
+	if child.BaseID() == snap.id || child.DirtyPages() != 0 {
+		t.Fatal("restore left the trunk's frozen base attached")
+	}
+	if _, ok := DiffPrivate(child, trunk); ok {
+		t.Fatal("restored child still shares a base with the trunk")
 	}
 	if got := read64(t, child, 0x1000); got != 0x1111 {
 		t.Fatalf("restored child reads %#x want 0x1111", got)

@@ -58,9 +58,9 @@ func TestTLBServesFreshDataAfterRestore(t *testing.T) {
 	if err := m.Write64(0x40, 0xBBBB); err != nil {
 		t.Fatal(err)
 	}
-	// Both writes went through the data-port TLB; Restore replaces the
+	// Both writes went through the data-port TLB; a restore replaces the
 	// page backing store and must drop the cached pointer.
-	m.Restore(snap)
+	m.ForkFrom(CowFromSnapshot(snap, 0, 0))
 	got, err := m.Read64(0x40)
 	if err != nil || got != 0xAAAA {
 		t.Fatalf("after restore: got %#x err %v, want 0xAAAA", got, err)
@@ -123,8 +123,11 @@ func TestTextGenTracksStores(t *testing.T) {
 		t.Fatal("bulk store into text must bump TextGen")
 	}
 
+	// A restore from a deep Snapshot copy never shares text pages by
+	// pointer, so it cannot prove the text unchanged.
 	g3 := m.TextGen()
-	m.Restore(m.Snapshot())
+	lo, hi := m.TextRegion()
+	m.ForkFrom(CowFromSnapshot(m.Snapshot(), lo, hi))
 	if m.TextGen() == g3 {
 		t.Fatal("restore must bump TextGen (page contents replaced)")
 	}

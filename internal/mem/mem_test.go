@@ -95,14 +95,14 @@ func TestSnapshotRestoreIsolation(t *testing.T) {
 	m.Write64(8, 42)
 	snap := m.Snapshot()
 	m.Write64(8, 99)
-	m.Restore(snap)
+	m.ForkFrom(CowFromSnapshot(snap, 0, 0))
 	if v, _ := m.Read64(8); v != 42 {
 		t.Fatalf("restore lost value: %d", v)
 	}
 	// Mutating the restored memory must not corrupt the snapshot.
 	m.Write64(8, 7)
 	m2 := New()
-	m2.Restore(snap)
+	m2.ForkFrom(CowFromSnapshot(snap, 0, 0))
 	if v, _ := m2.Read64(8); v != 42 {
 		t.Fatalf("snapshot aliased: %d", v)
 	}

@@ -52,7 +52,7 @@ type tlb struct {
 // usable; call New.
 type Memory struct {
 	// pages is the private overlay: every page the memory has written since
-	// it was created, restored, or last frozen by CowSnapshot. base is the
+	// it was created, forked, or last frozen by CowSnapshot. base is the
 	// frozen copy-on-write layer shared with snapshots and sibling forks;
 	// it is nil until the first CowSnapshot/ForkFrom and must never be
 	// written through. Reads consult pages first, then base; the first
@@ -69,7 +69,7 @@ type Memory struct {
 	// Text-region write tracking: any store overlapping [textLo, textHi)
 	// bumps textGen, invalidating decoded-instruction caches keyed on
 	// guest PCs (self-modifying code, store-value faults landing in the
-	// text section, checkpoint restores).
+	// text section, forks onto text that is not provably the same).
 	textLo, textHi uint64
 	textGen        uint64
 }
@@ -87,8 +87,8 @@ func (m *Memory) SetTextRegion(lo, hi uint64) {
 }
 
 // TextGen returns the text-section write generation: it changes whenever
-// a store may have modified an instruction word (or the whole memory was
-// replaced by a checkpoint restore). Decoded-instruction caches compare
+// a store may have modified an instruction word (or ForkFrom replaced the
+// text with pages it cannot prove identical). Decoded-instruction caches compare
 // it against the generation they were filled at.
 func (m *Memory) TextGen() uint64 { return m.textGen }
 
@@ -533,23 +533,4 @@ func DiffSnapshots(a, b Snapshot, maxDetail int) (diffs []ByteDiff, total int) {
 		}
 	}
 	return diffs, total
-}
-
-// Restore replaces the memory state with the snapshot's (deep copy). Any
-// frozen COW base is dropped, both per-port micro-TLBs are invalidated
-// unconditionally, and the text generation is bumped so no stale
-// translation or predecoded instruction survives into the restored state.
-func (m *Memory) Restore(s Snapshot) {
-	m.pages = make(map[uint64][]byte, len(s.Pages))
-	for base, p := range s.Pages {
-		cp := make([]byte, PageSize)
-		copy(cp, p)
-		m.pages[base] = cp
-	}
-	m.base = nil
-	m.baseID = 0
-	m.regions = make([]region, len(s.Regions))
-	copy(m.regions, s.Regions)
-	m.fetch, m.data = tlb{}, tlb{}
-	m.textGen++ // all cached decodes are stale: page contents were replaced
 }

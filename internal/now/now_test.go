@@ -247,7 +247,8 @@ func TestMasterDisconnectRequeuedExactlyOnce(t *testing.T) {
 }
 
 // TestWorkerHeartbeats: a heartbeating worker is visible in the master's
-// telemetry.
+// telemetry, even when its experiments all finish inside the first
+// interval.
 func TestWorkerHeartbeats(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, id, addr := startCampaign(t, serv.Config{Metrics: reg}, sim.ModelAtomic, 12)

@@ -41,8 +41,8 @@ type WorkerConfig struct {
 	// before being reported to the master as crashed ("interrupted").
 	ExpRetries int
 
-	// Heartbeat is the interval between liveness messages to the master;
-	// 0 disables them.
+	// Heartbeat is the interval between liveness messages to the master,
+	// the first sent before the first fetch; 0 disables them.
 	Heartbeat time.Duration
 
 	// Metrics, when set, receives worker counters (now.worker.*): dial
@@ -161,6 +161,12 @@ func (w *Worker) runSlot(name string) (int, error) {
 	}
 
 	if w.cfg.Heartbeat > 0 {
+		// The first beat goes out before the first fetch, so the master
+		// sees a slot alive even when its whole share ends inside one
+		// interval.
+		if err := c.send(Message{Type: MsgHeartbeat, WorkerName: name}); err != nil {
+			return 0, err
+		}
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
@@ -226,8 +232,9 @@ func (w *Worker) runSlot(name string) (int, error) {
 // runExperiment executes one experiment under the configured wall-time
 // bound, retrying timed-out runs up to ExpRetries times. The timeout
 // interrupts the simulation at its next poll point; because the runner
-// restores the checkpoint at the start of every Run, a timer that fires
-// in the gap after a run completes cannot poison the next experiment.
+// forks from its start point at the start of every Run, a timer that
+// fires in the gap after a run completes cannot poison the next
+// experiment.
 func (w *Worker) runExperiment(runner *campaign.Runner, exp campaign.Experiment, ctx obs.SpanContext) campaign.Result {
 	for attempt := 0; ; attempt++ {
 		var timer *time.Timer

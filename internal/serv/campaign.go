@@ -58,9 +58,10 @@ type CampaignSpec struct {
 	Fork    bool `json:"fork,omitempty"`
 	Taint   bool `json:"taint,omitempty"`
 	Profile bool `json:"profile,omitempty"`
-	// Flight attaches a flight recorder to every runner: crashed, SDC
-	// and reached-state results carry a post-mortem dump (served via
-	// /postmortem/{id}). Implied service-wide by serv.Config.Flight.
+	// Flight attaches a flight recorder to every runner, local or on a
+	// NoW worker (via the welcome): crashed, SDC and reached-state
+	// results carry a post-mortem dump, journaled with the result and
+	// served via /postmortem/{id}.
 	Flight bool `json:"flight,omitempty"`
 }
 
@@ -147,10 +148,6 @@ type Campaign struct {
 	// experiment roots.
 	spans *obs.SpanRecorder
 
-	// flight (set by the Service from its config) turns on flight
-	// recording for this campaign's pool even when the spec did not ask.
-	flight bool
-
 	// pool runs the local experiments: built by prepare, handed groups
 	// by the dispatcher, released by finishLocked.
 	pool *campaign.Pool
@@ -211,7 +208,7 @@ func (c *Campaign) prepare(slots int) (uint64, error) {
 	cfg := campaign.SimConfig(model, c.Spec.MaxInsts)
 	cfg.EnableProfiler = c.Spec.Profile
 	cfg.EnableTaint = c.Spec.Taint
-	cfg.EnableFlight = c.Spec.Flight || c.flight
+	cfg.EnableFlight = c.Spec.Flight
 	pool, err := campaign.NewPool(w, c.Spec.workers(slots), campaign.RunnerOptions{Cfg: &cfg})
 	if err != nil {
 		return 0, err

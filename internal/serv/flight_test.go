@@ -49,9 +49,8 @@ func TestServiceFlightForkCampaignNoW(t *testing.T) {
 	}
 	waitPhase(t, s, blockerID, PhaseRunning)
 
-	// Flight comes from the spec (per-campaign), not service-wide config
-	// — the welcome message carries it to the worker, whose runner
-	// attaches its own recorder.
+	// Flight comes from the spec (per-campaign): the welcome message
+	// carries it to the worker, whose runner attaches its own recorder.
 	spec := CampaignSpec{Workload: "pi", N: 40, Seed: 13, Fork: true, Flight: true, Tenant: "t1"}
 	id, err := s.Submit(spec)
 	if err != nil {

@@ -58,13 +58,6 @@ type Config struct {
 	// stitched underneath. Served live via /trace/{id} and /traces.
 	// Nil disables at no cost.
 	Spans *obs.SpanRecorder
-	// Flight turns on flight-recorder post-mortems service-wide: every
-	// campaign's runners (local pool and NoW workers, via the welcome)
-	// record the final committed instructions of each experiment and
-	// interesting results carry a dump, journaled with the result and
-	// served via /postmortem/{id}. Individual campaigns can also opt in
-	// with CampaignSpec.Flight.
-	Flight bool
 }
 
 // Service hosts campaigns. Lock order: a Campaign's mu may be held when
@@ -188,7 +181,6 @@ func (s *Service) registerMetrics() {
 func (s *Service) adopt(id string) *Campaign {
 	c := newCampaign(id, s.st.Camps[id])
 	c.spans = s.cfg.Spans
-	c.flight = s.cfg.Flight
 	s.camps[id] = c
 	return c
 }
@@ -777,7 +769,7 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 		MaxInsts:    runner.Cfg.MaxInsts, // the watchdog the local runners use
 		Fork:        pick.Spec.Fork,
 		SpanTrace:   s.cfg.Spans != nil,
-		Flight:      s.cfg.Flight || pick.Spec.Flight,
+		Flight:      pick.Spec.Flight,
 		Taint:       pick.Spec.Taint,
 	}
 	s.nowWorkers.Add(1)

@@ -34,15 +34,17 @@ func (s *Simulator) CaptureForkPoint() *checkpoint.ForkPoint {
 }
 
 // ForkFrom repoints the simulator at a fork point and arms it with a
-// fresh fault list — the fork-server replacement for Restore. Memory
+// fresh fault list. It is the one way a simulator is put at an instant:
+// Restore forks from a checkpoint's cold point, a campaign runner from
+// its start point, a fork-server child from a trunk snapshot. Memory
 // adopts the frozen pages with an empty private overlay.
 //
-// A cold fork point (a trunk snapshot) starts the configured model cold:
-// caches, micro-TLBs and the pipeline are reset in place rather than
-// cloned (they hold no architectural state). When it lies inside a
-// fault-injection window the detailed model starts immediately — the
-// fast-forward prefix already happened on the trunk — otherwise
-// fast-forward is re-armed exactly as after Restore.
+// A cold fork point (a checkpoint or a trunk snapshot) starts the
+// configured model cold: caches, micro-TLBs and the pipeline are reset in
+// place rather than cloned (they hold no architectural state). When it
+// lies inside a fault-injection window the detailed model starts
+// immediately — the fast-forward prefix already happened on the trunk —
+// otherwise fast-forward is re-armed as after Load.
 //
 // A warm walk point (CaptureWalkPoint) resumes the run that captured it:
 // pipeline latches, predictor, cache contents and simulator flags come

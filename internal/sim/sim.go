@@ -793,30 +793,13 @@ func (s *Simulator) Checkpoint() *checkpoint.State {
 // Restore rewinds the machine to a checkpoint and re-arms the fault
 // engine with a fresh fault list (the fi_read_init_all contract: "upon
 // restoring a checkpoint GemFI parses again the faults configuration
-// file"). The CPU model restarts cleanly (drained pipeline, cold
-// predictor and caches).
+// file"). It is ForkFrom of the cold point st.ForkPoint over the
+// simulator's text region: the CPU model restarts cleanly (drained
+// pipeline, cold predictor and caches), and st's pages become that
+// point's frozen base, adopted by reference, so they must not be
+// mutated afterwards.
 func (s *Simulator) Restore(st *checkpoint.State, faults []core.Fault) {
-	s.Mem.Restore(st.Mem)
-	s.Core.RestoreSnapshot(st.Core)
-	s.Kernel.Restore(st.Kernel)
-	if s.Hier != nil {
-		s.Hier.InvalidateAll()
-	}
-	if s.Engine != nil {
-		s.Engine.Reset(faults) // also resets the taint tracker (rearm)
-	} else {
-		s.observers.Taint.Reset()
-	}
-	if pr := s.observers.Profiler; pr != nil {
-		pr.ResetStack() // the restored guest is mid-call-chain
-	}
-	s.observers.Flight.Reset() // nil-safe; the ring belongs to one experiment
-	s.Model = s.newModel(s.Cfg.Model)
-	s.switched = false
-	s.stopRequested = false
-	s.WindowOpenInsts = 0
-	s.armFastForward() // re-arm the atomic prefix for the next experiment
-	s.interrupted.Store(false)
+	s.ForkFrom(st.ForkPoint(s.Mem.TextRegion()), faults)
 	s.Cfg.Metrics.Counter("sim.checkpoint.restores").Inc()
 }
 
