@@ -2,54 +2,12 @@ package conformance
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-// -fuzzseed runs the lockstep fuzz test on one specific seed (reproducing
-// a reported failure); -fuzzn widens the fixed-seed sweep.
-var (
-	fuzzSeed = flag.Int64("fuzzseed", -1, "run lockstep fuzzing with this single seed")
-	fuzzN    = flag.Int("fuzzn", 40, "number of fixed seeds for lockstep fuzzing")
-)
-
-func fuzzSeeds() []int64 {
-	if *fuzzSeed >= 0 {
-		return []int64{*fuzzSeed}
-	}
-	seeds := make([]int64, *fuzzN)
-	for i := range seeds {
-		seeds[i] = int64(i)
-	}
-	return seeds
-}
-
-func TestLockstepRandomPrograms(t *testing.T) {
-	for _, seed := range fuzzSeeds() {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			p := Generate(seed, GenConfig{})
-			prog, err := p.Build()
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			d, err := RunLockstep(prog, Config{SyncInterval: 32})
-			if err != nil {
-				t.Fatalf("lockstep: %v", err)
-			}
-			if d != nil {
-				t.Fatalf("models diverged (reproduce with -fuzzseed %d):\n%s\nprogram:\n%s",
-					seed, d.Report(), Listing(prog))
-			}
-		})
-	}
-}
 
 func TestGenerateIsDeterministic(t *testing.T) {
 	a, b := Generate(3, GenConfig{}), Generate(3, GenConfig{})

@@ -309,25 +309,6 @@ func TestForkCampaignQuiescenceReferee(t *testing.T) {
 	}
 }
 
-// TestForkPointFuzz forks children of randomized generator programs at
-// randomized instruction counts and requires every one — and the trunk
-// that served them — to finish bit-identical to straight-line execution.
-func TestForkPointFuzz(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			res, err := ForkFuzz(seed, 4, GenConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Points == 0 {
-				t.Errorf("seed %d: no fork point exercised (%d insts)", seed, res.Insts)
-			}
-		})
-	}
-}
-
 // TestForkCampaignVerdictIdentity runs the same experiments through a
 // fork-server campaign runner and a plain replay runner for every
 // workload, on the atomic model, and requires identical results: outcome

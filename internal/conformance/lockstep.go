@@ -12,15 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultModels are the three CPU models checked by the harness.
-func DefaultModels() []sim.ModelKind {
-	return []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined}
-}
-
 // PerturbSpec deterministically corrupts one model's architectural state
 // after a given number of committed instructions — the "intentionally
 // broken model" used to validate that the harness actually catches
-// divergences (and by the gemfi-fuzz -perturb flag to demo reports).
+// divergences.
 type PerturbSpec struct {
 	Model sim.ModelKind
 	After uint64 // commit count after which the corruption is applied once
@@ -30,35 +25,35 @@ type PerturbSpec struct {
 
 // Config parameterizes a lockstep run.
 type Config struct {
-	// Models to run in lockstep (default: atomic, timing, pipelined).
-	// The first model is the comparison reference.
-	Models []sim.ModelKind
 	// SyncInterval compares architectural state every N committed
 	// instructions in addition to program exit (0 = exit only).
 	SyncInterval uint64
-	// MaxSteps bounds each model's step count — cycles for the pipelined
-	// model — so a divergent runaway loop is reported, not hung on
-	// (default 4,000,000).
-	MaxSteps uint64
-	// TraceWindow is how many recently committed instructions each model
-	// retains for the divergence report (default 16).
-	TraceWindow int
 	// Perturb, when non-nil, injects a synthetic model bug.
 	Perturb *PerturbSpec
 }
 
-func (c Config) withDefaults() Config {
-	if len(c.Models) == 0 {
-		c.Models = DefaultModels()
-	}
-	if c.MaxSteps == 0 {
-		c.MaxSteps = 4_000_000
-	}
-	if c.TraceWindow == 0 {
-		c.TraceWindow = 16
-	}
-	return c
+// lockstepRuns is the fixed run set. The atomic model is the comparison
+// reference; the cold atomic run interprets every instruction with the
+// decode caches, predecode, micro-TLBs, MRU line and stepFast switched
+// off, so random programs referee the fast path against the interpreter.
+var lockstepRuns = []struct {
+	name string
+	cfg  sim.Config
+}{
+	{string(sim.ModelAtomic), sim.Config{Model: sim.ModelAtomic}},
+	{string(sim.ModelTiming), sim.Config{Model: sim.ModelTiming}},
+	{string(sim.ModelPipelined), sim.Config{Model: sim.ModelPipelined}},
+	{"atomic-cold", sim.Config{Model: sim.ModelAtomic, DisableFastPath: true}},
 }
+
+const (
+	// maxSteps bounds each model's step count — cycles for the pipelined
+	// model — so a divergent runaway loop is reported, not hung on.
+	maxSteps = 4_000_000
+	// traceWindow is how many recently committed instructions each model
+	// retains for the divergence report.
+	traceWindow = 16
+)
 
 // TraceEntry is one committed instruction in a model's recent history.
 type TraceEntry struct {
@@ -91,7 +86,7 @@ func (r *traceRing) Entries() []TraceEntry { return r.buf }
 
 // modelRun is one model's simulator plus its lockstep bookkeeping.
 type modelRun struct {
-	kind  sim.ModelKind
+	name  string
 	sim   *sim.Simulator
 	model cpu.Model
 	trace *traceRing
@@ -100,9 +95,9 @@ type modelRun struct {
 }
 
 // stepUntil advances the model until it stops or reaches target committed
-// instructions; both models commit at most one instruction per step, so
+// instructions; every model commits at most one instruction per step, so
 // the loop lands exactly on the target.
-func (r *modelRun) stepUntil(target, maxSteps uint64) {
+func (r *modelRun) stepUntil(target uint64) {
 	c := r.sim.Core
 	for !c.Stopped && c.Insts < target {
 		if r.steps >= maxSteps {
@@ -134,21 +129,20 @@ func (p *perturbModel) Step() bool {
 	return ok
 }
 
-// RunLockstep runs prog on every configured model in lockstep and returns
+// RunLockstep runs prog on every model of the run set in lockstep and returns
 // the first divergence found, or nil if all models agree bit-exactly on
 // every sync point and on the final architectural state, memory image,
 // console output, exit status and retired-instruction count.
 func RunLockstep(prog *asm.Program, cfg Config) (*Divergence, error) {
-	cfg = cfg.withDefaults()
-	runs := make([]*modelRun, len(cfg.Models))
-	for i, kind := range cfg.Models {
-		s := sim.New(sim.Config{Model: kind})
+	runs := make([]*modelRun, len(lockstepRuns))
+	for i, lr := range lockstepRuns {
+		s := sim.New(lr.cfg)
 		if err := s.Load(prog); err != nil {
-			return nil, fmt.Errorf("conformance: load on %s: %w", kind, err)
+			return nil, fmt.Errorf("conformance: load on %s: %w", lr.name, err)
 		}
-		r := &modelRun{kind: kind, sim: s, model: s.Model, trace: newTraceRing(cfg.TraceWindow)}
+		r := &modelRun{name: lr.name, sim: s, model: s.Model, trace: newTraceRing(traceWindow)}
 		s.Core.Observers = append(s.Core.Observers, cpu.TraceFunc(r.trace.record))
-		if cfg.Perturb != nil && cfg.Perturb.Model == kind {
+		if cfg.Perturb != nil && string(cfg.Perturb.Model) == lr.name {
 			r.model = &perturbModel{Model: s.Model, core: s.Core, spec: *cfg.Perturb}
 		}
 		runs[i] = r
@@ -160,7 +154,7 @@ func RunLockstep(prog *asm.Program, cfg Config) (*Divergence, error) {
 	}
 	for {
 		for _, r := range runs {
-			r.stepUntil(target, cfg.MaxSteps)
+			r.stepUntil(target)
 		}
 		if d := checkHang(runs); d != nil {
 			return d, nil
@@ -185,7 +179,7 @@ func RunLockstep(prog *asm.Program, cfg Config) (*Divergence, error) {
 			}
 			for _, r := range runs {
 				if !r.sim.Core.Stopped {
-					r.stepUntil(maxFinal+1, cfg.MaxSteps)
+					r.stepUntil(maxFinal + 1)
 				}
 			}
 			if d := checkHang(runs); d != nil {
@@ -212,7 +206,7 @@ func checkHang(runs []*modelRun) *Divergence {
 			}
 			return newDivergence(a, b, "hang",
 				fmt.Sprintf("%s exceeded its step budget at insts=%d while %s was at insts=%d",
-					b.kind, b.sim.Core.Insts, a.kind, a.sim.Core.Insts))
+					b.name, b.sim.Core.Insts, a.name, a.sim.Core.Insts))
 		}
 	}
 	if ref.hung {
@@ -242,24 +236,24 @@ func compareArch(a, b *modelRun, at uint64) *Divergence {
 	for i := 0; i < isa.NumRegs; i++ {
 		if aa.R[i] != ba.R[i] {
 			return newDivergence(a, b, "register",
-				fmt.Sprintf("R%d (%s): %s=%#x %s=%#x", i, isa.Reg(i), a.kind, aa.R[i], b.kind, ba.R[i])).at(at)
+				fmt.Sprintf("R%d (%s): %s=%#x %s=%#x", i, isa.Reg(i), a.name, aa.R[i], b.name, ba.R[i])).at(at)
 		}
 	}
 	for i := 0; i < isa.NumRegs; i++ {
 		if math.Float64bits(aa.F[i]) != math.Float64bits(ba.F[i]) {
 			return newDivergence(a, b, "fp-register",
 				fmt.Sprintf("F%d: %s=%#x (%g) %s=%#x (%g)", i,
-					a.kind, math.Float64bits(aa.F[i]), aa.F[i],
-					b.kind, math.Float64bits(ba.F[i]), ba.F[i])).at(at)
+					a.name, math.Float64bits(aa.F[i]), aa.F[i],
+					b.name, math.Float64bits(ba.F[i]), ba.F[i])).at(at)
 		}
 	}
 	if aa.PC != ba.PC {
 		return newDivergence(a, b, "pc",
-			fmt.Sprintf("PC: %s=%#x %s=%#x", a.kind, aa.PC, b.kind, ba.PC)).at(at)
+			fmt.Sprintf("PC: %s=%#x %s=%#x", a.name, aa.PC, b.name, ba.PC)).at(at)
 	}
 	if aa.PCBB != ba.PCBB {
 		return newDivergence(a, b, "pcbb",
-			fmt.Sprintf("PCBB: %s=%#x %s=%#x", a.kind, aa.PCBB, b.kind, ba.PCBB)).at(at)
+			fmt.Sprintf("PCBB: %s=%#x %s=%#x", a.name, aa.PCBB, b.name, ba.PCBB)).at(at)
 	}
 	return nil
 }
@@ -273,30 +267,30 @@ func compareFinal(runs []*modelRun) *Divergence {
 		ca, cb := ref.sim.Core, r.sim.Core
 		if ca.Insts != cb.Insts {
 			return newDivergence(ref, r, "retired",
-				fmt.Sprintf("retired instructions: %s=%d %s=%d", ref.kind, ca.Insts, r.kind, cb.Insts))
+				fmt.Sprintf("retired instructions: %s=%d %s=%d", ref.name, ca.Insts, r.name, cb.Insts))
 		}
 		ta, tb := trapKind(ca), trapKind(cb)
 		if ta != tb {
 			return newDivergence(ref, r, "trap",
-				fmt.Sprintf("trap: %s=%q %s=%q", ref.kind, ta, r.kind, tb))
+				fmt.Sprintf("trap: %s=%q %s=%q", ref.name, ta, r.name, tb))
 		}
 		if ta != "" {
 			continue
 		}
 		if ca.ExitStatus != cb.ExitStatus {
 			return newDivergence(ref, r, "exit",
-				fmt.Sprintf("exit status: %s=%d %s=%d", ref.kind, ca.ExitStatus, r.kind, cb.ExitStatus))
+				fmt.Sprintf("exit status: %s=%d %s=%d", ref.name, ca.ExitStatus, r.name, cb.ExitStatus))
 		}
 		if d := compareArch(ref, r, ca.Insts); d != nil {
 			return d
 		}
 		if consA, consB := ref.sim.Kernel.Console(), r.sim.Kernel.Console(); consA != consB {
 			return newDivergence(ref, r, "console",
-				fmt.Sprintf("console: %s=%q %s=%q", ref.kind, consA, r.kind, consB))
+				fmt.Sprintf("console: %s=%q %s=%q", ref.name, consA, r.name, consB))
 		}
 		if addr, va, vb, ok := diffMem(ref.sim.Mem.Snapshot(), r.sim.Mem.Snapshot()); ok {
 			return newDivergence(ref, r, "memory",
-				fmt.Sprintf("memory @%#x: %s=%#02x %s=%#02x", addr, ref.kind, va, r.kind, vb))
+				fmt.Sprintf("memory @%#x: %s=%#02x %s=%#02x", addr, ref.name, va, r.name, vb))
 		}
 	}
 	return nil

@@ -21,8 +21,8 @@ type Divergence struct {
 
 func newDivergence(a, b *modelRun, kind, detail string) *Divergence {
 	return &Divergence{
-		ModelA: string(a.kind),
-		ModelB: string(b.kind),
+		ModelA: a.name,
+		ModelB: b.name,
 		Kind:   kind,
 		Detail: detail,
 		TraceA: append([]TraceEntry(nil), a.trace.Entries()...),

@@ -82,7 +82,7 @@ func TestTaintVerdictConformance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			golden := taintGolden(t, name)
-			models := DefaultModels()
+			models := []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined}
 			ref := taintRun(t, name, models[0], taintConformanceFault(), golden)
 			if ref.Injections == 0 {
 				t.Fatalf("%s: conformance fault never injected on %s", name, models[0])
