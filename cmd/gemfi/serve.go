@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"time"
 
 	"repro/internal/campaign"
@@ -141,26 +140,15 @@ func nowPrepare(ctx context.Context, args []string, stdout, stderr io.Writer) er
 		return err
 	}
 	return untilDone(ctx, func() error {
-		// First pass discovers the injection window; second writes the
-		// real experiment set.
-		probeDir, err := os.MkdirTemp("", "gemfi-probe")
+		window, err := now.PrepareShare(*dir, now.ShareConfig{Workload: spec.Workload, Scale: scale, Model: modelKind})
 		if err != nil {
 			return err
 		}
-		defer os.RemoveAll(probeDir)
-		share := now.ShareConfig{Workload: spec.Workload, Scale: scale, Model: modelKind}
-		if err := now.PrepareShare(probeDir, share); err != nil {
+		exps := campaign.GenerateUniform(spec.N, campaign.GenConfig{WindowInsts: window, Seed: spec.Seed})
+		if err := now.WriteExperiments(*dir, exps); err != nil {
 			return err
 		}
-		window, err := now.ShareWindowInsts(probeDir)
-		if err != nil {
-			return err
-		}
-		share.Experiments = campaign.GenerateUniform(spec.N, campaign.GenConfig{WindowInsts: window, Seed: spec.Seed})
-		if err := now.PrepareShare(*dir, share); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "share %s prepared: %d experiments of %s\n", *dir, len(share.Experiments), spec.Workload)
+		fmt.Fprintf(stdout, "share %s prepared: %d experiments of %s\n", *dir, len(exps), spec.Workload)
 		return nil
 	})
 }

@@ -129,7 +129,7 @@ type Result struct {
 	// attached (Runner.AttachSpans); retrieve the tree via /trace/{id}.
 	TraceID string `json:"traceId,omitempty"`
 	// PhaseNS breaks WallNs into the contiguous phases of the
-	// experiment (fork/restore, fast-forward, pre-window, fi-window,
+	// experiment (fork, walk, fast-forward, pre-window, fi-window,
 	// post-window, classify, taint) when span tracing is attached.
 	PhaseNS map[string]int64 `json:"phaseNs,omitempty"`
 	// Postmortem is the flight-recorder dump of the experiment's final
@@ -158,11 +158,6 @@ type Runner struct {
 	// frozen base: read it, never mutate it.
 	Ckpt *checkpoint.State
 
-	// start is the cold fork point every experiment starts from, shared
-	// by the runner's clones and its fork trunk: Ckpt's, or without a
-	// checkpoint the booted program.
-	start *checkpoint.ForkPoint
-
 	// sim is the runner's simulator, fixed at construction.
 	sim *sim.Simulator
 	// observers are the runner's own commit-stream observers, built from
@@ -170,9 +165,11 @@ type Runner struct {
 	// into them (the profile) or reset them (taint, flight).
 	observers sim.Observers
 
-	// fork, when non-nil, routes experiments through the fork server
-	// (EnableFork): each run forks from the closest trunk snapshot
-	// instead of replaying from the checkpoint.
+	// fork is the fork server every experiment forks from, shared by the
+	// runner's clones. Its pool's root is the runner's start point: Ckpt's,
+	// or without a checkpoint the booted program. EnableFork adds the
+	// trunk's snapshots; until then every experiment is a walk of one
+	// from the root, run to its verdict.
 	fork *forkServer
 
 	// taintGolden is the final architectural state of the golden run,
@@ -215,6 +212,11 @@ type RunnerOptions struct {
 	// DisableCheckpoint runs every experiment from program start (the
 	// Fig. 8 baseline).
 	DisableCheckpoint bool
+	// Checkpoint, when non-nil, is a fi_read_init_all checkpoint taken
+	// elsewhere (a NoW or file-share worker's copy): the golden pass
+	// continues from it instead of booting, and experiments start from
+	// it.
+	Checkpoint *checkpoint.State
 }
 
 // SimConfig is the simulator configuration of every campaign runner —
@@ -233,54 +235,24 @@ func SimConfig(model sim.ModelKind, maxInsts uint64) sim.Config {
 // the derived experiment watchdog.
 const maxGoldenInsts = 2_000_000_000
 
-// NewRunner builds a runner: compiles the workload, takes the golden
-// run (capturing the fi_read_init_all checkpoint), and records the
-// fault-injection window size. Everything the golden run produces is
-// architectural, so it runs on the atomic model (translated when the
-// config enables block translation) and unobserved whatever cfg asks
-// for; experiments fork onto cfg.Model from the runner's start point,
+// NewRunner builds a runner: compiles the workload, takes the fault-free
+// golden pass and records the fault-injection window size. Everything the
+// golden pass produces is architectural, so it runs on the atomic model
+// (translated when the config enables block translation) and unobserved
+// whatever cfg asks for: from the options' Checkpoint, or from boot,
+// capturing the fi_read_init_all checkpoint on the way. The runner's
+// experiments start from that checkpoint, or under DisableCheckpoint from
+// the booted program, captured right after Load, and fork onto cfg.Model
 // with the observers cfg's EnableProfiler, EnableTaint and EnableFlight
-// switch on. A zero MaxInsts derives the experiment watchdog from the
-// golden run's length.
+// switch on. A zero MaxInsts becomes a multiple of the golden run's
+// length: fault runs that loop forever would otherwise burn the full
+// generic limit per experiment. Jacobi-style workloads legitimately run
+// much longer than golden when reconverging, so the margin is generous.
 func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	cfg := SimConfig(sim.ModelAtomic, 0)
 	if opts.Cfg != nil {
 		cfg = *opts.Cfg
 	}
-	runner, err := goldenRunner(w, cfg, nil, opts.DisableCheckpoint)
-	if err != nil {
-		return nil, err
-	}
-	runner.WindowInsts = runner.sim.Engine.WindowCommits()
-	return runner, nil
-}
-
-// NewRestoredRunner builds a runner from a checkpoint taken elsewhere —
-// the NoW worker path, where the checkpoint arrives over the network or a
-// shared filesystem instead of being captured locally. windowInsts is the
-// fault-injection window size measured by the checkpoint's owner. The
-// golden outputs come from the same atomic golden pass as NewRunner's,
-// continued from the checkpoint, which also supplies the taint differ's
-// final state.
-func NewRestoredRunner(w *workloads.Workload, cfg sim.Config, windowInsts uint64, ckpt *checkpoint.State) (*Runner, error) {
-	runner, err := goldenRunner(w, cfg, ckpt, false)
-	if err != nil {
-		return nil, err
-	}
-	runner.WindowInsts = windowInsts
-	return runner, nil
-}
-
-// goldenRunner builds the runner's simulator for cfg and takes the
-// fault-free golden pass on it, on the atomic model: from the restored
-// checkpoint from, or from boot, capturing the fi_read_init_all
-// checkpoint on the way. The runner's experiments start from that
-// checkpoint, or with fromBoot from the booted program, captured right
-// after Load. A zero cfg.MaxInsts becomes a multiple of the golden run's
-// length: fault runs that loop forever would otherwise burn the full
-// generic limit per experiment. Jacobi-style workloads legitimately run
-// much longer than golden when reconverging, so the margin is generous.
-func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State, fromBoot bool) (*Runner, error) {
 	cfg.EnableFI = true
 	p, err := w.Build()
 	if err != nil {
@@ -295,13 +267,14 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State,
 	if err := s.Load(p); err != nil {
 		return nil, err
 	}
-	runner := &Runner{Workload: w, Cfg: cfg, sim: s, Ckpt: from}
+	runner := &Runner{Workload: w, Cfg: cfg, sim: s, Ckpt: opts.Checkpoint}
+	var start *checkpoint.ForkPoint
 	switch {
-	case fromBoot:
-		runner.start = s.CaptureForkPoint()
-	case from != nil:
-		runner.start = from.ForkPoint(s.Mem.TextRegion())
-		s.ForkFrom(runner.start, nil)
+	case runner.Ckpt != nil:
+		start = runner.Ckpt.ForkPoint(s.Mem.TextRegion())
+		s.ForkFrom(start, nil)
+	case opts.DisableCheckpoint:
+		start = s.CaptureForkPoint()
 	default:
 		s.OnCheckpoint = func(sm *sim.Simulator) {
 			if runner.Ckpt == nil {
@@ -314,12 +287,15 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State,
 	if r.Failed() {
 		return nil, fmt.Errorf("campaign: golden run of %s failed: %+v", w.Name, r)
 	}
-	if runner.start == nil {
+	if start == nil {
 		if runner.Ckpt == nil {
 			return nil, fmt.Errorf("campaign: %s never executed fi_read_init_all", w.Name)
 		}
-		runner.start = runner.Ckpt.ForkPoint(s.Mem.TextRegion())
+		start = runner.Ckpt.ForkPoint(s.Mem.TextRegion())
 	}
+	runner.fork = &forkServer{pool: &snapPool{}}
+	runner.fork.pool.setRoot(start)
+	runner.WindowInsts = s.Engine.WindowCommits()
 	if runner.Golden, err = workloads.Extract(w, s); err != nil {
 		return nil, err
 	}
@@ -339,8 +315,8 @@ func goldenRunner(w *workloads.Workload, cfg sim.Config, from *checkpoint.State,
 }
 
 // clone builds a pool worker that shares this runner's expensive
-// immutable state — golden outputs, checkpoint, start point,
-// fault-injection window, fork server and taint differ reference — but
+// immutable state — golden outputs, checkpoint, fault-injection window,
+// fork server (and with it the start point) and taint differ reference — but
 // owns a private simulator with its own observers (accumulating
 // privately), so the clone can run experiments concurrently with the
 // original.
@@ -361,7 +337,6 @@ func (r *Runner) clone() (*Runner, error) {
 		Golden:      r.Golden,
 		WindowInsts: r.WindowInsts,
 		Ckpt:        r.Ckpt,
-		start:       r.start,
 		fork:        r.fork,
 		sim:         s,
 		observers:   s.Observers(),
@@ -627,23 +602,14 @@ func (r *Runner) Run(exp Experiment) Result {
 // RunCtx is Run with a distributed-trace parent: when the runner has a
 // span recorder attached, the experiment's spans parent under ctx (the
 // NoW master's or serv's experiment span) instead of starting a fresh
-// trace. An invalid ctx starts a local root — Run's behavior. On a fork
-// runner the experiment is a trigger walk of one.
+// trace. An invalid ctx starts a local root — Run's behavior. The
+// experiment is a trigger walk of one.
 func (r *Runner) RunCtx(exp Experiment, ctx obs.SpanContext) Result {
-	if r.fork != nil {
-		var res Result
-		r.runWalk(Group{Exps: []Experiment{exp}, snap: r.snapFor(exp)},
-			func(Experiment, time.Time) (obs.SpanContext, bool) { return ctx, true },
-			func(x Result) { res = x })
-		return res
-	}
-	start := time.Now()
-	tr := r.beginExpTrace(exp, ctx, start)
-	// Without the fork server an experiment forks from the start point
-	// and re-arms the engine with its faults (Fig. 3 of the paper).
-	r.sim.ForkFrom(r.start, exp.Faults)
-	r.sim.BeginPhaseRecording(r.cutPhase("restore"))
-	return r.conclude(exp, r.sim.Run(), 0, start, tr)
+	var res Result
+	r.runWalk(Group{Exps: []Experiment{exp}, snap: r.snapFor(exp)},
+		func(Experiment, time.Time) (obs.SpanContext, bool) { return ctx, true },
+		func(x Result) { res = x })
+	return res
 }
 
 // conclude turns a finished run into the experiment's result and closes

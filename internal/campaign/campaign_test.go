@@ -367,6 +367,50 @@ func TestBaselineRunnerMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestRestoredRunnerMatchesBoot is the referee of a runner built from a
+// checkpoint taken elsewhere, as NoW and file-share workers build theirs:
+// restored from the boot runner's Ckpt, it must measure the same window
+// and watchdog, extract the same golden outputs, and give every
+// experiment the same result on every field but WallNs. A golden pass
+// takes seconds under the race detector, so race and short runs keep pi
+// on the atomic model only.
+func TestRestoredRunnerMatchesBoot(t *testing.T) {
+	wls := workloads.All(workloads.ScaleTest)
+	models := []sim.ModelKind{sim.ModelAtomic, sim.ModelTiming, sim.ModelPipelined}
+	if raceEnabled || testing.Short() {
+		wls, models = []*workloads.Workload{workloads.MonteCarloPI(workloads.ScaleTest)}, models[:1]
+	}
+	for _, w := range wls {
+		for _, model := range models {
+			t.Run(fmt.Sprintf("%s/%s", w.Name, model), func(t *testing.T) {
+				cfg := SimConfig(model, 0)
+				boot, err := NewRunner(w, RunnerOptions{Cfg: &cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored, err := NewRunner(w, RunnerOptions{Cfg: &cfg, Checkpoint: boot.Ckpt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if restored.WindowInsts != boot.WindowInsts || restored.Cfg.MaxInsts != boot.Cfg.MaxInsts {
+					t.Fatalf("restored window %d, watchdog %d; boot %d, %d", restored.WindowInsts,
+						restored.Cfg.MaxInsts, boot.WindowInsts, boot.Cfg.MaxInsts)
+				}
+				if !reflect.DeepEqual(restored.Golden, boot.Golden) {
+					t.Fatalf("restored golden %+v, boot %+v", restored.Golden, boot.Golden)
+				}
+				for _, e := range GenerateUniform(3, GenConfig{WindowInsts: boot.WindowInsts, Seed: 9}) {
+					got, want := restored.Run(e), boot.Run(e)
+					got.WallNs, want.WallNs = 0, 0
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("exp %d (%s): restored %+v, boot %+v", e.ID, e.Faults[0], got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestBaselineRunnerInterrupt: Interrupt from another goroutine stops a
 // DisableCheckpoint runner's experiment mid-run. The guest's
 // fi_read_init_all pauses the run until the interrupt has been sent.

@@ -1,11 +1,18 @@
 package campaign
 
 // Fork-server campaign scheduling (GemFI §III.D checkpointing taken to
-// its limit, ZOFI's fork model): one golden "trunk" run advances once
-// through the fault-injection window, freezing copy-on-write snapshots at
-// adaptive intervals into a bounded pool; every experiment then forks a
-// worker simulator from the closest snapshot preceding its injection
-// point instead of replaying the warm-up.
+// its limit, ZOFI's fork model). Every runner has a fork server whose
+// pool's root is the runner's start point, and every experiment is a
+// trigger walk (walk.go) forked from a pool entry. Without a trunk the
+// root is the only entry: each experiment is a walk of one that forks
+// the start point and runs to its verdict unpruned, which is GemFI's
+// replay from the checkpoint. EnableFork adds the trunk: one golden run
+// advances once through the fault-injection window, freezing
+// copy-on-write snapshots at adaptive intervals into the bounded pool;
+// every experiment then forks from the closest snapshot preceding its
+// injection point instead of replaying the warm-up.
+//
+// Everything below needs the trunk.
 //
 // Two exact early exits let most masked experiments finish without
 // executing the golden suffix:
@@ -202,7 +209,8 @@ func (sp *snapPool) stats() (taken, evicted uint64, live int, bytes uint64) {
 // forkServer is the shared fork-campaign state: the snapshot pool, the
 // trunk's completion result (the golden continuation every pruned
 // experiment inherits), and counters. One server serves every runner of
-// a pool.
+// a pool. Until EnableFork runs the trunk, the pool holds only the root
+// and final and lastReads are zero.
 type forkServer struct {
 	pool  *snapPool
 	final sim.RunResult // trunk run to completion (golden continuation)
@@ -254,6 +262,10 @@ type ForkStats struct {
 	Preclassified uint64 `json:"preclassified"`
 }
 
+// hasTrunk reports whether EnableFork has run the trunk: a trunk run
+// commits instructions, a root-only server's final is zero.
+func (fs *forkServer) hasTrunk() bool { return fs.final.Insts > 0 }
+
 func (fs *forkServer) statsSnapshot() ForkStats {
 	taken, evicted, live, bytes := fs.pool.stats()
 	return ForkStats{
@@ -290,13 +302,15 @@ func trunkConfig(cfg sim.Config) sim.Config {
 // instructions.
 const seekChunk = 512
 
-// EnableFork builds the fork server for a checkpoint-backed runner: a
-// dedicated trunk simulator forks from the runner's start point, which
-// is the pool's root, runs once to completion on the atomic model, and
-// freezes snapshots across the fault-injection window on the way,
-// recording the run's last-read table. Idempotent.
+// EnableFork runs the trunk of a checkpoint-backed runner's fork server:
+// a dedicated trunk simulator forks from the pool's root, the runner's
+// start point, runs once to completion on the atomic model, and freezes
+// snapshots across the fault-injection window on the way, recording the
+// run's last-read table. The server fills in place, so the runner's
+// clones fork from the trunk too. Idempotent.
 func (r *Runner) EnableFork(opts ForkOptions) error {
-	if r.fork != nil {
+	fs := r.fork
+	if fs.hasTrunk() {
 		return nil
 	}
 	if r.Ckpt == nil {
@@ -314,12 +328,11 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	if err := trunk.Load(p); err != nil {
 		return err
 	}
-	trunk.ForkFrom(r.start, nil)
+	sp := fs.pool
+	trunk.ForkFrom(sp.root.fp, nil)
 	reads := newLastReadRecorder(trunk.Core)
 	trunk.Watch(reads)
-
-	sp := &snapPool{maxLive: opts.Snapshots + opts.Snapshots/2}
-	sp.setRoot(r.start)
+	sp.maxLive = opts.Snapshots + opts.Snapshots/2
 
 	interval := r.WindowInsts / uint64(opts.Snapshots)
 	if interval == 0 {
@@ -349,11 +362,11 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		res = trunk.RunUntil(trunk.Core.Insts + tailInterval)
 	}
 	if res.Failed() {
+		sp.snaps, sp.tail = nil, nil
 		return fmt.Errorf("campaign: fork trunk run of %s failed: %+v", r.Workload.Name, res)
 	}
 
-	fs := &forkServer{pool: sp, final: res, lastReads: reads.last}
-	r.fork = fs
+	fs.final, fs.lastReads = res, reads.last
 	if m := r.Cfg.Metrics; m != nil {
 		m.RegisterFunc("campaign.fork.snapshots_live", func() float64 {
 			_, _, live, _ := sp.stats()
@@ -373,21 +386,18 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	return nil
 }
 
-// ForkEnabled reports whether the runner executes experiments through the
-// fork server.
-func (r *Runner) ForkEnabled() bool { return r.fork != nil }
+// ForkEnabled reports whether the runner's experiments fork from a
+// trunk (EnableFork).
+func (r *Runner) ForkEnabled() bool { return r.fork.hasTrunk() }
 
-// ForkStats returns the fork-server accounting (zero value when fork mode
-// is off).
+// ForkStats returns the fork-server accounting (zero value without a
+// trunk).
 func (r *Runner) ForkStats() ForkStats {
-	if r.fork == nil {
+	if !r.fork.hasTrunk() {
 		return ForkStats{}
 	}
 	return r.fork.statsSnapshot()
 }
-
-// shareFork points a pool clone at an already built fork server.
-func (r *Runner) shareFork(fs *forkServer) { r.fork = fs }
 
 // childChunk is the forked child's run granularity between prune checks.
 const childChunk = 4096
@@ -402,10 +412,11 @@ const childChunk = 4096
 func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outcome) {
 	fs := r.fork
 
-	// Pruning needs the experiment's only observable products to be the
-	// outcome class and the engine flags: profiles, taint reports and
-	// post-mortems cover the whole run, so observed runners always finish.
-	if r.observed() {
+	// Pruning diffs against the trunk, and needs the experiment's only
+	// observable products to be the outcome class and the engine flags:
+	// profiles, taint reports and post-mortems cover the whole run, so
+	// observed runners always finish, as do runners without a trunk.
+	if !fs.hasTrunk() || r.observed() {
 		return r.sim.Run(), 0
 	}
 
@@ -483,28 +494,14 @@ func (r *Runner) convergedAt(fp *checkpoint.ForkPoint) bool {
 	return reflect.DeepEqual(r.sim.Kernel.Snapshot(), fp.Kernel)
 }
 
-// EnableFork switches the whole pool to fork-server execution: the first
-// runner builds the trunk and snapshot pool, every worker shares them
-// (fork points are immutable, so sharing is lock-free), and RunAll
-// dispatches trigger walks in snapshot order.
-func (p *Pool) EnableFork(opts ForkOptions) error {
-	first := p.runners[0]
-	if err := first.EnableFork(opts); err != nil {
-		return err
-	}
-	for _, r := range p.runners[1:] {
-		r.shareFork(first.fork)
-	}
-	return nil
-}
+// EnableFork runs the trunk of the pool's shared fork server: every
+// worker forks from its snapshots (fork points are immutable, so sharing
+// is lock-free), and RunAll dispatches trigger walks in snapshot order.
+func (p *Pool) EnableFork(opts ForkOptions) error { return p.runners[0].EnableFork(opts) }
 
-// ForkStats returns the shared fork-server accounting (zero value when
-// fork mode is off).
+// ForkStats returns the shared fork-server accounting (zero value
+// without a trunk).
 func (p *Pool) ForkStats() ForkStats { return p.runners[0].ForkStats() }
-
-// forkEnabled reports whether the pool runs experiments through a fork
-// server.
-func (p *Pool) forkEnabled() bool { return p.runners[0].fork != nil }
 
 // sortForFork orders experiments by earliest injection time, so walks
 // come out in snapshot order with their members in trigger order.

@@ -107,18 +107,9 @@ func (p *Pool) Profile() *prof.Profile {
 }
 
 // Plan groups experiments into the units a runner takes whole: trigger
-// walks in snapshot order on a fork-enabled pool, single experiments
-// otherwise.
-func (p *Pool) Plan(exps []Experiment) []Group {
-	if p.forkEnabled() {
-		return p.runners[0].planWalks(exps)
-	}
-	groups := make([]Group, len(exps))
-	for i := range exps {
-		groups[i] = Group{Exps: exps[i : i+1]}
-	}
-	return groups
-}
+// walks in snapshot order, or on a pool without a trunk each experiment
+// a walk of its own, in the given order.
+func (p *Pool) Plan(exps []Experiment) []Group { return p.runners[0].planWalks(exps) }
 
 // Member is called as a runner reaches each member of a group, with the
 // time the member's share of the work began. It returns the span context
@@ -145,8 +136,8 @@ func (p *Pool) TryRun(g Group, member Member, emit func(Result), done func(unsta
 }
 
 // RunAll executes all experiments across the pool and returns results
-// ordered by experiment ID. A fork-enabled pool runs whole trigger
-// walks, in snapshot order; otherwise every experiment is its own group.
+// ordered by experiment ID. The pool runs whole trigger walks, in
+// snapshot order.
 func (p *Pool) RunAll(exps []Experiment) []Result {
 	p.AttachSpans(p.Spans, "worker ")
 	for i := range exps {

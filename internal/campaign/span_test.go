@@ -91,9 +91,9 @@ func TestExperimentPhasesTileWallTime(t *testing.T) {
 	}
 }
 
-// TestForkModePhasesTileWallTime: same tiling criterion through the
-// fork-server path (restore is replaced by fork, and the sim slices
-// arrive via chunked RunUntil calls). Forked experiments take a fraction
+// TestForkModePhasesTileWallTime: same tiling criterion with a trunk
+// (the fork is from a trunk snapshot, and the sim slices arrive via
+// chunked RunUntil calls). Forked experiments take a fraction
 // of a millisecond, so the 50 µs floor is what usually applies.
 func TestForkModePhasesTileWallTime(t *testing.T) {
 	r, err := NewRunner(workloads.MonteCarloPI(workloads.ScaleTest), RunnerOptions{})

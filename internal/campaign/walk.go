@@ -32,10 +32,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Group is the unit of work a runner takes whole. On a fork runner it is
-// a trigger walk: experiments that fork from one trunk snapshot, in
-// trigger order, where a walk of one is a lone experiment. Otherwise it
-// is one experiment. Any subsequence of a group is a group.
+// Group is the unit of work a runner takes whole: a trigger walk,
+// experiments that fork from one snapshot, in trigger order, where a walk
+// of one is a lone experiment. Without a trunk every walk is of one. Any
+// subsequence of a group is a group.
 type Group struct {
 	Exps []Experiment
 	snap *forkSnap
@@ -50,7 +50,7 @@ func (r *Runner) snapFor(exp Experiment) *forkSnap {
 	minWhen := ^uint64(0)
 	rootOnly := false
 	for _, f := range exp.Faults {
-		if f.Base == core.TimeTick || f.CPU != "" && f.CPU != r.Cfg.CPUName {
+		if f.Base == core.TimeTick || f.CPU != "" && f.CPU != sim.CPUName {
 			rootOnly = true
 		}
 		minWhen = min(minWhen, f.When)
@@ -58,17 +58,18 @@ func (r *Runner) snapFor(exp Experiment) *forkSnap {
 	return r.fork.pool.best(minWhen, rootOnly)
 }
 
-// walkable reports whether an experiment can share a walk: it has a
-// fault, every fault is instruction-timed, armed on this CPU and able to
-// fire, and no per-experiment observer (profiler, taint, flight) would
-// see the shared stretch. Anything else runs as a walk of one that skips
-// straight to its own run.
+// walkable reports whether an experiment can share a walk: the runner
+// has a trunk, whose last-read table decides dead members at their
+// pause, the experiment has a fault, every fault is instruction-timed,
+// armed on this CPU and able to fire, and no per-experiment observer
+// (profiler, taint, flight) would see the shared stretch. Anything else
+// runs as a walk of one that skips straight to its own run.
 func (r *Runner) walkable(exp Experiment) bool {
-	if len(exp.Faults) == 0 || r.observed() {
+	if len(exp.Faults) == 0 || r.observed() || !r.fork.hasTrunk() {
 		return false
 	}
 	for _, f := range exp.Faults {
-		if f.Base == core.TimeTick || f.CPU != "" && f.CPU != r.Cfg.CPUName || f.Occ == 0 {
+		if f.Base == core.TimeTick || f.CPU != "" && f.CPU != sim.CPUName || f.Occ == 0 {
 			return false
 		}
 	}
@@ -82,11 +83,16 @@ func (r *Runner) observed() bool { return r.observers != sim.Observers{} }
 
 // planWalks groups experiments into walks. In injection-time order, each
 // walkable experiment joins the walk of the snapshot it forks from; the
-// others are walks of one. Walks come out in snapshot order.
+// others are walks of one. Walks come out in snapshot order. Without a
+// trunk every walk is of one, so sorting would share nothing and the
+// experiments keep the caller's order.
 func (r *Runner) planWalks(exps []Experiment) []Group {
+	if r.fork.hasTrunk() {
+		exps = sortForFork(exps)
+	}
 	var walks []Group
 	bySnap := make(map[*forkSnap]int)
-	for _, exp := range sortForFork(exps) {
+	for _, exp := range exps {
 		snap := r.snapFor(exp)
 		if !r.walkable(exp) {
 			walks = append(walks, Group{snap: snap, Exps: []Experiment{exp}})
@@ -106,20 +112,10 @@ func (r *Runner) planWalks(exps []Experiment) []Group {
 // as soon as it is classified, and returns the members left unstarted
 // when member stops it.
 func (r *Runner) runGroup(g Group, member Member, emit func(Result)) []Experiment {
-	if r.fork != nil {
-		if g.snap == nil {
-			g.snap = r.snapFor(g.Exps[0])
-		}
-		return r.runWalk(g, member, emit)
+	if g.snap == nil {
+		g.snap = r.snapFor(g.Exps[0])
 	}
-	for i, exp := range g.Exps {
-		ctx, ok := member(exp, time.Now())
-		if !ok {
-			return g.Exps[i:]
-		}
-		emit(r.RunCtx(exp, ctx))
-	}
-	return nil
+	return r.runWalk(g, member, emit)
 }
 
 // runWalk executes a walk and hands each member's result to emit as soon

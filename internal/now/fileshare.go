@@ -38,12 +38,10 @@ import (
 
 // shareMeta is the campaign description stored on the share.
 type shareMeta struct {
-	Workload    string `json:"workload"`
-	Scale       int    `json:"scale"`
-	Model       string `json:"model"`
-	MaxInsts    uint64 `json:"maxInsts"`
-	WindowInsts uint64 `json:"windowInsts"`
-	Experiments int    `json:"experiments"`
+	Workload string `json:"workload"`
+	Scale    int    `json:"scale"`
+	Model    string `json:"model"`
+	MaxInsts uint64 `json:"maxInsts"`
 }
 
 // ShareConfig parameterizes PrepareShare.
@@ -53,51 +51,56 @@ type ShareConfig struct {
 	Model    sim.ModelKind
 	// MaxInsts is the experiment watchdog; zero derives it from the
 	// golden run. meta.json records the resulting limit.
-	MaxInsts    uint64
-	Experiments []campaign.Experiment
+	MaxInsts uint64
 }
 
 // PrepareShare takes the runner's atomic golden pass, which captures the
 // fi_read_init_all checkpoint, measures the fault window and derives the
-// watchdog, and populates the share directory with one fault description
-// file per experiment (steps 1–2 of the paper's procedure).
-func PrepareShare(dir string, cfg ShareConfig) error {
+// watchdog, and puts the checkpoint and meta.json on the share
+// directory. It returns the window size, from which the caller draws the
+// experiments WriteExperiments adds (steps 1–2 of the paper's
+// procedure).
+func PrepareShare(dir string, cfg ShareConfig) (windowInsts uint64, err error) {
 	if cfg.Model == "" {
 		cfg.Model = sim.ModelAtomic
 	}
 	w, err := workloads.ByName(cfg.Workload, cfg.Scale)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	runnerCfg := campaign.SimConfig(cfg.Model, cfg.MaxInsts)
 	runner, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &runnerCfg})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, sub := range []string{"experiments", "claims", "results"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := runner.Ckpt.SaveFile(filepath.Join(dir, "checkpoint.gob")); err != nil {
-		return err
+		return 0, err
 	}
 	meta := shareMeta{
-		Workload:    cfg.Workload,
-		Scale:       int(cfg.Scale),
-		Model:       string(cfg.Model),
-		MaxInsts:    runner.Cfg.MaxInsts,
-		WindowInsts: runner.WindowInsts,
-		Experiments: len(cfg.Experiments),
+		Workload: cfg.Workload,
+		Scale:    int(cfg.Scale),
+		Model:    string(cfg.Model),
+		MaxInsts: runner.Cfg.MaxInsts,
 	}
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.WriteFile(filepath.Join(dir, "meta.json"), mb, 0o644); err != nil {
-		return err
+		return 0, err
 	}
-	for _, exp := range cfg.Experiments {
+	return runner.WindowInsts, nil
+}
+
+// WriteExperiments puts one fault description file per experiment on a
+// prepared share.
+func WriteExperiments(dir string, exps []campaign.Experiment) error {
+	for _, exp := range exps {
 		var sb strings.Builder
 		for _, f := range exp.Faults {
 			sb.WriteString(f.String())
@@ -109,16 +112,6 @@ func PrepareShare(dir string, cfg ShareConfig) error {
 		}
 	}
 	return nil
-}
-
-// ShareWindowInsts reads the golden fault-injection window size recorded
-// on a prepared share (for generating experiments against it).
-func ShareWindowInsts(dir string) (uint64, error) {
-	meta, err := readMeta(dir)
-	if err != nil {
-		return 0, err
-	}
-	return meta.WindowInsts, nil
 }
 
 func readMeta(dir string) (shareMeta, error) {
@@ -153,7 +146,8 @@ func FileWorker(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	runner, err := campaign.NewRestoredRunner(w, campaign.SimConfig(model, meta.MaxInsts), meta.WindowInsts, st)
+	cfg := campaign.SimConfig(model, meta.MaxInsts)
+	runner, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg, Checkpoint: st})
 	if err != nil {
 		return 0, err
 	}

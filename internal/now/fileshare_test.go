@@ -18,21 +18,15 @@ import (
 func prepareShare(t *testing.T, model sim.ModelKind, n int) (string, []campaign.Experiment) {
 	t.Helper()
 	dir := t.TempDir()
-	// Probe for the window size first (PrepareShare needs experiments up
-	// front, and experiments need the window).
-	if err := PrepareShare(dir, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest, Model: model}); err != nil {
-		t.Fatal(err)
-	}
-	window, err := ShareWindowInsts(dir)
+	window, err := PrepareShare(dir, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest, Model: model})
 	if err != nil || window == 0 {
 		t.Fatalf("window: %d %v", window, err)
 	}
 	exps := campaign.GenerateUniform(n, campaign.GenConfig{WindowInsts: window, Seed: 31})
-	dir2 := t.TempDir()
-	if err := PrepareShare(dir2, ShareConfig{Workload: "pi", Scale: workloads.ScaleTest, Model: model, Experiments: exps}); err != nil {
+	if err := WriteExperiments(dir, exps); err != nil {
 		t.Fatal(err)
 	}
-	return dir2, exps
+	return dir, exps
 }
 
 func TestShareLayout(t *testing.T) {

@@ -16,20 +16,19 @@ import (
 )
 
 // Welcome carries the campaign parameters a worker needs to build its
-// local runner: the workload identity, the serialized checkpoint, the
-// window size, and every setting that can change a result — the
-// simulator model, the watchdog and the fork decision — so a worker runs
-// exactly the experiments the master's own runners would. Campaign tags
-// the session for the source's accounting (workers echo it back
-// implicitly by staying on the session).
+// local runner: the workload identity, the serialized checkpoint, and
+// every setting that can change a result — the simulator model, the
+// watchdog and the fork decision — so a worker runs exactly the
+// experiments the master's own runners would. Campaign tags the session
+// for the source's accounting (workers echo it back implicitly by
+// staying on the session).
 type Welcome struct {
-	Campaign    string `json:"campaign"`
-	Workload    string `json:"workload"`
-	Scale       int    `json:"scale"`
-	Checkpoint  []byte `json:"checkpoint"` // gob bytes (base64 via JSON)
-	WindowInsts uint64 `json:"windowInsts"`
-	Model       string `json:"model"`
-	MaxInsts    uint64 `json:"maxInsts"`
+	Campaign   string `json:"campaign"`
+	Workload   string `json:"workload"`
+	Scale      int    `json:"scale"`
+	Checkpoint []byte `json:"checkpoint"` // gob bytes (base64 via JSON)
+	Model      string `json:"model"`
+	MaxInsts   uint64 `json:"maxInsts"`
 	// Fork runs the worker's experiments on the fork server (a local
 	// trunk and COW snapshots) instead of replaying each from the
 	// checkpoint, as the campaign's own runners do.

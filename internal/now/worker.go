@@ -277,7 +277,7 @@ func buildRunner(wel Welcome) (*campaign.Runner, error) {
 	}
 	cfg := campaign.SimConfig(model, wel.MaxInsts)
 	cfg.EnableTaint, cfg.EnableFlight = wel.Taint, wel.Flight
-	runner, err := campaign.NewRestoredRunner(wl, cfg, wel.WindowInsts, st)
+	runner, err := campaign.NewRunner(wl, campaign.RunnerOptions{Cfg: &cfg, Checkpoint: st})
 	if err != nil {
 		return nil, err
 	}

@@ -301,8 +301,8 @@ func (c *Campaign) TaintReport() *taint.PropReport {
 	return fromPool(c, (*campaign.Pool).TaintReport, &c.taintRep)
 }
 
-// ForkStats returns the campaign's fork-server accounting (zero when
-// fork mode is off).
+// ForkStats returns the campaign's fork-server accounting (zero without
+// a trunk).
 func (c *Campaign) ForkStats() campaign.ForkStats {
 	return fromPool(c, (*campaign.Pool).ForkStats, &c.forkStats)
 }

@@ -760,17 +760,16 @@ func (s *Service) Open(workerName string) (now.Welcome, now.Session, bool) {
 	}
 	scale, _ := pick.Spec.scale()
 	wel := now.Welcome{
-		Campaign:    pick.ID,
-		Workload:    pick.Spec.Workload,
-		Scale:       int(scale),
-		Checkpoint:  ckpt,
-		WindowInsts: runner.WindowInsts,
-		Model:       string(runner.Cfg.Model),
-		MaxInsts:    runner.Cfg.MaxInsts, // the watchdog the local runners use
-		Fork:        pick.Spec.Fork,
-		SpanTrace:   s.cfg.Spans != nil,
-		Flight:      pick.Spec.Flight,
-		Taint:       pick.Spec.Taint,
+		Campaign:   pick.ID,
+		Workload:   pick.Spec.Workload,
+		Scale:      int(scale),
+		Checkpoint: ckpt,
+		Model:      string(runner.Cfg.Model),
+		MaxInsts:   runner.Cfg.MaxInsts, // the watchdog the local runners use
+		Fork:       pick.Spec.Fork,
+		SpanTrace:  s.cfg.Spans != nil,
+		Flight:     pick.Spec.Flight,
+		Taint:      pick.Spec.Taint,
 	}
 	s.nowWorkers.Add(1)
 	return wel, &servSession{s: s, c: pick, worker: workerName,

@@ -44,9 +44,12 @@ func ParseModel(name string) (ModelKind, error) {
 	return "", fmt.Errorf("unknown CPU model %q (atomic|timing|pipelined)", name)
 }
 
+// CPUName names the simulator's one CPU, as fault descriptions' cpu
+// field does.
+const CPUName = "system.cpu0"
+
 // Config parameterizes a simulator.
 type Config struct {
-	CPUName string
 	// Model is the CPU model of the run. A pipelined run whose faults
 	// have all fired, and whose affected instructions have committed or
 	// squashed, continues on the atomic model (the campaign methodology
@@ -130,7 +133,6 @@ type Config struct {
 // on the atomic model.
 func DefaultConfig() Config {
 	return Config{
-		CPUName:                "system.cpu0",
 		Model:                  ModelPipelined,
 		EnableFI:               true,
 		EnableBlockTranslation: true,
@@ -192,12 +194,9 @@ type phaseCut struct {
 
 // New builds a simulator (without a program; call Load).
 func New(cfg Config) *Simulator {
-	if cfg.CPUName == "" {
-		cfg.CPUName = "system.cpu0"
-	}
 	s := &Simulator{Cfg: cfg}
 	s.Mem = mem.New()
-	s.Core = &cpu.Core{Name: cfg.CPUName, Mem: s.Mem, DisableFastPath: cfg.DisableFastPath}
+	s.Core = &cpu.Core{Name: CPUName, Mem: s.Mem, DisableFastPath: cfg.DisableFastPath}
 	if cfg.EnableBlockTranslation && !cfg.DisableFastPath {
 		s.BBT = bbt.New(s.Core)
 		s.Core.BBT = s.BBT
@@ -215,7 +214,7 @@ func New(cfg Config) *Simulator {
 		s.Kernel.Quantum = cfg.Quantum
 	}
 	if cfg.EnableFI {
-		s.Engine = core.NewEngine(cfg.CPUName, cfg.Faults)
+		s.Engine = core.NewEngine(CPUName, cfg.Faults)
 		s.Core.FI = s.Engine
 		s.Kernel.IOFilter = s.Engine.OnIO
 		s.Engine.WindowHook = func(open bool) {
