@@ -140,9 +140,14 @@ type Result struct {
 	Postmortem *flight.Postmortem `json:"postmortem,omitempty"`
 }
 
-// Runner executes experiments for one workload. It is not safe for
-// concurrent use; a Pool builds one Runner per worker.
-type Runner struct {
+// Root is what a campaign prepares once and every runner over it shares:
+// the golden outputs, the fault-injection window, the derived watchdog,
+// the checkpoint and start point, the fork trunk's snapshots, tail
+// anchors, final result and last-read table, and the taint golden state.
+// NewRunner and EnableFork build it; once EnableFork has run (or was never
+// going to), no experiment changes it, so any number of pools may run
+// over one root at once (NewPoolOn).
+type Root struct {
 	Workload *workloads.Workload
 	Cfg      sim.Config
 
@@ -158,23 +163,38 @@ type Runner struct {
 	// frozen base: read it, never mutate it.
 	Ckpt *checkpoint.State
 
+	// snaps is the fork server's snapshot pool. Its root entry is the
+	// start point: Ckpt's, or without a checkpoint the booted program.
+	// EnableFork adds the trunk's snapshots and tail anchors; until then
+	// every experiment is a walk of one from the start point, run to its
+	// verdict.
+	snaps *snapPool
+	// final is the trunk's run to completion (the golden continuation
+	// every pruned experiment inherits), zero without a trunk.
+	final sim.RunResult
+	// lastReads is the trunk's last-read table (defuse.go), from which
+	// walks decide dead-register faults at their trigger.
+	lastReads lastReads
+
+	// taintGolden is the final architectural state of the golden run,
+	// the taint differ's reference (nil unless Cfg enables taint).
+	taintGolden *taint.GoldenState
+}
+
+// Runner executes experiments for one workload over a shared Root. It is
+// not safe for concurrent use; a Pool builds one Runner per worker.
+type Runner struct {
+	*Root
+
 	// sim is the runner's simulator, fixed at construction.
 	sim *sim.Simulator
 	// observers are the runner's own commit-stream observers, built from
 	// Cfg's switches once the golden pass is done. Experiments accumulate
 	// into them (the profile) or reset them (taint, flight).
 	observers sim.Observers
-
-	// fork is the fork server every experiment forks from, shared by the
-	// runner's clones. Its pool's root is the runner's start point: Ckpt's,
-	// or without a checkpoint the booted program. EnableFork adds the
-	// trunk's snapshots; until then every experiment is a walk of one
-	// from the root, run to its verdict.
-	fork *forkServer
-
-	// taintGolden is the final architectural state of the golden run,
-	// the taint differ's reference (nil unless Cfg enables taint).
-	taintGolden *taint.GoldenState
+	// stats is the fork accounting of the runner's pool, shared by the
+	// runners of one pool and by no other pool.
+	stats *forkCounters
 
 	propMu    sync.Mutex
 	lastProp  *taint.PropReport
@@ -235,9 +255,10 @@ func SimConfig(model sim.ModelKind, maxInsts uint64) sim.Config {
 // the derived experiment watchdog.
 const maxGoldenInsts = 2_000_000_000
 
-// NewRunner builds a runner: compiles the workload, takes the fault-free
-// golden pass and records the fault-injection window size. Everything the
-// golden pass produces is architectural, so it runs on the atomic model
+// NewRunner builds a runner and the Root it runs over: compiles the
+// workload, takes the fault-free golden pass and records the
+// fault-injection window size. Everything the golden pass produces is
+// architectural, so it runs on the atomic model
 // (translated when the config enables block translation) and unobserved
 // whatever cfg asks for: from the options' Checkpoint, or from boot,
 // capturing the fi_read_init_all checkpoint on the way. The runner's
@@ -267,7 +288,7 @@ func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	if err := s.Load(p); err != nil {
 		return nil, err
 	}
-	runner := &Runner{Workload: w, Cfg: cfg, sim: s, Ckpt: opts.Checkpoint}
+	runner := &Runner{Root: &Root{Workload: w, Cfg: cfg, Ckpt: opts.Checkpoint}, sim: s, stats: &forkCounters{}}
 	var start *checkpoint.ForkPoint
 	switch {
 	case runner.Ckpt != nil:
@@ -293,8 +314,8 @@ func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 		}
 		start = runner.Ckpt.ForkPoint(s.Mem.TextRegion())
 	}
-	runner.fork = &forkServer{pool: &snapPool{}}
-	runner.fork.pool.setRoot(start)
+	runner.snaps = &snapPool{}
+	runner.snaps.setRoot(start)
 	runner.WindowInsts = s.Engine.WindowCommits()
 	if runner.Golden, err = workloads.Extract(w, s); err != nil {
 		return nil, err
@@ -314,36 +335,20 @@ func NewRunner(w *workloads.Workload, opts RunnerOptions) (*Runner, error) {
 	return runner, nil
 }
 
-// clone builds a pool worker that shares this runner's expensive
-// immutable state — golden outputs, checkpoint, fault-injection window,
-// fork server (and with it the start point) and taint differ reference — but
-// owns a private simulator with its own observers (accumulating
-// privately), so the clone can run experiments concurrently with the
-// original.
-func (r *Runner) clone() (*Runner, error) {
-	prog, err := r.Workload.Build()
+// newRunnerOn builds a runner over root that owns a private simulator
+// with its own observers (accumulating privately), so it can run
+// experiments concurrently with every other runner over root. Its fork
+// accounting goes to stats.
+func newRunnerOn(root *Root, stats *forkCounters) (*Runner, error) {
+	prog, err := root.Workload.Build()
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(r.Cfg)
+	s := sim.New(root.Cfg)
 	if err := s.Load(prog); err != nil {
 		return nil, err
 	}
-	// The span recorder is shared (it is concurrency-safe); the pool
-	// overrides the clone's track with its own lane name.
-	return &Runner{
-		Workload:    r.Workload,
-		Cfg:         r.Cfg,
-		Golden:      r.Golden,
-		WindowInsts: r.WindowInsts,
-		Ckpt:        r.Ckpt,
-		fork:        r.fork,
-		sim:         s,
-		observers:   s.Observers(),
-		taintGolden: r.taintGolden,
-		spans:       r.spans,
-		spanTrack:   r.spanTrack,
-	}, nil
+	return &Runner{Root: root, sim: s, observers: s.Observers(), stats: stats}, nil
 }
 
 // Interrupt asks the in-progress experiment's simulation to stop at its
@@ -351,6 +356,12 @@ func (r *Runner) clone() (*Runner, error) {
 // CrashInterrupted. It is safe to call concurrently with Run: the
 // simulator is fixed at construction (the NoW worker's timeout uses it).
 func (r *Runner) Interrupt() { r.sim.Interrupt() }
+
+// ClearInterrupt withdraws an Interrupt no experiment has consumed: one
+// that landed after the experiment it was meant for had ended. An
+// interrupt requested before RunCtx stops that experiment, so a caller
+// arming a timeout clears first, then arms.
+func (r *Runner) ClearInterrupt() { r.sim.ClearInterrupt() }
 
 // Profiler returns the runner's profiler (nil when profiling is off).
 func (r *Runner) Profiler() *prof.Profiler { return r.observers.Profiler }

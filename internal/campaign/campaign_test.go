@@ -347,7 +347,7 @@ func TestBaselineRunnerMatchesRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					s.Engine.Reset(e.Faults)
-					ref := &Runner{Workload: w, Cfg: base.Cfg, Golden: base.Golden, WindowInsts: base.WindowInsts, sim: s}
+					ref := &Runner{Root: base.Root, sim: s}
 					want := ref.classify(e, s.Run(), 0)
 					got := base.Run(e)
 					got.WallNs = 0

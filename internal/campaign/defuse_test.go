@@ -25,7 +25,7 @@ func TestLastReadsTranslated(t *testing.T) {
 			if err := r.EnableFork(DefaultForkOptions()); err != nil {
 				t.Fatal(err)
 			}
-			tables[i] = r.fork.lastReads
+			tables[i] = r.lastReads
 		}
 		if tables[0] == (lastReads{}) {
 			t.Fatalf("%s: no read recorded", w.Name)

@@ -1,16 +1,18 @@
 package campaign
 
 // Fork-server campaign scheduling (GemFI §III.D checkpointing taken to
-// its limit, ZOFI's fork model). Every runner has a fork server whose
-// pool's root is the runner's start point, and every experiment is a
-// trigger walk (walk.go) forked from a pool entry. Without a trunk the
-// root is the only entry: each experiment is a walk of one that forks
+// its limit, ZOFI's fork model). Every Root has a snapshot pool whose
+// root entry is the start point, and every experiment is a trigger walk
+// (walk.go) forked from a pool entry. Without a trunk the root entry is
+// the only one: each experiment is a walk of one that forks
 // the start point and runs to its verdict unpruned, which is GemFI's
 // replay from the checkpoint. EnableFork adds the trunk: one golden run
 // advances once through the fault-injection window, freezing
 // copy-on-write snapshots at adaptive intervals into the bounded pool;
 // every experiment then forks from the closest snapshot preceding its
-// injection point instead of replaying the warm-up.
+// injection point instead of replaying the warm-up. The pool and the
+// trunk's products belong to the Root, which pools share; the fork
+// counters belong to each pool.
 //
 // Everything below needs the trunk.
 //
@@ -206,18 +208,10 @@ func (sp *snapPool) stats() (taken, evicted uint64, live int, bytes uint64) {
 	return sp.taken, sp.evicted, live, bytes
 }
 
-// forkServer is the shared fork-campaign state: the snapshot pool, the
-// trunk's completion result (the golden continuation every pruned
-// experiment inherits), and counters. One server serves every runner of
-// a pool. Until EnableFork runs the trunk, the pool holds only the root
-// and final and lastReads are zero.
-type forkServer struct {
-	pool  *snapPool
-	final sim.RunResult // trunk run to completion (golden continuation)
-	// lastReads is the trunk's last-read table (defuse.go), from which
-	// walks decide dead-register faults at their trigger.
-	lastReads lastReads
-
+// forkCounters is the fork accounting of one pool: every runner of the
+// pool adds to it, and no other pool does, so campaigns that share a Root
+// each count their own experiments.
+type forkCounters struct {
 	forks         atomic.Uint64
 	preclassified atomic.Uint64
 	walks         atomic.Uint64
@@ -263,24 +257,25 @@ type ForkStats struct {
 }
 
 // hasTrunk reports whether EnableFork has run the trunk: a trunk run
-// commits instructions, a root-only server's final is zero.
-func (fs *forkServer) hasTrunk() bool { return fs.final.Insts > 0 }
+// commits instructions, a root-only pool's final is zero.
+func (rt *Root) hasTrunk() bool { return rt.final.Insts > 0 }
 
-func (fs *forkServer) statsSnapshot() ForkStats {
-	taken, evicted, live, bytes := fs.pool.stats()
+// forkStats combines the root's trunk accounting with a pool's counters.
+func (rt *Root) forkStats(c *forkCounters) ForkStats {
+	taken, evicted, live, bytes := rt.snaps.stats()
 	return ForkStats{
 		SnapshotsTaken:   taken,
 		SnapshotsEvicted: evicted,
 		SnapshotsLive:    live,
 		ApproxBytes:      bytes,
-		Forks:            fs.forks.Load(),
-		Walks:            fs.walks.Load(),
-		ArmedInsts:       fs.armedInsts.Load(),
-		PrunedMasked:     fs.prunedMasked.Load(),
-		PrunedTwin:       fs.prunedTwin.Load(),
-		TwinChecks:       fs.twinChecks.Load(),
-		TrunkInsts:       fs.final.Insts,
-		Preclassified:    fs.preclassified.Load(),
+		Forks:            c.forks.Load(),
+		Walks:            c.walks.Load(),
+		ArmedInsts:       c.armedInsts.Load(),
+		PrunedMasked:     c.prunedMasked.Load(),
+		PrunedTwin:       c.prunedTwin.Load(),
+		TwinChecks:       c.twinChecks.Load(),
+		TrunkInsts:       rt.final.Insts,
+		Preclassified:    c.preclassified.Load(),
 	}
 }
 
@@ -302,15 +297,14 @@ func trunkConfig(cfg sim.Config) sim.Config {
 // instructions.
 const seekChunk = 512
 
-// EnableFork runs the trunk of a checkpoint-backed runner's fork server:
-// a dedicated trunk simulator forks from the pool's root, the runner's
-// start point, runs once to completion on the atomic model, and freezes
-// snapshots across the fault-injection window on the way, recording the
-// run's last-read table. The server fills in place, so the runner's
-// clones fork from the trunk too. Idempotent.
+// EnableFork runs the trunk of a checkpoint-backed runner's root: a
+// dedicated trunk simulator forks from the snapshot pool's root entry,
+// the start point, runs once to completion on the atomic model, and
+// freezes snapshots across the fault-injection window on the way,
+// recording the run's last-read table. The root fills in place, so every
+// runner over it forks from the trunk too. Idempotent.
 func (r *Runner) EnableFork(opts ForkOptions) error {
-	fs := r.fork
-	if fs.hasTrunk() {
+	if r.hasTrunk() {
 		return nil
 	}
 	if r.Ckpt == nil {
@@ -328,7 +322,7 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 	if err := trunk.Load(p); err != nil {
 		return err
 	}
-	sp := fs.pool
+	sp := r.snaps
 	trunk.ForkFrom(sp.root.fp, nil)
 	reads := newLastReadRecorder(trunk.Core)
 	trunk.Watch(reads)
@@ -366,8 +360,8 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 		return fmt.Errorf("campaign: fork trunk run of %s failed: %+v", r.Workload.Name, res)
 	}
 
-	fs.final, fs.lastReads = res, reads.last
-	if m := r.Cfg.Metrics; m != nil {
+	r.final, r.lastReads = res, reads.last
+	if m, c := r.Cfg.Metrics, r.stats; m != nil {
 		m.RegisterFunc("campaign.fork.snapshots_live", func() float64 {
 			_, _, live, _ := sp.stats()
 			return float64(live)
@@ -376,27 +370,27 @@ func (r *Runner) EnableFork(opts ForkOptions) error {
 			_, _, _, b := sp.stats()
 			return float64(b)
 		})
-		m.RegisterFunc("campaign.fork.forks", func() float64 { return float64(fs.forks.Load()) })
-		m.RegisterFunc("campaign.fork.walks", func() float64 { return float64(fs.walks.Load()) })
-		m.RegisterFunc("campaign.fork.armed_insts", func() float64 { return float64(fs.armedInsts.Load()) })
-		m.RegisterFunc("campaign.fork.pruned_masked", func() float64 { return float64(fs.prunedMasked.Load()) })
-		m.RegisterFunc("campaign.fork.pruned_twin", func() float64 { return float64(fs.prunedTwin.Load()) })
-		m.RegisterFunc("campaign.fork.preclassified", func() float64 { return float64(fs.preclassified.Load()) })
+		m.RegisterFunc("campaign.fork.forks", func() float64 { return float64(c.forks.Load()) })
+		m.RegisterFunc("campaign.fork.walks", func() float64 { return float64(c.walks.Load()) })
+		m.RegisterFunc("campaign.fork.armed_insts", func() float64 { return float64(c.armedInsts.Load()) })
+		m.RegisterFunc("campaign.fork.pruned_masked", func() float64 { return float64(c.prunedMasked.Load()) })
+		m.RegisterFunc("campaign.fork.pruned_twin", func() float64 { return float64(c.prunedTwin.Load()) })
+		m.RegisterFunc("campaign.fork.preclassified", func() float64 { return float64(c.preclassified.Load()) })
 	}
 	return nil
 }
 
 // ForkEnabled reports whether the runner's experiments fork from a
 // trunk (EnableFork).
-func (r *Runner) ForkEnabled() bool { return r.fork.hasTrunk() }
+func (r *Runner) ForkEnabled() bool { return r.hasTrunk() }
 
-// ForkStats returns the fork-server accounting (zero value without a
-// trunk).
+// ForkStats returns the fork accounting of the runner's pool over its
+// root's trunk (zero value without a trunk).
 func (r *Runner) ForkStats() ForkStats {
-	if !r.fork.hasTrunk() {
+	if !r.hasTrunk() {
 		return ForkStats{}
 	}
-	return r.fork.statsSnapshot()
+	return r.forkStats(r.stats)
 }
 
 // childChunk is the forked child's run granularity between prune checks.
@@ -410,13 +404,11 @@ const childChunk = 4096
 // experiment forked from: prune checks land every childChunk
 // instructions counted from there, wherever the walk handed over.
 func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outcome) {
-	fs := r.fork
-
 	// Pruning diffs against the trunk, and needs the experiment's only
 	// observable products to be the outcome class and the engine flags:
 	// profiles, taint reports and post-mortems cover the whole run, so
 	// observed runners always finish, as do runners without a trunk.
-	if !fs.hasTrunk() || r.observed() {
+	if !r.hasTrunk() || r.observed() {
 		return r.sim.Run(), 0
 	}
 
@@ -442,32 +434,32 @@ func (r *Runner) finishForked(exp Experiment, base uint64) (sim.RunResult, Outco
 			continue
 		}
 		if eng.MaskedClean() {
-			fs.prunedMasked.Add(1)
+			r.stats.prunedMasked.Add(1)
 			r.expEvent("fork.prune", map[string]any{"id": exp.ID, "rule": "masked", "insts": res.Insts})
 			// The machine is provably back in the golden state: the rest of
 			// the run is exactly the trunk's completion, so the experiment
 			// inherits the trunk's totals.
-			res.Insts, res.Ticks = fs.final.Insts, fs.final.Ticks
+			res.Insts, res.Ticks = r.final.Insts, r.final.Ticks
 			return res, OutcomeNonPropagated
 		}
 		// Advance to the next trunk anchor and diff against it — the trunk
 		// is the fault-free twin, already executed.
-		a := fs.pool.anchorAfter(res.Insts)
+		a := r.snaps.anchorAfter(res.Insts)
 		if a == nil {
 			return r.sim.Run(), 0 // past the last anchor: run out
 		}
 		if res = r.sim.RunUntil(a.fp.Core.Insts); !res.Paused {
 			return res, 0
 		}
-		fs.twinChecks.Add(1)
+		r.stats.twinChecks.Add(1)
 		if res.Insts == a.fp.Core.Insts && r.convergedAt(a.fp) {
-			fs.prunedTwin.Add(1)
+			r.stats.prunedTwin.Add(1)
 			out := OutcomeNonPropagated
 			if eng.AnyPropagated() {
 				out = OutcomeStrictlyCorrect
 			}
 			r.expEvent("fork.prune", map[string]any{"id": exp.ID, "rule": "twin", "insts": res.Insts})
-			res.Insts, res.Ticks = fs.final.Insts, fs.final.Ticks
+			res.Insts, res.Ticks = r.final.Insts, r.final.Ticks
 			return res, out
 		}
 	}
@@ -494,13 +486,14 @@ func (r *Runner) convergedAt(fp *checkpoint.ForkPoint) bool {
 	return reflect.DeepEqual(r.sim.Kernel.Snapshot(), fp.Kernel)
 }
 
-// EnableFork runs the trunk of the pool's shared fork server: every
-// worker forks from its snapshots (fork points are immutable, so sharing
-// is lock-free), and RunAll dispatches trigger walks in snapshot order.
+// EnableFork runs the trunk of the pool's root: every worker forks from
+// its snapshots (fork points are immutable, so sharing is lock-free), and
+// RunAll dispatches trigger walks in snapshot order. A no-op on a root
+// that already has its trunk.
 func (p *Pool) EnableFork(opts ForkOptions) error { return p.runners[0].EnableFork(opts) }
 
-// ForkStats returns the shared fork-server accounting (zero value
-// without a trunk).
+// ForkStats returns the pool's fork accounting over its root's trunk
+// (zero value without a trunk).
 func (p *Pool) ForkStats() ForkStats { return p.runners[0].ForkStats() }
 
 // sortForFork orders experiments by earliest injection time, so walks

@@ -32,10 +32,10 @@ type Pool struct {
 	OnResult func(Result)
 }
 
-// NewPool builds n parallel runners for the workload. The golden run and
-// start point are computed once and shared (forks write private
-// copy-on-write overlays over the point's frozen pages, so sharing is
-// safe).
+// NewPool builds n parallel runners for the workload. The golden run,
+// start point and, after EnableFork, the trunk are computed once into the
+// pool's Root and shared (forks write private copy-on-write overlays over
+// the points' frozen pages, so sharing is safe).
 func NewPool(w *workloads.Workload, n int, opts RunnerOptions) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("campaign: pool size must be positive")
@@ -44,9 +44,29 @@ func NewPool(w *workloads.Workload, n int, opts RunnerOptions) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newPool(first, n)
+}
+
+// NewPoolOn builds n parallel runners over a root that NewRunner (and
+// EnableFork) prepared: no golden pass, no trunk, only the runners'
+// simulators. The pool counts its own fork accounting.
+func NewPoolOn(root *Root, n int) (*Pool, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("campaign: pool size must be positive")
+	}
+	first, err := newRunnerOn(root, &forkCounters{})
+	if err != nil {
+		return nil, err
+	}
+	return newPool(first, n)
+}
+
+// newPool completes a pool of n runners that share first's root and fork
+// accounting.
+func newPool(first *Runner, n int) (*Pool, error) {
 	p := &Pool{runners: []*Runner{first}, idle: make(chan *Runner, n)}
 	for i := 1; i < n; i++ {
-		r, err := first.clone()
+		r, err := newRunnerOn(first.Root, first.stats)
 		if err != nil {
 			return nil, err
 		}

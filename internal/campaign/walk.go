@@ -55,7 +55,7 @@ func (r *Runner) snapFor(exp Experiment) *forkSnap {
 		}
 		minWhen = min(minWhen, f.When)
 	}
-	return r.fork.pool.best(minWhen, rootOnly)
+	return r.snaps.best(minWhen, rootOnly)
 }
 
 // walkable reports whether an experiment can share a walk: the runner
@@ -65,7 +65,7 @@ func (r *Runner) snapFor(exp Experiment) *forkSnap {
 // (profiler, taint, flight) would see the shared stretch. Anything else
 // runs as a walk of one that skips straight to its own run.
 func (r *Runner) walkable(exp Experiment) bool {
-	if len(exp.Faults) == 0 || r.observed() || !r.fork.hasTrunk() {
+	if len(exp.Faults) == 0 || r.observed() || !r.hasTrunk() {
 		return false
 	}
 	for _, f := range exp.Faults {
@@ -87,7 +87,7 @@ func (r *Runner) observed() bool { return r.observers != sim.Observers{} }
 // trunk every walk is of one, so sorting would share nothing and the
 // experiments keep the caller's order.
 func (r *Runner) planWalks(exps []Experiment) []Group {
-	if r.fork.hasTrunk() {
+	if r.hasTrunk() {
 		exps = sortForFork(exps)
 	}
 	var walks []Group
@@ -132,8 +132,7 @@ func (r *Runner) runGroup(g Group, member Member, emit func(Result)) []Experimen
 // and resumes the walk point with the other faults as they were. So a
 // walk costs its members, each once, whatever its size.
 func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment {
-	fs := r.fork
-	fs.walks.Add(1)
+	r.stats.walks.Add(1)
 	base := w.snap.fp.Core.Insts
 	exps := w.Exps
 	start := time.Now()
@@ -159,7 +158,7 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 			insts := r.sim.Core.Insts
 			var res sim.RunResult
 			res, src = r.sim.WalkToDue()
-			fs.armedInsts.Add(r.sim.Core.Insts - insts)
+			r.stats.armedInsts.Add(r.sim.Core.Insts - insts)
 			if !res.Paused {
 				return r.concludeAll(unstarted(exps, done), member, res, start, forked, tr, emit)
 			}
@@ -184,7 +183,7 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 				}
 				r.cutPhaseAt("fork", forked)
 				r.cutPhaseAt("walk", walked)
-				fs.preclassified.Add(1)
+				r.stats.preclassified.Add(1)
 				r.expEvent("fork.preclassified", ev)
 				emit(r.conclude(exp, res, OutcomeNonPropagated, start, tr))
 				tr, start = nil, time.Now()
@@ -212,7 +211,7 @@ func (r *Runner) runWalk(w Group, member Member, emit func(Result)) []Experiment
 		}
 		r.cutPhaseAt("fork", forked)
 		r.sim.BeginPhaseRecording(r.cutPhaseAt("walk", walked))
-		fs.forks.Add(1)
+		r.stats.forks.Add(1)
 		runRes, pruned := r.finishForked(exp, base)
 		emit(r.conclude(exp, runRes, pruned, start, tr))
 		tr = nil
@@ -252,11 +251,11 @@ func (r *Runner) deadAtPause(exp Experiment, src int) (sim.RunResult, map[string
 	}
 	fp, reg := f.Loc == core.LocFloatReg, isa.Reg(f.Reg&31)
 	struck := r.sim.Core.Insts + 1
-	if !r.fork.lastReads.unreadAfter(fp, reg, struck) {
+	if !r.lastReads.unreadAfter(fp, reg, struck) {
 		return sim.RunResult{}, nil, false
 	}
 	ev := map[string]any{"id": exp.ID, "reg": regName(fp, reg), "commit": struck, "rule": "unread"}
-	res := r.fork.final
+	res := r.final
 	res.Outcomes = []core.FaultOutcome{{Fault: f, Fired: true, PC: pc, HavePC: true, Committed: true}}
 	return res, ev, true
 }

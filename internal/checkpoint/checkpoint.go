@@ -12,10 +12,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/kernel"
@@ -42,9 +44,33 @@ func (s *State) ApproxSize() int {
 	return n
 }
 
-// Save writes the state to w in gob format.
+// wireState is State as Save encodes it: the memory pages leave the map,
+// which gob would write in random order, for a list in address order, so
+// one state always writes the same bytes. A stream written before the
+// list existed carries the pages in Mem.Pages instead; Load takes either.
+type wireState struct {
+	Core   cpu.CoreSnapshot
+	Mem    mem.Snapshot
+	Kernel kernel.Snapshot
+	Pages  []wirePage
+}
+
+// wirePage is one memory page of a wireState.
+type wirePage struct {
+	Base uint64
+	Data []byte
+}
+
+// Save writes the state to w in gob format. The same state always writes
+// the same bytes.
 func (s *State) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
+	ws := wireState{Core: s.Core, Kernel: s.Kernel, Mem: mem.Snapshot{Regions: s.Mem.Regions}}
+	ws.Pages = make([]wirePage, 0, len(s.Mem.Pages))
+	for base, data := range s.Mem.Pages {
+		ws.Pages = append(ws.Pages, wirePage{Base: base, Data: data})
+	}
+	slices.SortFunc(ws.Pages, func(a, b wirePage) int { return cmp.Compare(a.Base, b.Base) })
+	if err := gob.NewEncoder(w).Encode(&ws); err != nil {
 		return fmt.Errorf("checkpoint save: %w", err)
 	}
 	return nil
@@ -52,11 +78,18 @@ func (s *State) Save(w io.Writer) error {
 
 // Load reads a state from r.
 func Load(r io.Reader) (*State, error) {
-	var s State
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	var ws wireState
+	if err := gob.NewDecoder(r).Decode(&ws); err != nil {
 		return nil, fmt.Errorf("checkpoint load: %w", err)
 	}
-	return &s, nil
+	s := &State{Core: ws.Core, Mem: ws.Mem, Kernel: ws.Kernel}
+	if s.Mem.Pages == nil {
+		s.Mem.Pages = make(map[uint64][]byte, len(ws.Pages))
+	}
+	for _, p := range ws.Pages {
+		s.Mem.Pages[p.Base] = p.Data
+	}
+	return s, nil
 }
 
 // Bytes serializes the state to a byte slice (the NoW master ships

@@ -1,6 +1,7 @@
 package now
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/checkpoint"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -27,6 +29,50 @@ func prepareShare(t *testing.T, model sim.ModelKind, n int) (string, []campaign.
 		t.Fatal(err)
 	}
 	return dir, exps
+}
+
+// TestShareBytesCanonical: a share is a function of its inputs. Two
+// PrepareShare runs of one workload write identical checkpoint.gob and
+// meta.json bytes, and saving the loaded checkpoint again, several times
+// over, writes the same bytes once more: the pages go out in address
+// order, not in their map's random order.
+func TestShareBytesCanonical(t *testing.T) {
+	files := []string{"checkpoint.gob", "meta.json"}
+	var shares [2][][]byte
+	for i := range shares {
+		dir := t.TempDir()
+		if _, err := PrepareShare(dir, ShareConfig{Workload: "canneal", Scale: workloads.ScaleTest}); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares[i] = append(shares[i], b)
+		}
+	}
+	for j, f := range files {
+		if !bytes.Equal(shares[0][j], shares[1][j]) {
+			t.Errorf("two PrepareShare runs wrote different %s bytes", f)
+		}
+	}
+	st, err := checkpoint.FromBytes(shares[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Mem.Pages) < 2 {
+		t.Fatalf("checkpoint holds %d pages: too few for the order to matter", len(st.Mem.Pages))
+	}
+	for i := 0; i < 8; i++ {
+		b, err := st.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, shares[0][0]) {
+			t.Fatalf("save %d of one loaded state differs from the share's checkpoint.gob", i+1)
+		}
+	}
 }
 
 func TestShareLayout(t *testing.T) {

@@ -69,6 +69,37 @@ func TestWorkerExperimentTimeoutRetries(t *testing.T) {
 	}
 }
 
+// TestInterruptBeforeForkStops pins the timeout's race with the fork: an
+// interrupt requested before RunCtx, as a timer that fires before the
+// experiment's fork requests it, stops that experiment, on a runner
+// without a trunk and on a fork runner alike. A stale interrupt, one
+// that landed after the experiment it was meant for, does not stop the
+// worker's next attempt.
+func TestInterruptBeforeForkStops(t *testing.T) {
+	wl := workloads.MonteCarloPI(workloads.ScaleTest)
+	for _, fork := range []bool{false, true} {
+		runner, err := campaign.NewRunner(wl, campaign.RunnerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fork {
+			if err := runner.EnableFork(campaign.DefaultForkOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exp := campaign.GenerateUniform(1, campaign.GenConfig{WindowInsts: runner.WindowInsts, Seed: 3})[0]
+		runner.Interrupt()
+		if res := runner.Run(exp); res.Outcome != campaign.OutcomeCrashed || res.CrashCause != campaign.CrashInterrupted {
+			t.Errorf("fork=%v: interrupt before RunCtx: %v %q, want crashed/%s", fork, res.Outcome, res.CrashCause, campaign.CrashInterrupted)
+		}
+		runner.Interrupt()
+		w := NewWorker(WorkerConfig{Addr: "unused", ExpTimeout: time.Minute, Metrics: obs.NewRegistry()})
+		if res := w.runExperiment(runner, exp, obs.SpanContext{}); res.CrashCause == campaign.CrashInterrupted {
+			t.Errorf("fork=%v: a stale interrupt stopped the worker's next attempt: %+v", fork, res)
+		}
+	}
+}
+
 // TestWorkerDialRetryBackoff: with nothing listening, the worker makes
 // DialAttempts attempts (counting the retries) before reporting failure.
 func TestWorkerDialRetryBackoff(t *testing.T) {

@@ -231,19 +231,25 @@ func (w *Worker) runSlot(name string) (int, error) {
 
 // runExperiment executes one experiment under the configured wall-time
 // bound, retrying timed-out runs up to ExpRetries times. The timeout
-// interrupts the simulation at its next poll point; because the runner
-// forks from its start point at the start of every Run, a timer that
-// fires in the gap after a run completes cannot poison the next
-// experiment.
+// interrupts the simulation at its next poll point. An interrupt is
+// consumed by no fork, so each attempt clears a stale one before arming
+// its timer, and waits out a timer that fired too late to stop it: its
+// interrupt then lands before the next attempt's clear, never after.
 func (w *Worker) runExperiment(runner *campaign.Runner, exp campaign.Experiment, ctx obs.SpanContext) campaign.Result {
 	for attempt := 0; ; attempt++ {
+		runner.ClearInterrupt()
 		var timer *time.Timer
+		var fired chan struct{}
 		if w.cfg.ExpTimeout > 0 {
-			timer = time.AfterFunc(w.cfg.ExpTimeout, runner.Interrupt)
+			fired = make(chan struct{})
+			timer = time.AfterFunc(w.cfg.ExpTimeout, func() {
+				runner.Interrupt()
+				close(fired)
+			})
 		}
 		res := runner.RunCtx(exp, ctx)
-		if timer != nil {
-			timer.Stop()
+		if timer != nil && !timer.Stop() {
+			<-fired
 		}
 		if res.CrashCause != campaign.CrashInterrupted {
 			return res

@@ -113,6 +113,31 @@ func (s *CampaignSpec) model() (sim.ModelKind, error) {
 	return sim.ParseModel(s.Model)
 }
 
+// root resolves what the campaign's runners are built from under a slot
+// budget: the workload, the runners' configuration, and the key of the
+// root they share. Without local slots the root has no trunk: NoW workers
+// build their own fork servers from the welcome.
+func (s *CampaignSpec) root(slots int) (*workloads.Workload, sim.Config, rootKey, error) {
+	scale, err := s.scale()
+	if err != nil {
+		return nil, sim.Config{}, rootKey{}, err
+	}
+	w, err := workloads.ByName(s.Workload, scale)
+	if err != nil {
+		return nil, sim.Config{}, rootKey{}, err
+	}
+	model, err := s.model()
+	if err != nil {
+		return nil, sim.Config{}, rootKey{}, err
+	}
+	cfg := campaign.SimConfig(model, s.MaxInsts)
+	cfg.EnableProfiler = s.Profile
+	cfg.EnableTaint = s.Taint
+	cfg.EnableFlight = s.Flight
+	key, err := newRootKey(w, cfg, s.Fork && slots >= 0)
+	return w, cfg, key, err
+}
+
 // Campaign phases.
 const (
 	PhasePreparing = "preparing" // golden run / pool building
@@ -151,6 +176,11 @@ type Campaign struct {
 	// pool runs the local experiments: built by prepare, handed groups
 	// by the dispatcher, released by finishLocked.
 	pool *campaign.Pool
+	// roots is the Service's prepared-root cache prepare draws on. rootKey is the digest of the key of the pool's
+	// root, and rootReused whether prepare found that root cached.
+	roots      *rootCache
+	rootKey    string
+	rootReused bool
 
 	// profile, taintRep and forkStats are what the campaign reports once
 	// the pool is gone, captured at finish.
@@ -189,44 +219,44 @@ func newCampaign(id string, led *persisted) *Campaign {
 	}
 }
 
-// prepare builds the golden run and a pool of up to slots runners.
-// Expensive (it runs the workload once); the Service calls it off the
-// request path. The returned window is 0 only on error.
+// prepare builds a pool of up to slots runners over the campaign's root:
+// the golden run, checkpoint and, on a fork campaign, the trunk. A root
+// the Service already holds under the same key is reused, and only the
+// runners are built. Expensive on a miss (it runs the workload once); the
+// Service calls it off the request path. The returned window is 0 only on
+// error.
 func (c *Campaign) prepare(slots int) (uint64, error) {
-	scale, err := c.Spec.scale()
+	w, cfg, key, err := c.Spec.root(slots)
 	if err != nil {
 		return 0, err
 	}
-	w, err := workloads.ByName(c.Spec.Workload, scale)
-	if err != nil {
-		return 0, err
-	}
-	model, err := c.Spec.model()
-	if err != nil {
-		return 0, err
-	}
-	cfg := campaign.SimConfig(model, c.Spec.MaxInsts)
-	cfg.EnableProfiler = c.Spec.Profile
-	cfg.EnableTaint = c.Spec.Taint
-	cfg.EnableFlight = c.Spec.Flight
-	pool, err := campaign.NewPool(w, c.Spec.workers(slots), campaign.RunnerOptions{Cfg: &cfg})
-	if err != nil {
-		return 0, err
-	}
-	// Without local slots nothing forks here: workers build their own
-	// fork servers from the welcome.
-	if c.Spec.Fork && slots >= 0 {
-		if err := pool.EnableFork(campaign.DefaultForkOptions()); err != nil {
-			return 0, err
+	root, reused, err := c.roots.get(key, func() (*campaign.Root, error) {
+		r, err := campaign.NewRunner(w, campaign.RunnerOptions{Cfg: &cfg})
+		if err != nil {
+			return nil, err
 		}
+		if key.fork {
+			if err := r.EnableFork(campaign.DefaultForkOptions()); err != nil {
+				return nil, err
+			}
+		}
+		return r.Root, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	pool, err := campaign.NewPoolOn(root, c.Spec.workers(slots))
+	if err != nil {
+		return 0, err
 	}
 	if c.spans != nil {
 		pool.AttachSpans(c.spans, c.ID+"/r")
 	}
 	c.mu.Lock()
 	c.pool = pool
+	c.rootKey, c.rootReused = key.digest(), reused
 	c.mu.Unlock()
-	return pool.Runner().WindowInsts, nil
+	return root.WindowInsts, nil
 }
 
 // fail moves the campaign to the failed phase.
@@ -463,6 +493,13 @@ type CampaignStatus struct {
 	Strata      []StratumStatus `json:"strata,omitempty"`
 	AggP        float64         `json:"aggP"`
 	AggCIWidth  float64         `json:"aggCIWidth"`
+	// Root is the digest of the key of the root the campaign's runners
+	// run over (empty until prepared, and for a campaign that finished
+	// before the service last started); RootReused says that the service
+	// already held that root, so the campaign paid no golden pass, no
+	// checkpoint and no trunk.
+	Root       string `json:"root,omitempty"`
+	RootReused bool   `json:"rootReused"`
 }
 
 // Status reads the campaign's live state.
@@ -490,6 +527,8 @@ func (c *Campaign) statusLocked() CampaignStatus {
 		WindowInsts: c.led.Window,
 		Outcomes:    make(map[string]int),
 		ElapsedSec:  time.Since(c.started).Seconds(),
+		Root:        c.rootKey,
+		RootReused:  c.rootReused,
 	}
 	for _, r := range c.led.Results {
 		st.Outcomes[r.Outcome.String()]++

@@ -22,6 +22,7 @@ func TestCampaignRunnersBoundedBySlots(t *testing.T) {
 		{3, 2, 2}, {3, 3, 3}, {9, 9, 9}, {0, 4, 1}, {2, -1, 1},
 	} {
 		c := newCampaign("c0001", &persisted{Spec: CampaignSpec{Workload: "pi", N: 1, Workers: tc.workers}})
+		c.roots = newRootCache(nil)
 		if _, err := c.prepare(tc.slots); err != nil {
 			t.Fatal(err)
 		}

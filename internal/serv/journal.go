@@ -154,8 +154,11 @@ func (st *journalState) apply(r record) {
 	}
 }
 
-// compactEvery bounds journal growth: after this many appended records
-// the journal is folded into the snapshot and truncated.
+// compactEvery is the least number of appended records at which the
+// journal is folded into the snapshot and truncated. Past it, compaction
+// waits until the journal holds as many records as the last snapshot
+// did, so each compaction at least doubles what the snapshot covers and
+// the total compaction work stays linear in the records appended.
 const compactEvery = 4096
 
 // journal is the on-disk store. All methods are safe for concurrent use.
@@ -166,6 +169,8 @@ type journal struct {
 	f        *os.File
 	w        *bufio.Writer
 	appended int
+	// snapped is the number of records the last snapshot holds.
+	snapped int
 }
 
 func (j *journal) logPath() string  { return filepath.Join(j.dir, "journal.jsonl") }
@@ -188,6 +193,7 @@ func openJournal(dir string) (*journal, *journalState, error) {
 			return nil, nil, fmt.Errorf("serv: corrupt snapshot %s: %w", j.snapPath(), err)
 		}
 	}
+	j.snapped = st.records()
 	if f, err := os.Open(j.logPath()); err == nil {
 		// A torn final line is expected after SIGKILL; anything after it
 		// is unreachable, so replay stops there without complaint, and the
@@ -292,7 +298,8 @@ func (st *journalState) loadLegacy(r io.Reader) error {
 
 // writeSnapshot streams the state as snapshot records: per campaign, in
 // submission order, its camp header, its done mark and its results in
-// planned order. The same state always writes the same bytes.
+// planned order. The same state always writes the same bytes: records()
+// of them.
 func (st *journalState) writeSnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, id := range st.Order {
@@ -313,27 +320,41 @@ func (st *journalState) writeSnapshot(w io.Writer) error {
 	return nil
 }
 
-// append writes one record and flushes it to the OS. Returns the number
-// of records appended since the last compaction so the caller can
-// trigger one (compaction needs the caller's state, not the journal's).
-func (j *journal) append(r record) (int, error) {
+// records counts the records writeSnapshot writes for the state.
+func (st *journalState) records() int {
+	n := 0
+	for _, id := range st.Order {
+		p := st.Camps[id]
+		n += 1 + len(p.Results)
+		if p.Done {
+			n++
+		}
+	}
+	return n
+}
+
+// append writes one record and flushes it to the OS. It reports whether
+// a compaction is due, so the caller can run one (compaction needs the
+// caller's state, not the journal's): once the journal holds at least
+// compactEvery records and at least as many as the last snapshot.
+func (j *journal) append(r record) (bool, error) {
 	b, err := json.Marshal(r)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		return 0, fmt.Errorf("serv: journal closed")
+		return false, fmt.Errorf("serv: journal closed")
 	}
 	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		return 0, err
+		return false, err
 	}
 	if err := j.w.Flush(); err != nil {
-		return 0, err
+		return false, err
 	}
 	j.appended++
-	return j.appended, nil
+	return j.appended >= max(compactEvery, j.snapped), nil
 }
 
 // compact writes the full state as a snapshot — streamed to a temporary
@@ -379,7 +400,7 @@ func (j *journal) compact(st *journalState) error {
 		return err
 	}
 	j.w.Reset(j.f)
-	j.appended = 0
+	j.appended, j.snapped = 0, st.records()
 	return nil
 }
 

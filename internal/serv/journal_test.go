@@ -1,6 +1,8 @@
 package serv
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,6 +24,69 @@ func exp(id int, when uint64) campaign.Experiment {
 
 func res(id int, o campaign.Outcome, when uint64) campaign.Result {
 	return campaign.Result{ID: id, Outcome: o, Fault: core.Fault{Loc: core.LocIntReg, When: when}}
+}
+
+// TestJournalCompactionAmortized: a service that retains every result
+// compacts O(log n) times over n appended records, and writes O(n)
+// snapshot records in all, where compacting every 4,096 records would
+// rewrite the growing state n/4,096 times. The journal is what a service
+// writes for 50 campaigns of 1,000 experiments each.
+func TestJournalCompactionAmortized(t *testing.T) {
+	dir := t.TempDir()
+	j, st, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const camps, perCamp = 50, 1000
+	appended, compactions, written := 0, 0, 0
+	put := func(r record) {
+		due, err := j.append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.apply(r)
+		appended++
+		if due {
+			if err := j.compact(st); err != nil {
+				t.Fatal(err)
+			}
+			compactions++
+			written += st.records()
+		}
+	}
+	for c := 1; c <= camps; c++ {
+		id := fmt.Sprintf("c%04d", c)
+		spec := testSpec(perCamp)
+		put(record{T: recSpec, Campaign: id, Spec: &spec})
+		exps := make([]campaign.Experiment, perCamp)
+		for i := range exps {
+			exps[i] = exp(i+1, uint64(i))
+		}
+		put(record{T: recExps, Campaign: id, Batch: 1, Exps: exps})
+		for i := range exps {
+			put(record{T: recResult, Campaign: id, Result: ptr(res(i+1, campaign.OutcomeCorrect, uint64(i)))})
+		}
+		put(record{T: recDone, Campaign: id})
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	bound := int(math.Ceil(math.Log2(float64(appended)/compactEvery))) + 1
+	t.Logf("%d records appended: %d compactions wrote %d snapshot records", appended, compactions, written)
+	if compactions == 0 || compactions > bound {
+		t.Errorf("%d compactions over %d records, want 1 to %d", compactions, appended, bound)
+	}
+	if written > 2*appended {
+		t.Errorf("compactions wrote %d snapshot records for %d appended, want at most twice as many", written, appended)
+	}
+	j2, st2, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.close()
+	if len(st2.Order) != camps || st2.records() != st.records() {
+		t.Fatalf("reopened %d campaigns, %d records; want %d, %d", len(st2.Order), st2.records(), camps, st.records())
+	}
 }
 
 // TestJournalReplayRoundTrip: everything appended is reconstructed by a

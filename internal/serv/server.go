@@ -79,6 +79,9 @@ type Service struct {
 	draining bool
 	closed   bool
 
+	// roots holds the prepared roots identical submissions share.
+	roots *rootCache
+
 	slots chan struct{} // global local-execution budget (semaphore)
 	kickC chan struct{}
 	stopC chan struct{}
@@ -127,6 +130,7 @@ func New(cfg Config) (*Service, error) {
 		retryOf:  make(map[expKey]string),
 	}
 	s.registerMetrics()
+	s.roots = newRootCache(cfg.Metrics)
 	if cfg.Spans != nil {
 		cfg.Spans.AttachMetrics(cfg.Metrics)
 	}
@@ -181,6 +185,7 @@ func (s *Service) registerMetrics() {
 func (s *Service) adopt(id string) *Campaign {
 	c := newCampaign(id, s.st.Camps[id])
 	c.spans = s.cfg.Spans
+	c.roots = s.roots
 	s.camps[id] = c
 	return c
 }
@@ -199,7 +204,7 @@ func (s *Service) restoreFinished(c *Campaign) {
 }
 
 // appendApply journals one record and folds it into the durable mirror,
-// compacting when the journal has grown past the threshold. Safe to call
+// compacting when the journal says a compaction is due. Safe to call
 // while holding a Campaign's lock (s.mu is taken after c.mu by design);
 // for a record about a hosted campaign the caller must hold its lock,
 // because the mirror record it changes is that campaign's ledger.
@@ -209,12 +214,12 @@ func (s *Service) appendApply(r record) error {
 	if s.closed {
 		return fmt.Errorf("serv: service closed")
 	}
-	n, err := s.j.append(r)
+	due, err := s.j.append(r)
 	if err != nil {
 		return err
 	}
 	s.st.apply(r)
-	if n >= compactEvery {
+	if due {
 		return s.j.compact(s.st)
 	}
 	return nil

@@ -87,7 +87,6 @@ func (s *Simulator) forkFrom(fp *checkpoint.ForkPoint, arm func(*core.Engine)) {
 	}
 	s.observers.Flight.Reset() // nil-safe; the ring belongs to one experiment
 	s.stopRequested = false
-	s.interrupted.Store(false)
 	switch {
 	case w != nil:
 		s.Mem.SetPorts(w.Ports)

@@ -6,6 +6,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -137,6 +140,20 @@ func DefaultConfig() Config {
 		EnableFI:               true,
 		EnableBlockTranslation: true,
 	}
+}
+
+// Digest returns the SHA-256 of the configuration's JSON encoding as a
+// hex string, with Metrics cleared: the registry a run reports into does
+// not change what it computes. Configurations with equal digests run the
+// same machine.
+func (c Config) Digest() string {
+	c.Metrics = nil
+	b, err := json.Marshal(c)
+	if err != nil {
+		panic("sim: config digest: " + err.Error()) // every field is plain data
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Simulator is a fully wired simulated machine.
@@ -458,6 +475,12 @@ func (r RunResult) Failed() bool {
 // goroutine; the NoW worker's per-experiment timeout uses it to reclaim a
 // hung simulation. The interrupted Run returns with Interrupted set.
 func (s *Simulator) Interrupt() { s.interrupted.Store(true) }
+
+// ClearInterrupt withdraws an interrupt no run has consumed yet: one that
+// landed after the run it was meant for had ended. A fork keeps a pending
+// interrupt, so a caller that arms a timer for the next run clears the
+// stale one first.
+func (s *Simulator) ClearInterrupt() { s.interrupted.Store(false) }
 
 // SetSpans attaches a span recorder and the enclosing experiment span:
 // phase recording (BeginPhaseRecording / EndPhaseRecording) emits
